@@ -8,7 +8,7 @@ per-scale graph contraction, verifies the contract against exact oracles,
 and answers S x V approximate shortest-path queries through the result.
 """
 
-from .asp import AspResult, asp_estimates, extract_path, iter_asp_rows
+from .asp import AspResult, asp_estimates, extract_path
 from .explore import (
     ExplorationForest,
     HopLimitedTable,
@@ -34,6 +34,7 @@ from .hopset import (
     Hopset,
     HopsetEdge,
     HopsetError,
+    HopsetFormatError,
     HopsetParams,
     attach_witness_paths,
     build_hopset,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, TextIO
+from typing import TextIO
 
 from .explore import hop_limited_bellman_ford
 from .graph import Graph
@@ -36,7 +36,7 @@ class AspResult:
 
 
 def asp_estimates(graph: Graph, hopset: Hopset, sources) -> AspResult:
-    """Estimates for all given sources (kept resident; see iter_asp_rows)."""
+    """Estimates for all given sources: one |S| x n table, held in memory."""
     sources = sorted(set(sources))
     _check(graph, hopset, sources)
     den = hopset.weight_scale().den
@@ -50,29 +50,6 @@ def asp_estimates(graph: Graph, hopset: Hopset, sources) -> AspResult:
         dist=table.dist,
         pred=table.pred,
     )
-
-
-def iter_asp_rows(
-    graph: Graph, hopset: Hopset, sources
-) -> Iterator[tuple[int, AspResult]]:
-    """Stream one single-source result at a time.
-
-    Memory stays O(n) per source, so all-sources sweeps need not hold the
-    full |S| x n table.
-    """
-    den = hopset.weight_scale().den
-    rel = _union_edges(graph, hopset, den)
-    for s in sorted(set(sources)):
-        _check(graph, hopset, [s])
-        table = hop_limited_bellman_ford(graph.n, rel, [s], hopset.effective_beta)
-        yield s, AspResult(
-            sources=[s],
-            n=graph.n,
-            den=den,
-            beta=hopset.effective_beta,
-            dist=table.dist,
-            pred=table.pred,
-        )
 
 
 def _check(graph: Graph, hopset: Hopset, sources):
@@ -129,24 +106,28 @@ def extract_path(
 
 def write_estimates_csv(
     graph: Graph, hopset: Hopset, sources, out: TextIO, header: dict | None = None
-) -> None:
+) -> AspResult:
     """CSV emission: source,vertex,estimate_num,estimate_den (1-based ids).
 
-    Unreachable vertices get estimate inf/1.  Streams per source.
+    Unreachable vertices get estimate inf/1.  Returns the `asp_estimates`
+    result the rows came from, so paths can be extracted without a second
+    Bellman-Ford run.
     """
+    result = asp_estimates(graph, hopset, sources)
     if header:
         for key in sorted(header):
             out.write(f"# {key} {header[key]}\n")
     out.write("source,vertex,estimate_num,estimate_den\n")
-    for s, row in iter_asp_rows(graph, hopset, sources):
-        dist = row.dist[s]
-        for v in range(row.n):
+    for s in result.sources:
+        dist = result.dist[s]
+        for v in range(result.n):
             d = dist[v]
             if d is None:
                 out.write(f"{s + 1},{v + 1},inf,1\n")
             else:
-                f = Fraction(d, row.den)
+                f = Fraction(d, result.den)
                 out.write(f"{s + 1},{v + 1},{f.numerator},{f.denominator}\n")
+    return result
 
 
 def format_path(path: list[int]) -> str:

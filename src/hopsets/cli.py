@@ -1,8 +1,9 @@
 """Command-line interface: gen, build, verify, query, stats, bench.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 I/O error, 4 parameter
-rejection, 5 contract violation.  Every artifact embeds (seed, parameters,
-input digest) in its header, so any output can be re-derived exactly.
+Exit codes: 0 success, 2 usage error (argparse), 3 I/O or parse error (with
+the line number), 4 parameter rejection or a hopset built for another graph,
+5 contract violation.  Every artifact embeds (seed, parameters, input digest)
+in its header, so any output can be re-derived exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import asp as asp_mod
 from .graph import GraphError, GraphFormatError, dump_dimacs, generate, load_dimacs
 from .hopset import (
     HopsetError,
+    HopsetFormatError,
     HopsetParams,
     build_hopset,
     dump_hopset,
@@ -31,10 +33,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_PARAM = 4
 EXIT_VIOLATION = 5
-
-
-def _default_jobs() -> int:
-    return int(os.environ.get("HOPSET_JOBS", "1"))
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
@@ -80,7 +78,7 @@ def cmd_build(args) -> int:
     graph = load_dimacs(args.graph)
     params = _params(args)
     t0 = time.perf_counter()
-    hs = build_hopset(graph, params, lambda_hint=args.lambda_hint, jobs=args.jobs)
+    hs = build_hopset(graph, params, lambda_hint=args.lambda_hint)
     ms = (time.perf_counter() - t0) * 1000
     with open(args.out, "w", encoding="ascii") as fh:
         dump_hopset(hs, fh)
@@ -93,9 +91,9 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     graph = load_dimacs(args.graph)
-    hs = load_hopset(args.hopset)
+    hs = _load_hopset_for(graph, args.hopset)
     mode, kw = _parse_pairs(args.pairs)
-    report = verify_stretch(graph, hs, pair_mode=mode, jobs=args.jobs, **kw)
+    report = verify_stretch(graph, hs, pair_mode=mode, **kw)
     payload = report.to_dict()
     payload["provenance"] = hs.provenance
     text = json.dumps(payload, sort_keys=True, indent=2)
@@ -116,17 +114,28 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+def _load_hopset_for(graph, path: str):
+    """Load a hopset file and reject one whose provenance names another graph."""
+    hs = load_hopset(path)
+    built_for, digest = hs.provenance.get("graph"), graph.digest()
+    if built_for is not None and built_for != digest:
+        raise HopsetError(
+            f"hopset {path} was built for graph {built_for}, "
+            f"but the loaded graph has digest {digest}"
+        )
+    return hs
+
+
 def cmd_query(args) -> int:
     graph = load_dimacs(args.graph)
-    hs = load_hopset(args.hopset)
+    hs = _load_hopset_for(graph, args.hopset)
     sources = [int(s) - 1 for s in args.sources.split(",") if s]
     header = {"hopset": os.path.basename(args.hopset), "graph_digest": graph.digest()}
     header.update({k: hs.provenance[k] for k in ("seed", "eps", "mode") if k in hs.provenance})
     with open(args.out, "w", encoding="ascii") as fh:
-        asp_mod.write_estimates_csv(graph, hs, sources, fh, header=header)
+        result = asp_mod.write_estimates_csv(graph, hs, sources, fh, header=header)
     print(f"wrote {args.out}")
     if args.paths:
-        result = asp_mod.asp_estimates(graph, hs, sources)
         with open(args.paths, "w", encoding="ascii") as fh:
             for s in result.sources:
                 for v in range(graph.n):
@@ -168,7 +177,7 @@ def cmd_bench(args) -> int:
                     for mode in cfg.get("mode", ["reduced"]):
                         for seed in cfg.get("seeds", [0]):
                             rows.append(
-                                _bench_row(model, inst, kappa, rho, eps, mode, seed, args.jobs)
+                                _bench_row(model, inst, kappa, rho, eps, mode, seed)
                             )
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(
@@ -181,17 +190,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _bench_row(model, inst, kappa, rho, eps, mode, seed, jobs):
+def _bench_row(model, inst, kappa, rho, eps, mode, seed):
     graph = generate(model, seed=seed, **inst)
     params = HopsetParams.make(
         kappa=kappa, rho=rho, eps_target=eps, seed=seed, mode=mode
     )
     t0 = time.perf_counter()
-    hs = build_hopset(graph, params, jobs=jobs)
+    hs = build_hopset(graph, params)
     build_ms = round((time.perf_counter() - t0) * 1000, 1)
-    report = verify_stretch(
-        graph, hs, pair_mode="sample", sample_size=200, sample_seed=seed, jobs=jobs
-    )
+    report = verify_stretch(graph, hs, pair_mode="sample", sample_size=200, sample_seed=seed)
     ms = report.max_stretch
     return (
         graph.n,
@@ -247,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--graph", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--lambda-hint", type=int, default=None)
-    b.add_argument("--jobs", type=int, default=_default_jobs())
     _add_param_flags(b)
     b.set_defaults(fn=cmd_build)
 
@@ -257,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--pairs", default="all", help="all | sample:M:SEED | band:K")
     v.add_argument("--report", default=None, help="write the JSON report here")
     v.add_argument("--format", choices=["text", "json"], default="text")
-    v.add_argument("--jobs", type=int, default=_default_jobs())
     v.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("query", help="S x V estimates (and paths) through a hopset")
@@ -276,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="sweep a parameter grid from a JSON config")
     be.add_argument("--config", required=True)
     be.add_argument("--out", required=True)
-    be.add_argument("--jobs", type=int, default=_default_jobs())
     be.set_defaults(fn=cmd_bench)
     return ap
 
@@ -286,7 +290,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphFormatError as exc:
+    except (GraphFormatError, HopsetFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (HopsetError, ScheduleError, GraphError) as exc:

@@ -10,7 +10,6 @@ independently of the aspect ratio.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
@@ -32,6 +31,16 @@ from .weights import WeightScale
 
 class HopsetError(ValueError):
     pass
+
+
+class HopsetFormatError(HopsetError):
+    """Malformed hopset file; carries the 1-based line number when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 KIND_ORDER = {"star": 0, "supercluster": 1, "interconnect": 2}
@@ -234,7 +243,6 @@ def build_hopset(
     graph: Graph,
     params: HopsetParams,
     lambda_hint: int | None = None,
-    jobs: int = 1,
 ) -> Hopset:
     """Construct a hopset for `graph` per `params`.
 
@@ -243,8 +251,8 @@ def build_hopset(
     hopsets on the graph itself for every band up to the aspect-ratio bound
     (`lambda_hint` if given, else the sum of the n-1 largest weights).
     Unreachable regions stay unexplored, so components need no special
-    casing.  Scales build independently (possibly concurrently) and merge
-    in a fixed (scale, u, v) order, so results are byte-stable per seed.
+    casing.  Scales build independently and merge in a fixed (scale, u, v)
+    order, so results are byte-stable per seed.
     """
     problems = validate(graph)
     if problems:
@@ -260,28 +268,21 @@ def build_hopset(
         laminar = build_laminar(graph, bp.eps_reduction)
         for s in star_edges(laminar):
             edges.append(HopsetEdge(s.u, s.v, s.weight, s.scale, "star"))
-            raws.append(("star", s.scale, s.u, s.v))
-        ks = [k for k in relevant_scales(graph) if not bp.is_trivial_scale(k)]
-
-        def build_scale(k: int):
+            raws.append(("tree", (s.u, s.v)))
+        for k in relevant_scales(graph):
+            if bp.is_trivial_scale(k):
+                continue
             sg = materialize_scale_graph(graph, laminar, k, bp.wscale)
             if sg.active_count < 2:
-                return k, sg, None
-            sched = bp.schedule_for(k, sg.active_count)
+                continue
             ss = build_single_scale(
                 sg.adj,
                 k,
-                sched,
+                bp.schedule_for(k, sg.active_count),
                 bp.wscale,
                 child_seed(params.seed, "scale", k),
                 record_paths=record,
             )
-            return k, sg, ss
-
-        results = _run(build_scale, ks, jobs)
-        for k, sg, ss in results:
-            if ss is None:
-                continue
             stats["scales"][k] = _phase_stats(ss)
             centers = sg.active_centers
             for e in ss.edges:
@@ -290,8 +291,7 @@ def build_hopset(
                     HopsetEdge(cu, cv, bp.wscale.to_fraction(e.w), k, e.kind)
                 )
                 if record:
-                    node_path = tuple(centers[i] for i in e.path)
-                    raws.append(("gk", k, node_path))
+                    raws.append(("tree", _tree_anchors(sg, [centers[i] for i in e.path])))
                 else:
                     raws.append(())
     else:
@@ -307,19 +307,15 @@ def build_hopset(
         gadj = [
             [(v, w * bp.wscale.den) for v, w in nbrs] for nbrs in graph.adj
         ]
-
-        def build_scale(k: int):
-            sched = bp.schedule_for(k, graph.n)
-            return k, build_single_scale(
+        for k in ks:
+            ss = build_single_scale(
                 gadj,
                 k,
-                sched,
+                bp.schedule_for(k, graph.n),
                 bp.wscale,
                 child_seed(params.seed, "scale", k),
                 record_paths=record,
             )
-
-        for k, ss in _run(build_scale, ks, jobs):
             stats["scales"][k] = _phase_stats(ss)
             for e in ss.edges:
                 edges.append(HopsetEdge(e.u, e.v, bp.wscale.to_fraction(e.w), k, e.kind))
@@ -355,13 +351,6 @@ def build_hopset(
     return hs
 
 
-def _run(fn, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(k) for k in items]
-
-
 def _phase_stats(ss) -> dict:
     return {
         "edges": len(ss.edges),
@@ -384,88 +373,95 @@ def _phase_stats(ss) -> dict:
 # Witness paths
 
 
+def _tree_anchors(sg: ScaleGraph, node_path: list[int]) -> tuple[int, ...]:
+    """Endpoints of the tree walks that realize a contracted-graph path.
+
+    Pairs (anchors[2i], anchors[2i+1]) lie in one node and are joined by a
+    spanning-tree walk; anchors[2i+1] and anchors[2i+2] are the endpoints
+    of the minimum original edge behind one contracted hop, so the walks
+    concatenate into one graph path.
+    """
+    anchors = [node_path[0]]
+    for cu, cv in zip(node_path, node_path[1:]):
+        a, b, _ = sg.base_edge(cu, cv)
+        anchors += (a, b)
+    anchors.append(node_path[-1])
+    return tuple(anchors)
+
+
 def attach_witness_paths(
     graph: Graph, laminar: LaminarFamily | None, hopset: Hopset
 ) -> Hopset:
     """Expand recorded construction paths into concrete graph paths.
 
     Direct-mode edges carry their Dijkstra tree path verbatim (weight equals
-    the edge weight exactly).  Reduced-mode edges splice, per contracted-graph
-    hop, the minimum original edge plus node-spanning-tree walks; star edges
-    expand to tree walks.  Spliced paths weigh at most the edge weight (the
-    padding terms absorb the detours), never necessarily equal.
+    the edge weight exactly).  Reduced-mode edges record tree anchors (see
+    `_tree_anchors`); star edges are the two-anchor case.  Every node's
+    spanning tree is a subtree of the laminar family's one merge forest, so
+    each walk is the unique forest path between its anchors.  Spliced paths
+    weigh at most the edge weight (the padding terms absorb the detours),
+    never necessarily equal.
     """
     if hopset.raw_paths is None:
         raise HopsetError("hopset was built without path recording")
-    tree_cache: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    sg_cache: dict[int, ScaleGraph] = {}
-
-    def tree_adj(k: int):
-        if k not in tree_cache:
-            if laminar is None:
-                raise HopsetError("laminar family required to expand reduced witnesses")
-            tree_cache[k] = laminar.tree_adjacency_at(k)
-        return tree_cache[k]
-
-    def scale_graph(k: int):
-        if k not in sg_cache:
-            sg_cache[k] = materialize_scale_graph(graph, laminar, k)
-        return sg_cache[k]
+    forest = None
+    if laminar is not None:
+        forest = SpanningForest(laminar.tree_adjacency_at(laminar.max_merge_scale()))
 
     witnesses: list[tuple[int, ...]] = []
-    for edge, raw in zip(hopset.edges, hopset.raw_paths):
+    for raw in hopset.raw_paths:
         if not raw:
             raise HopsetError("edge missing recorded path")
         if raw[0] == "g":
             witnesses.append(tuple(raw[1]))
-        elif raw[0] == "star":
-            _, k, u, v = raw
-            witnesses.append(tuple(_tree_path(tree_adj(k), u, v)))
-        elif raw[0] == "gk":
-            _, k, node_path = raw
-            witnesses.append(
-                tuple(_splice(scale_graph(k), tree_adj(k), node_path))
-            )
+        elif raw[0] == "tree":
+            if forest is None:
+                raise HopsetError("laminar family required to expand reduced witnesses")
+            anchors = raw[1]
+            out: list[int] = []
+            for a, b in zip(anchors[::2], anchors[1::2]):
+                out.extend(forest.path(a, b))
+            witnesses.append(tuple(out))
         else:
             raise HopsetError(f"unknown recording {raw[0]!r}")
     hopset.witnesses = witnesses
     return hopset
 
 
-def _tree_path(tree, a: int, b: int) -> list[int]:
-    """Unique path between two vertices of one node's spanning tree (BFS)."""
-    if a == b:
-        return [a]
-    prev = {a: None}
-    queue = [a]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y, _ in tree.get(x, ()):
-                if y not in prev:
-                    prev[y] = x
-                    if y == b:
-                        path = [b]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(y)
-        queue = nxt
-    raise HopsetError(f"vertices {a} and {b} not tree-connected")
+class SpanningForest:
+    """A forest given by adjacency, rooted once so paths are parent walks."""
 
+    def __init__(self, tree: dict[int, list[tuple[int, int]]]):
+        self.parent: dict[int, int | None] = {}
+        self.depth: dict[int, int] = {}
+        for root in tree:
+            if root in self.parent:
+                continue
+            self.parent[root] = None
+            self.depth[root] = 0
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y, _ in tree[x]:
+                    if y not in self.parent:
+                        self.parent[y] = x
+                        self.depth[y] = self.depth[x] + 1
+                        stack.append(y)
 
-def _splice(sg: ScaleGraph, tree, node_path: tuple[int, ...]) -> list[int]:
-    """Original-graph path realizing a contracted-graph path between centers."""
-    out = [node_path[0]]
-    cur = node_path[0]
-    for j in range(1, len(node_path)):
-        a, b, _ = sg.base_edge(node_path[j - 1], node_path[j])
-        out.extend(_tree_path(tree, cur, a)[1:])
-        out.append(b)
-        cur = b
-    out.extend(_tree_path(tree, cur, node_path[-1])[1:])
-    return out
+    def path(self, a: int, b: int) -> list[int]:
+        """The unique forest path from a to b."""
+        up_a, up_b = [a], [b]
+        while a != b:
+            da, db = self.depth.get(a), self.depth.get(b)
+            if da is None or db is None or (da == db == 0):
+                raise HopsetError(f"vertices {up_a[0]} and {up_b[0]} not tree-connected")
+            if da >= db:
+                a = self.parent[a]
+                up_a.append(a)
+            else:
+                b = self.parent[b]
+                up_b.append(b)
+        return up_a + up_b[-2::-1]
 
 
 def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
@@ -578,41 +574,45 @@ def load_hopset(source) -> Hopset:
         edges: list[HopsetEdge] = []
         witnesses: dict[int, tuple[int, ...]] = {}
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts:
                 continue
-            parts = line.split()
-            if parts[0] == "c":
-                if len(parts) >= 3:
-                    provenance[parts[1]] = " ".join(parts[2:])
-            elif parts[0] == "h":
+            tag, fields = parts[0], parts[1:]
+            if tag == "c":
+                if len(fields) >= 2:
+                    provenance[fields[0]] = " ".join(fields[1:])
+            elif tag == "h":
                 if header is not None:
-                    raise HopsetError(f"line {lineno}: duplicate header")
-                version, n, beta = int(parts[1]), int(parts[2]), int(parts[3])
+                    raise HopsetFormatError("duplicate header", lineno)
+                version, n, beta, eps = _fields(lineno, fields, int, int, int, _fraction)
                 if version != FILE_VERSION:
-                    raise HopsetError(f"unsupported hopset file version {version}")
-                num, den = parts[4].split("/")
-                header = (n, beta, Fraction(int(num), int(den)))
-            elif parts[0] == "e":
+                    raise HopsetFormatError(f"unsupported hopset file version {version}", lineno)
+                if n < 1 or beta < 0:
+                    raise HopsetFormatError(f"bad header n={n} beta={beta}", lineno)
+                header = (n, beta, eps)
+            elif tag == "e":
                 if header is None:
-                    raise HopsetError(f"line {lineno}: edge before header")
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-                num, den = parts[3].split("/")
-                edges.append(
-                    HopsetEdge(u, v, Fraction(int(num), int(den)), int(parts[4]), parts[5])
-                )
-            elif parts[0] == "p":
-                idx = int(parts[1])
-                witnesses[idx] = tuple(int(x) - 1 for x in parts[2:])
+                    raise HopsetFormatError("edge before header", lineno)
+                u, v, w, scale, kind = _fields(lineno, fields, int, int, _fraction, int, str)
+                _check_vertices(lineno, header[0], (u, v))
+                edges.append(HopsetEdge(u - 1, v - 1, w, scale, kind))
+            elif tag == "p":
+                if header is None:
+                    raise HopsetFormatError("witness before header", lineno)
+                if len(fields) < 2:
+                    raise HopsetFormatError("witness needs an index and a vertex", lineno)
+                idx, *path = _fields(lineno, fields, *[int] * len(fields))
+                _check_vertices(lineno, header[0], path)
+                witnesses[idx] = tuple(x - 1 for x in path)
             else:
-                raise HopsetError(f"line {lineno}: unknown record {parts[0]!r}")
+                raise HopsetFormatError(f"unknown record {tag!r}", lineno)
         if header is None:
-            raise HopsetError("missing header line")
+            raise HopsetFormatError("missing header line")
         n, beta, eps = header
         wit = None
         if witnesses:
             if sorted(witnesses) != list(range(len(edges))):
-                raise HopsetError("witness lines do not cover all edges")
+                raise HopsetFormatError("witness lines do not cover all edges")
             wit = [witnesses[i] for i in range(len(edges))]
         return Hopset(
             n=n,
@@ -625,6 +625,27 @@ def load_hopset(source) -> Hopset:
     finally:
         if close:
             fh.close()
+
+
+def _fraction(text: str) -> Fraction:
+    num, den = text.split("/")
+    return Fraction(int(num), int(den))
+
+
+def _fields(lineno: int, fields: list[str], *kinds) -> list:
+    """Convert a record's fields by `kinds`, or name the line that fails."""
+    if len(fields) != len(kinds):
+        raise HopsetFormatError(f"expected {len(kinds)} fields, got {len(fields)}", lineno)
+    try:
+        return [kind(f) for kind, f in zip(kinds, fields)]
+    except (ValueError, ZeroDivisionError):
+        raise HopsetFormatError(f"malformed record {' '.join(fields)!r}", lineno) from None
+
+
+def _check_vertices(lineno: int, n: int, vertices) -> None:
+    for x in vertices:
+        if not 1 <= x <= n:
+            raise HopsetFormatError(f"vertex id {x} out of range [1,{n}]", lineno)
 
 
 def params_from_provenance(provenance: dict) -> HopsetParams:

@@ -71,44 +71,24 @@ class NodesView:
 
 
 class LaminarFamily:
-    """Merge histories and node spanning trees across all scales.
+    """Merge history of the contracted nodes across all scales.
 
-    Query `nodes_at(k)` for the node structure of the scale-k graph,
-    `center_at(x, k)` for a single vertex (served from the per-vertex merge
-    lists), and `tree_adjacency_at(k)` for the union of node spanning trees
-    (contracted edges only), used to splice witness paths.
+    Query `nodes_at(k)` for the node structure of the scale-k graph (a
+    replay of the events up to k) and `tree_adjacency_at(k)` for the union
+    of node spanning trees (contracted edges only).  Every event joins two
+    different nodes, so the spanning trees at every scale are subtrees of
+    one forest, used to splice witness paths.
     """
 
     def __init__(self, n: int, eps: Fraction, events: list[MergeEvent]):
         self.n = n
         self.eps = eps
         self.events = events
-        # compressed per-vertex lists: (scale, center), one entry per scale
-        self.merge_lists: list[list[tuple[int, int]]] = [[(0, v)] for v in range(n)]
-        for ev in events:
-            for y in ev.members_absorbed:
-                lst = self.merge_lists[y]
-                if lst[-1][0] == ev.scale:
-                    lst[-1] = (ev.scale, ev.survivor_center)
-                else:
-                    lst.append((ev.scale, ev.survivor_center))
-        self._views: dict[int, NodesView] = {}
 
     def max_merge_scale(self) -> int:
         return self.events[-1].scale if self.events else 0
 
-    def center_at(self, x: int, k: int) -> int:
-        center = x
-        for scale, c in self.merge_lists[x]:
-            if scale > k:
-                break
-            center = c
-        return center
-
     def nodes_at(self, k: int) -> NodesView:
-        view = self._views.get(k)
-        if view is not None:
-            return view
         label = list(range(self.n))
         sizes = {v: 1 for v in range(self.n)}
         birth = {v: 0 for v in range(self.n)}
@@ -123,9 +103,7 @@ class LaminarFamily:
             birth.pop(absorbed)
             birth[survivor] = ev.scale
         # relabel chains: members_absorbed snapshots make labels direct already
-        view = NodesView(k, label, sizes, birth)
-        self._views[k] = view
-        return view
+        return NodesView(k, label, sizes, birth)
 
     def tree_adjacency_at(self, k: int) -> dict[int, list[tuple[int, int]]]:
         adj: dict[int, list[tuple[int, int]]] = {}
@@ -246,9 +224,6 @@ class ScaleGraph:
     def active_count(self) -> int:
         return len(self.active_centers)
 
-    def index_of(self, center: int) -> int:
-        return self._index[center]
-
     def base_edge(self, cu: int, cv: int) -> tuple[int, int, int]:
         """Original (x, y, w) for node pair, oriented so x lies in cu's node."""
         key = (cu, cv) if cu < cv else (cv, cu)
@@ -256,16 +231,11 @@ class ScaleGraph:
         return (x, y, w) if cu == key[0] else (y, x, w)
 
     def finalize(self, label: list[int]):
-        self._index = {c: i for i, c in enumerate(self.active_centers)}
         self._base = {}
-        self._label = label
         for cu, cv, _, (x, y, w) in self.edges:
             key = (cu, cv) if cu < cv else (cv, cu)
             self._base[key] = (x, y, w) if label[x] == key[0] else (y, x, w)
         return self
-
-    def label_of(self, vertex: int) -> int:
-        return self._label[vertex]
 
 
 def materialize_scale_graph(

@@ -14,7 +14,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,7 +96,6 @@ def verify_stretch(
     band: int | None = None,
     n_max_allpairs: int = 500,
     max_violations: int = 100,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check hop-limited stretch of the union graph against exact distances.
 
@@ -139,62 +137,43 @@ def verify_stretch(
     if pair_mode == "band":
         lo, hi = 2**band, 2 ** (band + 1)
 
-    def check_source(s: int):
+    pairs_checked = 0
+    max_stretch: Fraction | None = None
+    violations: list[dict] = []
+    total_violations = 0
+    for s in sorted(wanted):
         d_true = dijkstra_all(graph.adj, s)
-        table = hop_limited_bellman_ford(n, rel, [s], beta)
-        lim = table.dist[s]
+        lim = hop_limited_bellman_ford(n, rel, [s], beta).dist[s]
         targets = wanted[s] if wanted[s] is not None else range(s + 1, n)
-        out_max: Fraction | None = None
-        out_violations = []
-        checked = 0
         for v in targets:
             dg = d_true[v]
             if v == s or dg is None:
                 continue
             if lo is not None and not (lo < dg <= hi):
                 continue
-            checked += 1
+            pairs_checked += 1
             dl = lim[v]
-            if dl is None:
-                out_violations.append((s, v, dg, None, None))
-                continue
-            stretch = Fraction(dl, dg * den)
-            if out_max is None or stretch > out_max:
-                out_max = stretch
+            stretch = None
+            if dl is not None:
+                stretch = Fraction(dl, dg * den)
+                if max_stretch is None or stretch > max_stretch:
+                    max_stretch = stretch
             # both sides of the contract: no undercut below the true
             # distance, no overshoot beyond (1 + eps) times it
-            if dl < dg * den or dl * eps.denominator > dg * den * (
+            if dl is None or dl < dg * den or dl * eps.denominator > dg * den * (
                 eps.numerator + eps.denominator
             ):
-                out_violations.append((s, v, dg, dl, stretch))
-        return checked, out_max, out_violations
-
-    sources = sorted(wanted)
-    if jobs > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check_source, sources))
-    else:
-        results = [check_source(s) for s in sources]
-
-    pairs_checked = 0
-    max_stretch: Fraction | None = None
-    violations: list[dict] = []
-    total_violations = 0
-    for checked, smax, viol in results:
-        pairs_checked += checked
-        if smax is not None and (max_stretch is None or smax > max_stretch):
-            max_stretch = smax
-        total_violations += len(viol)
-        for s, v, dg, dl, stretch in viol[: max(0, max_violations - len(violations))]:
-            violations.append(
-                {
-                    "u": s,
-                    "v": v,
-                    "d_true": dg,
-                    "d_limited": _frac(Fraction(dl, den)) if dl is not None else None,
-                    "stretch": _frac(stretch),
-                }
-            )
+                total_violations += 1
+                if len(violations) < max_violations:
+                    violations.append(
+                        {
+                            "u": s,
+                            "v": v,
+                            "d_true": dg,
+                            "d_limited": _frac(Fraction(dl, den)) if dl is not None else None,
+                            "stretch": _frac(stretch),
+                        }
+                    )
     load = None
     if hopset.build_stats:
         load = _load_summary(hopset.build_stats, n)

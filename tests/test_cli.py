@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hopsets import load_dimacs
 from hopsets.cli import EXIT_IO, EXIT_OK, EXIT_PARAM, EXIT_VIOLATION, main
 
 
@@ -224,3 +225,48 @@ class TestBench:
         assert len(lines) == 1 + 4  # 2 eps x 2 seeds
         row = lines[1].split(",")
         assert row[0] == "24" and row[2] == "2"
+
+
+class TestMalformedHopset:
+    HEADER = "h 1 8 5 1/10\n"
+
+    @pytest.mark.parametrize("command", ["verify", "query"])
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("h 1 3 5\ne 1\n", 1),  # truncated header
+            (HEADER + "e 1\n", 2),  # truncated edge
+            (HEADER + "e 1 x 3/1 0 star\n", 2),  # non-numeric vertex
+            (HEADER + "e 1 2 3/0 0 star\n", 2),  # zero denominator
+            (HEADER + "e 1 2 3 0 star\n", 2),  # weight not num/den
+            (HEADER + "e 1 2 3/1 0 star\np 0\n", 3),  # witness without vertices
+            (HEADER + "e 1 2 3/1 0 star\np zero 1 2\n", 3),  # non-numeric index
+            (HEADER + "e 1 9 3/1 0 star\n", 2),  # vertex above n
+            (HEADER + "e 0 2 3/1 0 star\n", 2),  # vertex below 1
+            (HEADER + "e 1 2 3/1 0 star\np 0 1 99 2\n", 3),  # witness vertex above n
+        ],
+    )
+    def test_malformed_file_is_io_error_with_line(self, workspace, capsys, command, text, line):
+        graph = gen_graph(workspace)
+        hopset = workspace / "bad.hs"
+        hopset.write_text(text)
+        args = ["--graph", str(graph), "--hopset", str(hopset)]
+        if command == "query":
+            args += ["--sources", "1", "--out", str(workspace / "est.csv")]
+        assert run(command, *args) == EXIT_IO
+        assert f"line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "query"])
+    def test_hopset_for_another_graph_is_rejected(self, workspace, capsys, command):
+        built_for = gen_graph(workspace, "a.gr")
+        other = gen_graph(workspace, "b.gr", model=("--model", "path", "--n", "8", "--base", "2"))
+        hopset = workspace / "h.hs"
+        run("build", "--graph", str(built_for), "--out", str(hopset))
+        capsys.readouterr()
+        args = ["--graph", str(other), "--hopset", str(hopset)]
+        if command == "query":
+            args += ["--sources", "1", "--out", str(workspace / "est.csv")]
+        assert run(command, *args) == EXIT_PARAM
+        err = capsys.readouterr().err
+        for path in (built_for, other):
+            assert load_dimacs(str(path)).digest() in err

@@ -21,7 +21,7 @@ from hopsets import (
     validate_witnesses,
     verify_stretch,
 )
-from hopsets.hopset import lower_bound_violations
+from hopsets.hopset import SpanningForest, lower_bound_violations
 
 
 def reduced_params(**kw):
@@ -164,14 +164,6 @@ class TestVariants:
         assert bp.ell == 3  # one phase more than basic
         assert verify_stretch(g, hs, pair_mode="all").ok
 
-    def test_jobs_thread_pool_matches_serial(self):
-        g = path_graph(64, 2)  # many scales, so the pool actually engages
-        params = reduced_params(seed=8, path_reporting=True)
-        serial = build_hopset(g, params, jobs=1)
-        threaded = build_hopset(g, params, jobs=4)
-        assert _dumps(serial) == _dumps(threaded)
-        assert serial.witnesses == threaded.witnesses
-
 
 class TestWitnesses:
     def test_reduced_witnesses_validate(self):
@@ -205,6 +197,31 @@ class TestWitnesses:
         hs = build_hopset(g, reduced_params())
         with pytest.raises(HopsetError, match="without path recording"):
             attach_witness_paths(g, None, hs)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_forest_paths_are_node_tree_paths(self, seed):
+        # a forest has one simple path per vertex pair, so these checks pin
+        # the splice to the path inside each node's own spanning tree
+        g = er_graph(40, 0.06, 1, 64, seed=seed)  # sparse: several components
+        lam = build_laminar(g, F(1, 5))
+        forest = SpanningForest(lam.tree_adjacency_at(lam.max_merge_scale()))
+        for k in sorted({ev.scale for ev in lam.events}):
+            tree = {x: {y for y, _ in ys} for x, ys in lam.tree_adjacency_at(k).items()}
+            for members in lam.nodes_at(k).members().values():
+                for a in members:
+                    for b in members:
+                        path = forest.path(a, b)
+                        assert path[0] == a and path[-1] == b
+                        assert len(set(path)) == len(path)
+                        assert all(y in tree[x] for x, y in zip(path, path[1:]))
+
+    def test_forest_path_across_trees_errors(self):
+        forest = SpanningForest({0: [(1, 5)], 1: [(0, 5)], 2: [(3, 1)], 3: [(2, 1)]})
+        assert forest.path(1, 0) == [1, 0]
+        with pytest.raises(HopsetError, match="not tree-connected"):
+            forest.path(0, 3)
+        with pytest.raises(HopsetError, match="not tree-connected"):
+            forest.path(0, 4)
 
 
 class TestDeterminismAndFiles:

@@ -77,22 +77,17 @@ class TestBuildLaminar:
         assert last.size_after == 4
 
     def test_merge_lists_strictly_increasing_and_bounded(self):
+        # a vertex's merge list is the scales of the events that absorb it
         g = er_graph(64, 0.15, 1, 32, seed=2)
         lam = build_laminar(g, F(1, 5))
+        scales = [ev.scale for ev in lam.events]
+        assert scales == sorted(scales)
+        absorbed_at: dict[int, set[int]] = {v: set() for v in range(g.n)}
+        for ev in lam.events:
+            for y in ev.members_absorbed:
+                absorbed_at[y].add(ev.scale)
         for v in range(g.n):
-            lst = lam.merge_lists[v]
-            assert lst[0] == (0, v)
-            scales = [s for s, _ in lst]
-            assert scales == sorted(set(scales))
-            assert len(lst) - 1 <= math.ceil(math.log2(g.n)) + 1
-
-    def test_center_queries_match_replay(self):
-        g = er_graph(48, 0.2, 1, 64, seed=8)
-        lam = build_laminar(g, F(1, 3))
-        for k in range(0, lam.max_merge_scale() + 2):
-            view = lam.nodes_at(k)
-            for v in range(g.n):
-                assert lam.center_at(v, k) == view.label[v]
+            assert len(absorbed_at[v]) <= math.ceil(math.log2(g.n)) + 1
 
     def test_eps_range_rejected(self):
         g = Graph.from_edges(2, [(0, 1, 1)])
