@@ -2,7 +2,10 @@
 
 Everything here works on adjacency lists of (neighbor, weight) with plain
 integer weights (already rescaled by the build's WeightScale when weights
-are fractional).  All distances returned are exact.
+are fractional).  All distances returned are exact.  Hop-limited distances
+d^(t) come from a (distance, hops) Dijkstra when t >= n - 1, where d^(t) is
+the plain shortest distance, and from frontier Bellman-Ford rounds below
+that.
 """
 
 from __future__ import annotations
@@ -123,9 +126,12 @@ def dijkstra_all(adj: list[list[tuple[int, int]]], source: int) -> list[int | No
 class HopLimitedTable:
     """Exact t-limited distances d^(t) from a set of sources.
 
-    dist[s][v] is the minimum length of a path with at most t edges (None if
-    no such path), computed with two-buffer rounds so round j only reads
-    round j-1 values.  pred[s][v] is (u, tag) for the winning last edge.
+    dist[s][v] is the minimum length of a path from s to v with at most t
+    edges (None if no such path).  pred[s][v] is (u, tag) for the winning
+    last edge: with h the fewest edges any such minimum path needs, it is the
+    lexicographically smallest (u, tag) over arcs u->v with
+    d^(h-1)[u] + w == dist[s][v], i.e. the tie a Bellman-Ford round settles
+    when v first reaches its final value.
     """
 
     t: int
@@ -145,51 +151,102 @@ def hop_limited_bellman_ford(
 ) -> HopLimitedTable:
     """Exact at-most-t-edges distances from each source.
 
-    `edges` is an iterable of (u, v, w, tag) treated as undirected; `tag`
-    is opaque and comes back in predecessor entries (the hopset machinery
-    passes ("g", i) / ("h", i) tags for path extraction).  Rounds are
-    double-buffered, never in-place, so the result is d^(t) exactly rather
-    than something between d^(t) and d.  Iteration stops early once a round
-    changes nothing: positive weights guarantee a fixed point within n-1
-    rounds, and the fixed point equals d^(t') for every t' beyond it.
+    `edges` is an iterable of (u, v, w, tag) treated as undirected, with
+    weights w >= 0 (a negative weight raises ValueError); `tag` is opaque
+    and comes back in predecessor entries (the hopset machinery passes
+    ("g", i) / ("h", i) tags for path extraction).  The adjacency is built
+    once per call and shared by every source.
+
+    The method follows from t and n alone; both are exact:
+    - t >= n - 1 (n > 1): a minimum path never needs more than n - 1 edges,
+      so d^(t) is the plain shortest distance.  One Dijkstra per source,
+      keyed on (distance, hops), yields it together with the fewest edges h
+      each vertex needs; the predecessor tie is settled among arcs out of
+      vertices at h - 1 hops, which all leave the heap first.
+    - t < n - 1: t Bellman-Ford rounds.  Round j relaxes only arcs out of
+      vertices lowered in round j - 1 (no other arc can lower or tie a
+      value), reading their values as they stood at the start of the
+      round, so the result is d^(t) exactly rather than something between
+      d^(t) and d.  Rounds stop once one lowers nothing.
 
     Ties on equal distance are broken toward the lexicographically smallest
     (neighbor id, tag) so predecessor trees are deterministic.
     """
     if t < 0:
         raise ValueError("hop budget must be >= 0")
-    rel = []
+    adj: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
     for u, v, w, tag in edges:
-        rel.append((u, v, w, tag))
-        rel.append((v, u, w, tag))
+        if w < 0:
+            raise ValueError(f"negative weight {w} on edge ({u}, {v})")
+        adj[u].append((v, w, tag))
+        adj[v].append((u, w, tag))
     table_dist: dict[int, list[int | None]] = {}
     table_pred: dict[int, list[tuple[int, object] | None]] = {}
     src_list = sorted(set(sources))
-    rounds_cap = min(t, max(0, n - 1))
     for s in src_list:
-        cur: list[int | None] = [None] * n
-        cur[s] = 0
-        pred: list[tuple[int, object] | None] = [None] * n
-        stamp = [-1] * n  # round in which nxt[v] was last written
-        for rnd in range(rounds_cap):
-            nxt = cur[:]
-            changed = False
-            for u, v, w, tag in rel:
-                du = cur[u]
-                if du is None:
-                    continue
-                cand = du + w
-                dv = nxt[v]
-                if dv is None or cand < dv:
-                    nxt[v] = cand
-                    pred[v] = (u, tag)
-                    stamp[v] = rnd
-                    changed = True
-                elif cand == dv and stamp[v] == rnd and (u, tag) < pred[v]:
-                    pred[v] = (u, tag)
-            if not changed:
-                break
-            cur = nxt
-        table_dist[s] = cur
+        if n > 1 and t >= n - 1:
+            dist, pred = _fewest_hops_dijkstra(adj, s)
+        else:
+            dist, pred = _frontier_rounds(adj, s, min(t, max(0, n - 1)))
+        table_dist[s] = dist
         table_pred[s] = pred
     return HopLimitedTable(t, src_list, table_dist, table_pred)
+
+
+def _fewest_hops_dijkstra(adj, s):
+    """Shortest distances from s; pred settles ties among fewest-hop arcs."""
+    n = len(adj)
+    dist: list[int | None] = [None] * n
+    hops = [0] * n
+    pred: list[tuple[int, object] | None] = [None] * n
+    done = [False] * n
+    dist[s] = 0
+    heap = [(0, 0, s)]
+    while heap:
+        d, h, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        h += 1
+        for v, w, tag in adj[u]:
+            if done[v]:
+                continue
+            cand = d + w
+            dv = dist[v]
+            if dv is None or cand < dv or (cand == dv and h < hops[v]):
+                dist[v] = cand
+                hops[v] = h
+                pred[v] = (u, tag)
+                heappush(heap, (cand, h, v))
+            elif cand == dv and h == hops[v] and (u, tag) < pred[v]:
+                pred[v] = (u, tag)
+    return dist, pred
+
+
+def _frontier_rounds(adj, s, rounds):
+    """`rounds` Bellman-Ford rounds from s, each relaxing only the last frontier."""
+    n = len(adj)
+    dist: list[int | None] = [None] * n
+    pred: list[tuple[int, object] | None] = [None] * n
+    stamp = [-1] * n  # round in which dist[v] was last lowered
+    dist[s] = 0
+    frontier = [s]
+    for rnd in range(rounds):
+        lowered = []
+        # read the frontier as it stood at the start of the round
+        for u, du in [(u, dist[u]) for u in frontier]:
+            for v, w, tag in adj[u]:
+                cand = du + w
+                dv = dist[v]
+                if dv is None or cand < dv:
+                    dist[v] = cand
+                    pred[v] = (u, tag)
+                    if stamp[v] != rnd:
+                        stamp[v] = rnd
+                        lowered.append(v)
+                elif cand == dv and stamp[v] == rnd and (u, tag) < pred[v]:
+                    pred[v] = (u, tag)
+        if not lowered:
+            break
+        frontier = lowered
+    return dist, pred

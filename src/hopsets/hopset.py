@@ -595,6 +595,8 @@ def load_hopset(source) -> Hopset:
                     raise HopsetFormatError("edge before header", lineno)
                 u, v, w, scale, kind = _fields(lineno, fields, int, int, _fraction, int, str)
                 _check_vertices(lineno, header[0], (u, v))
+                if w <= 0:
+                    raise HopsetFormatError(f"edge weight {w} is not positive", lineno)
                 edges.append(HopsetEdge(u - 1, v - 1, w, scale, kind))
             elif tag == "p":
                 if header is None:

@@ -1,11 +1,14 @@
 """Oracle-based verification of the (beta, eps) contract plus size accounting.
 
 The stretch check is exact end to end: true distances come from per-source
-Dijkstra, limited distances from two-buffer hop-limited Bellman-Ford over
-the union graph, and the comparison runs in scaled integers.  There is no
-tolerance; a violation is either a bug or a genuinely failed probabilistic
-event (the report carries the seed material to replay it).  Size and load
-bounds exceeded are reported as outliers, not contract violations.
+Dijkstra, limited distances from one hop-limited Bellman-Ford call over the
+union graph for all sources (a (distance, hops) Dijkstra when beta >= n - 1,
+frontier rounds below that; both give d^(beta) exactly, and the |S| x n
+table is held for the whole check), and the comparison runs in scaled
+integers.  There is no tolerance; a violation is either a bug or a genuinely
+failed probabilistic event (the report carries the seed material to replay
+it).  Size and load bounds exceeded are reported as outliers, not contract
+violations.
 """
 
 from __future__ import annotations
@@ -141,9 +144,11 @@ def verify_stretch(
     max_stretch: Fraction | None = None
     violations: list[dict] = []
     total_violations = 0
-    for s in sorted(wanted):
+    sources = sorted(wanted)
+    limited = hop_limited_bellman_ford(n, rel, sources, beta).dist
+    for s in sources:
         d_true = dijkstra_all(graph.adj, s)
-        lim = hop_limited_bellman_ford(n, rel, [s], beta).dist[s]
+        lim = limited[s]
         targets = wanted[s] if wanted[s] is not None else range(s + 1, n)
         for v in targets:
             dg = d_true[v]

@@ -244,6 +244,8 @@ class TestMalformedHopset:
             (HEADER + "e 1 9 3/1 0 star\n", 2),  # vertex above n
             (HEADER + "e 0 2 3/1 0 star\n", 2),  # vertex below 1
             (HEADER + "e 1 2 3/1 0 star\np 0 1 99 2\n", 3),  # witness vertex above n
+            (HEADER + "e 1 2 -3/2 0 star\n", 2),  # negative weight
+            (HEADER + "e 1 2 0/1 0 star\n", 2),  # zero weight
         ],
     )
     def test_malformed_file_is_io_error_with_line(self, workspace, capsys, command, text, line):
@@ -255,6 +257,23 @@ class TestMalformedHopset:
             args += ["--sources", "1", "--out", str(workspace / "est.csv")]
         assert run(command, *args) == EXIT_IO
         assert f"line {line}:" in capsys.readouterr().err
+
+    def test_negative_weight_in_built_hopset_is_io_error(self, workspace, capsys):
+        graph = gen_graph(
+            workspace,
+            model=("--model", "er", "--n", "40", "--p", "0.2", "--wmin", "1", "--wmax", "50"),
+        )
+        hopset = workspace / "h.hs"
+        assert run("build", "--graph", str(graph), "--out", str(hopset), "--seed", "1") == EXIT_OK
+        lines = hopset.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("e "))
+        fields = lines[at].split()
+        fields[3] = "-3/2"
+        lines[at] = " ".join(fields) + "\n"
+        hopset.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("verify", "--graph", str(graph), "--hopset", str(hopset)) == EXIT_IO
+        assert f"line {at + 1}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "query"])
     def test_hopset_for_another_graph_is_rejected(self, workspace, capsys, command):

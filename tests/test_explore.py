@@ -162,6 +162,11 @@ class TestHopLimitedBellmanFord:
         t = hop_limited_bellman_ford(g.n, _tag(g), [1], 0)
         assert t.dist[1] == [None, 0, None]
 
+    @pytest.mark.parametrize("t", [1, 10**8])
+    def test_negative_weight_rejected(self, t):
+        with pytest.raises(ValueError, match="negative weight"):
+            hop_limited_bellman_ford(3, [(0, 1, 1, ("g", 0)), (1, 2, -1, ("h", 0))], [0], t)
+
 
 def _tag(g):
     return [(u, v, w, ("g", i)) for i, (u, v, w) in enumerate(g.edges)]
@@ -181,3 +186,69 @@ def test_hop_budget_and_depth_properties(seed, n, t):
             assert d_t >= exact[v]
         if exact[v] is not None and t >= n - 1:
             assert d_t == exact[v]
+
+
+def dense_bellman_ford(n, edges, sources, t):
+    """Reference: every round relaxes all arcs into a copy of the last round."""
+    rel = []
+    for u, v, w, tag in edges:
+        rel.append((u, v, w, tag))
+        rel.append((v, u, w, tag))
+    table_dist = {}
+    table_pred = {}
+    src_list = sorted(set(sources))
+    rounds_cap = min(t, max(0, n - 1))
+    for s in src_list:
+        cur = [None] * n
+        cur[s] = 0
+        pred = [None] * n
+        stamp = [-1] * n  # round in which nxt[v] was last written
+        for rnd in range(rounds_cap):
+            nxt = cur[:]
+            changed = False
+            for u, v, w, tag in rel:
+                du = cur[u]
+                if du is None:
+                    continue
+                cand = du + w
+                dv = nxt[v]
+                if dv is None or cand < dv:
+                    nxt[v] = cand
+                    pred[v] = (u, tag)
+                    stamp[v] = rnd
+                    changed = True
+                elif cand == dv and stamp[v] == rnd and (u, tag) < pred[v]:
+                    pred[v] = (u, tag)
+            if not changed:
+                break
+            cur = nxt
+        table_dist[s] = cur
+        table_pred[s] = pred
+    return src_list, table_dist, table_pred
+
+
+@st.composite
+def multigraph_queries(draw):
+    """Random multigraph with self-loops and tagged parallel edges, sources and t."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    wmax = draw(st.sampled_from([3, 10**9]))
+    arcs = draw(
+        st.lists(
+            st.tuples(vertex, vertex, st.integers(0, wmax), st.sampled_from("gh")),
+            min_size=n,
+            max_size=3 * n,
+        )
+    )
+    edges = [(u, v, w, (kind, i)) for i, (u, v, w, kind) in enumerate(arcs)]
+    sources = draw(st.lists(vertex, min_size=1, max_size=4))
+    t = draw(st.sampled_from([0, 1, 2, max(0, n - 2), n - 1, n, 10**8]))
+    return n, edges, sources, t
+
+
+@given(multigraph_queries())
+@settings(deadline=None, max_examples=150)
+def test_matches_dense_reference(query):
+    # t >= n - 1 takes the (distance, hops) Dijkstra, smaller t frontier rounds
+    table = hop_limited_bellman_ford(*query)
+    assert (table.sources, table.dist, table.pred) == dense_bellman_ford(*query)

@@ -1,16 +1,30 @@
-"""Golden hopset files: sha256 of `dump_hopset` output on fixed instances.
+"""Golden artifacts: sha256 of hopset files, verify reports and query output.
 
-Hopset files must stay byte-identical across refactors; any change to these
-digests has to be deliberate.  Each graph is built in reduced mode with and
-without witnesses (`-w`) and in direct mode with witnesses.
+Hopset files, verify reports and query output must stay byte-identical
+across refactors; any change to these digests has to be deliberate.  Each
+graph is built in reduced mode with and without witnesses (`-w`) and in
+direct mode with witnesses.  Verify reports are digested without
+`wall_time`; query output is the CSV and `--paths` file of `hopset query`.
 """
 
+import functools
 import hashlib
 import io
+import json
 
 import pytest
 
-from hopsets import HopsetParams, build_hopset, dump_hopset, er_graph, grid_graph, path_graph
+from hopsets import (
+    HopsetParams,
+    build_hopset,
+    dump_dimacs,
+    dump_hopset,
+    er_graph,
+    grid_graph,
+    path_graph,
+    verify_stretch,
+)
+from hopsets.cli import EXIT_OK, main
 
 GRAPHS = {
     "path": lambda: path_graph(64, 2),
@@ -30,13 +44,73 @@ GOLDEN = {
     "grid-direct-w": "5012efc67d4655f0b9e97bac883f69cf1aaaf4fdbee53a3ee53c00cce362e802",
 }
 
+# (case, pair spec) -> sha256 of the verify report without wall_time
+GOLDEN_VERIFY = {
+    ("path-reduced-w", "all"): "16dbd8dcf18d95999a03b18b908901fe2fc8f71062f039b68b0cb6f69864d4a9",
+    ("path-reduced-w", "sample"): "0305dbb99cca300ac14e93cbae3b2180d6fe551bcfa9f86664b007937e0be42a",
+    ("er-reduced-w", "all"): "06296d7857cdaecd1a544c2b5f773e267f2db66488a8964de0c9431c6a9c36e4",
+    ("er-reduced-w", "sample"): "bd40b5dd0504a1e5fc2234351d1faee8a27a9f279603c84a055ceb0356e3288d",
+    ("grid-direct-w", "all"): "757d01f11b99df76186e2325c679bd932cbe890ed9bb62709e7c8c0e85bd9870",
+    ("grid-direct-w", "sample"): "5c6322243f65c9675dfbb7f47c8815005aaf354e85ec8b2383fc7bf84bebc62c",
+}
 
-@pytest.mark.parametrize("case", GOLDEN)
-def test_golden_file_digests(case):
+# case -> sha256 of (estimates CSV, paths file) of `hopset query --sources 1,6,<n>`
+GOLDEN_QUERY = {
+    "path-reduced-w": (
+        "a1c3753dac4661ccab79cf11381f96894c3c000cff70ce792826581c009476be",
+        "e12a982702bb5a6cacef0d615e59d9276480922cfeea273989d190e1d8e1b7aa",
+    ),
+    "er-reduced-w": (
+        "201bfe498a6d6a69841eecf44784a4dd1522f3e6f1627a3e3c9e6a76d8f24030",
+        "131717b69f578a9a0bbcae0d1d393312ebe2131063ebf59cb29b53cd4ab51aaf",
+    ),
+    "grid-direct-w": (
+        "d997d9df24f2ae2c7cdf7db960bd6912c591ce2e042c5fcd5522a732e8a6df37",
+        "803cd434273ee34d09c752214ba78e0c813e02c320bcd97a41d69afed475f420",
+    ),
+}
+
+
+@functools.cache
+def _built(case):
     graph, mode, *witnesses = case.split("-")
     params = HopsetParams.make(
         eps_target="0.3", seed=1, mode=mode, path_reporting=bool(witnesses)
     )
+    g = GRAPHS[graph]()
+    return g, build_hopset(g, params)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_golden_file_digests(case):
     buf = io.StringIO()
-    dump_hopset(build_hopset(GRAPHS[graph](), params), buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[case]
+    dump_hopset(_built(case)[1], buf)
+    assert _sha(buf.getvalue()) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case,pairs", GOLDEN_VERIFY)
+def test_golden_verify_report_digests(case, pairs):
+    graph, hopset = _built(case)
+    kw = {"sample_size": 200, "sample_seed": 1} if pairs == "sample" else {}
+    report = verify_stretch(graph, hopset, pair_mode=pairs, **kw).to_dict()
+    del report["wall_time"]
+    assert _sha(json.dumps(report, sort_keys=True, indent=2)) == GOLDEN_VERIFY[case, pairs]
+
+
+@pytest.mark.parametrize("case", GOLDEN_QUERY)
+def test_golden_query_digests(case, tmp_path):
+    graph, hopset = _built(case)
+    gr, hs = tmp_path / "g.gr", tmp_path / "h.hs"
+    with open(gr, "w", encoding="ascii") as fh:
+        dump_dimacs(graph, fh)
+    with open(hs, "w", encoding="ascii") as fh:
+        dump_hopset(hopset, fh)
+    csv, paths = tmp_path / "est.csv", tmp_path / "paths.txt"
+    sources = f"1,6,{graph.n}"
+    argv = ["query", "--graph", str(gr), "--hopset", str(hs), "--sources", sources]
+    assert main(argv + ["--out", str(csv), "--paths", str(paths)]) == EXIT_OK
+    assert (_sha(csv.read_text()), _sha(paths.read_text())) == GOLDEN_QUERY[case]

@@ -1,0 +1,171 @@
+"""Fuzzing of the two text parsers, `load_dimacs` and `load_hopset`.
+
+A dump -> load round trip is the identity, and a file with mutated,
+truncated, duplicated or reordered lines either loads into something valid
+or raises the parser's format error (`GraphFormatError`,
+`HopsetFormatError`), which the CLI reports with exit code 3.  Any other
+exception is a traceback for the user and fails these tests.
+"""
+
+import io
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopsets import (
+    Graph,
+    GraphFormatError,
+    Hopset,
+    HopsetEdge,
+    HopsetFormatError,
+    dump_dimacs,
+    dump_hopset,
+    load_dimacs,
+    load_hopset,
+    validate,
+)
+
+# Replacement tokens stay small, and inserted characters are never digits, so
+# a mutated header cannot ask for a huge vertex count.
+TOKENS = [
+    "", "a", "c", "e", "h", "p", "sp", "x", "star", "0", "1", "2", "7", "12", "99",
+    "-1", "+3", "1_0", "0x1", "1.5", "1/2", "-3/2", "0/1", "3/0", "1/2/3", "/",
+]
+CHARS = " \t-+/._xe"
+EDITS = [
+    "drop", "dup", "swap", "cut-line", "token", "add-token", "drop-token",
+    "add-char", "drop-char", "new-line",
+]
+WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-.", min_size=1, max_size=8)
+
+
+@st.composite
+def graphs(draw, wmax=10**12):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, wmax)), max_size=2 * n))
+    return Graph.from_edges(n, [(u, v, w) for u, v, w in arcs if u != v])
+
+
+@st.composite
+def hopsets(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    weight = st.builds(Fraction, st.integers(1, 10**15), st.integers(1, 10**6))
+    kind = st.sampled_from(["star", "supercluster", "interconnect"])
+    edges = draw(
+        st.lists(
+            st.builds(HopsetEdge, vertex, vertex, weight, st.integers(-2, 60), kind),
+            max_size=6,
+        )
+    )
+    witnesses = None
+    if edges and draw(st.booleans()):
+        path = st.lists(vertex, min_size=1, max_size=4).map(tuple)
+        witnesses = draw(st.lists(path, min_size=len(edges), max_size=len(edges)))
+    provenance = draw(
+        st.dictionaries(WORD, st.lists(WORD, min_size=1, max_size=3).map(" ".join), max_size=3)
+    )
+    return Hopset(
+        n=n,
+        edges=edges,
+        effective_beta=draw(st.integers(0, 10**12)),
+        effective_eps=draw(weight),
+        provenance=provenance,
+        witnesses=witnesses,
+    )
+
+
+def _dimacs_text(graph):
+    buf = io.StringIO()
+    dump_dimacs(graph, buf, comments={"generator": "fuzz", "seed": 1})
+    return buf.getvalue()
+
+
+def _hopset_text(hopset):
+    buf = io.StringIO()
+    dump_hopset(hopset, buf)
+    return buf.getvalue()
+
+
+def _mutate(data, text):
+    """Apply one to four random line edits to `text`, then maybe cut it short."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(EDITS))
+        if not lines or op == "new-line":
+            tokens = data.draw(st.lists(st.sampled_from(TOKENS), max_size=6))
+            lines.insert(data.draw(st.integers(0, len(lines))), " ".join(tokens))
+            continue
+        i = data.draw(st.integers(0, len(lines) - 1))
+        line, toks = lines[i], lines[i].split(" ")
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, line)
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], line
+        elif op == "cut-line":
+            lines[i] = line[: data.draw(st.integers(0, len(line)))]
+        elif op in ("token", "add-token", "drop-token"):
+            j = data.draw(st.integers(0, len(toks) - 1))
+            if op == "drop-token":
+                del toks[j]
+            else:
+                toks[j : j + (op == "token")] = [data.draw(st.sampled_from(TOKENS))]
+            lines[i] = " ".join(toks)
+        elif op == "add-char":
+            k = data.draw(st.integers(0, len(line)))
+            lines[i] = line[:k] + data.draw(st.sampled_from(CHARS)) + line[k:]
+        elif line:  # drop-char
+            k = data.draw(st.integers(0, len(line) - 1))
+            lines[i] = line[:k] + line[k + 1 :]
+    out = "\n".join(lines) + "\n"
+    if data.draw(st.booleans()):
+        out = out[: data.draw(st.integers(0, len(out)))]
+    return out
+
+
+@given(graphs())
+@settings(deadline=None, max_examples=100)
+def test_dimacs_round_trip_is_identity(graph):
+    text = _dimacs_text(graph)
+    loaded = load_dimacs(io.StringIO(text))
+    assert (loaded.n, loaded.edges) == (graph.n, graph.edges)
+    assert _dimacs_text(loaded) == text
+
+
+@given(hopsets())
+@settings(deadline=None, max_examples=100)
+def test_hopset_round_trip_is_identity(hopset):
+    text = _hopset_text(hopset)
+    loaded = load_hopset(io.StringIO(text))
+    assert loaded == hopset
+    assert _hopset_text(loaded) == text
+
+
+@given(graphs(wmax=999), st.data())
+@settings(deadline=None, max_examples=200)
+def test_mutated_dimacs_loads_or_raises_format_error(graph, data):
+    text = _mutate(data, _dimacs_text(graph))
+    try:
+        loaded = load_dimacs(io.StringIO(text))
+    except GraphFormatError:
+        return
+    assert validate(loaded) == []
+
+
+@given(hopsets(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_mutated_hopset_loads_or_raises_format_error(hopset, data):
+    text = _mutate(data, _hopset_text(hopset))
+    try:
+        loaded = load_hopset(io.StringIO(text))
+    except HopsetFormatError:
+        return
+    for e in loaded.edges:
+        assert 0 <= e.u < loaded.n and 0 <= e.v < loaded.n and e.weight > 0
+    for path in loaded.witnesses or ():
+        assert all(0 <= x < loaded.n for x in path)
