@@ -212,18 +212,6 @@ class Hopset:
             den = lcm(den, e.weight.denominator)
         return WeightScale(den)
 
-    def restricted_to_scales(self, scales) -> "Hopset":
-        keep = set(scales)
-        idx = [i for i, e in enumerate(self.edges) if e.scale in keep]
-        return Hopset(
-            n=self.n,
-            edges=[self.edges[i] for i in idx],
-            effective_beta=self.effective_beta,
-            effective_eps=self.effective_eps,
-            provenance=dict(self.provenance),
-            witnesses=[self.witnesses[i] for i in idx] if self.witnesses else None,
-        )
-
 
 def _sorted_edge_order(edges, raws):
     order = sorted(

@@ -10,11 +10,21 @@ distances.  Contracted-graph edge weights carry the same padding:
     W(X, Y) = w(x, y) + (eps/n) * 2**k * (|X| + |Y|)
 
 with (x, y) the minimum-weight original edge between the two nodes.
+
+Scale graphs come from one ascending sweep.  The laminar family keeps a
+cursor: vertex labels with every merge event up to the current scale
+applied in place, and a window of live edge ids of one graph.  An edge
+enters the window at the first scale with w <= 2**(k+2) and leaves it for
+good once its endpoints share a node, since nodes only ever merge; so in
+ascending order each edge is looked at in O(log(n/eps)) scales, not in all
+of them.  A query for a lower scale rewinds the cursor and sweeps again,
+which gives the same answers, only slower.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,28 +83,46 @@ class NodesView:
 class LaminarFamily:
     """Merge history of the contracted nodes across all scales.
 
-    Query `nodes_at(k)` for the node structure of the scale-k graph (a
-    replay of the events up to k) and `tree_adjacency_at(k)` for the union
-    of node spanning trees (contracted edges only).  Every event joins two
-    different nodes, so the spanning trees at every scale are subtrees of
-    one forest, used to splice witness paths.
+    Query `nodes_at(k)` for the node structure of the scale-k graph and
+    `tree_adjacency_at(k)` for the union of node spanning trees (contracted
+    edges only).  Every event joins two different nodes, so the spanning
+    trees at every scale are subtrees of one forest, used to splice witness
+    paths.
+
+    `nodes_at` and `live_edges` share one cursor.  Calls with
+    non-decreasing k are incremental: each applies only the events with
+    scale in (previous k, k] and admits only the edges that became light
+    enough since.  A call with a lower k rewinds the cursor to the first
+    event and sweeps forward again.  Returned views and lists are snapshots:
+    later calls never change them.  `events` must be sorted by scale.
     """
 
     def __init__(self, n: int, eps: Fraction, events: list[MergeEvent]):
         self.n = n
         self.eps = eps
         self.events = events
+        self._graph: Graph | None = None
+        self._rewind()
 
     def max_merge_scale(self) -> int:
         return self.events[-1].scale if self.events else 0
 
-    def nodes_at(self, k: int) -> NodesView:
-        label = list(range(self.n))
-        sizes = {v: 1 for v in range(self.n)}
-        birth = {v: 0 for v in range(self.n)}
-        for ev in self.events:
-            if ev.scale > k:
-                break
+    def _rewind(self) -> None:
+        self._scale = -math.inf  # every event with scale <= _scale is applied
+        self._next = 0  # first event not applied yet
+        self._label = list(range(self.n))
+        self._sizes = {v: 1 for v in range(self.n)}
+        self._birth = {v: 0 for v in range(self.n)}
+        self._entered = 0  # prefix of _entry_order admitted to the window
+        self._window: list[int] = []
+
+    def _advance(self, k: int) -> None:
+        if k < self._scale:
+            self._rewind()
+        events, i = self.events, self._next
+        label, sizes, birth = self._label, self._sizes, self._birth
+        while i < len(events) and events[i].scale <= k:
+            ev = events[i]
             absorbed = ev.absorbed_center
             survivor = ev.survivor_center
             for y in ev.members_absorbed:
@@ -102,8 +130,40 @@ class LaminarFamily:
             sizes[survivor] += sizes.pop(absorbed)
             birth.pop(absorbed)
             birth[survivor] = ev.scale
-        # relabel chains: members_absorbed snapshots make labels direct already
-        return NodesView(k, label, sizes, birth)
+            i += 1
+        self._next = i
+        self._scale = k
+
+    def nodes_at(self, k: int) -> NodesView:
+        self._advance(k)
+        # members_absorbed snapshots make labels direct, with no chains
+        return NodesView(k, self._label[:], dict(self._sizes), dict(self._birth))
+
+    def live_edges(self, graph: Graph, k: int) -> list[int]:
+        """Ids into `graph.edges` of the scale-k graph's inter-node edges.
+
+        These are the edges of weight <= 2**(k+2) whose endpoints lie in
+        different nodes at scale k, in input order.
+        """
+        self._advance(k)
+        if graph is not self._graph:
+            self._graph = graph
+            bits = [(w - 1).bit_length() for _, _, w in graph.edges]
+            self._entry_order = sorted(range(len(bits)), key=bits.__getitem__)
+            self._entry_bits = [bits[i] for i in self._entry_order]
+            self._entered = 0
+            self._window = []
+        # w <= 2**(k+2) iff (w-1).bit_length() <= k+2
+        j = bisect_right(self._entry_bits, k + 2)
+        window = self._window
+        if j > self._entered:
+            window = sorted(window + self._entry_order[self._entered : j])
+            self._entered = j
+        edges, label = graph.edges, self._label
+        self._window = [
+            i for i in window if label[edges[i][0]] != label[edges[i][1]]
+        ]
+        return self._window
 
     def tree_adjacency_at(self, k: int) -> dict[int, list[tuple[int, int]]]:
         adj: dict[int, list[tuple[int, int]]] = {}
@@ -205,20 +265,22 @@ def star_edges(laminar: LaminarFamily) -> list[StarEdge]:
 class ScaleGraph:
     """The contracted graph of one scale, ready for a single-scale build.
 
-    `centers` lists every node (by center id); only `active_centers` (degree
-    >= 1) participate in hopset construction, indexed 0..active_count-1 in
-    `adj`.  `edges` carry exact padded weights as scaled integers over
-    `wscale` together with the minimum-weight original edge they came from.
+    Only `active_centers` (nodes of degree >= 1) participate in hopset
+    construction, indexed 0..active_count-1 in `adj`.  `edges` carry exact
+    padded weights as scaled integers over `wscale` together with the
+    minimum-weight original edge they came from.  `label` maps each vertex
+    to the center of its node at this scale, and `best` maps each node pair
+    cu < cv, keyed cu * n + cv, to its minimum original edge as (w, x, y).
     """
 
     scale: int
     eps: Fraction
     wscale: WeightScale
-    centers: list[int]
-    sizes: dict[int, int]
     active_centers: list[int]
     adj: list[list[tuple[int, int]]]
     edges: list[tuple[int, int, int, tuple[int, int, int]]]  # (cu, cv, W, base edge)
+    label: list[int]
+    best: dict[int, tuple[int, int, int]]
 
     @property
     def active_count(self) -> int:
@@ -226,16 +288,9 @@ class ScaleGraph:
 
     def base_edge(self, cu: int, cv: int) -> tuple[int, int, int]:
         """Original (x, y, w) for node pair, oriented so x lies in cu's node."""
-        key = (cu, cv) if cu < cv else (cv, cu)
-        x, y, w = self._base[key]
-        return (x, y, w) if cu == key[0] else (y, x, w)
-
-    def finalize(self, label: list[int]):
-        self._base = {}
-        for cu, cv, _, (x, y, w) in self.edges:
-            key = (cu, cv) if cu < cv else (cv, cu)
-            self._base[key] = (x, y, w) if label[x] == key[0] else (y, x, w)
-        return self
+        n = len(self.label)
+        w, x, y = self.best[cu * n + cv if cu < cv else cv * n + cu]
+        return (x, y, w) if self.label[x] == cu else (y, x, w)
 
 
 def materialize_scale_graph(
@@ -248,7 +303,9 @@ def materialize_scale_graph(
 
     Keeps original edges of weight <= 2**(k+2) whose endpoints lie in
     different nodes, deduplicated per node pair by minimum original weight
-    (ties by (weight, u, v) for determinism).
+    (ties by (weight, u, v) for determinism).  Reads the laminar family's
+    cursor, so a call in ascending k costs the events and window edges it
+    touches plus an n-length label snapshot (see LaminarFamily).
     """
     eps = laminar.eps
     n = graph.n
@@ -256,50 +313,50 @@ def materialize_scale_graph(
         wscale = WeightScale(n * eps.denominator)
     view = laminar.nodes_at(k)
     label = view.label
-    cutoff = 2 ** (k + 2)
-    best: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for u, v, w in graph.edges:
-        if w > cutoff:
-            continue
+    edges = graph.edges
+    best: dict[int, tuple[int, int, int]] = {}
+    for i in laminar.live_edges(graph, k):
+        u, v, w = edges[i]
         cu, cv = label[u], label[v]
-        if cu == cv:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
+        key = cu * n + cv if cu < cv else cv * n + cu
         cand = (w, u, v)
-        if key not in best or cand < best[key]:
+        old = best.get(key)
+        if old is None or cand < old:
             best[key] = cand
     pad_unit = wscale.to_scaled(eps * 2**k / n)  # exact by wscale construction
-    edges = []
+    sg_edges = []
     active = set()
-    for (cu, cv), (w, u, v) in sorted(best.items()):
+    for key, (w, u, v) in sorted(best.items()):
+        cu, cv = divmod(key, n)
         big_w = w * wscale.den + pad_unit * (view.sizes[cu] + view.sizes[cv])
-        edges.append((cu, cv, big_w, (u, v, w)))
+        sg_edges.append((cu, cv, big_w, (u, v, w)))
         active.add(cu)
         active.add(cv)
     active_centers = sorted(active)
     index = {c: i for i, c in enumerate(active_centers)}
     adj: list[list[tuple[int, int]]] = [[] for _ in active_centers]
-    for cu, cv, big_w, _ in edges:
+    for cu, cv, big_w, _ in sg_edges:
         iu, iv = index[cu], index[cv]
         adj[iu].append((iv, big_w))
         adj[iv].append((iu, big_w))
-    sg = ScaleGraph(
+    return ScaleGraph(
         scale=k,
         eps=eps,
         wscale=wscale,
-        centers=sorted(view.sizes),
-        sizes=dict(view.sizes),
         active_centers=active_centers,
         adj=adj,
-        edges=edges,
+        edges=sg_edges,
+        label=label,
+        best=best,
     )
-    return sg.finalize(label)
 
 
 def activity_stats(graph: Graph, laminar: LaminarFamily, scales) -> dict:
     """Active-node accounting across scales.
 
-    A node is active at scale k if it has degree >= 1 in the scale-k graph.
+    A node is active at scale k if it has degree >= 1 in the scale-k graph,
+    i.e. is an endpoint of one of its `live_edges`.  Those and `nodes_at`
+    read the laminar cursor, so ascending `scales` make one sweep.
     Nodes are identified by (center, birth scale) since the same center can
     head successively larger nodes.  Returns per-scale active counts, the
     per-node activity spans, and the claimed per-node bound log2(n/eps) + 2
@@ -311,15 +368,11 @@ def activity_stats(graph: Graph, laminar: LaminarFamily, scales) -> dict:
     for k in scales:
         view = laminar.nodes_at(k)
         label = view.label
-        cutoff = 2 ** (k + 2)
         active: set[int] = set()
-        for u, v, w in graph.edges:
-            if w > cutoff:
-                continue
-            cu, cv = label[u], label[v]
-            if cu != cv:
-                active.add(cu)
-                active.add(cv)
+        for i in laminar.live_edges(graph, k):
+            u, v, _ = graph.edges[i]
+            active.add(label[u])
+            active.add(label[v])
         n_k[k] = len(active)
         for c in active:
             key = (c, view.birth[c])

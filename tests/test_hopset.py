@@ -5,6 +5,7 @@ import pytest
 
 from hopsets import (
     Graph,
+    Hopset,
     HopsetError,
     HopsetParams,
     attach_witness_paths,
@@ -286,8 +287,12 @@ class TestScalePartition:
         for k in relevant_scales(g):
             if not bp.is_trivial_scale(k):
                 continue
-            restricted = hs.restricted_to_scales(
-                [e.scale for e in hs.edges if e.scale > k]
+            restricted = Hopset(
+                n=hs.n,
+                edges=[e for e in hs.edges if e.scale > k],
+                effective_beta=hs.effective_beta,
+                effective_eps=hs.effective_eps,
+                provenance=hs.provenance,
             )
             report = verify_stretch(g, restricted, pair_mode="band", band=k)
             assert report.ok

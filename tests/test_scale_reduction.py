@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopsets import (
     Graph,
@@ -16,7 +18,8 @@ from hopsets import (
     relevant_scales,
     star_edges,
 )
-from hopsets.scale_reduction import MergeEvent, contraction_scale
+from hopsets.scale_reduction import MergeEvent, NodesView, contraction_scale
+from hopsets.weights import WeightScale
 
 
 class TestRelevantScales:
@@ -176,7 +179,7 @@ class TestMaterialize:
         g = Graph.from_edges(4, [(0, 1, 2), (2, 3, 2**9)])
         lam = build_laminar(g, F(1, 4))
         sg = materialize_scale_graph(g, lam, 1)
-        assert len(sg.centers) == 4
+        assert len(lam.nodes_at(1).sizes) == 4
         assert sg.active_centers == [0, 1]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -232,3 +235,162 @@ class TestActivity:
         bound = math.floor(math.log2(64 * 20)) + 3
         assert stats["max_activity"] == bound
         assert stats["max_activity"] > stats["activity_bound"]
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the laminar cursor against a per-scale scan and replay.
+
+
+def replay_nodes_at(lam, k):
+    """Reference: replay every merge event up to k from the start."""
+    label = list(range(lam.n))
+    sizes = {v: 1 for v in range(lam.n)}
+    birth = {v: 0 for v in range(lam.n)}
+    for ev in lam.events:
+        if ev.scale > k:
+            break
+        absorbed = ev.absorbed_center
+        survivor = ev.survivor_center
+        for y in ev.members_absorbed:
+            label[y] = survivor
+        sizes[survivor] += sizes.pop(absorbed)
+        birth.pop(absorbed)
+        birth[survivor] = ev.scale
+    return NodesView(k, label, sizes, birth)
+
+
+def scan_scale_graph(graph, lam, k):
+    """Reference: scan all m edges at scale k.
+
+    Returns (edges, adj, active_centers, base) with base[(cu, cv)] the
+    original edge oriented so its first vertex lies in cu's node.
+    """
+    eps = lam.eps
+    n = graph.n
+    wscale = WeightScale(n * eps.denominator)
+    view = replay_nodes_at(lam, k)
+    label = view.label
+    cutoff = 2 ** (k + 2)
+    best = {}
+    for u, v, w in graph.edges:
+        if w > cutoff:
+            continue
+        cu, cv = label[u], label[v]
+        if cu == cv:
+            continue
+        key = (cu, cv) if cu < cv else (cv, cu)
+        cand = (w, u, v)
+        if key not in best or cand < best[key]:
+            best[key] = cand
+    pad_unit = wscale.to_scaled(eps * 2**k / n)
+    edges = []
+    active = set()
+    for (cu, cv), (w, u, v) in sorted(best.items()):
+        big_w = w * wscale.den + pad_unit * (view.sizes[cu] + view.sizes[cv])
+        edges.append((cu, cv, big_w, (u, v, w)))
+        active.add(cu)
+        active.add(cv)
+    active_centers = sorted(active)
+    index = {c: i for i, c in enumerate(active_centers)}
+    adj = [[] for _ in active_centers]
+    for cu, cv, big_w, _ in edges:
+        iu, iv = index[cu], index[cv]
+        adj[iu].append((iv, big_w))
+        adj[iv].append((iu, big_w))
+    base = {}
+    for cu, cv, _, (x, y, w) in edges:
+        base[(cu, cv)] = (x, y, w) if label[x] == cu else (y, x, w)
+        base[(cv, cu)] = (x, y, w) if label[x] == cv else (y, x, w)
+    return edges, adj, active_centers, base
+
+
+def scan_activity_stats(graph, lam, scales):
+    """Reference: the active nodes of every scale by a scan of all m edges."""
+    per_node = {}
+    n_k = {}
+    for k in scales:
+        view = replay_nodes_at(lam, k)
+        label = view.label
+        cutoff = 2 ** (k + 2)
+        active = set()
+        for u, v, w in graph.edges:
+            if w > cutoff:
+                continue
+            cu, cv = label[u], label[v]
+            if cu != cv:
+                active.add(cu)
+                active.add(cv)
+        n_k[k] = len(active)
+        for c in active:
+            key = (c, view.birth[c])
+            per_node[key] = per_node.get(key, 0) + 1
+    return n_k, per_node
+
+
+@st.composite
+def laminar_sweeps(draw):
+    """A multigraph, its laminar family, and an order of scale queries.
+
+    Vertices fall into up to four groups with edges only inside a group, so
+    graphs have several components.  Edges may be parallel and either
+    orientation; weights favour powers of two and their neighbours, which
+    sit on the inclusive w <= 2**(k+2) window boundary.
+    """
+    n = draw(st.integers(1, 24))
+    group = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [
+        (u, v) for u in range(n) for v in range(n) if u != v and group[u] == group[v]
+    ]
+    pow2 = st.integers(0, 16).map(lambda j: 2**j)
+    weight = st.one_of(
+        pow2,
+        st.tuples(pow2, st.sampled_from([-1, 1])).map(lambda t: max(1, t[0] + t[1])),
+        st.integers(1, 3000),
+    )
+    edges = []
+    if pairs:
+        for (u, v), w, copies in draw(
+            st.lists(
+                st.tuples(st.sampled_from(pairs), weight, st.integers(1, 3)),
+                max_size=3 * n,
+            )
+        ):
+            for c in range(copies):  # parallel edges, some of equal weight
+                edges.append((u, v, w) if c % 2 == 0 else (v, u, w + c // 2))
+    graph = Graph(n, edges)
+    eps = draw(st.sampled_from([F(1, 3), F(1, 4), F(2, 7), F(1, 20)]))
+    lam = build_laminar(graph, eps)
+    scales = sorted(
+        set(relevant_scales(graph)) | {ev.scale for ev in lam.events} | {0, 1}
+    )
+    shuffled = draw(st.lists(st.sampled_from(scales), min_size=1, max_size=12))
+    order = scales + scales[::-1] + shuffled + shuffled
+    return graph, lam, scales, order
+
+
+@given(laminar_sweeps())
+@settings(deadline=None, max_examples=150)
+def test_cursor_matches_scan_and_replay(case):
+    # ascending, then descending (a rewind per call), then arbitrary order
+    # with repeats, all on one laminar family
+    graph, lam, scales, order = case
+    views = []
+    for k in order:
+        sg = materialize_scale_graph(graph, lam, k)
+        edges, adj, active_centers, base = scan_scale_graph(graph, lam, k)
+        assert sg.edges == edges
+        assert sg.adj == adj
+        assert sg.active_centers == active_centers
+        for (cu, cv), want in base.items():
+            assert sg.base_edge(cu, cv) == want
+        view = lam.nodes_at(k)
+        want = replay_nodes_at(lam, k)
+        assert (view.label, view.sizes, view.birth) == (want.label, want.sizes, want.birth)
+        views.append((view, want))
+    # views are snapshots: later calls left every earlier one unchanged
+    for view, want in views:
+        assert (view.label, view.sizes, view.birth) == (want.label, want.sizes, want.birth)
+    for ks in (scales, order):
+        stats = activity_stats(graph, lam, ks)
+        n_k, per_node = scan_activity_stats(graph, lam, ks)
+        assert (stats["n_k"], stats["per_node_scales"]) == (n_k, per_node)
