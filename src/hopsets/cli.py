@@ -24,7 +24,6 @@ from .hopset import (
     dump_hopset,
     load_hopset,
 )
-from .single_scale import ScheduleError
 from .util import as_fraction
 from .verify import size_stats, verify_stretch
 
@@ -36,9 +35,9 @@ EXIT_VIOLATION = 5
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eps", default="0.3", help="target stretch slack (exact decimal or ratio)")
+    p.add_argument("--eps", type=ratio, default="0.3", help="target stretch slack, e.g. 3/10")
     p.add_argument("--kappa", type=int, default=2)
-    p.add_argument("--rho", default="0.5", help="exponent of the sampling degree (e.g. 0.5 or 1/2)")
+    p.add_argument("--rho", type=ratio, default="0.5", help="sampling degree exponent (e.g. 1/2)")
     p.add_argument("--mode", choices=["reduced", "direct"], default="reduced")
     p.add_argument("--degree-mode", choices=["basic", "refined"], default="basic")
     p.add_argument("--path-reporting", action="store_true")
@@ -78,7 +77,7 @@ def cmd_build(args) -> int:
     graph = load_dimacs(args.graph)
     params = _params(args)
     t0 = time.perf_counter()
-    hs = build_hopset(graph, params, lambda_hint=args.lambda_hint)
+    hs = build_hopset(graph, params)
     ms = (time.perf_counter() - t0) * 1000
     with open(args.out, "w", encoding="ascii") as fh:
         dump_hopset(hs, fh)
@@ -92,7 +91,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     graph = load_dimacs(args.graph)
     hs = _load_hopset_for(graph, args.hopset)
-    mode, kw = _parse_pairs(args.pairs)
+    mode, kw = args.pairs
     report = verify_stretch(graph, hs, pair_mode=mode, **kw)
     payload = report.to_dict()
     payload["provenance"] = hs.provenance
@@ -129,11 +128,10 @@ def _load_hopset_for(graph, path: str):
 def cmd_query(args) -> int:
     graph = load_dimacs(args.graph)
     hs = _load_hopset_for(graph, args.hopset)
-    sources = [int(s) - 1 for s in args.sources.split(",") if s]
     header = {"hopset": os.path.basename(args.hopset), "graph_digest": graph.digest()}
     header.update({k: hs.provenance[k] for k in ("seed", "eps", "mode") if k in hs.provenance})
     with open(args.out, "w", encoding="ascii") as fh:
-        result = asp_mod.write_estimates_csv(graph, hs, sources, fh, header=header)
+        result = asp_mod.write_estimates_csv(graph, hs, args.sources, fh, header=header)
     print(f"wrote {args.out}")
     if args.paths:
         with open(args.paths, "w", encoding="ascii") as fh:
@@ -217,7 +215,21 @@ def _bench_row(model, inst, kappa, rho, eps, mode, seed):
     )
 
 
-def _parse_pairs(spec: str):
+# argparse `type=` converters: a value they reject (ValueError) exits 2.
+
+
+def ratio(text: str):
+    try:
+        return as_fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
+def vertex_ids(text: str) -> list[int]:
+    return [int(s) - 1 for s in text.split(",") if s]
+
+
+def pair_spec(spec: str):
     if spec == "all":
         return "all", {}
     if spec.startswith("band:"):
@@ -230,7 +242,7 @@ def _parse_pairs(spec: str):
         if len(parts) > 2:
             kw["sample_seed"] = int(parts[2])
         return "sample", kw
-    raise HopsetError(f"unknown pair spec {spec!r} (all | sample:M:SEED | band:K)")
+    raise ValueError(spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,14 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a hopset for a DIMACS graph")
     b.add_argument("--graph", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--lambda-hint", type=int, default=None)
     _add_param_flags(b)
     b.set_defaults(fn=cmd_build)
 
     v = sub.add_parser("verify", help="verify the hopbound/stretch contract")
     v.add_argument("--graph", required=True)
     v.add_argument("--hopset", required=True)
-    v.add_argument("--pairs", default="all", help="all | sample:M:SEED | band:K")
+    v.add_argument("--pairs", type=pair_spec, default="all", help="all | sample:M:SEED | band:K")
     v.add_argument("--report", default=None, help="write the JSON report here")
     v.add_argument("--format", choices=["text", "json"], default="text")
     v.set_defaults(fn=cmd_verify)
@@ -268,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("query", help="S x V estimates (and paths) through a hopset")
     q.add_argument("--graph", required=True)
     q.add_argument("--hopset", required=True)
-    q.add_argument("--sources", required=True, help="comma-separated 1-based vertex ids")
+    q.add_argument(
+        "--sources", type=vertex_ids, required=True, help="comma-separated 1-based vertex ids"
+    )
     q.add_argument("--out", required=True, help="CSV of estimates")
     q.add_argument("--paths", default=None, help="also write expanded paths here")
     q.set_defaults(fn=cmd_query)
@@ -293,7 +306,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, HopsetFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (HopsetError, ScheduleError, GraphError) as exc:
+    except (HopsetError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except OSError as exc:

@@ -76,9 +76,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def max_weight(self) -> int:
-        return max((w for _, _, w in self.edges), default=0)
-
     def digest(self) -> str:
         """Content hash over (n, canonical edge list)."""
         h = hashlib.sha256()

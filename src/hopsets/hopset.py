@@ -10,7 +10,7 @@ independently of the aspect ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TextIO
 
@@ -24,13 +24,15 @@ from .scale_reduction import (
     relevant_scales,
     star_edges,
 )
-from .single_scale import PhaseSchedule, build_single_scale, compute_schedule
-from .util import as_fraction, child_seed, lcm
+from .single_scale import (
+    PhaseSchedule,
+    build_single_scale,
+    compute_schedule,
+    phase_counts,
+    phase_degrees,
+)
+from .util import HopsetError, as_fraction, child_seed, lcm
 from .weights import WeightScale
-
-
-class HopsetError(ValueError):
-    pass
 
 
 class HopsetFormatError(HopsetError):
@@ -73,18 +75,9 @@ class HopsetParams:
         return HopsetParams(**kw)
 
     def validated(self) -> "HopsetParams":
+        """Check mode and eps_target; `phase_counts` checks the rest."""
         if self.mode not in ("reduced", "direct"):
             raise HopsetError(f"unknown mode {self.mode!r}")
-        if self.degree_mode not in ("basic", "refined"):
-            raise HopsetError(f"unknown degree_mode {self.degree_mode!r}")
-        if self.kappa < 2:
-            raise HopsetError("kappa must be an integer >= 2")
-        if self.kappa * self.rho < 1:
-            raise HopsetError(
-                f"kappa*rho = {self.kappa * self.rho} < 1; choose rho >= 1/kappa"
-            )
-        if self.rho > Fraction(1, 2):
-            raise HopsetError("rho must satisfy 1/kappa <= rho <= 1/2")
         if self.mode == "reduced" and not (0 < self.eps_target < Fraction(1, 2)):
             raise HopsetError("reduced mode needs 0 < eps_target < 1/2")
         if self.mode == "direct" and not (0 < self.eps_target <= 1):
@@ -106,15 +99,24 @@ class BuildPlan:
     effective_beta: int
     effective_eps: Fraction
     wscale: WeightScale
+    schedule: PhaseSchedule  # the build's one schedule, at Rhat = 1
 
     def schedule_for(self, k: int, n_scale: int) -> PhaseSchedule:
-        return compute_schedule(
-            n_scale,
-            self.params.kappa,
-            self.params.rho,
-            self.eps_int,
-            2 ** (k + 1),
-            self.params.degree_mode,
+        """`compute_schedule(n_scale, kappa, rho, eps_int, 2**(k+1), degree_mode)`.
+
+        alpha, delta and radius are linear in Rhat, so they are the plan's
+        schedule times 2**(k+1), exactly; only the degrees depend on n_scale.
+        """
+        s = self.schedule
+        rhat = 2 ** (k + 1)
+        return replace(
+            s,
+            n=n_scale,
+            Rhat=rhat,
+            alpha=s.alpha * rhat,
+            delta=tuple(d * rhat for d in s.delta),
+            radius=tuple(r * rhat for r in s.radius),
+            deg=phase_degrees(n_scale, s.kappa, s.rho, s.degree_mode, s.i0, s.i1),
         )
 
     def is_trivial_scale(self, k: int) -> bool:
@@ -129,22 +131,22 @@ class BuildPlan:
 
 
 def plan(params: HopsetParams, n: int) -> BuildPlan:
-    """Fix eps rescaling and the effective (beta, eps) contract."""
+    """Fix eps rescaling, the effective (beta, eps) contract and the schedule.
+
+    ell comes from `phase_counts`, which also rejects bad (kappa, rho,
+    degree_mode) with a `ScheduleError` (a `HopsetError`).  The one
+    `compute_schedule` call of the build evaluates the recurrences at the
+    internal eps and Rhat = 1; `schedule_for` rescales it per scale.
+    """
     params = params.validated()
-    probe = compute_schedule(
-        max(n, 2), params.kappa, params.rho, Fraction(1, 100), 2, params.degree_mode
-    )
-    ell = probe.ell  # depends only on (kappa, rho, degree_mode)
-    if params.mode == "reduced":
-        eps_red = params.eps_target / 6
-        eps_fed = eps_red
-    else:
-        eps_red = None
-        eps_fed = params.eps_target
+    _, _, ell = phase_counts(params.kappa, params.rho, params.degree_mode)
+    eps_red = params.eps_target / 6 if params.mode == "reduced" else None
+    eps_fed = eps_red or params.eps_target
     eps_int = eps_fed / (32 * (ell + 1))
-    beta_single = compute_schedule(
-        max(n, 2), params.kappa, params.rho, eps_int, 2, params.degree_mode
-    ).beta  # beta is independent of Rhat and n
+    schedule = compute_schedule(
+        max(n, 2), params.kappa, params.rho, eps_int, 1, params.degree_mode
+    )
+    beta_single = schedule.beta
     den = 2 * eps_int.denominator**ell
     if eps_red is not None:
         den = lcm(den, n * eps_red.denominator)
@@ -162,6 +164,7 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
         effective_beta=effective_beta,
         effective_eps=params.eps_target,
         wscale=WeightScale(den),
+        schedule=schedule,
     )
 
 
@@ -227,20 +230,17 @@ def _sorted_edge_order(edges, raws):
     return [edges[i] for i in order], [raws[i] for i in order]
 
 
-def build_hopset(
-    graph: Graph,
-    params: HopsetParams,
-    lambda_hint: int | None = None,
-) -> Hopset:
+def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
     """Construct a hopset for `graph` per `params`.
 
     Reduced mode: star set plus single-scale hopsets on the contracted
-    graphs of all relevant, non-trivial scales.  Direct mode: single-scale
-    hopsets on the graph itself for every band up to the aspect-ratio bound
-    (`lambda_hint` if given, else the sum of the n-1 largest weights).
-    Unreachable regions stay unexplored, so components need no special
-    casing.  Scales build independently and merge in a fixed (scale, u, v)
-    order, so results are byte-stable per seed.
+    graphs of the relevant scales.  Direct mode: single-scale hopsets on the
+    graph itself for every band k = 1..floor(log2(Lambda - 1)), where the
+    aspect-ratio bound Lambda is the sum of the n-1 largest weights.  Both
+    skip trivial scales (`BuildPlan.is_trivial_scale`).  Unreachable regions
+    stay unexplored, so components need no special casing.  Scales build
+    independently and merge in a fixed (scale, u, v) order, so results are
+    byte-stable per seed.
     """
     problems = validate(graph)
     if problems:
@@ -257,57 +257,40 @@ def build_hopset(
         for s in star_edges(laminar):
             edges.append(HopsetEdge(s.u, s.v, s.weight, s.scale, "star"))
             raws.append(("tree", (s.u, s.v)))
-        for k in relevant_scales(graph):
-            if bp.is_trivial_scale(k):
-                continue
+        scales = relevant_scales(graph)
+    else:
+        weights = sorted((w for _, _, w in graph.edges), reverse=True)
+        lam = sum(weights[: graph.n - 1])
+        scales = range(1, (lam - 1).bit_length())
+        adj = [[(v, w * bp.wscale.den) for v, w in nbrs] for nbrs in graph.adj]
+        centers = range(graph.n)
+    for k in scales:
+        if bp.is_trivial_scale(k):
+            continue
+        if laminar is not None:
             sg = materialize_scale_graph(graph, laminar, k, bp.wscale)
             if sg.active_count < 2:
                 continue
-            ss = build_single_scale(
-                sg.adj,
-                k,
-                bp.schedule_for(k, sg.active_count),
-                bp.wscale,
-                child_seed(params.seed, "scale", k),
-                record_paths=record,
+            adj, centers = sg.adj, sg.active_centers
+        ss = build_single_scale(
+            adj,
+            k,
+            bp.schedule_for(k, len(centers)),
+            bp.wscale,
+            child_seed(params.seed, "scale", k),
+            record_paths=record,
+        )
+        stats["scales"][k] = {"edges": len(ss.edges), "phases": [dict(vars(p)) for p in ss.stats]}
+        for e in ss.edges:
+            edges.append(
+                HopsetEdge(centers[e.u], centers[e.v], bp.wscale.to_fraction(e.w), k, e.kind)
             )
-            stats["scales"][k] = _phase_stats(ss)
-            centers = sg.active_centers
-            for e in ss.edges:
-                cu, cv = centers[e.u], centers[e.v]
-                edges.append(
-                    HopsetEdge(cu, cv, bp.wscale.to_fraction(e.w), k, e.kind)
-                )
-                if record:
-                    raws.append(("tree", _tree_anchors(sg, [centers[i] for i in e.path])))
-                else:
-                    raws.append(())
-    else:
-        lam_ub = lambda_hint
-        if lam_ub is None:
-            weights = sorted((w for _, _, w in graph.edges), reverse=True)
-            lam_ub = sum(weights[: graph.n - 1])
-        ks = []
-        if lam_ub >= 2:
-            k_min = max(1, bp.beta_single.bit_length() - 1)
-            k_max = (lam_ub - 1).bit_length() - 1
-            ks = list(range(k_min, k_max + 1))
-        gadj = [
-            [(v, w * bp.wscale.den) for v, w in nbrs] for nbrs in graph.adj
-        ]
-        for k in ks:
-            ss = build_single_scale(
-                gadj,
-                k,
-                bp.schedule_for(k, graph.n),
-                bp.wscale,
-                child_seed(params.seed, "scale", k),
-                record_paths=record,
-            )
-            stats["scales"][k] = _phase_stats(ss)
-            for e in ss.edges:
-                edges.append(HopsetEdge(e.u, e.v, bp.wscale.to_fraction(e.w), k, e.kind))
-                raws.append(("g", e.path) if record else ())
+            if not record:
+                raws.append(())
+            elif laminar is None:
+                raws.append(("g", e.path))
+            else:
+                raws.append(("tree", _tree_anchors(sg, [centers[i] for i in e.path])))
 
     edges, raws = _sorted_edge_order(edges, raws)
     provenance = {
@@ -337,24 +320,6 @@ def build_hopset(
     if record:
         attach_witness_paths(graph, laminar, hs)
     return hs
-
-
-def _phase_stats(ss) -> dict:
-    return {
-        "edges": len(ss.edges),
-        "phases": [
-            {
-                "index": p.index,
-                "clusters_in": p.clusters_in,
-                "sampled": p.sampled,
-                "unclustered": p.unclustered,
-                "star_edges": p.star_edges,
-                "interconnect_edges": p.interconnect_edges,
-                "interconnect_visits": p.interconnect_visits,
-            }
-            for p in ss.stats
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .explore import bounded_dijkstra, multi_source_bounded_dijkstra
-from .util import as_fraction, child_seed, floor_log2
+from .util import HopsetError, as_fraction, child_seed, floor_log2
 from .weights import WeightScale
 
 
-class ScheduleError(ValueError):
+class ScheduleError(HopsetError):
     pass
 
 
@@ -62,31 +62,17 @@ class PhaseSchedule:
         return 32 * (self.ell + 1) * self.eps
 
 
-def compute_schedule(
-    n: int,
-    kappa: int,
-    rho,
-    eps,
-    Rhat: int,
-    degree_mode: str = "basic",
-) -> PhaseSchedule:
-    """Evaluate the phase-count, threshold, degree and hop recurrences.
+def phase_counts(kappa: int, rho, degree_mode: str) -> tuple[int, int, int]:
+    """(i0, i1, ell), after checking the rules on (kappa, rho, degree_mode).
 
-    Stage 1 covers phases 0..i0 with exponentially growing deg, stage 2
-    phases i0+1..i1 with flat deg; phase ell = i1 + 1 is interconnect-only.
-    The refined degree mode divides stage-1 degrees by 2**(2**i - 1) and adds
-    one phase, trimming the hopset size at the cost of a larger beta.
+    Stage 1 covers phases 0..i0, stage 2 phases i0+1..i1, and phase
+    ell = i1 + 1 is interconnect-only; the refined mode adds one phase.
     """
     rho = as_fraction(rho)
-    eps = as_fraction(eps)
-    if n < 2:
-        raise ScheduleError("schedule needs n >= 2")
     if kappa < 2:
         raise ScheduleError("kappa must be an integer >= 2")
     if degree_mode not in ("basic", "refined"):
         raise ScheduleError(f"unknown degree_mode {degree_mode!r}")
-    if Rhat < 1:
-        raise ScheduleError("Rhat must be >= 1")
     if kappa * rho < 1:
         raise ScheduleError(
             f"kappa*rho = {kappa * rho} < 1: the first-stage phase count "
@@ -94,20 +80,21 @@ def compute_schedule(
         )
     if rho > Fraction(1, 2):
         raise ScheduleError("rho must satisfy 1/kappa <= rho <= 1/2")
-    if not (0 < eps <= Fraction(1, 10)):
-        raise ScheduleError(
-            f"internal eps {eps} outside (0, 1/10]: the hop recurrence bound "
-            "h_i <= 3*(1/eps+2)**i needs a small eps"
-        )
-
     i0 = floor_log2(kappa * rho)
     steps = math.ceil(Fraction(kappa + 1) / (kappa * rho))
-    if degree_mode == "basic":
-        i1 = i0 + steps - 2
-    else:
-        i1 = i0 + steps - 1
-    ell = i1 + 1
+    i1 = i0 + steps - (2 if degree_mode == "basic" else 1)
+    return i0, i1, i1 + 1
 
+
+def phase_degrees(
+    n: int, kappa: int, rho: Fraction, degree_mode: str, i0: int, i1: int
+) -> tuple[float, ...]:
+    """Sampling degrees of phases 0..i1 on an n-vertex graph.
+
+    The refined mode divides stage-1 degrees by 2**(2**i - 1), trimming the
+    hopset size at the cost of a larger beta, and runs phase i0+1 at
+    n**(rho/2).
+    """
     nf = float(n)
     deg: list[float] = []
     for i in range(i1 + 1):
@@ -120,6 +107,35 @@ def compute_schedule(
                 deg.append(nf ** (float(rho) / 2))
             else:
                 deg.append(nf ** float(rho))
+    return tuple(deg)
+
+
+def compute_schedule(
+    n: int,
+    kappa: int,
+    rho,
+    eps,
+    Rhat: int,
+    degree_mode: str = "basic",
+) -> PhaseSchedule:
+    """Evaluate the phase-count, threshold, degree and hop recurrences.
+
+    A build runs this once (`hopset.plan`): only `deg` depends on n, and
+    alpha, delta and radius are linear in Rhat, so `BuildPlan.schedule_for`
+    rescales that one schedule per scale.
+    """
+    rho = as_fraction(rho)
+    eps = as_fraction(eps)
+    if n < 2:
+        raise ScheduleError("schedule needs n >= 2")
+    if Rhat < 1:
+        raise ScheduleError("Rhat must be >= 1")
+    i0, i1, ell = phase_counts(kappa, rho, degree_mode)
+    if not (0 < eps <= Fraction(1, 10)):
+        raise ScheduleError(
+            f"internal eps {eps} outside (0, 1/10]: the hop recurrence bound "
+            "h_i <= 3*(1/eps+2)**i needs a small eps"
+        )
 
     alpha = eps**ell * Rhat
     inv = 1 / eps
@@ -149,7 +165,7 @@ def compute_schedule(
         alpha=alpha,
         delta=tuple(delta),
         radius=tuple(radius),
-        deg=tuple(deg),
+        deg=phase_degrees(n, kappa, rho, degree_mode, i0, i1),
         h=tuple(h),
         beta=beta,
     )
@@ -169,9 +185,6 @@ class Cluster:
 class ClusterPartition:
     phase: int
     clusters: list[Cluster]
-
-    def centers(self) -> list[int]:
-        return [c.center for c in self.clusters]
 
 
 @dataclass
@@ -194,7 +207,6 @@ class PhaseStats:
     index: int
     clusters_in: int
     sampled: int
-    absorbed: int
     unclustered: int
     star_edges: int
     interconnect_edges: int
@@ -342,7 +354,6 @@ def build_single_scale(
                 index=i,
                 clusters_in=clusters_in,
                 sampled=n_sampled,
-                absorbed=clusters_in - n_sampled - len(unclustered),
                 unclustered=len(unclustered),
                 star_edges=len(star),
                 interconnect_edges=len(inter),

@@ -12,6 +12,10 @@ from fractions import Fraction
 from math import gcd
 
 
+class HopsetError(ValueError):
+    """Base of the package's errors: rejected parameters, hopsets and queries."""
+
+
 def as_fraction(x) -> Fraction:
     """Convert user input to an exact Fraction.
 

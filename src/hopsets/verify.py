@@ -126,7 +126,7 @@ def verify_stretch(
         if pair_mode == "band" and band is None:
             raise HopsetError("band mode needs a scale index")
         wanted = {s: None for s in range(n)}  # all targets above s
-        mode_desc = pair_mode if band is None else f"band({band})"
+        mode_desc = "all" if pair_mode == "all" else f"band({band})"
     elif pair_mode == "sample":
         pairs = _sample_pairs(graph, sample_size, sample_seed)
         wanted = {}

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hopsets import load_dimacs
-from hopsets.cli import EXIT_IO, EXIT_OK, EXIT_PARAM, EXIT_VIOLATION, main
+from hopsets.cli import EXIT_IO, EXIT_OK, EXIT_PARAM, EXIT_USAGE, EXIT_VIOLATION, main
 
 
 def run(*argv):
@@ -289,3 +289,35 @@ class TestMalformedHopset:
         err = capsys.readouterr().err
         for path in (built_for, other):
             assert load_dimacs(str(path)).digest() in err
+
+
+class TestMalformedArguments:
+    """Values argparse cannot convert are usage errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("build", "--eps", "abc"),
+            ("build", "--rho", "1/0"),
+            ("query", "--sources", "1,x"),
+            ("verify", "--pairs", "sample:x"),
+            ("verify", "--pairs", "band:"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, workspace, capsys, command, flag, value):
+        graph = gen_graph(workspace)
+        hopset = workspace / "h.hs"
+        assert run("build", "--graph", str(graph), "--out", str(hopset)) == EXIT_OK
+        args = {
+            "build": ["--graph", str(graph), "--out", str(workspace / "o.hs")],
+            "verify": ["--graph", str(graph), "--hopset", str(hopset)],
+            "query": [
+                "--graph", str(graph), "--hopset", str(hopset),
+                "--out", str(workspace / "est.csv"),
+            ],
+        }[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(command, *args, flag, value)
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err

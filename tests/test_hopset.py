@@ -2,7 +2,10 @@ import io
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hopsets.hopset
 from hopsets import (
     Graph,
     Hopset,
@@ -11,6 +14,7 @@ from hopsets import (
     attach_witness_paths,
     build_hopset,
     build_laminar,
+    compute_schedule,
     dump_hopset,
     er_graph,
     exact_apsp,
@@ -31,7 +35,51 @@ def reduced_params(**kw):
     return HopsetParams.make(**base)
 
 
+@st.composite
+def plan_cases(draw):
+    """Valid build parameters, a graph size, a band and a scale-graph size."""
+    kappa = draw(st.integers(2, 6))
+    rho = draw(st.fractions(F(1, kappa), F(1, 2), max_denominator=12))
+    mode = draw(st.sampled_from(["reduced", "direct"]))
+    top = F(1, 2) if mode == "reduced" else F(1)
+    eps = draw(
+        st.fractions(0, top, max_denominator=10**4).filter(
+            lambda e: 0 < e and (e < top or mode == "direct")
+        )
+    )
+    params = HopsetParams.make(
+        kappa=kappa,
+        rho=rho,
+        eps_target=eps,
+        mode=mode,
+        degree_mode=draw(st.sampled_from(["basic", "refined"])),
+    )
+    n = draw(st.integers(1, 10**5))
+    k = draw(st.integers(1, 90))
+    return params, n, k, draw(st.integers(2, 10**5))
+
+
 class TestPlan:
+    @given(plan_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_schedule_for_matches_compute_schedule(self, case):
+        params, n, k, n_scale = case
+        bp = plan(params, n)
+        expected = compute_schedule(
+            n_scale, params.kappa, params.rho, bp.eps_int, 2 ** (k + 1), params.degree_mode
+        )
+        assert bp.schedule_for(k, n_scale) == expected
+
+    @pytest.mark.parametrize("mode", ["reduced", "direct"])
+    def test_one_schedule_evaluation_per_build(self, monkeypatch, mode):
+        calls = []
+        real = hopsets.hopset.compute_schedule
+        monkeypatch.setattr(
+            hopsets.hopset, "compute_schedule", lambda *a: calls.append(a) or real(*a)
+        )
+        hs = build_hopset(path_graph(64, 2), reduced_params(mode=mode, eps_target="0.4"))
+        assert hs.build_stats["scales"] and len(calls) == 1
+
     def test_direct_rescaling(self):
         p = plan(HopsetParams.make(mode="direct", eps_target="0.96"), 1024)
         assert p.ell == 2
@@ -138,15 +186,6 @@ class TestBuildDirect:
         g = er_graph(40, 0.15, 1, 6, seed=7)
         hs = build_hopset(g, HopsetParams.make(mode="direct", eps_target="0.9", seed=5))
         assert verify_stretch(g, hs, pair_mode="all").ok
-
-    def test_lambda_hint_bounds_scales(self):
-        g = path_graph(64, 2)
-        params = HopsetParams.make(mode="direct", eps_target="1", seed=1)
-        hs = build_hopset(g, params)
-        hs_hint = build_hopset(g, params, lambda_hint=2**20)
-        scales = {e.scale for e in hs.edges}
-        scales_hint = {e.scale for e in hs_hint.edges}
-        assert max(scales_hint, default=0) <= max(scales, default=0)
 
     def test_both_modes_verify_on_geometric_path(self):
         g = path_graph(64, 2)

@@ -88,6 +88,12 @@ class TestVerifyStretch:
         expected = sum(20 - d for d in range(5, 9))  # d in (4, 8]
         assert report.pairs_checked == expected
 
+    def test_all_mode_ignores_band_and_says_all(self):
+        g = path_graph(20, 1)
+        report = verify_stretch(g, empty_hopset(20, beta=30), pair_mode="all", band=3)
+        assert report.pair_mode == "all"
+        assert report.pairs_checked == 20 * 19 // 2
+
     def test_band_union_covers_all_pairs_beyond_one(self):
         g = er_graph(30, 0.2, 1, 9, seed=3)
         hs = empty_hopset(30, beta=29)
