@@ -4,7 +4,10 @@ Each source runs one hop-limited Bellman-Ford over the union graph with the
 hopset's hop budget; estimates inherit the (1 + eps) contract.  With a
 path-reporting hopset, predecessor chains expand into concrete graph paths
 whose weight never exceeds the estimate (it is usually below it in reduced
-mode, where edge weights carry padding).
+mode, where edge weights carry padding).  `write_paths` emits every path of
+a source in one walk of its predecessor forest: a vertex's path is its
+predecessor's path plus one step, and each hopset edge's witness is checked
+and formatted once per orientation.  `extract_path` answers a single pair.
 """
 
 from __future__ import annotations
@@ -102,6 +105,76 @@ def extract_path(
             raise HopsetError(f"extracted step ({a},{b}) is not a graph edge")
         total += w
     return path, total
+
+
+def write_paths(graph: Graph, hopset: Hopset, result: AspResult, out: TextIO) -> None:
+    """Write one `format_path` line per source and reachable vertex v != s.
+
+    Lines come in `extract_path` order (sources ascending, then vertices)
+    and equal its output.  The checks are the same, so the first that fails
+    raises the `HopsetError` `extract_path` would raise for the same pair;
+    a graph step is checked by its ("g", i) tag against `graph.edges[i]`.
+    Each source's predecessor forest is walked once: the line of a vertex is
+    its predecessor's line plus the last step's segment, memoised for the
+    source.  Each hopset edge's witness is checked and formatted once per
+    orientation.
+    """
+    edges, m = graph.edges, graph.m
+    segments: dict[tuple[int, bool], str] = {}  # (hopset edge, forward) -> text
+
+    def orientation(u, x, idx):
+        if hopset.witnesses is None:
+            raise HopsetError("hopset is not path-reporting; rebuild with witnesses")
+        e = hopset.edges[idx]
+        forward = (e.u, e.v) == (u, x)
+        wit = hopset.witnesses[idx]
+        if (wit[0], wit[-1]) != ((u, x) if forward else (x, u)):
+            raise HopsetError(f"witness for edge {idx} does not join {u} and {x}")
+        return idx, forward
+
+    def segment(key):
+        """' v2 v3 ...': 1-based text of an oriented witness after its first vertex."""
+        text = segments.get(key)
+        if text is None:
+            wit = hopset.witnesses[key[0]]
+            if not key[1]:
+                wit = wit[::-1]
+            for a, b in zip(wit, wit[1:]):
+                if graph.weight(a, b) is None:
+                    raise HopsetError(f"extracted step ({a},{b}) is not a graph edge")
+            text = segments[key] = "".join(f" {x + 1}" for x in wit[1:])
+        return text
+
+    for s in result.sources:
+        dist, pred = result.dist[s], result.pred[s]
+        line: list[str | None] = [None] * result.n
+        line[s] = str(s + 1)
+        for v in range(result.n):
+            if line[v] is not None or dist[v] is None:
+                continue
+            steps = []  # back from v to the nearest vertex with a line
+            cur = v
+            while line[cur] is None:
+                entry = pred[cur]
+                if entry is None:
+                    raise HopsetError(f"broken predecessor chain at {cur}")
+                steps.append((entry[0], cur, entry[1]))
+                cur = entry[0]
+            steps.reverse()
+            # as in extract_path: expand every hopset step, then check each edge
+            for u, x, (kind, i) in steps:
+                if kind != "g":
+                    orientation(u, x, i)
+            for u, x, (kind, i) in steps:
+                if kind != "g":
+                    line[x] = line[u] + segment(orientation(u, x, i))
+                elif 0 <= i < m and edges[i][:2] in ((u, x), (x, u)):
+                    line[x] = f"{line[u]} {x + 1}"
+                else:
+                    raise HopsetError(f"extracted step ({u},{x}) is not a graph edge")
+        out.writelines(
+            line[v] + "\n" for v in range(result.n) if v != s and dist[v] is not None
+        )
 
 
 def write_estimates_csv(

@@ -1,4 +1,4 @@
-"""Command-line interface: gen, build, verify, query, stats, bench.
+"""Command-line interface: gen, build, verify, query, stats.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 I/O or parse error (with
 the line number), 4 parameter rejection or a hopset built for another graph,
@@ -127,6 +127,9 @@ def _load_hopset_for(graph, path: str):
 
 def cmd_query(args) -> int:
     graph = load_dimacs(args.graph)
+    for s in args.sources:
+        if not 0 <= s < graph.n:
+            raise HopsetError(f"source {s + 1} out of range: vertices are 1..{graph.n}")
     hs = _load_hopset_for(graph, args.hopset)
     header = {"hopset": os.path.basename(args.hopset), "graph_digest": graph.digest()}
     header.update({k: hs.provenance[k] for k in ("seed", "eps", "mode") if k in hs.provenance})
@@ -135,12 +138,7 @@ def cmd_query(args) -> int:
     print(f"wrote {args.out}")
     if args.paths:
         with open(args.paths, "w", encoding="ascii") as fh:
-            for s in result.sources:
-                for v in range(graph.n):
-                    if v == s or result.dist[s][v] is None:
-                        continue
-                    path, _ = asp_mod.extract_path(graph, hs, result, s, v)
-                    fh.write(asp_mod.format_path(path) + "\n")
+            asp_mod.write_paths(graph, hs, result, fh)
         print(f"wrote {args.paths}")
     return EXIT_OK
 
@@ -162,59 +160,6 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="ascii") as fh:
-        cfg = json.load(fh)
-    rows = []
-    for inst in cfg["instances"]:
-        inst = dict(inst)
-        model = inst.pop("model")
-        for kappa in cfg.get("kappa", [2]):
-            for rho in cfg.get("rho", ["0.5"]):
-                for eps in cfg.get("eps", ["0.3"]):
-                    for mode in cfg.get("mode", ["reduced"]):
-                        for seed in cfg.get("seeds", [0]):
-                            rows.append(
-                                _bench_row(model, inst, kappa, rho, eps, mode, seed)
-                            )
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(
-            "n,m,kappa,rho,eps,mode,seed,ell,beta,hopset_edges,s_edges,"
-            "build_ms,verify_max_stretch\n"
-        )
-        for r in rows:
-            fh.write(",".join(str(x) for x in r) + "\n")
-    print(f"wrote {args.out}: {len(rows)} rows")
-    return EXIT_OK
-
-
-def _bench_row(model, inst, kappa, rho, eps, mode, seed):
-    graph = generate(model, seed=seed, **inst)
-    params = HopsetParams.make(
-        kappa=kappa, rho=rho, eps_target=eps, seed=seed, mode=mode
-    )
-    t0 = time.perf_counter()
-    hs = build_hopset(graph, params)
-    build_ms = round((time.perf_counter() - t0) * 1000, 1)
-    report = verify_stretch(graph, hs, pair_mode="sample", sample_size=200, sample_seed=seed)
-    ms = report.max_stretch
-    return (
-        graph.n,
-        graph.m,
-        kappa,
-        as_fraction(rho),
-        as_fraction(eps),
-        mode,
-        seed,
-        hs.provenance["ell"],
-        hs.effective_beta,
-        hs.size,
-        hs.star_count(),
-        build_ms,
-        "" if ms is None else float(ms),
-    )
-
-
 # argparse `type=` converters: a value they reject (ValueError) exits 2.
 
 
@@ -230,15 +175,25 @@ def vertex_ids(text: str) -> list[int]:
 
 
 def pair_spec(spec: str):
+    """A pair spec that can select pairs: no sample below 1, no band k <= -2.
+
+    Band k holds distances in (2^k, 2^(k+1)]; below k = -1 no integer
+    distance falls in it.
+    """
     if spec == "all":
         return "all", {}
     if spec.startswith("band:"):
-        return "band", {"band": int(spec.split(":")[1])}
+        band = int(spec.split(":")[1])
+        if band < -1:
+            raise ValueError(spec)
+        return "band", {"band": band}
     if spec.startswith("sample"):
         parts = spec.split(":")
         kw = {}
         if len(parts) > 1:
             kw["sample_size"] = int(parts[1])
+            if kw["sample_size"] < 1:
+                raise ValueError(spec)
         if len(parts) > 2:
             kw["sample_seed"] = int(parts[2])
         return "sample", kw
@@ -290,11 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hopset", required=True)
     s.add_argument("--format", choices=["text", "json"], default="text")
     s.set_defaults(fn=cmd_stats)
-
-    be = sub.add_parser("bench", help="sweep a parameter grid from a JSON config")
-    be.add_argument("--config", required=True)
-    be.add_argument("--out", required=True)
-    be.set_defaults(fn=cmd_bench)
     return ap
 
 

@@ -2,10 +2,10 @@
 
 Everything here works on adjacency lists of (neighbor, weight) with plain
 integer weights (already rescaled by the build's WeightScale when weights
-are fractional).  All distances returned are exact.  Hop-limited distances
-d^(t) come from a (distance, hops) Dijkstra when t >= n - 1, where d^(t) is
-the plain shortest distance, and from frontier Bellman-Ford rounds below
-that.
+are fractional).  All distances returned are exact; `dijkstra_all` can stop
+once a given target set has settled.  Hop-limited distances d^(t) come from
+a (distance, hops) Dijkstra when t >= n - 1, where d^(t) is the plain
+shortest distance, and from frontier Bellman-Ford rounds below that.
 """
 
 from __future__ import annotations
@@ -113,13 +113,47 @@ def bounded_dijkstra(
     return dist, parent
 
 
-def dijkstra_all(adj: list[list[tuple[int, int]]], source: int) -> list[int | None]:
-    """Unbounded single-source distances as a dense array (None = unreachable)."""
-    dist, _ = bounded_dijkstra(adj, source, None)
-    out: list[int | None] = [None] * len(adj)
-    for v, d in dist.items():
-        out[v] = d
-    return out
+def dijkstra_all(
+    adj: list[list[tuple[int, int]]], source: int, targets=None
+) -> list[int | None]:
+    """Exact single-source distances as a dense array.
+
+    Without `targets` the sweep settles every reachable vertex, and None
+    means unreachable.  With `targets` it stops as soon as every target has
+    settled (Dijkstra settles vertices in final order, so the values it has
+    are exact), and None means not settled: every other entry may be None,
+    and a target left at None is unreachable from `source`.
+    """
+    n = len(adj)
+    dist: list[int | None] = [None] * n  # settled
+    best: list[int | None] = [None] * n  # tentative
+    left = 0
+    if targets is not None:
+        wanted = bytearray(n)
+        for v in targets:
+            if not wanted[v]:
+                wanted[v] = 1
+                left += 1
+        if not left:
+            return dist
+    best[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, u = heappop(heap)
+        if dist[u] is not None:
+            continue
+        dist[u] = d
+        if left and wanted[u]:
+            left -= 1
+            if not left:
+                break
+        for v, w in adj[u]:
+            nd = d + w
+            b = best[v]
+            if b is None or nd < b:
+                best[v] = nd
+                heappush(heap, (nd, v))
+    return dist
 
 
 @dataclass

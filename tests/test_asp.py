@@ -1,7 +1,10 @@
+import dataclasses
 import io
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopsets import (
     Graph,
@@ -13,9 +16,11 @@ from hopsets import (
     er_graph,
     exact_apsp,
     extract_path,
+    grid_graph,
     path_graph,
 )
-from hopsets.asp import format_path, write_estimates_csv
+from hopsets.asp import format_path, write_estimates_csv, write_paths
+from hopsets.hopset import HopsetEdge
 
 
 def empty_hopset(n, beta):
@@ -154,3 +159,170 @@ def _uses_hopset(res, s, v):
             return True
         cur = u
     return False
+
+
+def reference_paths(graph, hopset, result):
+    """Reference: one extract_path + format_path line per source and reachable vertex."""
+    out = io.StringIO()
+    for s in result.sources:
+        for v in range(graph.n):
+            if v == s or result.dist[s][v] is None:
+                continue
+            path, _ = extract_path(graph, hopset, result, s, v)
+            out.write(format_path(path) + "\n")
+    return out.getvalue()
+
+
+def walked_paths(graph, hopset, result):
+    out = io.StringIO()
+    write_paths(graph, hopset, result, out)
+    return out.getvalue()
+
+
+def outcome(fn, *args):
+    """The text written, or the message of the HopsetError raised."""
+    try:
+        return fn(*args)
+    except HopsetError as exc:
+        return f"HopsetError: {exc}"
+
+
+def hopset_steps(res):
+    """(s, v, hopset edge index) for every hopset step in the predecessor forests."""
+    return [
+        (s, v, pred[1][1])
+        for s in res.sources
+        for v, pred in enumerate(res.pred[s])
+        if pred is not None and pred[1][0] == "h"
+    ]
+
+
+GRAPHS = {
+    "er": lambda n, seed: er_graph(n, 0.3, 1, 10**6, seed=seed),
+    "path": lambda n, seed: path_graph(n, 2, seed=seed),
+    "grid": lambda n, seed: grid_graph(4, n // 4, 1, 30, seed=seed),
+}
+
+
+@st.composite
+def path_reporting_queries(draw):
+    graph = GRAPHS[draw(st.sampled_from(sorted(GRAPHS)))](
+        draw(st.integers(8, 40)), draw(st.integers(0, 10**6))
+    )
+    params = HopsetParams.make(
+        eps_target=draw(st.sampled_from(["0.3", "0.45"])),
+        seed=draw(st.integers(0, 10**6)),
+        mode=draw(st.sampled_from(["reduced", "direct"])),
+        path_reporting=True,
+    )
+    hs = build_hopset(graph, params)
+    # a budget below n - 1 makes paths take hopset edges even in reduced mode
+    hs.effective_beta = draw(st.sampled_from([hs.effective_beta, 1, 2, 3, 4, 8]))
+    sources = draw(st.lists(st.integers(0, graph.n - 1), min_size=1, max_size=4))
+    return graph, hs, asp_estimates(graph, hs, sources)
+
+
+class TestWritePaths:
+    @given(path_reporting_queries())
+    @settings(deadline=None, max_examples=60)
+    def test_matches_extract_path(self, query):
+        graph, hs, res = query
+        assert walked_paths(graph, hs, res) == reference_paths(graph, hs, res)
+        # without witnesses: the same error wherever a hopset step is taken
+        bare = dataclasses.replace(hs, witnesses=None)
+        assert outcome(walked_paths, graph, bare, res) == outcome(reference_paths, graph, bare, res)
+
+    @staticmethod
+    def _built(n=64):
+        g = path_graph(n, 2)
+        params = HopsetParams.make(eps_target="0.3", seed=2, mode="direct", path_reporting=True)
+        hs = build_hopset(g, params)
+        res = asp_estimates(g, hs, [0, n // 2, n - 1])
+        assert hopset_steps(res)  # the paths expand witnesses
+        return g, hs, res
+
+    def test_matches_extract_path_on_witness_heavy_build(self):
+        g, hs, res = self._built()
+        text = walked_paths(g, hs, res)
+        assert text == reference_paths(g, hs, res)
+        assert len(text.splitlines()) == 3 * (g.n - 1)
+
+    def test_hopset_without_witnesses_raises(self):
+        g, hs, res = self._built()
+        bare = dataclasses.replace(hs, witnesses=None)
+        expected = outcome(reference_paths, g, bare, res)
+        assert expected == "HopsetError: hopset is not path-reporting; rebuild with witnesses"
+        assert outcome(walked_paths, g, bare, res) == expected
+
+    @pytest.mark.parametrize("corrupt", ["reverse", "drop_last", "detour", "swap_inner"])
+    def test_corrupted_witness_raises_as_extract_path(self, corrupt):
+        g, hs, res = self._built()
+        witnesses = list(hs.witnesses)
+        for _, _, idx in hopset_steps(res):
+            wit = list(witnesses[idx])
+            if len(wit) >= 4:
+                break
+        if corrupt == "reverse":
+            wit.reverse()
+        elif corrupt == "drop_last":
+            wit.pop()
+        elif corrupt == "detour":  # ends kept, one step that is no graph edge
+            wit.insert(1, wit[-1])
+        else:
+            wit[1], wit[2] = wit[2], wit[1]
+        witnesses[idx] = tuple(wit)
+        bad = dataclasses.replace(hs, witnesses=witnesses)
+        expected = outcome(reference_paths, g, bad, res)
+        assert expected.startswith("HopsetError: ")
+        assert outcome(walked_paths, g, bad, res) == expected
+
+    def test_every_witness_corrupted_raises_as_extract_path(self):
+        # extract_path expands every step before checking edges, so a witness
+        # whose ends are wrong wins over an earlier witness with a bad edge
+        g, hs, res = self._built()
+        witnesses = []
+        for i, wit in enumerate(hs.witnesses):
+            wit = list(wit)
+            if i % 2 and len(wit) > 1:
+                wit.reverse()
+            elif len(wit) > 1:
+                wit.insert(1, wit[-1])
+            witnesses.append(tuple(wit))
+        bad = dataclasses.replace(hs, witnesses=witnesses)
+        expected = outcome(reference_paths, g, bad, res)
+        assert expected.startswith("HopsetError: ")
+        assert outcome(walked_paths, g, bad, res) == expected
+
+    def test_end_errors_come_before_edge_errors(self):
+        # path 0-2-4-3-1 and two hopset edges 0-4, 4-1: with beta = 2 the path
+        # to vertex 1 takes both; the first witness has a step that is no graph
+        # edge, the second is stored the wrong way round
+        g = Graph.from_edges(5, [(0, 2, 1), (2, 4, 1), (4, 3, 1), (3, 1, 1)])
+        hs = Hopset(
+            n=5,
+            edges=[HopsetEdge(0, 4, F(2), 1, "star"), HopsetEdge(1, 4, F(2), 1, "star")],
+            effective_beta=2,
+            effective_eps=F(1, 10),
+            provenance={},
+            witnesses=[(0, 3, 4), (4, 3, 1)],
+        )
+        res = asp_estimates(g, hs, [0])
+        expected = "HopsetError: witness for edge 1 does not join 4 and 1"
+        assert outcome(reference_paths, g, hs, res) == expected
+        assert outcome(walked_paths, g, hs, res) == expected
+
+    def test_broken_predecessor_chain_raises_as_extract_path(self):
+        g, hs, res = self._built()
+        s = res.sources[-1]  # the chains of vertices 0, 1, ... pass through s - 3
+        res.pred[s][s - 3] = None
+        expected = outcome(reference_paths, g, hs, res)
+        assert expected == f"HopsetError: broken predecessor chain at {s - 3}"
+        assert outcome(walked_paths, g, hs, res) == expected
+
+    def test_graph_step_checked_by_its_tag(self):
+        g = path_graph(6, 1)
+        res = asp_estimates(g, empty_hopset(6, beta=5), [0])
+        u, (kind, i) = res.pred[0][4]
+        res.pred[0][4] = (u, (kind, i + 1))  # tag names the edge (4, 5)
+        with pytest.raises(HopsetError, match=r"extracted step \(3,4\) is not a graph edge"):
+            walked_paths(g, empty_hopset(6, beta=5), res)

@@ -200,33 +200,6 @@ class TestReproducibility:
         assert "c seed 1" in text
 
 
-class TestBench:
-    def test_tiny_sweep(self, workspace):
-        config = workspace / "bench.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "instances": [{"model": "er", "n": 24, "p": 0.3, "wmin": 1, "wmax": 6}],
-                    "kappa": [2],
-                    "rho": ["0.5"],
-                    "eps": ["0.3", "0.45"],
-                    "mode": ["reduced"],
-                    "seeds": [1, 2],
-                }
-            )
-        )
-        out = workspace / "bench.csv"
-        assert run("bench", "--config", str(config), "--out", str(out)) == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0] == (
-            "n,m,kappa,rho,eps,mode,seed,ell,beta,hopset_edges,s_edges,"
-            "build_ms,verify_max_stretch"
-        )
-        assert len(lines) == 1 + 4  # 2 eps x 2 seeds
-        row = lines[1].split(",")
-        assert row[0] == "24" and row[2] == "2"
-
-
 class TestMalformedHopset:
     HEADER = "h 1 8 5 1/10\n"
 
@@ -302,6 +275,12 @@ class TestMalformedArguments:
             ("query", "--sources", "1,x"),
             ("verify", "--pairs", "sample:x"),
             ("verify", "--pairs", "band:"),
+            # specs that select no pair
+            ("verify", "--pairs", "sample:0"),
+            ("verify", "--pairs", "sample:-5"),
+            ("verify", "--pairs", "sample:0:3"),
+            ("verify", "--pairs", "band:-2"),
+            ("verify", "--pairs", "band:-3"),
         ],
     )
     def test_bad_value_is_usage_error(self, workspace, capsys, command, flag, value):
@@ -321,3 +300,30 @@ class TestMalformedArguments:
             run(command, *args, flag, value)
         assert exc.value.code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["sample:1", "band:-1"])
+    def test_smallest_selecting_spec_is_accepted(self, workspace, spec):
+        graph = gen_graph(workspace)
+        hopset = workspace / "h.hs"
+        assert run("build", "--graph", str(graph), "--out", str(hopset)) == EXIT_OK
+        code = run("verify", "--graph", str(graph), "--hopset", str(hopset), "--pairs", spec)
+        assert code == EXIT_OK
+
+
+class TestQuerySources:
+    """Source ids are 1-based; one outside 1..n is rejected before any work, by that id."""
+
+    @pytest.mark.parametrize("sources,bad", [("0", "0"), ("9", "9"), ("2,9", "9"), ("0,3", "0")])
+    def test_out_of_range_source_names_the_typed_id(self, workspace, capsys, sources, bad):
+        graph = gen_graph(workspace)  # 8 vertices
+        hopset = workspace / "h.hs"
+        assert run("build", "--graph", str(graph), "--out", str(hopset)) == EXIT_OK
+        capsys.readouterr()
+        csv = workspace / "est.csv"
+        code = run(
+            "query", "--graph", str(graph), "--hopset", str(hopset),
+            "--sources", sources, "--out", str(csv),
+        )
+        assert code == EXIT_PARAM
+        assert f"source {bad} out of range" in capsys.readouterr().err
+        assert not csv.exists()

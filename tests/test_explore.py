@@ -252,3 +252,72 @@ def test_matches_dense_reference(query):
     # t >= n - 1 takes the (distance, hops) Dijkstra, smaller t frontier rounds
     table = hop_limited_bellman_ford(*query)
     assert (table.sources, table.dist, table.pred) == dense_bellman_ford(*query)
+
+
+def full_sweep(adj, source):
+    """Reference: the former dijkstra_all, a full sweep through bounded_dijkstra's dicts."""
+    dist, _ = bounded_dijkstra(adj, source, None)
+    out = [None] * len(adj)
+    for v, d in dist.items():
+        out[v] = d
+    return out
+
+
+@st.composite
+def sweep_queries(draw):
+    """Multigraph over 1-4 components plus one isolated vertex, a source and targets.
+
+    Each component is a random spanning path plus random extra arcs (self-loops
+    and parallel edges included); most targets share the source's component."""
+    n = draw(st.integers(1, 40))
+    comp = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    members = {}
+    for v, c in enumerate(comp):
+        members.setdefault(c, []).append(v)
+    weight = st.one_of(st.sampled_from([0, 10**9]), st.integers(0, 5))
+    adj = [[] for _ in range(n + 1)]  # vertex n is isolated: always unreachable
+    for vs in members.values():
+        order = draw(st.permutations(vs))
+        vertex = st.sampled_from(vs)
+        arcs = [(u, v, draw(weight)) for u, v in zip(order, order[1:])]
+        arcs += draw(st.lists(st.tuples(vertex, vertex, weight), max_size=2 * len(vs)))
+        for u, v, w in arcs + arcs[: draw(st.integers(0, 3))]:  # repeats: parallel edges
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+    source = draw(st.integers(0, n - 1))
+    near = st.sampled_from(members[comp[source]])
+    targets = draw(st.lists(near, min_size=1, max_size=10))
+    targets += draw(st.lists(st.integers(0, n), max_size=2))
+    if draw(st.booleans()):
+        targets.append(source)
+    if draw(st.booleans()):
+        targets.append(n)
+    return adj, source, draw(st.permutations(targets))
+
+
+class TestDijkstraAll:
+    @pytest.mark.parametrize("targets", [[2], [2, 2], [1, 2, 0]])
+    def test_stops_once_targets_settle(self, targets):
+        g = path_graph(10, 1)
+        d = dijkstra_all(g.adj, 0, targets)
+        assert d[:3] == [0, 1, 2] and d[9] is None
+
+    def test_unreachable_target_is_none(self):
+        g = Graph.from_edges(4, [(0, 1, 3), (2, 3, 1)])
+        assert dijkstra_all(g.adj, 0, [3, 1]) == [0, 3, None, None]
+
+    def test_empty_targets_settle_nothing(self):
+        assert dijkstra_all(tiny_path().adj, 1, []) == [None, None, None]
+
+
+@given(sweep_queries())
+@settings(deadline=None, max_examples=200)
+def test_early_exit_matches_full_sweep(query):
+    adj, source, targets = query
+    ref = full_sweep(adj, source)
+    assert dijkstra_all(adj, source) == ref
+    early = dijkstra_all(adj, source, targets)
+    for v in targets:
+        assert early[v] == ref[v]
+    # whatever else settled before the stop is exact too
+    assert all(d is None or d == ref[v] for v, d in enumerate(early))

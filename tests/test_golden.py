@@ -5,6 +5,8 @@ across refactors; any change to these digests has to be deliberate.  Each
 graph is built in reduced mode with and without witnesses (`-w`) and in
 direct mode with witnesses.  Verify reports are digested without
 `wall_time`; query output is the CSV and `--paths` file of `hopset query`.
+Band reports pin the per-pair distance filter, and the two-component graph
+pins pairs whose target is unreachable from the source.
 """
 
 import functools
@@ -15,6 +17,7 @@ import json
 import pytest
 
 from hopsets import (
+    Graph,
     HopsetParams,
     build_hopset,
     dump_dimacs,
@@ -26,10 +29,19 @@ from hopsets import (
 )
 from hopsets.cli import EXIT_OK, main
 
+def _two_components():
+    """er(30) on vertices 0..29, a geometric path on 30..49, vertex 50 isolated."""
+    er = er_graph(30, 0.2, 1, 50, seed=3)
+    path = path_graph(20, 2)
+    edges = er.edges + [(u + 30, v + 30, w) for u, v, w in path.edges]
+    return Graph.from_edges(51, edges)
+
+
 GRAPHS = {
     "path": lambda: path_graph(64, 2),
     "er": lambda: er_graph(120, 0.05, 1, 10**12, seed=1),
     "grid": lambda: grid_graph(10, 12, 1, 50, seed=1),
+    "split": _two_components,
 }
 
 GOLDEN = {
@@ -52,6 +64,28 @@ GOLDEN_VERIFY = {
     ("er-reduced-w", "sample"): "bd40b5dd0504a1e5fc2234351d1faee8a27a9f279603c84a055ceb0356e3288d",
     ("grid-direct-w", "all"): "757d01f11b99df76186e2325c679bd932cbe890ed9bb62709e7c8c0e85bd9870",
     ("grid-direct-w", "sample"): "5c6322243f65c9675dfbb7f47c8815005aaf354e85ec8b2383fc7bf84bebc62c",
+}
+
+# graph -> the scale index k of its band:k report, chosen so the band holds pairs
+BAND = {"path": 40, "er": 38, "grid": 5}
+
+# case -> sha256 of the band:k report without wall_time, k = BAND[graph]
+GOLDEN_BAND = {
+    "path-reduced": "7905a599cfffedaec8e9c4ab5954c5cb7901fbea124a6b4c2c69cd44f3d83d41",
+    "path-reduced-w": "7905a599cfffedaec8e9c4ab5954c5cb7901fbea124a6b4c2c69cd44f3d83d41",
+    "path-direct-w": "a3fc3290acd8dfbb63b757e65520c3846d4c6dfeb6fc6f819ada11f7278e35e1",
+    "er-reduced": "ab516c4bdf06b61c245fd41adf0149d17ccf4f0fad790ee2e154177215996c0b",
+    "er-reduced-w": "ab516c4bdf06b61c245fd41adf0149d17ccf4f0fad790ee2e154177215996c0b",
+    "er-direct-w": "11d4e450c25a2956b7ecec0eb2aca957963bf3620166426520da6c2598ca9e29",
+    "grid-reduced": "87504226cc16f9b94a85b4c9a9e3af0caf52abf438de2ae8e2ade566a1e6627d",
+    "grid-reduced-w": "87504226cc16f9b94a85b4c9a9e3af0caf52abf438de2ae8e2ade566a1e6627d",
+    "grid-direct-w": "301531d9d858e232cd14965b75838d94224d8dbc59dbc6f0373c9ee2d515ae4f",
+}
+
+# case -> sha256 of the all-pairs report without wall_time on two components
+GOLDEN_SPLIT = {
+    "split-reduced-w": "d0dd055989d9b7f8e193f53c74e231fecfd3ba596a158c506b3f3b68ed4afbb4",
+    "split-direct-w": "76d0b73cf62048ad44125034fd8f38252410f0ad57bafbdec39669e557a3f37a",
 }
 
 # case -> sha256 of (estimates CSV, paths file) of `hopset query --sources 1,6,<n>`
@@ -99,6 +133,25 @@ def test_golden_verify_report_digests(case, pairs):
     report = verify_stretch(graph, hopset, pair_mode=pairs, **kw).to_dict()
     del report["wall_time"]
     assert _sha(json.dumps(report, sort_keys=True, indent=2)) == GOLDEN_VERIFY[case, pairs]
+
+
+def _report_sha(graph, hopset, **kw):
+    report = verify_stretch(graph, hopset, **kw).to_dict()
+    del report["wall_time"]
+    return _sha(json.dumps(report, sort_keys=True, indent=2))
+
+
+@pytest.mark.parametrize("case", GOLDEN_BAND)
+def test_golden_band_report_digests(case):
+    graph, hopset = _built(case)
+    band = BAND[case.split("-")[0]]
+    assert _report_sha(graph, hopset, pair_mode="band", band=band) == GOLDEN_BAND[case]
+
+
+@pytest.mark.parametrize("case", GOLDEN_SPLIT)
+def test_golden_unreachable_pairs_report_digests(case):
+    graph, hopset = _built(case)
+    assert _report_sha(graph, hopset, pair_mode="all") == GOLDEN_SPLIT[case]
 
 
 @pytest.mark.parametrize("case", GOLDEN_QUERY)

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopsets import (
     Graph,
@@ -11,11 +13,20 @@ from hopsets import (
     build_hopset,
     er_graph,
     exact_apsp,
+    bounded_dijkstra,
+    hop_limited_bellman_ford,
     path_graph,
     size_stats,
     verify_stretch,
 )
 from hopsets.hopset import HopsetEdge
+from hopsets.verify import (
+    VerificationReport,
+    _frac,
+    _load_summary,
+    _sample_pairs,
+    _union_edges,
+)
 
 
 def empty_hopset(n, beta, eps=F(1, 10)):
@@ -172,3 +183,155 @@ class TestSizeStats:
         stats = size_stats(hs, 64, 2)
         assert stats["star_within_bound"]
         assert stats["star_edges"] <= 64 * 6
+
+
+def full_sweep(adj, source):
+    dist, _ = bounded_dijkstra(adj, source, None)
+    out = [None] * len(adj)
+    for v, d in dist.items():
+        out[v] = d
+    return out
+
+
+def reference_verify(graph, hopset, pair_mode="all", sample_size=1000, sample_seed=0, band=None):
+    """Reference: the former stretch check, a full hop-limited Bellman-Ford table for all
+    sources plus a full oracle sweep per source.  Report dict without wall_time."""
+    den = hopset.weight_scale().den
+    rel = _union_edges(graph, hopset, den)
+    eps = hopset.effective_eps
+    beta = hopset.effective_beta
+    n = graph.n
+
+    if pair_mode in ("all", "band"):
+        wanted = {s: None for s in range(n)}
+        mode_desc = "all" if pair_mode == "all" else f"band({band})"
+    else:
+        pairs = _sample_pairs(graph, sample_size, sample_seed)
+        wanted = {}
+        for s, v in pairs:
+            wanted.setdefault(s, []).append(v)
+        mode_desc = f"sample({sample_size},{sample_seed})"
+
+    lo = hi = None
+    if pair_mode == "band":
+        lo, hi = 2**band, 2 ** (band + 1)
+
+    pairs_checked = 0
+    max_stretch = None
+    violations = []
+    total_violations = 0
+    sources = sorted(wanted)
+    limited = hop_limited_bellman_ford(n, rel, sources, beta).dist
+    for s in sources:
+        d_true = full_sweep(graph.adj, s)
+        lim = limited[s]
+        targets = wanted[s] if wanted[s] is not None else range(s + 1, n)
+        for v in targets:
+            dg = d_true[v]
+            if v == s or dg is None:
+                continue
+            if lo is not None and not (lo < dg <= hi):
+                continue
+            pairs_checked += 1
+            dl = lim[v]
+            stretch = None
+            if dl is not None:
+                stretch = F(dl, dg * den)
+                if max_stretch is None or stretch > max_stretch:
+                    max_stretch = stretch
+            if dl is None or dl < dg * den or dl * eps.denominator > dg * den * (
+                eps.numerator + eps.denominator
+            ):
+                total_violations += 1
+                if len(violations) < 100:
+                    violations.append(
+                        {
+                            "u": s,
+                            "v": v,
+                            "d_true": dg,
+                            "d_limited": _frac(F(dl, den)) if dl is not None else None,
+                            "stretch": _frac(stretch),
+                        }
+                    )
+    load = None
+    if hopset.build_stats:
+        load = _load_summary(hopset.build_stats, n)
+    report = VerificationReport(
+        n=n,
+        pair_mode=mode_desc,
+        effective_beta=beta,
+        effective_eps=eps,
+        pairs_checked=pairs_checked,
+        max_stretch=max_stretch,
+        violations=violations,
+        violation_total=total_violations,
+        per_scale_sizes=hopset.per_scale_sizes(),
+        star_edges=hopset.star_count(),
+        hopset_edges=hopset.size,
+        exploration_load=load,
+    ).to_dict()
+    del report["wall_time"]
+    return report
+
+
+# hopset weights as multiples of the true distance: undercutting, exact, overlong
+FACTORS = [F(1, 2), F(9, 10), F(1), F(11, 10), F(13, 10), F(3, 2), F(3)]
+
+
+@st.composite
+def verify_cases(draw):
+    """A random graph (up to three components), a hopset mixing undercutting and
+    overlong edges, a hop budget on either side of n - 1 and a pair spec."""
+    n = draw(st.integers(2, 24))
+    comp = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    wmax = draw(st.sampled_from([1, 20, 10**9]))
+    weight = st.integers(1, wmax)
+    raw = []
+    for c in set(comp):  # a spanning path per component, so n - 1 hops can be needed
+        order = draw(st.permutations([v for v in range(n) if comp[v] == c]))
+        raw += [(u, v, draw(weight)) for u, v in zip(order, order[1:])]
+    vertex = st.integers(0, n - 1)
+    raw += draw(st.lists(st.tuples(vertex, vertex, weight), max_size=2 * n))
+    g = Graph.from_edges(n, [(u, v, w) for u, v, w in raw if u != v and comp[u] == comp[v]])
+    edges = []
+    for _ in range(draw(st.integers(0, n))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        d = full_sweep(g.adj, u)[v]
+        if d is None:  # across components: any positive weight
+            weight = F(draw(st.integers(1, 50)), draw(st.integers(1, 4)))
+        else:
+            weight = d * draw(st.sampled_from(FACTORS))
+        edges.append(HopsetEdge(u, v, weight, draw(st.integers(0, 5)), "interconnect"))
+    beta = draw(st.sampled_from([0, 1, 2, max(0, n - 2), n - 1, n, 10**8]))
+    eps = draw(st.sampled_from([F(0), F(1, 10), F(3, 10), F(1)]))
+    hopset = Hopset(n=n, edges=edges, effective_beta=beta, effective_eps=eps, provenance={})
+    mode = draw(st.sampled_from(["all", "band", "sample"]))
+    kw = {}
+    if mode == "band":
+        kw["band"] = draw(st.integers(-1, 32))
+    elif mode == "sample":
+        kw = {"sample_size": draw(st.integers(1, 40)), "sample_seed": draw(st.integers(0, 99))}
+    return g, hopset, mode, kw
+
+
+@given(verify_cases())
+@settings(deadline=None, max_examples=200)
+def test_matches_full_table_reference(case):
+    # beta >= n - 1 takes the early-exit Dijkstras, smaller beta the Bellman-Ford table
+    g, hopset, mode, kw = case
+    report = verify_stretch(g, hopset, pair_mode=mode, **kw).to_dict()
+    del report["wall_time"]
+    assert report == reference_verify(g, hopset, pair_mode=mode, **kw)
+
+
+@pytest.mark.parametrize("mode,kw", [("all", {}), ("band", {"band": 3}),
+                                     ("sample", {"sample_size": 80, "sample_seed": 2})])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_built_hopset_matches_full_table_reference(mode, kw, seed):
+    g = er_graph(60, 0.08, 1, 12, seed=seed)
+    hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=seed, mode="direct"))
+    for beta in (hs.effective_beta, 2):  # as built, and far below n - 1
+        hs.effective_beta = beta
+        report = verify_stretch(g, hs, pair_mode=mode, **kw).to_dict()
+        del report["wall_time"]
+        assert report == reference_verify(g, hs, pair_mode=mode, **kw)
