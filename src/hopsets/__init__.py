@@ -41,7 +41,6 @@ from .hopset import (
     dump_hopset,
     hopset_from_single_scale,
     load_hopset,
-    params_from_provenance,
     plan,
     validate_witnesses,
 )
@@ -56,7 +55,6 @@ from .scale_reduction import (
     star_edges,
 )
 from .single_scale import (
-    ClusterPartition,
     PhaseSchedule,
     ScheduleError,
     SingleScaleHopset,
@@ -66,6 +64,6 @@ from .single_scale import (
     supercluster_phase,
 )
 from .verify import VerificationReport, exact_apsp, size_stats, verify_stretch
-from .weights import WeightScale, common_scale
+from .weights import WeightScale
 
 __version__ = "0.1.0"

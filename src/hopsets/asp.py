@@ -29,7 +29,6 @@ class AspResult:
     sources: list[int]
     n: int
     den: int
-    beta: int
     dist: dict[int, list[int | None]]
     pred: dict[int, list[tuple[int, object] | None]]
 
@@ -49,7 +48,6 @@ def asp_estimates(graph: Graph, hopset: Hopset, sources) -> AspResult:
         sources=sources,
         n=graph.n,
         den=den,
-        beta=hopset.effective_beta,
         dist=table.dist,
         pred=table.pred,
     )

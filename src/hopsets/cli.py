@@ -25,7 +25,7 @@ from .hopset import (
     load_hopset,
 )
 from .util import as_fraction
-from .verify import size_stats, verify_stretch
+from .verify import check_pair_spec, size_stats, verify_stretch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -175,29 +175,23 @@ def vertex_ids(text: str) -> list[int]:
 
 
 def pair_spec(spec: str):
-    """A pair spec that can select pairs: no sample below 1, no band k <= -2.
+    """`all`, `sample[:M[:SEED]]` or `band:K`, and no other field.
 
-    Band k holds distances in (2^k, 2^(k+1)]; below k = -1 no integer
-    distance falls in it.
+    The parsed spec must pass `check_pair_spec`, the rule `verify_stretch`
+    applies: one that can select no pair is a usage error too.
     """
-    if spec == "all":
-        return "all", {}
-    if spec.startswith("band:"):
-        band = int(spec.split(":")[1])
-        if band < -1:
-            raise ValueError(spec)
-        return "band", {"band": band}
-    if spec.startswith("sample"):
-        parts = spec.split(":")
+    mode, *fields = spec.split(":")
+    nums = [int(f) for f in fields]
+    if mode == "all" and not nums:
         kw = {}
-        if len(parts) > 1:
-            kw["sample_size"] = int(parts[1])
-            if kw["sample_size"] < 1:
-                raise ValueError(spec)
-        if len(parts) > 2:
-            kw["sample_seed"] = int(parts[2])
-        return "sample", kw
-    raise ValueError(spec)
+    elif mode == "band" and len(nums) == 1:
+        kw = {"band": nums[0]}
+    elif mode == "sample" and len(nums) <= 2:
+        kw = dict(zip(("sample_size", "sample_seed"), nums))
+    else:
+        raise ValueError(spec)
+    check_pair_spec(mode, kw.get("sample_size"), kw.get("band"))
+    return mode, kw
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,13 +81,10 @@ def bounded_dijkstra(
     adj: list[list[tuple[int, int]]],
     source: int,
     depth: int | None,
-    visit_counter: list[int] | None = None,
 ) -> tuple[dict[int, int], dict[int, int | None]]:
     """Single-source Dijkstra to distance <= depth (inclusive).
 
-    Returns exact distances and parent pointers over the reached set.  When
-    `visit_counter` is given, counter[v] is incremented once per reached
-    vertex; interconnection load statistics are accumulated through it.
+    Returns exact distances and parent pointers over the reached set.
     """
     dist: dict[int, int] = {}
     parent: dict[int, int | None] = {source: None}
@@ -98,8 +95,6 @@ def bounded_dijkstra(
         if v in dist:
             continue
         dist[v] = d
-        if visit_counter is not None:
-            visit_counter[v] += 1
         for u, w in adj[v]:
             if u in dist:
                 continue
@@ -172,9 +167,6 @@ class HopLimitedTable:
     sources: list[int]
     dist: dict[int, list[int | None]]
     pred: dict[int, list[tuple[int, object] | None]]
-
-    def distance(self, s: int, v: int) -> int | None:
-        return self.dist[s][v]
 
 
 def hop_limited_bellman_ford(

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TextIO
 
-from .explore import bounded_dijkstra
 from .graph import Graph, validate
 from .scale_reduction import (
     LaminarFamily,
@@ -440,23 +439,6 @@ def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
     return problems
 
 
-def lower_bound_violations(graph: Graph, hopset: Hopset, sample: int | None = None) -> list[int]:
-    """Indices of edges whose weight undercuts the true distance (never allowed)."""
-    if sample is not None and len(hopset.edges) > sample:
-        step = max(1, len(hopset.edges) // sample)
-        idx = list(range(0, len(hopset.edges), step))
-    else:
-        idx = list(range(len(hopset.edges)))
-    bad = []
-    for i in idx:
-        e = hopset.edges[i]
-        dist, _ = bounded_dijkstra(graph.adj, e.u, None)
-        d = dist.get(e.v)
-        if d is None or Fraction(d) > e.weight:
-            bad.append(i)
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # Single-scale wrapper and file format
 
@@ -558,6 +540,8 @@ def load_hopset(source) -> Hopset:
                     raise HopsetFormatError("witness needs an index and a vertex", lineno)
                 idx, *path = _fields(lineno, fields, *[int] * len(fields))
                 _check_vertices(lineno, header[0], path)
+                if idx in witnesses:
+                    raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
                 witnesses[idx] = tuple(x - 1 for x in path)
             else:
                 raise HopsetFormatError(f"unknown record {tag!r}", lineno)
@@ -601,16 +585,3 @@ def _check_vertices(lineno: int, n: int, vertices) -> None:
     for x in vertices:
         if not 1 <= x <= n:
             raise HopsetFormatError(f"vertex id {x} out of range [1,{n}]", lineno)
-
-
-def params_from_provenance(provenance: dict) -> HopsetParams:
-    """Reconstruct build parameters from a serialized provenance block."""
-    return HopsetParams.make(
-        kappa=int(provenance["kappa"]),
-        rho=provenance["rho"],
-        eps_target=provenance["eps"],
-        seed=int(provenance["seed"]),
-        mode=provenance["mode"],
-        degree_mode=provenance["degree_mode"],
-        path_reporting=provenance["path_reporting"] == "true",
-    )

@@ -68,16 +68,9 @@ class MergeEvent:
 class NodesView:
     """Node structure at one scale: per-vertex center label plus per-node data."""
 
-    scale: int
     label: list[int]  # vertex -> center of its containing node
     sizes: dict[int, int]  # center -> member count
     birth: dict[int, int]  # center -> scale of the event that formed the node (0 initial)
-
-    def members(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v, c in enumerate(self.label):
-            out.setdefault(c, []).append(v)
-        return out
 
 
 class LaminarFamily:
@@ -137,7 +130,7 @@ class LaminarFamily:
     def nodes_at(self, k: int) -> NodesView:
         self._advance(k)
         # members_absorbed snapshots make labels direct, with no chains
-        return NodesView(k, self._label[:], dict(self._sizes), dict(self._birth))
+        return NodesView(self._label[:], dict(self._sizes), dict(self._birth))
 
     def live_edges(self, graph: Graph, k: int) -> list[int]:
         """Ids into `graph.edges` of the scale-k graph's inter-node edges.
@@ -240,7 +233,6 @@ class StarEdge:
     v: int  # absorbed vertex
     scale: int
     weight: Fraction
-    group_size: int
 
 
 def star_edges(laminar: LaminarFamily) -> list[StarEdge]:
@@ -256,7 +248,7 @@ def star_edges(laminar: LaminarFamily) -> list[StarEdge]:
     for ev in laminar.events:
         w = eps * (2**ev.scale) * ev.size_after / n
         for z in ev.members_absorbed:
-            out.append(StarEdge(ev.survivor_center, z, ev.scale, w, ev.size_after))
+            out.append(StarEdge(ev.survivor_center, z, ev.scale, w))
     assert len(out) <= n * math.log2(n) + 1e-9, "star set exceeded n*log2(n)"
     return out
 
@@ -273,8 +265,6 @@ class ScaleGraph:
     cu < cv, keyed cu * n + cv, to its minimum original edge as (w, x, y).
     """
 
-    scale: int
-    eps: Fraction
     wscale: WeightScale
     active_centers: list[int]
     adj: list[list[tuple[int, int]]]
@@ -340,8 +330,6 @@ def materialize_scale_graph(
         adj[iu].append((iv, big_w))
         adj[iv].append((iu, big_w))
     return ScaleGraph(
-        scale=k,
-        eps=eps,
         wscale=wscale,
         active_centers=active_centers,
         adj=adj,

@@ -182,12 +182,6 @@ class Cluster:
 
 
 @dataclass
-class ClusterPartition:
-    phase: int
-    clusters: list[Cluster]
-
-
-@dataclass
 class ScaleEdge:
     """A hopset edge in the coordinates of the graph the build ran on.
 
@@ -224,13 +218,13 @@ class SingleScaleHopset:
 
 def supercluster_phase(
     adj,
-    partition: ClusterPartition,
+    partition: list[Cluster],
     i: int,
     schedule: PhaseSchedule,
     scale: WeightScale,
     rng: random.Random,
     sample_probability: float | None = None,
-) -> tuple[ClusterPartition, list[ScaleEdge], list[Cluster], int]:
+) -> tuple[list[Cluster], list[ScaleEdge], list[Cluster], int]:
     """One superclustering step; returns (next partition, star edges, U_i, #sampled).
 
     Sampling consumes randomness in ascending center-id order so the outcome
@@ -239,14 +233,14 @@ def supercluster_phase(
     its forest root and contributes one star edge at exact distance.
     """
     p = schedule.sample_probability(i) if sample_probability is None else sample_probability
-    clusters = sorted(partition.clusters, key=lambda c: c.center)
+    clusters = sorted(partition, key=lambda c: c.center)
     sampled: list[Cluster] = []
     rest: list[Cluster] = []
     for c in clusters:
         (sampled if rng.random() < p else rest).append(c)
 
     if not sampled:
-        return ClusterPartition(i + 1, []), [], rest, 0
+        return [], [], rest, 0
 
     depth = scale.to_scaled(schedule.delta[i])
     forest = multi_source_bounded_dijkstra(adj, [c.center for c in sampled], depth)
@@ -277,7 +271,7 @@ def supercluster_phase(
         for joined in absorbed[c.center]:
             members.extend(joined.members)
         nxt.append(Cluster(c.center, tuple(members)))
-    return ClusterPartition(i + 1, nxt), star, unclustered, len(sampled)
+    return nxt, star, unclustered, len(sampled)
 
 
 def interconnect_phase(
@@ -286,19 +280,22 @@ def interconnect_phase(
     i: int,
     schedule: PhaseSchedule,
     scale: WeightScale,
-    visit_counter: list[int] | None = None,
-) -> list[ScaleEdge]:
+) -> tuple[list[ScaleEdge], int]:
     """Link every pair of unclustered centers within delta_i / 2 (inclusive).
 
     Each center runs its own bounded exploration; a pair is emitted once,
     from its lower-id endpoint (distance symmetry makes both sides agree).
+    Returns the edges and the interconnection load: the vertices reached,
+    summed over the explorations.
     """
     half = scale.to_scaled(schedule.delta[i] / 2)
     centers = sorted(c.center for c in unclustered)
     center_set = set(centers)
     edges: list[ScaleEdge] = []
+    visits = 0
     for c in centers:
-        dist, parent = bounded_dijkstra(adj, c, half, visit_counter)
+        dist, parent = bounded_dijkstra(adj, c, half)
+        visits += len(dist)
         for v, d in sorted(dist.items()):
             if v in center_set and v > c:
                 path = [v]
@@ -306,7 +303,7 @@ def interconnect_phase(
                     path.append(parent[path[-1]])
                 path.reverse()
                 edges.append(ScaleEdge(u=c, v=v, w=d, kind="interconnect", path=tuple(path)))
-    return edges
+    return edges, visits
 
 
 def build_single_scale(
@@ -326,19 +323,18 @@ def build_single_scale(
     `adj` start as singleton clusters; emitted edges live in the same vertex
     space as `adj`.
     """
-    nv = len(adj)
-    partition = ClusterPartition(0, [Cluster(v, (v,)) for v in range(nv)])
+    partition = [Cluster(v, (v,)) for v in range(len(adj))]
     edges: list[ScaleEdge] = []
     stats: list[PhaseStats] = []
     partitions: list[list[Cluster]] = []
     for i in range(schedule.ell + 1):
         if keep_partitions:
-            partitions.append(list(partition.clusters))
+            partitions.append(partition)
         concluding = i == schedule.ell
-        clusters_in = len(partition.clusters)
+        clusters_in = len(partition)
         if concluding:
-            unclustered = partition.clusters
-            nxt = ClusterPartition(i + 1, [])
+            unclustered = partition
+            nxt = []
             star: list[ScaleEdge] = []
             n_sampled = 0
         else:
@@ -347,8 +343,7 @@ def build_single_scale(
             nxt, star, unclustered, n_sampled = supercluster_phase(
                 adj, partition, i, schedule, scale, rng, override
             )
-        visits = [0] * nv
-        inter = interconnect_phase(adj, unclustered, i, schedule, scale, visits)
+        inter, visits = interconnect_phase(adj, unclustered, i, schedule, scale)
         stats.append(
             PhaseStats(
                 index=i,
@@ -357,7 +352,7 @@ def build_single_scale(
                 unclustered=len(unclustered),
                 star_edges=len(star),
                 interconnect_edges=len(inter),
-                interconnect_visits=sum(visits),
+                interconnect_visits=visits,
             )
         )
         edges.extend(star)

@@ -56,10 +56,7 @@ def floor_log2(x: Fraction) -> int:
 
 def smallest_pow2_exceeding(x: Fraction) -> int:
     """Smallest integer k with 2**k > x, for a positive rational x."""
-    k = floor_log2(x) + 1
-    while Fraction(2) ** k <= x:  # guard against boundary slips
-        k += 1
-    return k
+    return floor_log2(x) + 1
 
 
 def lcm(a: int, b: int) -> int:

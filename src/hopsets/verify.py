@@ -15,7 +15,6 @@ violations.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -25,6 +24,12 @@ from fractions import Fraction
 from .explore import dijkstra_all, hop_limited_bellman_ford
 from .graph import Graph
 from .hopset import Hopset, HopsetError
+
+# Largest n for which the all-pairs oracle and the "all" and "band" pair
+# modes run: each sweeps every source, and the oracle holds n x n distances.
+N_MAX_ALLPAIRS = 500
+# Violations listed in a report; `violation_count` still counts them all.
+MAX_LISTED_VIOLATIONS = 100
 
 
 @dataclass
@@ -67,9 +72,6 @@ class VerificationReport:
             "wall_time": round(self.wall_time, 6),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def _frac(f: Fraction | None) -> str | None:
     if f is None:
@@ -77,10 +79,12 @@ def _frac(f: Fraction | None) -> str | None:
     return f"{f.numerator}/{f.denominator}"
 
 
-def exact_apsp(graph: Graph, n_max: int = 500) -> list[list[int | None]]:
+def exact_apsp(graph: Graph) -> list[list[int | None]]:
     """All-pairs exact distances by n Dijkstra sweeps (None = unreachable)."""
-    if graph.n > n_max:
-        raise HopsetError(f"graph too large for all-pairs oracle (n={graph.n} > {n_max})")
+    if graph.n > N_MAX_ALLPAIRS:
+        raise HopsetError(
+            f"graph too large for all-pairs oracle (n={graph.n} > {N_MAX_ALLPAIRS})"
+        )
     return [dijkstra_all(graph.adj, s) for s in range(graph.n)]
 
 
@@ -103,6 +107,23 @@ def _plain_adjacency(n: int, rel):
     return adj
 
 
+def check_pair_spec(
+    pair_mode: str, sample_size: int | None = None, band: int | None = None
+) -> None:
+    """Reject a pair spec that can select no pair.
+
+    A sample needs a size of at least 1 (None stands for `verify_stretch`'s
+    default).  Band k holds distances in (2**k, 2**(k+1)], and below k = -1
+    no integer distance falls in it, so band mode needs a given k >= -1.
+    `HopsetError` is a `ValueError`, so as an argparse converter's check
+    this is a usage error.
+    """
+    if pair_mode == "sample" and sample_size is not None and sample_size < 1:
+        raise HopsetError(f"sample size {sample_size} selects no pair; it must be >= 1")
+    if pair_mode == "band" and (band is None or band < -1):
+        raise HopsetError(f"band mode needs a scale index k >= -1, got {band}")
+
+
 def verify_stretch(
     graph: Graph,
     hopset: Hopset,
@@ -110,18 +131,18 @@ def verify_stretch(
     sample_size: int = 1000,
     sample_seed: int = 0,
     band: int | None = None,
-    n_max_allpairs: int = 500,
-    max_violations: int = 100,
 ) -> VerificationReport:
     """Check hop-limited stretch of the union graph against exact distances.
 
     pair_mode "all": every unordered pair with finite distance (n capped by
-    n_max_allpairs); "band": pairs with distance in (2**band, 2**(band+1)];
+    N_MAX_ALLPAIRS); "band": pairs with distance in (2**band, 2**(band+1)];
     "sample": sample_size ordered pairs drawn uniformly over finite-distance
-    pairs, deterministically per sample_seed.  A pair violates if its
+    pairs, deterministically per sample_seed.  A spec that can select no
+    pair is rejected (`check_pair_spec`).  A pair violates if its
     beta-limited distance is infinite or exceeds (1 + eps) times the true
     distance; unreachable pairs are excluded.
     """
+    check_pair_spec(pair_mode, sample_size, band)
     if hopset.n != graph.n:
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     t0 = time.perf_counter()
@@ -132,12 +153,10 @@ def verify_stretch(
     n = graph.n
 
     if pair_mode in ("all", "band"):
-        if n > n_max_allpairs:
+        if n > N_MAX_ALLPAIRS:
             raise HopsetError(
-                f"pair mode {pair_mode!r} limited to n <= {n_max_allpairs}"
+                f"pair mode {pair_mode!r} limited to n <= {N_MAX_ALLPAIRS}"
             )
-        if pair_mode == "band" and band is None:
-            raise HopsetError("band mode needs a scale index")
         wanted = {s: None for s in range(n)}  # all targets above s
         mode_desc = "all" if pair_mode == "all" else f"band({band})"
     elif pair_mode == "sample":
@@ -186,7 +205,7 @@ def verify_stretch(
                 eps.numerator + eps.denominator
             ):
                 total_violations += 1
-                if len(violations) < max_violations:
+                if len(violations) < MAX_LISTED_VIOLATIONS:
                     violations.append(
                         {
                             "u": s,

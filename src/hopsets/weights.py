@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .util import lcm
-
 
 class WeightScale:
     """A fixed denominator for scaled-integer weight arithmetic.
@@ -49,11 +47,3 @@ class WeightScale:
 
     def __repr__(self):
         return f"WeightScale(den={self.den})"
-
-
-def common_scale(*fractions: Fraction) -> WeightScale:
-    """Smallest WeightScale representing every given rational exactly."""
-    den = 1
-    for f in fractions:
-        den = lcm(den, Fraction(f).denominator)
-    return WeightScale(den)

@@ -219,6 +219,7 @@ class TestMalformedHopset:
             (HEADER + "e 1 2 3/1 0 star\np 0 1 99 2\n", 3),  # witness vertex above n
             (HEADER + "e 1 2 -3/2 0 star\n", 2),  # negative weight
             (HEADER + "e 1 2 0/1 0 star\n", 2),  # zero weight
+            (HEADER + "e 1 2 3/1 0 star\np 0 1 2\np 0 1 3 2\n", 4),  # duplicate witness
         ],
     )
     def test_malformed_file_is_io_error_with_line(self, workspace, capsys, command, text, line):
@@ -281,6 +282,9 @@ class TestMalformedArguments:
             ("verify", "--pairs", "sample:0:3"),
             ("verify", "--pairs", "band:-2"),
             ("verify", "--pairs", "band:-3"),
+            # extra fields
+            ("verify", "--pairs", "band:3:junk"),
+            ("verify", "--pairs", "sample:5:1:x"),
         ],
     )
     def test_bad_value_is_usage_error(self, workspace, capsys, command, flag, value):

@@ -88,13 +88,6 @@ class TestSingleSource:
         dist, _ = bounded_dijkstra(g.adj, 0, 2)
         assert dist[2] == 2
 
-    def test_visit_counter_counts_reached_once(self):
-        g = er_graph(30, 0.3, 1, 4, seed=2)
-        counter = [0] * g.n
-        dist, _ = bounded_dijkstra(g.adj, 0, 10, counter)
-        assert sum(counter) == len(dist)
-        assert all(c in (0, 1) for c in counter)
-
     def test_monotone_depth(self):
         g = er_graph(40, 0.2, 1, 9, seed=4)
         shallow, _ = bounded_dijkstra(g.adj, 3, 8)
@@ -107,12 +100,12 @@ class TestHopLimitedBellmanFord:
     def test_insufficient_hops_is_infinite(self):
         g = tiny_path()
         t = hop_limited_bellman_ford(g.n, _tag(g), [0], 1)
-        assert t.distance(0, 2) is None
+        assert t.dist[0][2] is None
 
     def test_two_hops_reach(self):
         g = tiny_path()
         t = hop_limited_bellman_ford(g.n, _tag(g), [0], 2)
-        assert t.distance(0, 2) == 2
+        assert t.dist[0][2] == 2
 
     def test_equals_dijkstra_at_n_minus_one(self):
         g = er_graph(30, 0.3, 1, 5, seed=1)
@@ -124,8 +117,8 @@ class TestHopLimitedBellmanFord:
         # in-place relaxation would report d=3 for the 3-hop endpoint at t=2
         g = path_graph(4, 1)
         t = hop_limited_bellman_ford(g.n, _tag(g), [0], 2)
-        assert t.distance(0, 2) == 2
-        assert t.distance(0, 3) is None
+        assert t.dist[0][2] == 2
+        assert t.dist[0][3] is None
 
     def test_monotone_nonincreasing_in_t(self):
         g = er_graph(25, 0.25, 1, 7, seed=8)
@@ -148,7 +141,7 @@ class TestHopLimitedBellmanFord:
         g = tiny_path()
         extra = [(0, 2, 1, ("h", 0))]
         t = hop_limited_bellman_ford(g.n, _tag(g) + extra, [0], 1)
-        assert t.distance(0, 2) == 1
+        assert t.dist[0][2] == 1
         assert t.pred[0][2] == (0, ("h", 0))
 
     def test_predecessor_ties_prefer_lower_neighbor(self):

@@ -15,18 +15,20 @@ from hopsets import (
     build_hopset,
     build_laminar,
     compute_schedule,
+    dijkstra_all,
     dump_hopset,
     er_graph,
     exact_apsp,
+    load_dimacs,
     load_hopset,
-    params_from_provenance,
     path_graph,
     plan,
     relevant_scales,
     validate_witnesses,
     verify_stretch,
 )
-from hopsets.hopset import SpanningForest, lower_bound_violations
+from hopsets.cli import main
+from hopsets.hopset import SpanningForest
 
 
 def reduced_params(**kw):
@@ -152,9 +154,13 @@ class TestBuildReduced:
         assert verify_stretch(g, hs, pair_mode="all").ok
 
     def test_lower_bound_safety_full_check(self):
+        # no hopset edge undercuts the true distance between its endpoints
         g = er_graph(48, 0.15, 1, 9, seed=6)
         hs = build_hopset(g, reduced_params(seed=2))
-        assert lower_bound_violations(g, hs) == []
+        assert hs.edges
+        for e in hs.edges:
+            d = dijkstra_all(g.adj, e.u)[e.v]
+            assert d is not None and e.weight >= d, (e.u, e.v, e.weight, d)
 
     def test_disconnected_graph(self):
         edges = [(0, 1, 2), (1, 2, 3), (4, 5, 7)]
@@ -247,7 +253,10 @@ class TestWitnesses:
         forest = SpanningForest(lam.tree_adjacency_at(lam.max_merge_scale()))
         for k in sorted({ev.scale for ev in lam.events}):
             tree = {x: {y for y, _ in ys} for x, ys in lam.tree_adjacency_at(k).items()}
-            for members in lam.nodes_at(k).members().values():
+            nodes: dict[int, list[int]] = {}
+            for v, c in enumerate(lam.nodes_at(k).label):
+                nodes.setdefault(c, []).append(v)
+            for members in nodes.values():
                 for a in members:
                     for b in members:
                         path = forest.path(a, b)
@@ -290,13 +299,35 @@ class TestDeterminismAndFiles:
             (e.u, e.v, e.weight, e.scale, e.kind) for e in hs.edges
         ]
 
-    def test_rebuild_from_provenance(self):
-        g = er_graph(50, 0.15, 1, 20, seed=4)
-        hs = build_hopset(g, reduced_params(seed=13))
-        params = params_from_provenance(hs.provenance)
-        again = build_hopset(g, params)
-        assert _dumps(hs) == _dumps(again)
-        assert hs.provenance["graph"] == g.digest()
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "13"],
+            ["--kappa", "3", "--rho", "0.4", "--eps", "0.25", "--degree-mode", "refined",
+             "--path-reporting", "--seed", "5"],
+            ["--mode", "direct", "--eps", "0.9", "--path-reporting", "--seed", "2"],
+        ],
+    )
+    def test_rebuild_from_provenance(self, tmp_path, flags):
+        # a file's `c` lines, passed back as `hopset build` flags, rebuild it
+        # bit for bit
+        graph, first, again = tmp_path / "g.gr", tmp_path / "a.hs", tmp_path / "b.hs"
+        gen = ["--model", "er", "--n", "50", "--p", "0.15", "--wmax", "20", "--seed", "4"]
+        assert main(["gen", *gen, "--out", str(graph)]) == 0
+        assert main(["build", "--graph", str(graph), "--out", str(first), *flags]) == 0
+        prov = dict(
+            line.split(" ", 2)[1:]
+            for line in first.read_text().splitlines()
+            if line.startswith("c ")
+        )
+        assert prov["graph"] == load_dimacs(str(graph)).digest()
+        rebuild = [
+            "--kappa", prov["kappa"], "--rho", prov["rho"], "--eps", prov["eps"],
+            "--mode", prov["mode"], "--degree-mode", prov["degree_mode"],
+            "--seed", prov["seed"],
+        ] + (["--path-reporting"] if prov["path_reporting"] == "true" else [])
+        assert main(["build", "--graph", str(graph), "--out", str(again), *rebuild]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     def test_bad_file_rejected(self):
         with pytest.raises(HopsetError):

@@ -256,7 +256,7 @@ def replay_nodes_at(lam, k):
         sizes[survivor] += sizes.pop(absorbed)
         birth.pop(absorbed)
         birth[survivor] = ev.scale
-    return NodesView(k, label, sizes, birth)
+    return NodesView(label, sizes, birth)
 
 
 def scan_scale_graph(graph, lam, k):

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from hopsets import (
-    ClusterPartition,
     Graph,
     WeightScale,
     bounded_dijkstra,
@@ -25,8 +24,8 @@ def scaled_adj(graph, ws):
     return [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
 
 
-def singleton_partition(n, phase=0):
-    return ClusterPartition(phase, [Cluster(v, (v,)) for v in range(n)])
+def singleton_partition(n):
+    return [Cluster(v, (v,)) for v in range(n)]
 
 
 class ScriptedRng:
@@ -58,7 +57,7 @@ class TestSuperclusterPhase:
             random.Random(1),
             sample_probability=0.0,
         )
-        assert nxt.clusters == [] and star == []
+        assert nxt == [] and star == []
         assert len(unclustered) == 5
 
     def test_probability_one_samples_everything(self, sched_16):
@@ -74,7 +73,7 @@ class TestSuperclusterPhase:
             sample_probability=1.0,
         )
         assert unclustered == [] and star == []
-        assert len(nxt.clusters) == 5
+        assert len(nxt) == 5
 
     def test_collinear_singletons_middle_sampled(self, sched_16):
         # three vertices spaced delta_0/2 = 8 apart; only the middle sampled
@@ -85,8 +84,8 @@ class TestSuperclusterPhase:
             scaled_adj(g, ws), singleton_partition(3), 0, sched_16, ws, rng, 0.5
         )
         assert unclustered == []
-        assert len(nxt.clusters) == 1 and nxt.clusters[0].center == 1
-        assert sorted(nxt.clusters[0].members) == [0, 1, 2]
+        assert len(nxt) == 1 and nxt[0].center == 1
+        assert sorted(nxt[0].members) == [0, 1, 2]
         assert sorted((e.u, e.v, e.w) for e in star) == [
             (1, 0, 8 * ws.den),
             (1, 2, 8 * ws.den),
@@ -108,17 +107,18 @@ class TestInterconnectPhase:
     def test_single_cluster_no_edges(self, sched_16):
         g = path_graph(3, 1)
         ws = WeightScale(100)
-        edges = interconnect_phase(
+        edges, visits = interconnect_phase(
             scaled_adj(g, ws), [Cluster(0, (0,))], 0, sched_16, ws
         )
         assert edges == []
+        assert visits == 3  # delta_0/2 = 8 reaches the whole unit path
 
     def test_boundary_distance_inclusive(self, sched_16):
         # two centers at distance exactly delta_0/2 = 8
         g = Graph.from_edges(2, [(0, 1, 8)])
         ws = WeightScale(100)
-        edges = interconnect_phase(
-            scaled_adj(g, ws), singleton_partition(2).clusters, 0, sched_16, ws
+        edges, _ = interconnect_phase(
+            scaled_adj(g, ws), singleton_partition(2), 0, sched_16, ws
         )
         assert [(e.u, e.v, e.w) for e in edges] == [(0, 1, 8 * ws.den)]
 
@@ -128,8 +128,8 @@ class TestInterconnectPhase:
         sched = compute_schedule(64, 2, F(1, 2), F(1, 10), 600)  # alpha=6, half=3
         g = path_graph(10, 1)
         ws = WeightScale(100)
-        edges = interconnect_phase(
-            scaled_adj(g, ws), singleton_partition(10).clusters, 0, sched, ws
+        edges, _ = interconnect_phase(
+            scaled_adj(g, ws), singleton_partition(10), 0, sched, ws
         )
         expected = {(i, j) for i in range(10) for j in range(i + 1, 10) if j - i <= 3}
         assert {(e.u, e.v) for e in edges} == expected
@@ -139,16 +139,18 @@ class TestInterconnectPhase:
     def test_dedup_and_visit_accounting(self, sched_16):
         g = er_graph(30, 0.3, 1, 4, seed=9)
         ws = WeightScale(100)
-        visits = [0] * 30
-        clusters = singleton_partition(30).clusters
-        edges = interconnect_phase(
-            scaled_adj(g, ws), clusters, 2, sched_16, ws, visits
-        )
+        adj = scaled_adj(g, ws)
+        clusters = singleton_partition(30)
+        edges, visits = interconnect_phase(adj, clusters, 2, sched_16, ws)
         pairs = [(e.u, e.v) for e in edges]
         assert len(pairs) == len(set(pairs))
         assert all(u < v for u, v in pairs)
-        # every exploration visits at least its own source
-        assert sum(visits) >= len(clusters)
+        # the load is the vertices each center's exploration reached, and
+        # every exploration reaches at least its own source
+        half = ws.to_scaled(sched_16.delta[2] / 2)
+        reached = [len(bounded_dijkstra(adj, c.center, half)[0]) for c in clusters]
+        assert visits == sum(reached)
+        assert visits >= len(clusters)
 
 
 class TestStarGraphExample:
@@ -233,7 +235,7 @@ class TestBuildInvariants:
             for c in clusters:
                 table = hop_limited_bellman_ford(nverts, rel, [c.center], i)
                 for m in c.members:
-                    d = table.distance(c.center, m)
+                    d = table.dist[c.center][m]
                     assert d is not None and d <= limit
 
     def test_partitions_and_retired_sets_cover_all_vertices(self):
@@ -252,7 +254,7 @@ class TestBuildInvariants:
             )
             retired.extend(unclustered)
             covered = sorted(
-                m for c in nxt.clusters + retired for m in c.members
+                m for c in nxt + retired for m in c.members
             )
             assert covered == list(range(80))
             partition = nxt

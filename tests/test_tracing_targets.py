@@ -2,11 +2,14 @@
 
 perfbench/tracing.py replaces functions by `getattr(owner, attr)`; a binding
 renamed or removed here would surface only as failed benchmark operations.
-This reads the target list without installing any wrapper.
+The first test reads the target list without installing any wrapper; the
+second wraps every binding for one test and runs the CLI through them.
 """
 
 import importlib.util
 from pathlib import Path
+
+from hopsets.cli import EXIT_OK, main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +30,47 @@ def test_every_traced_binding_resolves_to_a_callable():
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+# (gen flags, build flags) of perfbench's geo-path and grid-direct workloads
+# at their smoke sizes; as there, paths are queried from path-reporting builds
+TRACED_RUNS = [
+    (["--model", "path", "--n", "64", "--base", "2"], ["--path-reporting"]),
+    (
+        ["--model", "grid", "--rows", "6", "--cols", "6", "--wmin", "1", "--wmax", "1000000000"],
+        ["--mode", "direct"],
+    ),
+]
+
+
+def test_traced_cli_commands_succeed_and_count_work(tmp_path, monkeypatch):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    for owner, attr, name, count in tracing._targets():
+        monkeypatch.setattr(owner, attr, tracer.wrap(getattr(owner, attr), name, count))
+    for i, (gen, build) in enumerate(TRACED_RUNS):
+        graph, hopset = tmp_path / f"g{i}.gr", tmp_path / f"h{i}.hs"
+        io = ["--graph", str(graph), "--hopset", str(hopset)]
+        query = ["query", *io, "--sources", "1,5", "--out", str(tmp_path / "e.csv")]
+        if "--path-reporting" in build:
+            query += ["--paths", str(tmp_path / "p.txt")]
+        commands = [
+            ["gen", *gen, "--seed", "3", "--out", str(graph)],
+            ["build", "--graph", str(graph), "--out", str(hopset), "--seed", "3", *build],
+            ["verify", *io, "--pairs", "sample:20:1", "--report", str(tmp_path / "r.json")],
+            query,
+        ]
+        for argv in commands:
+            assert main(argv) == EXIT_OK, argv
+    metrics = tracer.layer_metrics()
+    # asp.path_vertices is left out: the tracer does not wrap write_paths
+    for key in (
+        "scale_reduction.materialize_scale_graph_calls",
+        "single_scale.build_single_scale_calls",
+        "explore.bounded_dijkstra_calls",
+        "explore.multi_source_bounded_dijkstra_calls",
+        "single_scale.interconnect_visits",
+        "hopset.witness_vertices",
+        "verify.pairs_checked",
+    ):
+        assert metrics.get(key, 0) > 0, key

@@ -50,9 +50,9 @@ class TestExactApsp:
         assert max(d[i][j] for i in range(6) for j in range(6)) == 3
 
     def test_size_guard(self):
-        g = er_graph(30, 0.2, 1, 3, seed=1)
+        g = path_graph(501, 1)  # one above N_MAX_ALLPAIRS = 500
         with pytest.raises(HopsetError, match="too large"):
-            exact_apsp(g, n_max=20)
+            exact_apsp(g)
 
 
 class TestVerifyStretch:
@@ -132,9 +132,31 @@ class TestVerifyStretch:
         assert a.pairs_checked == 50  # vertex 6 isolated, never drawn
 
     def test_all_mode_size_guard(self):
-        g = er_graph(30, 0.2, 1, 3, seed=1)
-        with pytest.raises(HopsetError, match="limited to"):
-            verify_stretch(g, empty_hopset(30, beta=5), n_max_allpairs=10)
+        g = path_graph(501, 1)  # one above N_MAX_ALLPAIRS = 500
+        for mode, kw in (("all", {}), ("band", {"band": 3})):
+            with pytest.raises(HopsetError, match="limited to n <= 500"):
+                verify_stretch(g, empty_hopset(501, beta=5), pair_mode=mode, **kw)
+
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            ({"pair_mode": "sample", "sample_size": 0}, "selects no pair"),
+            ({"pair_mode": "sample", "sample_size": -5}, "selects no pair"),
+            ({"pair_mode": "band", "band": -3}, "k >= -1"),
+            ({"pair_mode": "band"}, "k >= -1"),
+        ],
+    )
+    def test_spec_that_selects_no_pair_is_rejected(self, kw, match):
+        g = path_graph(8, 2)
+        with pytest.raises(HopsetError, match=match):
+            verify_stretch(g, empty_hopset(8, beta=7), **kw)
+
+    @pytest.mark.parametrize(
+        "kw", [{"pair_mode": "sample", "sample_size": 1}, {"pair_mode": "band", "band": -1}]
+    )
+    def test_smallest_selecting_spec_is_accepted(self, kw):
+        g = path_graph(8, 2)
+        assert verify_stretch(g, empty_hopset(8, beta=7), **kw).ok
 
     def test_n_mismatch(self):
         g = path_graph(5, 1)
@@ -154,8 +176,10 @@ class TestReport:
     def test_json_stable_key_order(self):
         g = path_graph(5, 1)
         report = verify_stretch(g, empty_hopset(5, beta=4))
-        parsed = json.loads(report.to_json())
+        # to_dict holds only JSON values: exact rationals come out as "num/den"
+        parsed = json.loads(json.dumps(report.to_dict(), sort_keys=True, indent=2))
         assert list(parsed) == sorted(parsed)
+        assert (parsed["effective_eps"], parsed["max_stretch"]) == ("1/10", "1/1")
 
     def test_max_stretch_at_least_one(self):
         g = er_graph(25, 0.3, 1, 5, seed=6)

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hopsets import WeightScale, common_scale
+from hopsets import WeightScale
 from hopsets.util import as_fraction, child_seed, floor_log2, smallest_pow2_exceeding
 
 
@@ -33,13 +35,6 @@ class TestWeightScale:
         with pytest.raises(ValueError):
             WeightScale(0)
 
-    def test_common_scale_covers_all(self):
-        fs = [F(1, 6), F(3, 10), F(7, 4)]
-        ws = common_scale(*fs)
-        for f in fs:
-            ws.to_scaled(f)
-        assert ws.den == 60
-
 
 class TestNumericHelpers:
     @pytest.mark.parametrize(
@@ -64,6 +59,14 @@ class TestNumericHelpers:
     def test_smallest_pow2_exceeding(self, x):
         k = smallest_pow2_exceeding(x)
         assert F(2) ** k > x >= F(2) ** (k - 1)
+
+    @given(st.integers(1, 2**80), st.integers(1, 2**80))
+    def test_power_of_two_brackets(self, num, den):
+        x = F(num, den)
+        k = floor_log2(x)
+        assert F(2) ** k <= x < F(2) ** (k + 1)
+        k = smallest_pow2_exceeding(x)
+        assert F(2) ** (k - 1) <= x < F(2) ** k
 
     def test_as_fraction_decimal_semantics(self):
         assert as_fraction(0.3) == F(3, 10)
