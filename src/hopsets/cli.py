@@ -145,9 +145,10 @@ def cmd_query(args) -> int:
 
 def cmd_stats(args) -> int:
     hs = load_hopset(args.hopset)
-    n = int(hs.provenance.get("n", hs.n))
-    kappa = int(hs.provenance.get("kappa", "2"))
-    stats = size_stats(hs, n, kappa)
+    kappa = hs.provenance.get("kappa", "2")
+    if not (kappa.isdecimal() and int(kappa) >= 2):
+        raise HopsetFormatError(f"provenance kappa {kappa!r} is not an integer >= 2")
+    stats = size_stats(hs, hs.n, int(kappa))
     if args.format == "json":
         print(json.dumps(stats, sort_keys=True, indent=2, default=str))
     else:

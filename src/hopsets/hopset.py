@@ -88,10 +88,7 @@ class HopsetParams:
 class BuildPlan:
     """Derived quantities shared by every scale of one build."""
 
-    params: HopsetParams
-    n: int
     ell: int
-    eps_fed: Fraction  # band stretch asked of each single-scale build
     eps_int: Fraction  # per-phase eps after rescaling by 32*(ell+1)
     eps_reduction: Fraction | None  # contraction eps (reduced mode)
     beta_single: int  # hop budget of one single-scale hopset
@@ -140,7 +137,7 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
     params = params.validated()
     _, _, ell = phase_counts(params.kappa, params.rho, params.degree_mode)
     eps_red = params.eps_target / 6 if params.mode == "reduced" else None
-    eps_fed = eps_red or params.eps_target
+    eps_fed = eps_red or params.eps_target  # band stretch asked of each scale
     eps_int = eps_fed / (32 * (ell + 1))
     schedule = compute_schedule(
         max(n, 2), params.kappa, params.rho, eps_int, 1, params.degree_mode
@@ -153,10 +150,7 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
     else:
         effective_beta = beta_single
     return BuildPlan(
-        params=params,
-        n=n,
         ell=ell,
-        eps_fed=eps_fed,
         eps_int=eps_int,
         eps_reduction=eps_red,
         beta_single=beta_single,
@@ -255,7 +249,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         laminar = build_laminar(graph, bp.eps_reduction)
         for s in star_edges(laminar):
             edges.append(HopsetEdge(s.u, s.v, s.weight, s.scale, "star"))
-            raws.append(("tree", (s.u, s.v)))
+            raws.append((s.u, s.v))
         scales = relevant_scales(graph)
     else:
         weights = sorted((w for _, _, w in graph.edges), reverse=True)
@@ -277,7 +271,6 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
             bp.schedule_for(k, len(centers)),
             bp.wscale,
             child_seed(params.seed, "scale", k),
-            record_paths=record,
         )
         stats["scales"][k] = {"edges": len(ss.edges), "phases": [dict(vars(p)) for p in ss.stats]}
         for e in ss.edges:
@@ -287,9 +280,9 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
             if not record:
                 raws.append(())
             elif laminar is None:
-                raws.append(("g", e.path))
+                raws.append(e.path)
             else:
-                raws.append(("tree", _tree_anchors(sg, [centers[i] for i in e.path])))
+                raws.append(_tree_anchors(sg, [centers[i] for i in e.path]))
 
     edges, raws = _sorted_edge_order(edges, raws)
     provenance = {
@@ -346,36 +339,27 @@ def attach_witness_paths(
 ) -> Hopset:
     """Expand recorded construction paths into concrete graph paths.
 
-    Direct-mode edges carry their Dijkstra tree path verbatim (weight equals
-    the edge weight exactly).  Reduced-mode edges record tree anchors (see
-    `_tree_anchors`); star edges are the two-anchor case.  Every node's
-    spanning tree is a subtree of the laminar family's one merge forest, so
-    each walk is the unique forest path between its anchors.  Spliced paths
-    weigh at most the edge weight (the padding terms absorb the detours),
-    never necessarily equal.
+    Without a laminar family (direct mode), each recording is the edge's
+    Dijkstra tree path in the graph, used as it is (its weight equals the
+    edge weight exactly).  With one (reduced mode), each recording is a
+    tuple of tree anchors (see `_tree_anchors`); star edges are the
+    two-anchor case.  Every node's spanning tree is a subtree of the laminar
+    family's one merge forest, so each walk is the unique forest path
+    between its anchors.  Spliced paths weigh at most the edge weight (the
+    padding terms absorb the detours), never necessarily equal.
     """
     if hopset.raw_paths is None:
         raise HopsetError("hopset was built without path recording")
-    forest = None
-    if laminar is not None:
-        forest = SpanningForest(laminar.tree_adjacency_at(laminar.max_merge_scale()))
-
+    if laminar is None:
+        hopset.witnesses = list(hopset.raw_paths)
+        return hopset
+    forest = SpanningForest(laminar.tree_adjacency_at(laminar.max_merge_scale()))
     witnesses: list[tuple[int, ...]] = []
-    for raw in hopset.raw_paths:
-        if not raw:
-            raise HopsetError("edge missing recorded path")
-        if raw[0] == "g":
-            witnesses.append(tuple(raw[1]))
-        elif raw[0] == "tree":
-            if forest is None:
-                raise HopsetError("laminar family required to expand reduced witnesses")
-            anchors = raw[1]
-            out: list[int] = []
-            for a, b in zip(anchors[::2], anchors[1::2]):
-                out.extend(forest.path(a, b))
-            witnesses.append(tuple(out))
-        else:
-            raise HopsetError(f"unknown recording {raw[0]!r}")
+    for anchors in hopset.raw_paths:
+        out: list[int] = []
+        for a, b in zip(anchors[::2], anchors[1::2]):
+            out.extend(forest.path(a, b))
+        witnesses.append(tuple(out))
     hopset.witnesses = witnesses
     return hopset
 
@@ -456,8 +440,7 @@ def hopset_from_single_scale(
         HopsetEdge(e.u, e.v, wscale.to_fraction(e.w), scale_index, e.kind)
         for e in ss.edges
     ]
-    raws = [("g", e.path) if e.path else () for e in ss.edges]
-    edges, raws = _sorted_edge_order(edges, raws)
+    edges, raws = _sorted_edge_order(edges, [e.path for e in ss.edges])
     sched = ss.schedule
     return Hopset(
         n=graph.n,
@@ -465,7 +448,7 @@ def hopset_from_single_scale(
         effective_beta=sched.beta,
         effective_eps=sched.zeta,
         provenance={"mode": "single-scale", "scale": str(scale_index)},
-        raw_paths=raws if any(raws) else None,
+        raw_paths=raws,
     )
 
 
@@ -514,8 +497,11 @@ def load_hopset(source) -> Hopset:
                 continue
             tag, fields = parts[0], parts[1:]
             if tag == "c":
-                if len(fields) >= 2:
-                    provenance[fields[0]] = " ".join(fields[1:])
+                if len(fields) < 2:
+                    raise HopsetFormatError("provenance needs a key and a value", lineno)
+                if fields[0] in provenance:
+                    raise HopsetFormatError(f"duplicate provenance key {fields[0]!r}", lineno)
+                provenance[fields[0]] = " ".join(fields[1:])
             elif tag == "h":
                 if header is not None:
                     raise HopsetFormatError("duplicate header", lineno)

@@ -17,8 +17,10 @@ applied in place, and a window of live edge ids of one graph.  An edge
 enters the window at the first scale with w <= 2**(k+2) and leaves it for
 good once its endpoints share a node, since nodes only ever merge; so in
 ascending order each edge is looked at in O(log(n/eps)) scales, not in all
-of them.  A query for a lower scale rewinds the cursor and sweeps again,
-which gives the same answers, only slower.
+of them.  The sweep only moves forward: a query for a scale below the
+cursor's is an error, since a build asks for its scales in ascending order.
+A scale graph keeps each node pair's minimum edge with the side it leaves
+from, so it needs no labels once built and outlives the cursor's moves.
 """
 
 from __future__ import annotations
@@ -82,12 +84,12 @@ class LaminarFamily:
     trees at every scale are subtrees of one forest, used to splice witness
     paths.
 
-    `nodes_at` and `live_edges` share one cursor.  Calls with
-    non-decreasing k are incremental: each applies only the events with
-    scale in (previous k, k] and admits only the edges that became light
-    enough since.  A call with a lower k rewinds the cursor to the first
-    event and sweeps forward again.  Returned views and lists are snapshots:
-    later calls never change them.  `events` must be sorted by scale.
+    `nodes_at` and `live_edges` share one forward-only cursor: k must not
+    decrease from call to call, and a lower k raises `ValueError`.  Each
+    call applies only the events with scale in (previous k, k] and admits
+    only the edges that became light enough since.  Returned views and
+    lists are the cursor's own, valid until the next call with a higher k.
+    `events` must be sorted by scale.
     """
 
     def __init__(self, n: int, eps: Fraction, events: list[MergeEvent]):
@@ -95,23 +97,21 @@ class LaminarFamily:
         self.eps = eps
         self.events = events
         self._graph: Graph | None = None
-        self._rewind()
+        self._scale = -math.inf  # every event with scale <= _scale is applied
+        self._next = 0  # first event not applied yet
+        self._label = list(range(n))
+        self._sizes = {v: 1 for v in range(n)}
+        self._birth = {v: 0 for v in range(n)}
+        self._entered = 0  # prefix of _entry_order admitted to the window
+        self._window: list[int] = []
 
     def max_merge_scale(self) -> int:
         return self.events[-1].scale if self.events else 0
 
-    def _rewind(self) -> None:
-        self._scale = -math.inf  # every event with scale <= _scale is applied
-        self._next = 0  # first event not applied yet
-        self._label = list(range(self.n))
-        self._sizes = {v: 1 for v in range(self.n)}
-        self._birth = {v: 0 for v in range(self.n)}
-        self._entered = 0  # prefix of _entry_order admitted to the window
-        self._window: list[int] = []
-
     def _advance(self, k: int) -> None:
         if k < self._scale:
-            self._rewind()
+            msg = f"laminar cursor is at scale {self._scale}, cannot go back to scale {k}"
+            raise ValueError(msg + ": scales must be ascending")
         events, i = self.events, self._next
         label, sizes, birth = self._label, self._sizes, self._birth
         while i < len(events) and events[i].scale <= k:
@@ -128,9 +128,13 @@ class LaminarFamily:
         self._scale = k
 
     def nodes_at(self, k: int) -> NodesView:
+        """The cursor's own scale-k labels, sizes and births (no copies).
+
+        Scales must be ascending; the next call with a higher k updates the
+        view in place.  members_absorbed snapshots keep labels chain-free.
+        """
         self._advance(k)
-        # members_absorbed snapshots make labels direct, with no chains
-        return NodesView(self._label[:], dict(self._sizes), dict(self._birth))
+        return NodesView(self._label, self._sizes, self._birth)
 
     def live_edges(self, graph: Graph, k: int) -> list[int]:
         """Ids into `graph.edges` of the scale-k graph's inter-node edges.
@@ -259,18 +263,18 @@ class ScaleGraph:
 
     Only `active_centers` (nodes of degree >= 1) participate in hopset
     construction, indexed 0..active_count-1 in `adj`.  `edges` carry exact
-    padded weights as scaled integers over `wscale` together with the
-    minimum-weight original edge they came from.  `label` maps each vertex
-    to the center of its node at this scale, and `best` maps each node pair
-    cu < cv, keyed cu * n + cv, to its minimum original edge as (w, x, y).
+    padded weights as scaled integers together with the minimum-weight
+    original edge they came from.  `best` maps each node pair cu < cv,
+    keyed cu * n + cv, to its minimum original edge as (w, x, y, x_low),
+    where x_low says whether x lies in cu's node; so the graph answers
+    `base_edge` on its own, whatever the laminar cursor does later.
     """
 
-    wscale: WeightScale
+    n: int
     active_centers: list[int]
     adj: list[list[tuple[int, int]]]
     edges: list[tuple[int, int, int, tuple[int, int, int]]]  # (cu, cv, W, base edge)
-    label: list[int]
-    best: dict[int, tuple[int, int, int]]
+    best: dict[int, tuple[int, int, int, bool]]
 
     @property
     def active_count(self) -> int:
@@ -278,45 +282,46 @@ class ScaleGraph:
 
     def base_edge(self, cu: int, cv: int) -> tuple[int, int, int]:
         """Original (x, y, w) for node pair, oriented so x lies in cu's node."""
-        n = len(self.label)
-        w, x, y = self.best[cu * n + cv if cu < cv else cv * n + cu]
-        return (x, y, w) if self.label[x] == cu else (y, x, w)
+        n = self.n
+        w, x, y, x_low = self.best[cu * n + cv if cu < cv else cv * n + cu]
+        return (x, y, w) if x_low == (cu < cv) else (y, x, w)
 
 
 def materialize_scale_graph(
     graph: Graph,
     laminar: LaminarFamily,
     k: int,
-    wscale: WeightScale | None = None,
+    wscale: WeightScale,
 ) -> ScaleGraph:
     """Build the scale-k contracted graph from the laminar family.
 
     Keeps original edges of weight <= 2**(k+2) whose endpoints lie in
     different nodes, deduplicated per node pair by minimum original weight
-    (ties by (weight, u, v) for determinism).  Reads the laminar family's
-    cursor, so a call in ascending k costs the events and window edges it
-    touches plus an n-length label snapshot (see LaminarFamily).
+    (ties by (weight, u, v) for determinism); weights are scaled integers
+    over `wscale`.  Advances the laminar family's cursor to k, so calls
+    must come in ascending k; each costs the events and window edges it
+    touches (see LaminarFamily).
     """
     eps = laminar.eps
     n = graph.n
-    if wscale is None:
-        wscale = WeightScale(n * eps.denominator)
     view = laminar.nodes_at(k)
     label = view.label
     edges = graph.edges
-    best: dict[int, tuple[int, int, int]] = {}
+    best: dict[int, tuple[int, int, int, bool]] = {}
     for i in laminar.live_edges(graph, k):
         u, v, w = edges[i]
         cu, cv = label[u], label[v]
-        key = cu * n + cv if cu < cv else cv * n + cu
-        cand = (w, u, v)
+        if cu < cv:
+            key, cand = cu * n + cv, (w, u, v, True)
+        else:
+            key, cand = cv * n + cu, (w, u, v, False)
         old = best.get(key)
         if old is None or cand < old:
             best[key] = cand
     pad_unit = wscale.to_scaled(eps * 2**k / n)  # exact by wscale construction
     sg_edges = []
     active = set()
-    for key, (w, u, v) in sorted(best.items()):
+    for key, (w, u, v, _) in sorted(best.items()):
         cu, cv = divmod(key, n)
         big_w = w * wscale.den + pad_unit * (view.sizes[cu] + view.sizes[cv])
         sg_edges.append((cu, cv, big_w, (u, v, w)))
@@ -330,11 +335,10 @@ def materialize_scale_graph(
         adj[iu].append((iv, big_w))
         adj[iv].append((iu, big_w))
     return ScaleGraph(
-        wscale=wscale,
+        n=n,
         active_centers=active_centers,
         adj=adj,
         edges=sg_edges,
-        label=label,
         best=best,
     )
 
@@ -344,7 +348,8 @@ def activity_stats(graph: Graph, laminar: LaminarFamily, scales) -> dict:
 
     A node is active at scale k if it has degree >= 1 in the scale-k graph,
     i.e. is an endpoint of one of its `live_edges`.  Those and `nodes_at`
-    read the laminar cursor, so ascending `scales` make one sweep.
+    read the laminar cursor, so `scales` must be ascending (repeats are
+    fine) and make one sweep.
     Nodes are identified by (center, birth scale) since the same center can
     head successively larger nodes.  Returns per-scale active counts, the
     per-node activity spans, and the claimed per-node bound log2(n/eps) + 2

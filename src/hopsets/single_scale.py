@@ -186,14 +186,14 @@ class ScaleEdge:
     """A hopset edge in the coordinates of the graph the build ran on.
 
     `w` is a scaled integer (exact distance measured by the construction's
-    Dijkstra); `path` is the realizing vertex path u..v when recording.
+    Dijkstra); `path` is the realizing vertex path u..v.
     """
 
     u: int
     v: int
     w: int
     kind: str  # "supercluster" | "interconnect"
-    path: tuple[int, ...] | None = None
+    path: tuple[int, ...]
 
 
 @dataclass
@@ -312,7 +312,6 @@ def build_single_scale(
     schedule: PhaseSchedule,
     scale: WeightScale,
     seed: int,
-    record_paths: bool = False,
     sample_overrides: dict[int, float] | None = None,
     keep_partitions: bool = False,
 ) -> SingleScaleHopset:
@@ -321,7 +320,7 @@ def build_single_scale(
     Deterministic for fixed (adj, schedule, seed).  `sample_overrides` maps a
     phase index to a forced sampling probability (test hook).  Vertices of
     `adj` start as singleton clusters; emitted edges live in the same vertex
-    space as `adj`.
+    space as `adj`, each with the path that realizes it.
     """
     partition = [Cluster(v, (v,)) for v in range(len(adj))]
     edges: list[ScaleEdge] = []
@@ -358,7 +357,4 @@ def build_single_scale(
         edges.extend(star)
         edges.extend(inter)
         partition = nxt
-    if not record_paths:
-        for e in edges:
-            e.path = None
     return SingleScaleHopset(scale_index, edges, schedule, stats, partitions)

@@ -213,8 +213,9 @@ def test_criterion_06_sandwich_property():
         graph = er_graph(64, 0.15, 1, 32, seed=seed)
         lam = build_laminar(graph, eps)
         apsp = exact_apsp(graph)
+        ws = WeightScale(graph.n * eps.denominator)
         for k in relevant_scales(graph):
-            sg = materialize_scale_graph(graph, lam, k)
+            sg = materialize_scale_graph(graph, lam, k, ws)
             view = lam.nodes_at(k)
             index = {c: i for i, c in enumerate(sg.active_centers)}
             rows = {}
@@ -231,7 +232,7 @@ def test_criterion_06_sandwich_property():
                     if dk is None:
                         failures.append((seed, k, x, y, "unreachable"))
                         continue
-                    dk = sg.wscale.to_fraction(dk)
+                    dk = ws.to_fraction(dk)
                     if not (F(d) <= dk <= (1 + 2 * eps) * d):
                         failures.append((seed, k, x, y, float(dk / d)))
     ok = announce(6, "contracted-graph distance sandwich", not failures, f"{checked} band pairs")

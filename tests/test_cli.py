@@ -220,6 +220,8 @@ class TestMalformedHopset:
             (HEADER + "e 1 2 -3/2 0 star\n", 2),  # negative weight
             (HEADER + "e 1 2 0/1 0 star\n", 2),  # zero weight
             (HEADER + "e 1 2 3/1 0 star\np 0 1 2\np 0 1 3 2\n", 4),  # duplicate witness
+            ("c graph aaaa\nc graph bbbb\nc seed\n" + HEADER, 2),  # duplicate provenance key
+            ("c mode reduced\nc seed\n" + HEADER, 2),  # provenance key without a value
         ],
     )
     def test_malformed_file_is_io_error_with_line(self, workspace, capsys, command, text, line):
@@ -263,6 +265,48 @@ class TestMalformedHopset:
         err = capsys.readouterr().err
         for path in (built_for, other):
             assert load_dimacs(str(path)).digest() in err
+
+
+class TestStatsProvenance:
+    """`stats` takes n from the header and rejects a provenance kappa it cannot use."""
+
+    def _stats(self, workspace, capsys, edit=None):
+        graph = gen_graph(workspace, model=("--model", "path", "--n", "8", "--base", "2"))
+        hopset = workspace / "h.hs"
+        assert run("build", "--graph", str(graph), "--out", str(hopset)) == EXIT_OK
+        if edit is not None:
+            key, value = edit
+            lines = [
+                f"c {key} {value}" if line.startswith(f"c {key} ") else line
+                for line in hopset.read_text().splitlines()
+            ]
+            hopset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("stats", "--hopset", str(hopset))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_well_formed_output(self, workspace, capsys):
+        code, out, _ = self._stats(workspace, capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[:3] == [
+            "edges           7",
+            "stars           7 (bound 24.0)",
+            "normalized size 0.1488  (|H| / n^(1+1/k) ln n)",
+        ]
+
+    def test_provenance_n_is_not_read(self, workspace, capsys):
+        plain, edited = workspace / "plain", workspace / "edited"
+        plain.mkdir()
+        edited.mkdir()
+        want = self._stats(plain, capsys)
+        assert self._stats(edited, capsys, ("n", "0")) == want
+
+    @pytest.mark.parametrize("kappa", ["x", "0", "1", "-3", "2.5"])
+    def test_bad_kappa_is_io_error(self, workspace, capsys, kappa):
+        code, _, err = self._stats(workspace, capsys, ("kappa", kappa))
+        assert code == EXIT_IO
+        assert "kappa" in err and "Traceback" not in err
 
 
 class TestMalformedArguments:

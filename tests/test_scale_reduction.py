@@ -142,9 +142,10 @@ class TestMaterialize:
         eps = F(1, 4)
         g = Graph.from_edges(2, [(0, 1, 5)])
         lam = build_laminar(g, eps)
-        sg = materialize_scale_graph(g, lam, 2)
+        ws = WeightScale(g.n * eps.denominator)
+        sg = materialize_scale_graph(g, lam, 2, ws)
         (edge,) = sg.edges
-        assert sg.wscale.to_fraction(edge[2]) == 5 + 4 * eps
+        assert ws.to_fraction(edge[2]) == 5 + 4 * eps
 
     def test_fabricated_sizes_example(self):
         # node sizes 2 and 3, min inter-edge 7, k=4, eps=1/4, n=10 -> W = 9
@@ -157,28 +158,29 @@ class TestMaterialize:
         lam = LaminarFamily(10, eps, events)
         edges = [(0, 1, 1), (2, 3, 1), (3, 4, 1), (1, 2, 7), (1, 4, 8)]
         g = Graph.from_edges(10, edges)
-        sg = materialize_scale_graph(g, lam, 4)
+        ws = WeightScale(g.n * eps.denominator)
+        sg = materialize_scale_graph(g, lam, 4, ws)
         pair = [e for e in sg.edges if {e[0], e[1]} == {0, 2}]
-        assert sg.wscale.to_fraction(pair[0][2]) == 9
+        assert ws.to_fraction(pair[0][2]) == 9
         assert pair[0][3] == (1, 2, 7)  # minimum-weight connecting edge kept
 
     def test_heavy_edge_excluded(self):
         g = Graph.from_edges(2, [(0, 1, 2**6)])
         lam = build_laminar(g, F(1, 4))
         k = 3  # cutoff 2**5 = 32 < 64
-        sg = materialize_scale_graph(g, lam, k)
+        sg = materialize_scale_graph(g, lam, k, WeightScale(g.n * 4))
         assert sg.edges == [] and sg.active_count == 0
 
     def test_cutoff_inclusive(self):
         g = Graph.from_edges(2, [(0, 1, 2**5)])
         lam = build_laminar(g, F(1, 4))
-        sg = materialize_scale_graph(g, lam, 3)
+        sg = materialize_scale_graph(g, lam, 3, WeightScale(g.n * 4))
         assert len(sg.edges) == 1
 
     def test_nodes_include_isolated_remainder(self):
         g = Graph.from_edges(4, [(0, 1, 2), (2, 3, 2**9)])
         lam = build_laminar(g, F(1, 4))
-        sg = materialize_scale_graph(g, lam, 1)
+        sg = materialize_scale_graph(g, lam, 1, WeightScale(g.n * 4))
         assert len(lam.nodes_at(1).sizes) == 4
         assert sg.active_centers == [0, 1]
 
@@ -190,8 +192,9 @@ class TestMaterialize:
         g = er_graph(40, 0.2, 1, 16, seed=seed)
         lam = build_laminar(g, eps)
         apsp = exact_apsp(g)
+        ws = WeightScale(g.n * eps.denominator)
         for k in relevant_scales(g):
-            sg = materialize_scale_graph(g, lam, k)
+            sg = materialize_scale_graph(g, lam, k, ws)
             view = lam.nodes_at(k)
             index = {c: i for i, c in enumerate(sg.active_centers)}
             dist_cache = {}
@@ -211,7 +214,7 @@ class TestMaterialize:
                         dist_cache[ix], _ = bounded_dijkstra(sg.adj, ix, None)
                     dk = dist_cache[ix].get(iy)
                     assert dk is not None
-                    dk_frac = sg.wscale.to_fraction(dk)
+                    dk_frac = ws.to_fraction(dk)
                     assert F(d) <= dk_frac <= (1 + 2 * eps) * d
 
 
@@ -329,12 +332,13 @@ def scan_activity_stats(graph, lam, scales):
 
 @st.composite
 def laminar_sweeps(draw):
-    """A multigraph, its laminar family, and an order of scale queries.
+    """A multigraph, its laminar family, and ascending orders of scale queries.
 
     Vertices fall into up to four groups with edges only inside a group, so
     graphs have several components.  Edges may be parallel and either
     orientation; weights favour powers of two and their neighbours, which
-    sit on the inclusive w <= 2**(k+2) window boundary.
+    sit on the inclusive w <= 2**(k+2) window boundary.  The orders are
+    every scale once, and an ascending draw with repeats.
     """
     n = draw(st.integers(1, 24))
     group = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
@@ -363,34 +367,49 @@ def laminar_sweeps(draw):
     scales = sorted(
         set(relevant_scales(graph)) | {ev.scale for ev in lam.events} | {0, 1}
     )
-    shuffled = draw(st.lists(st.sampled_from(scales), min_size=1, max_size=12))
-    order = scales + scales[::-1] + shuffled + shuffled
-    return graph, lam, scales, order
+    drawn = draw(st.lists(st.sampled_from(scales), min_size=1, max_size=12))
+    return graph, lam, (scales, sorted(drawn + drawn))
+
+
+def fresh(lam):
+    """A laminar family with the same events and its cursor at the start."""
+    return LaminarFamily(lam.n, lam.eps, lam.events)
 
 
 @given(laminar_sweeps())
 @settings(deadline=None, max_examples=150)
 def test_cursor_matches_scan_and_replay(case):
-    # ascending, then descending (a rewind per call), then arbitrary order
-    # with repeats, all on one laminar family
-    graph, lam, scales, order = case
-    views = []
-    for k in order:
-        sg = materialize_scale_graph(graph, lam, k)
-        edges, adj, active_centers, base = scan_scale_graph(graph, lam, k)
-        assert sg.edges == edges
-        assert sg.adj == adj
-        assert sg.active_centers == active_centers
-        for (cu, cv), want in base.items():
-            assert sg.base_edge(cu, cv) == want
-        view = lam.nodes_at(k)
-        want = replay_nodes_at(lam, k)
-        assert (view.label, view.sizes, view.birth) == (want.label, want.sizes, want.birth)
-        views.append((view, want))
-    # views are snapshots: later calls left every earlier one unchanged
-    for view, want in views:
-        assert (view.label, view.sizes, view.birth) == (want.label, want.sizes, want.birth)
-    for ks in (scales, order):
-        stats = activity_stats(graph, lam, ks)
-        n_k, per_node = scan_activity_stats(graph, lam, ks)
+    # each order runs on a fresh family: ascending, with repeats
+    graph, lam, orders = case
+    ws = WeightScale(graph.n * lam.eps.denominator)
+    for order in orders:
+        cursor = fresh(lam)
+        held = []
+        for k in order:
+            sg = materialize_scale_graph(graph, cursor, k, ws)
+            edges, adj, active_centers, base = scan_scale_graph(graph, cursor, k)
+            assert sg.edges == edges
+            assert sg.adj == adj
+            assert sg.active_centers == active_centers
+            for (cu, cv), want in base.items():
+                assert sg.base_edge(cu, cv) == want
+            view = cursor.nodes_at(k)
+            want = replay_nodes_at(cursor, k)
+            assert (view.label, view.sizes, view.birth) == (want.label, want.sizes, want.birth)
+            held.append((sg, base, view))
+        # scale graphs answer on their own after the sweep has passed them;
+        # views are the cursor's live state, so each now shows the last scale
+        last = replay_nodes_at(cursor, order[-1])
+        for sg, base, view in held:
+            for (cu, cv), want in base.items():
+                assert sg.base_edge(cu, cv) == want
+            assert (view.label, view.sizes, view.birth) == (last.label, last.sizes, last.birth)
+        if order[0] < order[-1]:  # a lower scale names both scales
+            named = f"at scale {order[-1]}, cannot go back to scale {order[0]}:"
+            with pytest.raises(ValueError, match=named):
+                cursor.nodes_at(order[0])
+            with pytest.raises(ValueError, match=named):
+                cursor.live_edges(graph, order[0])
+        stats = activity_stats(graph, fresh(lam), order)
+        n_k, per_node = scan_activity_stats(graph, lam, order)
         assert (stats["n_k"], stats["per_node_scales"]) == (n_k, per_node)
