@@ -56,6 +56,7 @@ from .scale_reduction import (
 )
 from .single_scale import (
     PhaseSchedule,
+    ScalePhases,
     ScheduleError,
     SingleScaleHopset,
     build_single_scale,

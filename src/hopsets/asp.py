@@ -56,6 +56,8 @@ def asp_estimates(graph: Graph, hopset: Hopset, sources) -> AspResult:
 def _check(graph: Graph, hopset: Hopset, sources):
     if hopset.n != graph.n:
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
+    if not sources:
+        raise HopsetError("no sources given")
     for s in sources:
         if not (0 <= s < graph.n):
             raise HopsetError(f"source {s} out of range")

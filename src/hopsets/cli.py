@@ -172,7 +172,11 @@ def ratio(text: str):
 
 
 def vertex_ids(text: str) -> list[int]:
-    return [int(s) - 1 for s in text.split(",") if s]
+    """Comma-separated 1-based ids, 0-based; at least one is required."""
+    ids = [int(s) - 1 for s in text.split(",") if s]
+    if not ids:
+        raise ValueError(text)
+    return ids
 
 
 def pair_spec(spec: str):

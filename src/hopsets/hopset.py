@@ -25,6 +25,7 @@ from .scale_reduction import (
 )
 from .single_scale import (
     PhaseSchedule,
+    ScalePhases,
     build_single_scale,
     compute_schedule,
     phase_counts,
@@ -96,12 +97,30 @@ class BuildPlan:
     effective_eps: Fraction
     wscale: WeightScale
     schedule: PhaseSchedule  # the build's one schedule, at Rhat = 1
+    depth: tuple[int, ...]  # delta_i at Rhat = 1, scaled over wscale
+    half: tuple[int, ...]  # delta_i / 2 at Rhat = 1, scaled over wscale
+    pad: int | None  # eps_reduction / n scaled over wscale (reduced mode)
+
+    def phases_for(self, k: int, n_scale: int) -> ScalePhases:
+        """What the phases of scale k on an n_scale-vertex graph read.
+
+        The thresholds are `schedule_for(k, n_scale)`'s, converted by
+        `wscale.to_scaled`: both are linear in Rhat = 2**(k+1), so they are
+        the plan's Rhat = 1 integers shifted left by k + 1.
+        """
+        s = self.schedule
+        return ScalePhases(
+            deg=phase_degrees(n_scale, s.kappa, s.rho, s.degree_mode, s.i0, s.i1),
+            depth=tuple(d << (k + 1) for d in self.depth),
+            half=tuple(h << (k + 1) for h in self.half),
+        )
 
     def schedule_for(self, k: int, n_scale: int) -> PhaseSchedule:
         """`compute_schedule(n_scale, kappa, rho, eps_int, 2**(k+1), degree_mode)`.
 
         alpha, delta and radius are linear in Rhat, so they are the plan's
         schedule times 2**(k+1), exactly; only the degrees depend on n_scale.
+        The build reads `phases_for`; this is its exact rational reference.
         """
         s = self.schedule
         rhat = 2 ** (k + 1)
@@ -132,7 +151,10 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
     ell comes from `phase_counts`, which also rejects bad (kappa, rho,
     degree_mode) with a `ScheduleError` (a `HopsetError`).  The one
     `compute_schedule` call of the build evaluates the recurrences at the
-    internal eps and Rhat = 1; `schedule_for` rescales it per scale.
+    internal eps and Rhat = 1.  Its thresholds and the contraction pad are
+    converted to scaled integers here, once: D carries 2 * eps_int.den**ell
+    and n * eps_reduction.den, so each conversion is exact (`to_scaled`
+    raises otherwise), and every scale's values are these shifted left.
     """
     params = params.validated()
     _, _, ell = phase_counts(params.kappa, params.rho, params.degree_mode)
@@ -149,6 +171,7 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
         effective_beta = 6 * beta_single + 5
     else:
         effective_beta = beta_single
+    wscale = WeightScale(den)
     return BuildPlan(
         ell=ell,
         eps_int=eps_int,
@@ -156,8 +179,11 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
         beta_single=beta_single,
         effective_beta=effective_beta,
         effective_eps=params.eps_target,
-        wscale=WeightScale(den),
+        wscale=wscale,
         schedule=schedule,
+        depth=tuple(wscale.to_scaled(d) for d in schedule.delta),
+        half=tuple(wscale.to_scaled(d / 2) for d in schedule.delta),
+        pad=None if eps_red is None else wscale.to_scaled(eps_red / n),
     )
 
 
@@ -261,16 +287,12 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         if bp.is_trivial_scale(k):
             continue
         if laminar is not None:
-            sg = materialize_scale_graph(graph, laminar, k, bp.wscale)
+            sg = materialize_scale_graph(graph, laminar, k, bp.wscale, bp.pad)
             if sg.active_count < 2:
                 continue
             adj, centers = sg.adj, sg.active_centers
         ss = build_single_scale(
-            adj,
-            k,
-            bp.schedule_for(k, len(centers)),
-            bp.wscale,
-            child_seed(params.seed, "scale", k),
+            adj, k, bp.phases_for(k, len(centers)), child_seed(params.seed, "scale", k)
         )
         stats["scales"][k] = {"edges": len(ss.edges), "phases": [dict(vars(p)) for p in ss.stats]}
         for e in ss.edges:
@@ -365,39 +387,86 @@ def attach_witness_paths(
 
 
 class SpanningForest:
-    """A forest given by adjacency, rooted once so paths are parent walks."""
+    """A forest given by adjacency, cut once into heavy chains.
+
+    Each tree is rooted at its first vertex in `tree`'s order.  Every vertex
+    continues the chain of its parent when it roots the parent's largest
+    child subtree (first such child on ties) and starts a chain of its own
+    otherwise, so a root-ward walk meets O(log n) chains (Sleator-Tarjan)
+    and `path` joins that many list slices.
+    """
 
     def __init__(self, tree: dict[int, list[tuple[int, int]]]):
-        self.parent: dict[int, int | None] = {}
-        self.depth: dict[int, int] = {}
+        parent: dict[int, int | None] = {}
+        depth: dict[int, int] = {}
+        order: list[int] = []  # each vertex after its parent
         for root in tree:
-            if root in self.parent:
+            if root in parent:
                 continue
-            self.parent[root] = None
-            self.depth[root] = 0
+            parent[root] = None
+            depth[root] = 0
             stack = [root]
             while stack:
                 x = stack.pop()
+                order.append(x)
                 for y, _ in tree[x]:
-                    if y not in self.parent:
-                        self.parent[y] = x
-                        self.depth[y] = self.depth[x] + 1
+                    if y not in parent:
+                        parent[y] = x
+                        depth[y] = depth[x] + 1
                         stack.append(y)
+        size = dict.fromkeys(order, 1)
+        for x in reversed(order):
+            if parent[x] is not None:
+                size[parent[x]] += size[x]
+        heavy: dict[int, int] = {}
+        for x in order:
+            p = parent[x]
+            if p is not None and (p not in heavy or size[x] > size[heavy[p]]):
+                heavy[p] = x
+        self.parent = parent
+        self.chain: dict[int, list[int]] = {}  # vertex -> its chain, head first
+        self.pos: dict[int, int] = {}  # vertex -> its index in its chain
+        self.head_depth: dict[int, int] = {}  # chain head -> its depth
+        for x in order:
+            if x in self.chain:
+                continue
+            self.head_depth[x] = depth[x]
+            ch: list[int] = []
+            y: int | None = x
+            while y is not None:
+                self.chain[y] = ch
+                self.pos[y] = len(ch)
+                ch.append(y)
+                y = heavy.get(y)
 
     def path(self, a: int, b: int) -> list[int]:
         """The unique forest path from a to b."""
-        up_a, up_b = [a], [b]
-        while a != b:
-            da, db = self.depth.get(a), self.depth.get(b)
-            if da is None or db is None or (da == db == 0):
-                raise HopsetError(f"vertices {up_a[0]} and {up_b[0]} not tree-connected")
-            if da >= db:
-                a = self.parent[a]
-                up_a.append(a)
+        if a == b:
+            return [a]
+        chain, pos = self.chain, self.pos
+        if a in chain and b in chain:
+            ca, ia, cb, ib = chain[a], pos[a], chain[b], pos[b]
+            out: list[int] = []  # a's side, root-ward
+            down: list[list[int]] = []  # b's side: head-to-vertex slices
+            while ca is not cb:
+                # climb from the chain whose head is deeper: that head's
+                # parent is still on the a..b path
+                if self.head_depth[ca[0]] >= self.head_depth[cb[0]]:
+                    x = self.parent[ca[0]]
+                    if x is None:  # both heads are roots: two trees
+                        break
+                    out += ca[ia::-1]
+                    ca, ia = chain[x], pos[x]
+                else:
+                    down.append(cb[: ib + 1])
+                    x = self.parent[cb[0]]
+                    cb, ib = chain[x], pos[x]
             else:
-                b = self.parent[b]
-                up_b.append(b)
-        return up_a + up_b[-2::-1]
+                out += reversed(ca[ib : ia + 1]) if ia >= ib else ca[ia : ib + 1]
+                for piece in reversed(down):
+                    out += piece
+                return out
+        raise HopsetError(f"vertices {a} and {b} not tree-connected")
 
 
 def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
@@ -428,9 +497,9 @@ def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
 
 
 def hopset_from_single_scale(
-    graph: Graph, scale_index: int, ss, wscale: WeightScale
+    graph: Graph, scale_index: int, ss, sched: PhaseSchedule, wscale: WeightScale
 ) -> Hopset:
-    """Wrap one single-scale result as a standalone hopset.
+    """Wrap one single-scale result, built from `sched`, as a standalone hopset.
 
     The contract carried over is the band guarantee: hop budget 2*h_ell + 1
     with stretch slack zeta = 32*(ell+1)*eps on pairs at distance in
@@ -441,7 +510,6 @@ def hopset_from_single_scale(
         for e in ss.edges
     ]
     edges, raws = _sorted_edge_order(edges, [e.path for e in ss.edges])
-    sched = ss.schedule
     return Hopset(
         n=graph.n,
         edges=edges,
@@ -460,6 +528,7 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
 
     Output is byte-deterministic for a given hopset: provenance keys sorted,
     edges in stored (already canonical) order, witnesses by edge index.
+    Witness vertices (ids 0..n-1) are written from one table of id strings.
     """
     for key in sorted(hopset.provenance):
         out.write(f"c {key} {hopset.provenance[key]}\n")
@@ -474,8 +543,9 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
             f"{e.scale} {e.kind}\n"
         )
     if hopset.witnesses is not None:
+        ids = [str(v + 1) for v in range(hopset.n)]
         for i, path in enumerate(hopset.witnesses):
-            out.write(f"p {i} {' '.join(str(v + 1) for v in path)}\n")
+            out.write(f"p {i} {' '.join(map(ids.__getitem__, path))}\n")
 
 
 def load_hopset(source) -> Hopset:
@@ -524,11 +594,15 @@ def load_hopset(source) -> Hopset:
                     raise HopsetFormatError("witness before header", lineno)
                 if len(fields) < 2:
                     raise HopsetFormatError("witness needs an index and a vertex", lineno)
-                idx, *path = _fields(lineno, fields, *[int] * len(fields))
-                _check_vertices(lineno, header[0], path)
+                try:
+                    idx, *path = map(int, fields)
+                except ValueError:
+                    raise _malformed(lineno, fields) from None
+                if min(path) < 1 or max(path) > header[0]:
+                    _check_vertices(lineno, header[0], path)
                 if idx in witnesses:
                     raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
-                witnesses[idx] = tuple(x - 1 for x in path)
+                witnesses[idx] = tuple(map((-1).__add__, path))  # 0-based
             else:
                 raise HopsetFormatError(f"unknown record {tag!r}", lineno)
         if header is None:
@@ -564,7 +638,11 @@ def _fields(lineno: int, fields: list[str], *kinds) -> list:
     try:
         return [kind(f) for kind, f in zip(kinds, fields)]
     except (ValueError, ZeroDivisionError):
-        raise HopsetFormatError(f"malformed record {' '.join(fields)!r}", lineno) from None
+        raise _malformed(lineno, fields) from None
+
+
+def _malformed(lineno: int, fields: list[str]) -> HopsetFormatError:
+    return HopsetFormatError(f"malformed record {' '.join(fields)!r}", lineno)
 
 
 def _check_vertices(lineno: int, n: int, vertices) -> None:

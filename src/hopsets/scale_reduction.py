@@ -292,17 +292,19 @@ def materialize_scale_graph(
     laminar: LaminarFamily,
     k: int,
     wscale: WeightScale,
+    pad: int,
 ) -> ScaleGraph:
     """Build the scale-k contracted graph from the laminar family.
 
     Keeps original edges of weight <= 2**(k+2) whose endpoints lie in
     different nodes, deduplicated per node pair by minimum original weight
     (ties by (weight, u, v) for determinism); weights are scaled integers
-    over `wscale`.  Advances the laminar family's cursor to k, so calls
-    must come in ascending k; each costs the events and window edges it
-    touches (see LaminarFamily).
+    over `wscale`.  `pad` is the laminar family's eps / n scaled over
+    `wscale`: a node of size s pads each of its edges by s * eps * 2**k / n,
+    which is s * (pad << k).  Advances the laminar family's cursor to k, so
+    calls must come in ascending k; each costs the events and window edges
+    it touches (see LaminarFamily).
     """
-    eps = laminar.eps
     n = graph.n
     view = laminar.nodes_at(k)
     label = view.label
@@ -318,7 +320,7 @@ def materialize_scale_graph(
         old = best.get(key)
         if old is None or cand < old:
             best[key] = cand
-    pad_unit = wscale.to_scaled(eps * 2**k / n)  # exact by wscale construction
+    pad_unit = pad << k
     sg_edges = []
     active = set()
     for key, (w, u, v, _) in sorted(best.items()):

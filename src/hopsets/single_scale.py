@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .explore import bounded_dijkstra, multi_source_bounded_dijkstra
 from .util import HopsetError, as_fraction, child_seed, floor_log2
-from .weights import WeightScale
 
 
 class ScheduleError(HopsetError):
@@ -33,8 +32,7 @@ class PhaseSchedule:
     exploration depth of phase i (interconnection uses delta[i]/2), radius[i]
     bounds cluster radii entering phase i, h[i] the hop counts of the
     stretch recurrence, and beta = 2*h[ell] + 1 the hop budget the band
-    guarantee is stated for.  deg[i] drives sampling: probability 1/deg[i],
-    used directly without rounding.
+    guarantee is stated for.  deg[i] drives sampling (see `ScalePhases`).
     """
 
     n: int
@@ -53,13 +51,29 @@ class PhaseSchedule:
     h: tuple[Fraction, ...]
     beta: int
 
-    def sample_probability(self, i: int) -> float:
-        return min(1.0, 1.0 / self.deg[i])
-
     @property
     def zeta(self) -> Fraction:
         """Stretch slack guaranteed on the band at hop budget beta (c = 2)."""
         return 32 * (self.ell + 1) * self.eps
+
+
+@dataclass(frozen=True)
+class ScalePhases:
+    """What the phases of one single-scale build read, in the units they use.
+
+    depth[i] is phase i's superclustering depth delta_i and half[i] its
+    interconnection radius delta_i / 2, both scaled integers over the
+    build's `WeightScale`; the concluding phase is i = len(depth) - 1.
+    deg[i] drives sampling: probability 1/deg[i], used directly without
+    rounding.
+    """
+
+    deg: tuple[float, ...]
+    depth: tuple[int, ...]
+    half: tuple[int, ...]
+
+    def sample_probability(self, i: int) -> float:
+        return min(1.0, 1.0 / self.deg[i])
 
 
 def phase_counts(kappa: int, rho, degree_mode: str) -> tuple[int, int, int]:
@@ -120,9 +134,9 @@ def compute_schedule(
 ) -> PhaseSchedule:
     """Evaluate the phase-count, threshold, degree and hop recurrences.
 
-    A build runs this once (`hopset.plan`): only `deg` depends on n, and
-    alpha, delta and radius are linear in Rhat, so `BuildPlan.schedule_for`
-    rescales that one schedule per scale.
+    A build runs this once (`hopset.plan`), at Rhat = 1: only `deg`
+    depends on n, and alpha, delta and radius are linear in Rhat, so
+    `BuildPlan.phases_for` derives every scale's thresholds from it.
     """
     rho = as_fraction(rho)
     eps = as_fraction(eps)
@@ -211,7 +225,6 @@ class PhaseStats:
 class SingleScaleHopset:
     scale: int
     edges: list[ScaleEdge]
-    schedule: PhaseSchedule
     stats: list[PhaseStats] = field(default_factory=list)
     partitions: list[list[Cluster]] = field(default_factory=list)
 
@@ -219,20 +232,19 @@ class SingleScaleHopset:
 def supercluster_phase(
     adj,
     partition: list[Cluster],
-    i: int,
-    schedule: PhaseSchedule,
-    scale: WeightScale,
+    p: float,
+    depth: int,
     rng: random.Random,
-    sample_probability: float | None = None,
 ) -> tuple[list[Cluster], list[ScaleEdge], list[Cluster], int]:
     """One superclustering step; returns (next partition, star edges, U_i, #sampled).
 
-    Sampling consumes randomness in ascending center-id order so the outcome
-    is independent of container iteration order.  Every unsampled cluster
-    whose center the bounded exploration reached joins the supercluster of
-    its forest root and contributes one star edge at exact distance.
+    Each cluster is sampled with probability p; sampling consumes
+    randomness in ascending center-id order so the outcome is independent
+    of container iteration order.  Every unsampled cluster whose center the
+    exploration to `depth` (a scaled integer) reached joins the
+    supercluster of its forest root and contributes one star edge at exact
+    distance.
     """
-    p = schedule.sample_probability(i) if sample_probability is None else sample_probability
     clusters = sorted(partition, key=lambda c: c.center)
     sampled: list[Cluster] = []
     rest: list[Cluster] = []
@@ -242,7 +254,6 @@ def supercluster_phase(
     if not sampled:
         return [], [], rest, 0
 
-    depth = scale.to_scaled(schedule.delta[i])
     forest = multi_source_bounded_dijkstra(adj, [c.center for c in sampled], depth)
 
     star: list[ScaleEdge] = []
@@ -275,20 +286,16 @@ def supercluster_phase(
 
 
 def interconnect_phase(
-    adj,
-    unclustered: list[Cluster],
-    i: int,
-    schedule: PhaseSchedule,
-    scale: WeightScale,
+    adj, unclustered: list[Cluster], half: int
 ) -> tuple[list[ScaleEdge], int]:
-    """Link every pair of unclustered centers within delta_i / 2 (inclusive).
+    """Link every pair of unclustered centers within `half` (inclusive).
 
-    Each center runs its own bounded exploration; a pair is emitted once,
-    from its lower-id endpoint (distance symmetry makes both sides agree).
-    Returns the edges and the interconnection load: the vertices reached,
-    summed over the explorations.
+    `half` is the phase's delta_i / 2 as a scaled integer.  Each center runs
+    its own bounded exploration; a pair is emitted once, from its lower-id
+    endpoint (distance symmetry makes both sides agree).  Returns the edges
+    and the interconnection load: the vertices reached, summed over the
+    explorations.
     """
-    half = scale.to_scaled(schedule.delta[i] / 2)
     centers = sorted(c.center for c in unclustered)
     center_set = set(centers)
     edges: list[ScaleEdge] = []
@@ -309,15 +316,14 @@ def interconnect_phase(
 def build_single_scale(
     adj,
     scale_index: int,
-    schedule: PhaseSchedule,
-    scale: WeightScale,
+    phases: ScalePhases,
     seed: int,
     sample_overrides: dict[int, float] | None = None,
     keep_partitions: bool = False,
 ) -> SingleScaleHopset:
     """Run all phases over `adj` (any graph in scaled-integer weights).
 
-    Deterministic for fixed (adj, schedule, seed).  `sample_overrides` maps a
+    Deterministic for fixed (adj, phases, seed).  `sample_overrides` maps a
     phase index to a forced sampling probability (test hook).  Vertices of
     `adj` start as singleton clusters; emitted edges live in the same vertex
     space as `adj`, each with the path that realizes it.
@@ -326,10 +332,11 @@ def build_single_scale(
     edges: list[ScaleEdge] = []
     stats: list[PhaseStats] = []
     partitions: list[list[Cluster]] = []
-    for i in range(schedule.ell + 1):
+    ell = len(phases.depth) - 1
+    for i in range(ell + 1):
         if keep_partitions:
             partitions.append(partition)
-        concluding = i == schedule.ell
+        concluding = i == ell
         clusters_in = len(partition)
         if concluding:
             unclustered = partition
@@ -337,12 +344,12 @@ def build_single_scale(
             star: list[ScaleEdge] = []
             n_sampled = 0
         else:
-            override = (sample_overrides or {}).get(i)
+            p = (sample_overrides or {}).get(i, phases.sample_probability(i))
             rng = random.Random(child_seed(seed, "phase", i))
             nxt, star, unclustered, n_sampled = supercluster_phase(
-                adj, partition, i, schedule, scale, rng, override
+                adj, partition, p, phases.depth[i], rng
             )
-        inter, visits = interconnect_phase(adj, unclustered, i, schedule, scale)
+        inter, visits = interconnect_phase(adj, unclustered, phases.half[i])
         stats.append(
             PhaseStats(
                 index=i,
@@ -357,4 +364,4 @@ def build_single_scale(
         edges.extend(star)
         edges.extend(inter)
         partition = nxt
-    return SingleScaleHopset(scale_index, edges, schedule, stats, partitions)
+    return SingleScaleHopset(scale_index, edges, stats, partitions)

@@ -32,6 +32,7 @@ from hopsets import (
     relevant_scales,
     verify_stretch,
 )
+from hopsets.single_scale import ScalePhases
 
 SEEDS5 = [101, 102, 103, 104, 105]
 KAPPA, RHO = 2, F(1, 2)
@@ -42,6 +43,15 @@ def announce(num, name, ok, detail=""):
     suffix = f"  [{detail}]" if detail else ""
     print(f"ACCEPTANCE {num:>2} {name}: {status}{suffix}")
     return ok
+
+
+def scaled_phases(sched, ws):
+    """The schedule's thresholds as the phases read them, over `ws`."""
+    return ScalePhases(
+        deg=sched.deg,
+        depth=tuple(ws.to_scaled(d) for d in sched.delta),
+        half=tuple(ws.to_scaled(d / 2) for d in sched.delta),
+    )
 
 
 def instances():
@@ -102,8 +112,8 @@ def test_criterion_02_single_scale_band_contract():
         adj = [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
         for k in relevant_scales(graph):
             sched = compute_schedule(graph.n, KAPPA, RHO, eps_int, 2 ** (k + 1))
-            ss = build_single_scale(adj, k, sched, ws, seed=seed)
-            hs = hopset_from_single_scale(graph, k, ss, ws)
+            ss = build_single_scale(adj, k, scaled_phases(sched, ws), seed=seed)
+            hs = hopset_from_single_scale(graph, k, ss, sched, ws)
             assert hs.effective_beta == 2 * sched.h[sched.ell] + 1
             report = verify_stretch(graph, hs, pair_mode="band", band=k)
             checked += report.pairs_checked
@@ -184,7 +194,7 @@ def test_criterion_05_exploration_load():
         adj = [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
         for k in relevant_scales(graph):
             sched = compute_schedule(n, KAPPA, RHO, eps_int, 2 ** (k + 1))
-            ss = build_single_scale(adj, k, sched, ws, seed=seed)
+            ss = build_single_scale(adj, k, scaled_phases(sched, ws), seed=seed)
             for p in ss.stats:
                 if p.index > sched.i1:
                     continue  # the concluding phase has no degree parameter
@@ -215,7 +225,7 @@ def test_criterion_06_sandwich_property():
         apsp = exact_apsp(graph)
         ws = WeightScale(graph.n * eps.denominator)
         for k in relevant_scales(graph):
-            sg = materialize_scale_graph(graph, lam, k, ws)
+            sg = materialize_scale_graph(graph, lam, k, ws, ws.to_scaled(eps / graph.n))
             view = lam.nodes_at(k)
             index = {c: i for i, c in enumerate(sg.active_centers)}
             rows = {}

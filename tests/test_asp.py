@@ -69,6 +69,11 @@ class TestEstimates:
         with pytest.raises(HopsetError, match="out of range"):
             asp_estimates(g, empty_hopset(4, beta=3), [4])
 
+    def test_empty_source_set(self):
+        g = path_graph(4, 1)
+        with pytest.raises(HopsetError, match="no sources given"):
+            asp_estimates(g, empty_hopset(4, beta=3), [])
+
 
 class TestExtractPath:
     def test_graph_only_path_weight_equals_estimate(self):

@@ -375,3 +375,19 @@ class TestQuerySources:
         assert code == EXIT_PARAM
         assert f"source {bad} out of range" in capsys.readouterr().err
         assert not csv.exists()
+
+    @pytest.mark.parametrize("sources", [",", ""])
+    def test_empty_source_list_is_usage_error(self, workspace, capsys, sources):
+        graph = gen_graph(workspace)
+        hopset = workspace / "h.hs"
+        assert run("build", "--graph", str(graph), "--out", str(hopset)) == EXIT_OK
+        capsys.readouterr()
+        csv, paths = workspace / "est.csv", workspace / "paths.txt"
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "query", "--graph", str(graph), "--hopset", str(hopset),
+                "--sources", sources, "--out", str(csv), "--paths", str(paths),
+            )
+        assert exc.value.code == EXIT_USAGE
+        assert "--sources" in capsys.readouterr().err
+        assert not csv.exists() and not paths.exists()

@@ -1,4 +1,5 @@
 import io
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -29,6 +30,83 @@ from hopsets import (
 )
 from hopsets.cli import main
 from hopsets.hopset import SpanningForest
+
+
+class ReferenceSpanningForest:
+    """The parent-pointer forest that `SpanningForest` replaced, kept verbatim."""
+
+    def __init__(self, tree: dict[int, list[tuple[int, int]]]):
+        self.parent: dict[int, int | None] = {}
+        self.depth: dict[int, int] = {}
+        for root in tree:
+            if root in self.parent:
+                continue
+            self.parent[root] = None
+            self.depth[root] = 0
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y, _ in tree[x]:
+                    if y not in self.parent:
+                        self.parent[y] = x
+                        self.depth[y] = self.depth[x] + 1
+                        stack.append(y)
+
+    def path(self, a: int, b: int) -> list[int]:
+        """The unique forest path from a to b."""
+        up_a, up_b = [a], [b]
+        while a != b:
+            da, db = self.depth.get(a), self.depth.get(b)
+            if da is None or db is None or (da == db == 0):
+                raise HopsetError(f"vertices {up_a[0]} and {up_b[0]} not tree-connected")
+            if da >= db:
+                a = self.parent[a]
+                up_a.append(a)
+            else:
+                b = self.parent[b]
+                up_b.append(b)
+        return up_a + up_b[-2::-1]
+
+
+@st.composite
+def forests(draw):
+    """A forest of 1-4 trees as shuffled adjacency, and vertex pairs to join.
+
+    Each vertex hangs off the one before it with probability `chainy`, else
+    off any earlier vertex of its tree, so trees range from paths to bushes.
+    Pairs draw from the forest's ids and from 3 ids outside it, and include
+    every drawn id paired with itself.
+    """
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    chainy = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    ids = list(range(sum(sizes) + 3))
+    rnd.shuffle(ids)
+    adj: dict[int, list[tuple[int, int]]] = {}
+    start = 0
+    for size in sizes:
+        verts = ids[start : start + size]
+        start += size
+        adj[verts[0]] = []
+        for j in range(1, size):
+            p = verts[j - 1] if rnd.random() < chainy else verts[rnd.randrange(j)]
+            w = rnd.randint(1, 9)
+            adj[verts[j]] = [(p, w)]
+            adj[p].append((verts[j], w))
+    keys = list(adj)
+    rnd.shuffle(keys)
+    for ys in adj.values():
+        rnd.shuffle(ys)
+    tree = {v: adj[v] for v in keys}
+    pairs = [(rnd.choice(ids), rnd.choice(ids)) for _ in range(draw(st.integers(1, 30)))]
+    return tree, pairs + [(a, a) for a, _ in pairs]
+
+
+def _path_or_error(forest, a, b):
+    try:
+        return forest.path(a, b)
+    except HopsetError as exc:
+        return f"HopsetError: {exc}"
 
 
 def reduced_params(**kw):
@@ -71,6 +149,22 @@ class TestPlan:
             n_scale, params.kappa, params.rho, bp.eps_int, 2 ** (k + 1), params.degree_mode
         )
         assert bp.schedule_for(k, n_scale) == expected
+
+    @given(plan_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_phases_for_are_schedule_for_scaled(self, case):
+        params, n, k, n_scale = case
+        bp = plan(params, n)
+        sched, ws = bp.schedule_for(k, n_scale), bp.wscale
+        phases = bp.phases_for(k, n_scale)
+        assert phases.depth == tuple(ws.to_scaled(d) for d in sched.delta)
+        assert phases.half == tuple(ws.to_scaled(d / 2) for d in sched.delta)
+        assert phases.deg == sched.deg
+        if params.mode == "reduced":
+            # materialize_scale_graph pads scale k by `pad << k`
+            assert bp.pad << k == ws.to_scaled(bp.eps_reduction * 2**k / n)
+        else:
+            assert bp.pad is None
 
     @pytest.mark.parametrize("mode", ["reduced", "direct"])
     def test_one_schedule_evaluation_per_build(self, monkeypatch, mode):
@@ -271,6 +365,14 @@ class TestWitnesses:
             forest.path(0, 3)
         with pytest.raises(HopsetError, match="not tree-connected"):
             forest.path(0, 4)
+
+    @given(forests())
+    @settings(deadline=None, max_examples=300)
+    def test_forest_path_matches_parent_walk(self, case):
+        tree, pairs = case
+        forest, reference = SpanningForest(tree), ReferenceSpanningForest(tree)
+        for a, b in pairs:
+            assert _path_or_error(forest, a, b) == _path_or_error(reference, a, b)
 
 
 class TestDeterminismAndFiles:

@@ -10,6 +10,7 @@ exception is a traceback for the user and fails these tests.
 import io
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from hopsets import (
     load_hopset,
     validate,
 )
+from hopsets.hopset import FILE_VERSION, _check_vertices, _fraction
 
 # Replacement tokens stay small, and inserted characters are never digits, so
 # a mutated header cannot ask for a huge vertex count.
@@ -75,6 +77,98 @@ def hopsets(draw):
         provenance=provenance,
         witnesses=witnesses,
     )
+
+
+def reference_load_hopset(source) -> Hopset:
+    """`load_hopset` as it was before its `p` branch converted with `map`, kept verbatim."""
+    close = False
+    if isinstance(source, (str, bytes)):
+        fh = open(source, "r", encoding="ascii")
+        close = True
+    else:
+        fh = source
+    try:
+        provenance: dict = {}
+        header = None
+        edges: list[HopsetEdge] = []
+        witnesses: dict[int, tuple[int, ...]] = {}
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            tag, fields = parts[0], parts[1:]
+            if tag == "c":
+                if len(fields) < 2:
+                    raise HopsetFormatError("provenance needs a key and a value", lineno)
+                if fields[0] in provenance:
+                    raise HopsetFormatError(f"duplicate provenance key {fields[0]!r}", lineno)
+                provenance[fields[0]] = " ".join(fields[1:])
+            elif tag == "h":
+                if header is not None:
+                    raise HopsetFormatError("duplicate header", lineno)
+                version, n, beta, eps = _fields(lineno, fields, int, int, int, _fraction)
+                if version != FILE_VERSION:
+                    raise HopsetFormatError(f"unsupported hopset file version {version}", lineno)
+                if n < 1 or beta < 0:
+                    raise HopsetFormatError(f"bad header n={n} beta={beta}", lineno)
+                header = (n, beta, eps)
+            elif tag == "e":
+                if header is None:
+                    raise HopsetFormatError("edge before header", lineno)
+                u, v, w, scale, kind = _fields(lineno, fields, int, int, _fraction, int, str)
+                _check_vertices(lineno, header[0], (u, v))
+                if w <= 0:
+                    raise HopsetFormatError(f"edge weight {w} is not positive", lineno)
+                edges.append(HopsetEdge(u - 1, v - 1, w, scale, kind))
+            elif tag == "p":
+                if header is None:
+                    raise HopsetFormatError("witness before header", lineno)
+                if len(fields) < 2:
+                    raise HopsetFormatError("witness needs an index and a vertex", lineno)
+                idx, *path = _fields(lineno, fields, *[int] * len(fields))
+                _check_vertices(lineno, header[0], path)
+                if idx in witnesses:
+                    raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
+                witnesses[idx] = tuple(x - 1 for x in path)
+            else:
+                raise HopsetFormatError(f"unknown record {tag!r}", lineno)
+        if header is None:
+            raise HopsetFormatError("missing header line")
+        n, beta, eps = header
+        wit = None
+        if witnesses:
+            if sorted(witnesses) != list(range(len(edges))):
+                raise HopsetFormatError("witness lines do not cover all edges")
+            wit = [witnesses[i] for i in range(len(edges))]
+        return Hopset(
+            n=n,
+            edges=edges,
+            effective_beta=beta,
+            effective_eps=eps,
+            provenance=provenance,
+            witnesses=wit,
+        )
+    finally:
+        if close:
+            fh.close()
+
+
+def _fields(lineno: int, fields: list[str], *kinds) -> list:
+    """The reference loader's field conversion, kept verbatim."""
+    if len(fields) != len(kinds):
+        raise HopsetFormatError(f"expected {len(kinds)} fields, got {len(fields)}", lineno)
+    try:
+        return [kind(f) for kind, f in zip(kinds, fields)]
+    except (ValueError, ZeroDivisionError):
+        raise HopsetFormatError(f"malformed record {' '.join(fields)!r}", lineno) from None
+
+
+def _load_or_error(load, text):
+    """The loaded hopset, or the message of the `HopsetFormatError` raised."""
+    try:
+        return load(io.StringIO(text))
+    except HopsetFormatError as exc:
+        return f"HopsetFormatError: {exc}"
 
 
 def _dimacs_text(graph):
@@ -160,12 +254,37 @@ def test_mutated_dimacs_loads_or_raises_format_error(graph, data):
 @given(hopsets(), st.data())
 @settings(deadline=None, max_examples=200)
 def test_mutated_hopset_loads_or_raises_format_error(hopset, data):
+    # both loaders load equal hopsets or raise the same message, line included
     text = _mutate(data, _hopset_text(hopset))
-    try:
-        loaded = load_hopset(io.StringIO(text))
-    except HopsetFormatError:
+    loaded = _load_or_error(load_hopset, text)
+    assert loaded == _load_or_error(reference_load_hopset, text)
+    if isinstance(loaded, str):
         return
     for e in loaded.edges:
         assert 0 <= e.u < loaded.n and 0 <= e.v < loaded.n and e.weight > 0
     for path in loaded.witnesses or ():
         assert all(0 <= x < loaded.n for x in path)
+
+
+WITNESS_HEAD = "h 1 3 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("p 0 1 0", "line 4: vertex id 0 out of range [1,3]"),
+        ("p 0 1 4 2", "line 4: vertex id 4 out of range [1,3]"),
+        ("p 0 1 x 2", "line 4: malformed record '0 1 x 2'"),
+        ("p 1.0 2 3", "line 4: malformed record '1.0 2 3'"),
+        ("p 0 1 2\np 0 2 3", "line 5: duplicate witness for edge 0"),
+        ("p 0 1 2\np 1 2 3", None),
+    ],
+)
+def test_witness_line_matches_reference(line, message):
+    text = WITNESS_HEAD + line + "\n"
+    loaded = _load_or_error(load_hopset, text)
+    assert loaded == _load_or_error(reference_load_hopset, text)
+    if message is None:
+        assert loaded.witnesses == [(0, 1), (1, 2)]
+    else:
+        assert loaded == f"HopsetFormatError: {message}"

@@ -143,7 +143,7 @@ class TestMaterialize:
         g = Graph.from_edges(2, [(0, 1, 5)])
         lam = build_laminar(g, eps)
         ws = WeightScale(g.n * eps.denominator)
-        sg = materialize_scale_graph(g, lam, 2, ws)
+        sg = materialize_scale_graph(g, lam, 2, ws, ws.to_scaled(eps / g.n))
         (edge,) = sg.edges
         assert ws.to_fraction(edge[2]) == 5 + 4 * eps
 
@@ -159,7 +159,7 @@ class TestMaterialize:
         edges = [(0, 1, 1), (2, 3, 1), (3, 4, 1), (1, 2, 7), (1, 4, 8)]
         g = Graph.from_edges(10, edges)
         ws = WeightScale(g.n * eps.denominator)
-        sg = materialize_scale_graph(g, lam, 4, ws)
+        sg = materialize_scale_graph(g, lam, 4, ws, ws.to_scaled(eps / g.n))
         pair = [e for e in sg.edges if {e[0], e[1]} == {0, 2}]
         assert ws.to_fraction(pair[0][2]) == 9
         assert pair[0][3] == (1, 2, 7)  # minimum-weight connecting edge kept
@@ -168,19 +168,19 @@ class TestMaterialize:
         g = Graph.from_edges(2, [(0, 1, 2**6)])
         lam = build_laminar(g, F(1, 4))
         k = 3  # cutoff 2**5 = 32 < 64
-        sg = materialize_scale_graph(g, lam, k, WeightScale(g.n * 4))
+        sg = materialize_scale_graph(g, lam, k, WeightScale(g.n * 4), 1)  # pad: (1/4) / n over n * 4
         assert sg.edges == [] and sg.active_count == 0
 
     def test_cutoff_inclusive(self):
         g = Graph.from_edges(2, [(0, 1, 2**5)])
         lam = build_laminar(g, F(1, 4))
-        sg = materialize_scale_graph(g, lam, 3, WeightScale(g.n * 4))
+        sg = materialize_scale_graph(g, lam, 3, WeightScale(g.n * 4), 1)  # pad: (1/4) / n over n * 4
         assert len(sg.edges) == 1
 
     def test_nodes_include_isolated_remainder(self):
         g = Graph.from_edges(4, [(0, 1, 2), (2, 3, 2**9)])
         lam = build_laminar(g, F(1, 4))
-        sg = materialize_scale_graph(g, lam, 1, WeightScale(g.n * 4))
+        sg = materialize_scale_graph(g, lam, 1, WeightScale(g.n * 4), 1)  # pad: (1/4) / n over n * 4
         assert len(lam.nodes_at(1).sizes) == 4
         assert sg.active_centers == [0, 1]
 
@@ -194,7 +194,7 @@ class TestMaterialize:
         apsp = exact_apsp(g)
         ws = WeightScale(g.n * eps.denominator)
         for k in relevant_scales(g):
-            sg = materialize_scale_graph(g, lam, k, ws)
+            sg = materialize_scale_graph(g, lam, k, ws, ws.to_scaled(eps / g.n))
             view = lam.nodes_at(k)
             index = {c: i for i, c in enumerate(sg.active_centers)}
             dist_cache = {}
@@ -382,11 +382,12 @@ def test_cursor_matches_scan_and_replay(case):
     # each order runs on a fresh family: ascending, with repeats
     graph, lam, orders = case
     ws = WeightScale(graph.n * lam.eps.denominator)
+    pad = ws.to_scaled(lam.eps / graph.n)
     for order in orders:
         cursor = fresh(lam)
         held = []
         for k in order:
-            sg = materialize_scale_graph(graph, cursor, k, ws)
+            sg = materialize_scale_graph(graph, cursor, k, ws, pad)
             edges, adj, active_centers, base = scan_scale_graph(graph, cursor, k)
             assert sg.edges == edges
             assert sg.adj == adj

@@ -17,11 +17,20 @@ from hopsets import (
     supercluster_phase,
     verify_stretch,
 )
-from hopsets.single_scale import Cluster
+from hopsets.single_scale import Cluster, ScalePhases
 
 
 def scaled_adj(graph, ws):
     return [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
+
+
+def scaled_phases(sched, ws):
+    """The schedule's thresholds as the phases read them, over `ws`."""
+    return ScalePhases(
+        deg=sched.deg,
+        depth=tuple(ws.to_scaled(d) for d in sched.delta),
+        half=tuple(ws.to_scaled(d / 2) for d in sched.delta),
+    )
 
 
 def singleton_partition(n):
@@ -51,11 +60,9 @@ class TestSuperclusterPhase:
         nxt, star, unclustered, _ = supercluster_phase(
             scaled_adj(g, ws),
             singleton_partition(5),
-            0,
-            sched_16,
-            ws,
+            0.0,
+            ws.to_scaled(sched_16.delta[0]),
             random.Random(1),
-            sample_probability=0.0,
         )
         assert nxt == [] and star == []
         assert len(unclustered) == 5
@@ -66,11 +73,9 @@ class TestSuperclusterPhase:
         nxt, star, unclustered, _ = supercluster_phase(
             scaled_adj(g, ws),
             singleton_partition(5),
-            0,
-            sched_16,
-            ws,
+            1.0,
+            ws.to_scaled(sched_16.delta[0]),
             random.Random(1),
-            sample_probability=1.0,
         )
         assert unclustered == [] and star == []
         assert len(nxt) == 5
@@ -81,7 +86,7 @@ class TestSuperclusterPhase:
         ws = WeightScale(100)
         rng = ScriptedRng([0.99, 0.0, 0.99])  # ascending center order: 0, 1, 2
         nxt, star, unclustered, _ = supercluster_phase(
-            scaled_adj(g, ws), singleton_partition(3), 0, sched_16, ws, rng, 0.5
+            scaled_adj(g, ws), singleton_partition(3), 0.5, ws.to_scaled(sched_16.delta[0]), rng
         )
         assert unclustered == []
         assert len(nxt) == 1 and nxt[0].center == 1
@@ -95,8 +100,13 @@ class TestSuperclusterPhase:
         g = er_graph(40, 0.2, 1, 3, seed=5)
         ws = WeightScale(100)
         adj = scaled_adj(g, ws)
+        phases = scaled_phases(sched_16, ws)
         nxt, star, _, _ = supercluster_phase(
-            adj, singleton_partition(40), 1, sched_16, ws, random.Random(7)
+            adj,
+            singleton_partition(40),
+            phases.sample_probability(1),
+            phases.depth[1],
+            random.Random(7),
         )
         for e in star:
             dist, _ = bounded_dijkstra(adj, e.u, None)
@@ -108,7 +118,7 @@ class TestInterconnectPhase:
         g = path_graph(3, 1)
         ws = WeightScale(100)
         edges, visits = interconnect_phase(
-            scaled_adj(g, ws), [Cluster(0, (0,))], 0, sched_16, ws
+            scaled_adj(g, ws), [Cluster(0, (0,))], ws.to_scaled(sched_16.delta[0] / 2)
         )
         assert edges == []
         assert visits == 3  # delta_0/2 = 8 reaches the whole unit path
@@ -118,7 +128,7 @@ class TestInterconnectPhase:
         g = Graph.from_edges(2, [(0, 1, 8)])
         ws = WeightScale(100)
         edges, _ = interconnect_phase(
-            scaled_adj(g, ws), singleton_partition(2), 0, sched_16, ws
+            scaled_adj(g, ws), singleton_partition(2), ws.to_scaled(sched_16.delta[0] / 2)
         )
         assert [(e.u, e.v, e.w) for e in edges] == [(0, 1, 8 * ws.den)]
 
@@ -129,7 +139,7 @@ class TestInterconnectPhase:
         g = path_graph(10, 1)
         ws = WeightScale(100)
         edges, _ = interconnect_phase(
-            scaled_adj(g, ws), singleton_partition(10), 0, sched, ws
+            scaled_adj(g, ws), singleton_partition(10), ws.to_scaled(sched.delta[0] / 2)
         )
         expected = {(i, j) for i in range(10) for j in range(i + 1, 10) if j - i <= 3}
         assert {(e.u, e.v) for e in edges} == expected
@@ -141,13 +151,13 @@ class TestInterconnectPhase:
         ws = WeightScale(100)
         adj = scaled_adj(g, ws)
         clusters = singleton_partition(30)
-        edges, visits = interconnect_phase(adj, clusters, 2, sched_16, ws)
+        half = ws.to_scaled(sched_16.delta[2] / 2)
+        edges, visits = interconnect_phase(adj, clusters, half)
         pairs = [(e.u, e.v) for e in edges]
         assert len(pairs) == len(set(pairs))
         assert all(u < v for u, v in pairs)
         # the load is the vertices each center's exploration reached, and
         # every exploration reaches at least its own source
-        half = ws.to_scaled(sched_16.delta[2] / 2)
         reached = [len(bounded_dijkstra(adj, c.center, half)[0]) for c in clusters]
         assert visits == sum(reached)
         assert visits >= len(clusters)
@@ -160,7 +170,7 @@ class TestStarGraphExample:
         sched = compute_schedule(64, 2, F(1, 2), F(1, 10), 400)  # delta_0/2 = 2
         ws = WeightScale(100)
         ss = build_single_scale(
-            scaled_adj(g, ws), 3, sched, ws, seed=1, sample_overrides={0: 0.0}
+            scaled_adj(g, ws), 3, scaled_phases(sched, ws), seed=1, sample_overrides={0: 0.0}
         )
         inter0 = [e for e in ss.edges if e.kind == "interconnect"]
         assert len(inter0) == 15  # all pairs of the 6 vertices
@@ -175,7 +185,7 @@ class TestBuildInvariants:
         sched = compute_schedule(n, 2, F(1, 2), F(1, 10), 64)
         ws = WeightScale(2 * 100)
         ss = build_single_scale(
-            scaled_adj(g, ws), 5, sched, ws, seed=seed, keep_partitions=True
+            scaled_adj(g, ws), 5, scaled_phases(sched, ws), seed=seed, keep_partitions=True
         )
         return g, sched, ws, ss
 
@@ -245,12 +255,13 @@ class TestBuildInvariants:
         sched = compute_schedule(80, 2, F(1, 2), F(1, 10), 64)
         ws = WeightScale(200)
         adj = scaled_adj(g, ws)
+        phases = scaled_phases(sched, ws)
         partition = singleton_partition(80)
         retired = []
         for i in range(sched.ell):
             rng = random.Random(i * 7 + 1)
             nxt, _, unclustered, _ = supercluster_phase(
-                adj, partition, i, sched, ws, rng
+                adj, partition, phases.sample_probability(i), phases.depth[i], rng
             )
             retired.extend(unclustered)
             covered = sorted(
@@ -266,10 +277,11 @@ class TestBuildInvariants:
         sched = compute_schedule(n, 2, F(1, 2), F(1, 10), 32)
         ws = WeightScale(200)
         adj = scaled_adj(g, ws)
+        phases = scaled_phases(sched, ws)
         ok = 0
         seeds = range(20)
         for s in seeds:
-            ss = build_single_scale(adj, 5, sched, ws, seed=s, keep_partitions=True)
+            ss = build_single_scale(adj, 5, phases, seed=s, keep_partitions=True)
             if len(ss.partitions[1]) <= 2 * n ** (1 - 1 / 2):
                 ok += 1
         assert ok >= 0.9 * len(seeds)
@@ -284,8 +296,8 @@ class TestBandContract:
         adj = scaled_adj(g, ws)
         for k in (2, 3, 4):
             sched = compute_schedule(100, 2, F(1, 2), F(1, 10), 2 ** (k + 1))
-            ss = build_single_scale(adj, k, sched, ws, seed=7)
-            hs = hopset_from_single_scale(g, k, ss, ws)
+            ss = build_single_scale(adj, k, scaled_phases(sched, ws), seed=7)
+            hs = hopset_from_single_scale(g, k, ss, sched, ws)
             assert hs.effective_beta == 735
             assert hs.effective_eps == F(96, 10)
             report = verify_stretch(g, hs, pair_mode="band", band=k)
