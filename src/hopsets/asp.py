@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import TextIO
 
 from .explore import hop_limited_bellman_ford
@@ -191,6 +192,7 @@ def write_estimates_csv(
         for key in sorted(header):
             out.write(f"# {key} {header[key]}\n")
     out.write("source,vertex,estimate_num,estimate_den\n")
+    den = result.den
     for s in result.sources:
         dist = result.dist[s]
         for v in range(result.n):
@@ -198,8 +200,8 @@ def write_estimates_csv(
             if d is None:
                 out.write(f"{s + 1},{v + 1},inf,1\n")
             else:
-                f = Fraction(d, result.den)
-                out.write(f"{s + 1},{v + 1},{f.numerator},{f.denominator}\n")
+                g = gcd(d, den)  # d / den in lowest terms, as Fraction would print it
+                out.write(f"{s + 1},{v + 1},{d // g},{den // g}\n")
     return result
 
 

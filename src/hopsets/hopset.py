@@ -292,7 +292,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
                 continue
             adj, centers = sg.adj, sg.active_centers
         ss = build_single_scale(
-            adj, k, bp.phases_for(k, len(centers)), child_seed(params.seed, "scale", k)
+            adj, bp.phases_for(k, len(centers)), child_seed(params.seed, "scale", k)
         )
         stats["scales"][k] = {"edges": len(ss.edges), "phases": [dict(vars(p)) for p in ss.stats]}
         for e in ss.edges:

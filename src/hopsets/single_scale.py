@@ -223,7 +223,6 @@ class PhaseStats:
 
 @dataclass
 class SingleScaleHopset:
-    scale: int
     edges: list[ScaleEdge]
     stats: list[PhaseStats] = field(default_factory=list)
     partitions: list[list[Cluster]] = field(default_factory=list)
@@ -315,7 +314,6 @@ def interconnect_phase(
 
 def build_single_scale(
     adj,
-    scale_index: int,
     phases: ScalePhases,
     seed: int,
     sample_overrides: dict[int, float] | None = None,
@@ -364,4 +362,4 @@ def build_single_scale(
         edges.extend(star)
         edges.extend(inter)
         partition = nxt
-    return SingleScaleHopset(scale_index, edges, stats, partitions)
+    return SingleScaleHopset(edges, stats, partitions)

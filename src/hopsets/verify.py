@@ -1,15 +1,19 @@
 """Oracle-based verification of the (beta, eps) contract plus size accounting.
 
 The stretch check is exact end to end and computes only the distances it
-reads.  When beta >= n - 1, d^(beta) is the plain shortest distance, so each
-source runs two distance-only Dijkstras that stop once its wanted targets
-have settled: one over G (the oracle) and one over the union graph G u H.
-Below that, one hop-limited Bellman-Ford call over the union graph gives
-d^(beta) for all sources (the |S| x n table is held for the whole check)
-and the oracle sweeps per source as above.  The comparison runs in scaled
-integers.  There is no tolerance; a violation is either a bug or a genuinely
-failed probabilistic event (the report carries the seed material to replay
-it).  Size and load bounds exceeded are reported as outliers, not contract
+reads.  When beta >= n - 1, d^(beta) is the plain union distance d_U, and
+since G is a subgraph of G u H, d_U <= d_G: only an undercut can violate.
+Each source then runs one distance-only Dijkstra over G u H that stops once
+its wanted targets have settled.  Its arcs weigh w * n plus 1 for a hopset
+arc, so a target's key n * d_U + c also gives c, the fewest hopset edges on
+any shortest union path.  c = 0 proves d_G = d_U; only targets with c > 0
+(undercut in, or unreachable from, G) go to one oracle sweep over G.  Below
+n - 1, one hop-limited Bellman-Ford call over the union graph gives d^(beta)
+for all sources (the |S| x n table is held for the whole check) and the
+oracle sweeps G per source.  The comparison runs in scaled integers.  There
+is no tolerance; a violation is either a bug or a genuinely failed
+probabilistic event (the report carries the seed material to replay it).
+Size and load bounds exceeded are reported as outliers, not contract
 violations.
 """
 
@@ -96,15 +100,51 @@ def _union_edges(graph: Graph, hopset: Hopset, den: int):
     return rel
 
 
-def _plain_adjacency(n: int, rel):
-    """Undirected (neighbor, weight) lists of tagged union edges."""
+def _keyed_adjacency(n: int, rel):
+    """Undirected (neighbor, key weight) lists of tagged union edges.
+
+    An arc of weight w weighs w * n, plus 1 if it is a hopset arc.  A
+    minimum-key path is simple, so it has at most n - 1 hopset arcs, and a
+    shortest-path key K splits as divmod(K, n) = (d_U, c): the union
+    distance and the fewest hopset edges on any shortest union path.
+    """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, w, _ in rel:
+    for u, v, w, tag in rel:
         if w < 0:
             raise ValueError(f"negative weight {w} on edge ({u}, {v})")
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+        k = w * n + (tag[0] == "h")
+        adj[u].append((v, k))
+        adj[v].append((u, k))
     return adj
+
+
+def _union_sweep(graph: Graph, keyed, s: int, targets, den: int):
+    """(d_G, scaled d_U) for `targets` from one keyed sweep over G u H.
+
+    c = 0 means a pure-G path has length d_U, so d_G = d_U.  c > 0 means
+    d_G > d_U or no G path: only those targets take the oracle sweep.  A
+    target unreachable in G u H is unreachable in G, and stays None in both.
+    """
+    n = graph.n
+    key = dijkstra_all(keyed, s, targets)
+    d_true: list[int | None] = [None] * n
+    lim: list[int | None] = [None] * n
+    flagged = []
+    for v in targets:
+        k = key[v]
+        if k is None:
+            continue
+        dl, c = divmod(k, n)
+        lim[v] = dl
+        if c:
+            flagged.append(v)
+        else:
+            d_true[v] = dl // den
+    if flagged:
+        oracle = dijkstra_all(graph.adj, s, flagged)
+        for v in flagged:
+            d_true[v] = oracle[v]
+    return d_true, lim
 
 
 def check_pair_spec(
@@ -139,8 +179,9 @@ def verify_stretch(
     "sample": sample_size ordered pairs drawn uniformly over finite-distance
     pairs, deterministically per sample_seed.  A spec that can select no
     pair is rejected (`check_pair_spec`).  A pair violates if its
-    beta-limited distance is infinite or exceeds (1 + eps) times the true
-    distance; unreachable pairs are excluded.
+    beta-limited distance is infinite, falls below the true distance (an
+    undercut: hopset edges must never shorten a distance), or exceeds
+    (1 + eps) times it; pairs unreachable in G are excluded.
     """
     check_pair_spec(pair_mode, sample_size, band)
     if hopset.n != graph.n:
@@ -177,15 +218,18 @@ def verify_stretch(
     violations: list[dict] = []
     total_violations = 0
     sources = sorted(wanted)
-    union = limited = None
+    keyed = limited = None
     if n > 1 and beta >= n - 1:
-        union = _plain_adjacency(n, rel)  # d^(beta) is the plain distance
+        keyed = _keyed_adjacency(n, rel)  # d^(beta) is the plain distance
     else:
         limited = hop_limited_bellman_ford(n, rel, sources, beta).dist
     for s in sources:
         targets = wanted[s] if wanted[s] is not None else range(s + 1, n)
-        d_true = dijkstra_all(graph.adj, s, targets)
-        lim = limited[s] if union is None else dijkstra_all(union, s, targets)
+        if keyed is None:
+            d_true = dijkstra_all(graph.adj, s, targets)
+            lim = limited[s]
+        else:
+            d_true, lim = _union_sweep(graph, keyed, s, targets, den)
         for v in targets:
             dg = d_true[v]
             if v == s or dg is None:

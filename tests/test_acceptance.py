@@ -112,7 +112,7 @@ def test_criterion_02_single_scale_band_contract():
         adj = [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
         for k in relevant_scales(graph):
             sched = compute_schedule(graph.n, KAPPA, RHO, eps_int, 2 ** (k + 1))
-            ss = build_single_scale(adj, k, scaled_phases(sched, ws), seed=seed)
+            ss = build_single_scale(adj, scaled_phases(sched, ws), seed=seed)
             hs = hopset_from_single_scale(graph, k, ss, sched, ws)
             assert hs.effective_beta == 2 * sched.h[sched.ell] + 1
             report = verify_stretch(graph, hs, pair_mode="band", band=k)
@@ -194,7 +194,7 @@ def test_criterion_05_exploration_load():
         adj = [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
         for k in relevant_scales(graph):
             sched = compute_schedule(n, KAPPA, RHO, eps_int, 2 ** (k + 1))
-            ss = build_single_scale(adj, k, scaled_phases(sched, ws), seed=seed)
+            ss = build_single_scale(adj, scaled_phases(sched, ws), seed=seed)
             for p in ss.stats:
                 if p.index > sched.i1:
                     continue  # the concluding phase has no degree parameter

@@ -170,7 +170,7 @@ class TestStarGraphExample:
         sched = compute_schedule(64, 2, F(1, 2), F(1, 10), 400)  # delta_0/2 = 2
         ws = WeightScale(100)
         ss = build_single_scale(
-            scaled_adj(g, ws), 3, scaled_phases(sched, ws), seed=1, sample_overrides={0: 0.0}
+            scaled_adj(g, ws), scaled_phases(sched, ws), seed=1, sample_overrides={0: 0.0}
         )
         inter0 = [e for e in ss.edges if e.kind == "interconnect"]
         assert len(inter0) == 15  # all pairs of the 6 vertices
@@ -185,7 +185,7 @@ class TestBuildInvariants:
         sched = compute_schedule(n, 2, F(1, 2), F(1, 10), 64)
         ws = WeightScale(2 * 100)
         ss = build_single_scale(
-            scaled_adj(g, ws), 5, scaled_phases(sched, ws), seed=seed, keep_partitions=True
+            scaled_adj(g, ws), scaled_phases(sched, ws), seed=seed, keep_partitions=True
         )
         return g, sched, ws, ss
 
@@ -281,7 +281,7 @@ class TestBuildInvariants:
         ok = 0
         seeds = range(20)
         for s in seeds:
-            ss = build_single_scale(adj, 5, phases, seed=s, keep_partitions=True)
+            ss = build_single_scale(adj, phases, seed=s, keep_partitions=True)
             if len(ss.partitions[1]) <= 2 * n ** (1 - 1 / 2):
                 ok += 1
         assert ok >= 0.9 * len(seeds)
@@ -296,7 +296,7 @@ class TestBandContract:
         adj = scaled_adj(g, ws)
         for k in (2, 3, 4):
             sched = compute_schedule(100, 2, F(1, 2), F(1, 10), 2 ** (k + 1))
-            ss = build_single_scale(adj, k, scaled_phases(sched, ws), seed=7)
+            ss = build_single_scale(adj, scaled_phases(sched, ws), seed=7)
             hs = hopset_from_single_scale(g, k, ss, sched, ws)
             assert hs.effective_beta == 735
             assert hs.effective_eps == F(96, 10)

@@ -19,6 +19,7 @@ from hopsets import (
     size_stats,
     verify_stretch,
 )
+from hopsets import verify as verify_module
 from hopsets.hopset import HopsetEdge
 from hopsets.verify import (
     VerificationReport,
@@ -359,3 +360,72 @@ def test_built_hopset_matches_full_table_reference(mode, kw, seed):
         report = verify_stretch(g, hs, pair_mode=mode, **kw).to_dict()
         del report["wall_time"]
         assert report == reference_verify(g, hs, pair_mode=mode, **kw)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Record (adjacency, source) of every `dijkstra_all` call verify makes."""
+    calls = []
+    real = verify_module.dijkstra_all
+
+    def counted(adj, source, targets=None):
+        calls.append((adj, source))
+        return real(adj, source, targets)
+
+    monkeypatch.setattr(verify_module, "dijkstra_all", counted)
+    return calls
+
+
+def checked_report(g, hopset, mode="all", **kw):
+    report = verify_stretch(g, hopset, pair_mode=mode, **kw).to_dict()
+    del report["wall_time"]
+    assert report == reference_verify(g, hopset, pair_mode=mode, **kw)
+    return report
+
+
+@pytest.mark.parametrize("build_mode,eps", [("reduced", "0.3"), ("direct", "1")])
+def test_one_union_sweep_per_source(sweeps, build_mode, eps):
+    # three isolated vertices: targets the union sweep leaves without a key
+    g = Graph.from_edges(63, er_graph(60, 0.15, 1, 1000, seed=2).edges)
+    hs = build_hopset(g, HopsetParams.make(eps_target=eps, seed=2, mode=build_mode))
+    assert hs.size > 0 and hs.effective_beta >= g.n - 1
+    sample = {"sample_size": 80, "sample_seed": 3}
+    for mode, kw, sources in (
+        ("all", {}, list(range(g.n))),
+        ("sample", sample, sorted({s for s, _ in _sample_pairs(g, 80, 3)})),
+    ):
+        sweeps.clear()
+        assert checked_report(g, hs, mode, **kw)["violation_count"] == 0
+        assert [s for _, s in sweeps] == sources
+        assert all(adj is not g.adj for adj, _ in sweeps)
+
+    # one hopset edge at half its true distance: an undercut the oracle must price
+    e = hs.edges[0]
+    hs.edges[0] = HopsetEdge(e.u, e.v, full_sweep(g.adj, e.u)[e.v] * F(1, 2), e.scale, e.kind)
+    sweeps.clear()
+    report = checked_report(g, hs)
+    assert report["violation_count"] > 0
+    assert any(adj is g.adj for adj, _ in sweeps)
+
+
+def test_hopset_edge_count_carries_no_digit():
+    # a hopset twin under every path edge: the shortest 0 -> n-1 union path takes
+    # all n - 1 twins, the largest count a key must hold below its distance digit
+    n = 9
+    g = path_graph(n, 3)  # odd weights 3**i, so the halved twins need den = 2
+    half = [HopsetEdge(u, v, F(w, 2), 0, "interconnect") for u, v, w in g.edges]
+    hs = Hopset(n=n, edges=half, effective_beta=n - 1, effective_eps=F(1, 10), provenance={})
+    report = checked_report(g, hs)
+    assert report["violation_count"] == n * (n - 1) // 2
+    far = next(v for v in report["violations"] if (v["u"], v["v"]) == (0, n - 1))
+    assert far["d_limited"] == _frac(F(3**(n - 1) - 1, 4))  # sum of 3**i / 2, exact
+
+
+def test_hopset_twin_at_graph_weight_is_a_tie(sweeps):
+    n = 9
+    g = path_graph(n, 3)
+    twins = [HopsetEdge(u, v, F(w), 0, "interconnect") for u, v, w in g.edges]
+    hs = Hopset(n=n, edges=twins, effective_beta=n - 1, effective_eps=F(0), provenance={})
+    report = checked_report(g, hs)
+    assert (report["violation_count"], report["max_stretch"]) == (0, "1/1")
+    assert len(sweeps) == n and all(adj is not g.adj for adj, _ in sweeps)
