@@ -2,10 +2,12 @@
 
 Everything here works on adjacency lists of (neighbor, weight) with plain
 integer weights (already rescaled by the build's WeightScale when weights
-are fractional).  All distances returned are exact; `dijkstra_all` can stop
-once a given target set has settled.  Hop-limited distances d^(t) come from
-a (distance, hops) Dijkstra when t >= n - 1, where d^(t) is the plain
-shortest distance, and from frontier Bellman-Ford rounds below that.
+are fractional).  All distances returned are exact.  Bounded explorations
+run one loop, `multi_source_bounded_dijkstra` (`bounded_dijkstra` is its
+one-root case); `dijkstra_all` can stop once a given target set has
+settled.  Hop-limited distances d^(t) come from a (distance, hops) Dijkstra
+when t >= n - 1, where d^(t) is the plain shortest distance, and from
+frontier Bellman-Ford rounds below that.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def multi_source_bounded_dijkstra(
         heappush(heap, (0, r, r, None))
     while heap:
         d, r, v, par = heappop(heap)
-        if v in dist or best.get(v) != (d, r):
+        if v in dist:  # stale: a push strictly lowers best[v], so v's first pop is best
             continue
         dist[v] = d
         rootof[v] = r
@@ -84,28 +86,11 @@ def bounded_dijkstra(
 ) -> tuple[dict[int, int], dict[int, int | None]]:
     """Single-source Dijkstra to distance <= depth (inclusive).
 
-    Returns exact distances and parent pointers over the reached set.
+    The one-root case of `multi_source_bounded_dijkstra`: returns exact
+    distances and parent pointers over the reached set.
     """
-    dist: dict[int, int] = {}
-    parent: dict[int, int | None] = {source: None}
-    seen: dict[int, int] = {source: 0}
-    heap = [(0, source)]
-    while heap:
-        d, v = heappop(heap)
-        if v in dist:
-            continue
-        dist[v] = d
-        for u, w in adj[v]:
-            if u in dist:
-                continue
-            nd = d + w
-            if depth is not None and nd > depth:
-                continue
-            if u not in seen or nd < seen[u]:
-                seen[u] = nd
-                parent[u] = v
-                heappush(heap, (nd, u))
-    return dist, parent
+    forest = multi_source_bounded_dijkstra(adj, (source,), depth)
+    return forest.dist, forest.parent
 
 
 def dijkstra_all(

@@ -131,7 +131,8 @@ def load_dimacs(source) -> Graph:
     """Parse a DIMACS .gr file (path, text stream, or byte stream).
 
     Duplicate arcs and (u,v)/(v,u) pairs collapse to the minimum weight.
-    Raises GraphFormatError with a line number on malformed input.
+    The m of `p sp n m` counts the `a` lines.  Raises GraphFormatError with
+    a line number on malformed input.
     """
     close = False
     if isinstance(source, (str, bytes)):
@@ -155,12 +156,12 @@ def load_dimacs(source) -> Graph:
                 if len(parts) != 4 or parts[1] != "sp":
                     raise GraphFormatError(f"malformed problem line {line!r}", lineno)
                 try:
-                    n = int(parts[2])
-                    int(parts[3])
+                    n, m = int(parts[2]), int(parts[3])
                 except ValueError:
                     raise GraphFormatError(f"malformed problem line {line!r}", lineno)
                 if n < 1:
                     raise GraphFormatError(f"vertex count {n} < 1", lineno)
+                p_lineno = lineno
             elif parts[0] == "a":
                 if n is None:
                     raise GraphFormatError("arc before problem line", lineno)
@@ -183,6 +184,8 @@ def load_dimacs(source) -> Graph:
                 raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
         if n is None:
             raise GraphFormatError("missing problem line", None)
+        if len(raw_edges) != m:
+            raise GraphFormatError(f"p line declares {m} arcs, found {len(raw_edges)}", p_lineno)
         return Graph.from_edges(n, raw_edges)
     finally:
         if close:

@@ -578,8 +578,8 @@ def load_hopset(source) -> Hopset:
                 version, n, beta, eps = _fields(lineno, fields, int, int, int, _fraction)
                 if version != FILE_VERSION:
                     raise HopsetFormatError(f"unsupported hopset file version {version}", lineno)
-                if n < 1 or beta < 0:
-                    raise HopsetFormatError(f"bad header n={n} beta={beta}", lineno)
+                if n < 1 or beta < 0 or eps <= 0:
+                    raise HopsetFormatError(f"bad header n={n} beta={beta} eps={eps}", lineno)
                 header = (n, beta, eps)
             elif tag == "e":
                 if header is None:
@@ -588,6 +588,8 @@ def load_hopset(source) -> Hopset:
                 _check_vertices(lineno, header[0], (u, v))
                 if w <= 0:
                     raise HopsetFormatError(f"edge weight {w} is not positive", lineno)
+                if kind not in KIND_ORDER:
+                    raise HopsetFormatError(f"unknown edge kind {kind!r}", lineno)
                 edges.append(HopsetEdge(u - 1, v - 1, w, scale, kind))
             elif tag == "p":
                 if header is None:

@@ -294,12 +294,19 @@ def interconnect_phase(
     endpoint (distance symmetry makes both sides agree).  Returns the edges
     and the interconnection load: the vertices reached, summed over the
     explorations.
+
+    A center whose every arc is longer than `half` reaches only itself
+    (weights are nonnegative), so it counts that one visit and skips the
+    exploration; an arc of weight exactly `half` still runs it.
     """
     centers = sorted(c.center for c in unclustered)
     center_set = set(centers)
     edges: list[ScaleEdge] = []
     visits = 0
     for c in centers:
+        if all(w > half for _, w in adj[c]):
+            visits += 1
+            continue
         dist, parent = bounded_dijkstra(adj, c, half)
         visits += len(dist)
         for v, d in sorted(dist.items()):

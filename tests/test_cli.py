@@ -80,11 +80,19 @@ class TestPipeline:
         )
         assert code == EXIT_PARAM
 
-    def test_malformed_graph_is_io_error(self, workspace):
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("p sp 2 1\na 1 2 0\n", 2),  # zero weight
+            ("p sp 8 7\n" + "".join(f"a {i} {i + 1} 1\n" for i in range(1, 6)), 1),  # arcs cut
+        ],
+    )
+    def test_malformed_graph_is_io_error(self, workspace, capsys, text, line):
         bad = workspace / "bad.gr"
-        bad.write_text("p sp 2 1\na 1 2 0\n")
+        bad.write_text(text)
         code = run("build", "--graph", str(bad), "--out", str(workspace / "h.hs"))
         assert code == EXIT_IO
+        assert f"line {line}:" in capsys.readouterr().err
 
     def test_query_writes_csv_and_paths(self, workspace):
         graph = gen_graph(workspace)
@@ -222,6 +230,9 @@ class TestMalformedHopset:
             (HEADER + "e 1 2 3/1 0 star\np 0 1 2\np 0 1 3 2\n", 4),  # duplicate witness
             ("c graph aaaa\nc graph bbbb\nc seed\n" + HEADER, 2),  # duplicate provenance key
             ("c mode reduced\nc seed\n" + HEADER, 2),  # provenance key without a value
+            ("h 1 8 88796495 -3/10\n", 1),  # negative epsilon
+            ("h 1 8 5 0/1\n", 1),  # zero epsilon
+            (HEADER + "e 1 2 3/1 0 star\ne 2 3 3/1 0 bogus\n", 3),  # unknown edge kind
         ],
     )
     def test_malformed_file_is_io_error_with_line(self, workspace, capsys, command, text, line):

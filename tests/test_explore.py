@@ -1,3 +1,5 @@
+from heapq import heappop, heappush
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,168 @@ from hopsets import (
     dijkstra_all,
     er_graph,
     hop_limited_bellman_ford,
+    interconnect_phase,
     multi_source_bounded_dijkstra,
     path_graph,
 )
+from hopsets.explore import ExplorationForest
+from hopsets.single_scale import Cluster, ScaleEdge
+
+
+# ---------------------------------------------------------------------------
+# References: the two bounded Dijkstra loops and `interconnect_phase` as they
+# were before `bounded_dijkstra` became the one-root case of
+# `multi_source_bounded_dijkstra` and interconnection skipped centers whose
+# every arc is longer than `half`.  Kept verbatim but for their names.
+
+
+def reference_multi_source_bounded_dijkstra(
+    adj: list[list[tuple[int, int]]],
+    roots,
+    depth: int | None,
+) -> ExplorationForest:
+    """Dijkstra from a set of roots, exploring to distance <= depth (inclusive).
+
+    Equidistant vertices join the tree of the lowest-id root: the heap is
+    keyed by (distance, root), so label propagation is lexicographic and the
+    resulting forest is deterministic regardless of container order.
+    """
+    roots = sorted(set(roots))
+    if not roots:
+        raise ValueError("roots must be non-empty")
+    dist: dict[int, int] = {}
+    rootof: dict[int, int] = {}
+    parent: dict[int, int | None] = {}
+    best: dict[int, tuple[int, int]] = {}
+    heap = []
+    for r in roots:
+        best[r] = (0, r)
+        heappush(heap, (0, r, r, None))
+    while heap:
+        d, r, v, par = heappop(heap)
+        if v in dist or best.get(v) != (d, r):
+            continue
+        dist[v] = d
+        rootof[v] = r
+        parent[v] = par
+        for u, w in adj[v]:
+            if u in dist:
+                continue
+            nd = d + w
+            if depth is not None and nd > depth:
+                continue
+            cand = (nd, r)
+            if u not in best or cand < best[u]:
+                best[u] = cand
+                heappush(heap, (nd, r, u, v))
+    return ExplorationForest(dist, rootof, parent)
+
+
+def reference_bounded_dijkstra(
+    adj: list[list[tuple[int, int]]],
+    source: int,
+    depth: int | None,
+) -> tuple[dict[int, int], dict[int, int | None]]:
+    """Single-source Dijkstra to distance <= depth (inclusive).
+
+    Returns exact distances and parent pointers over the reached set.
+    """
+    dist: dict[int, int] = {}
+    parent: dict[int, int | None] = {source: None}
+    seen: dict[int, int] = {source: 0}
+    heap = [(0, source)]
+    while heap:
+        d, v = heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        for u, w in adj[v]:
+            if u in dist:
+                continue
+            nd = d + w
+            if depth is not None and nd > depth:
+                continue
+            if u not in seen or nd < seen[u]:
+                seen[u] = nd
+                parent[u] = v
+                heappush(heap, (nd, u))
+    return dist, parent
+
+
+def reference_interconnect_phase(
+    adj, unclustered: list[Cluster], half: int
+) -> tuple[list[ScaleEdge], int]:
+    """Link every pair of unclustered centers within `half` (inclusive).
+
+    `half` is the phase's delta_i / 2 as a scaled integer.  Each center runs
+    its own bounded exploration; a pair is emitted once, from its lower-id
+    endpoint (distance symmetry makes both sides agree).  Returns the edges
+    and the interconnection load: the vertices reached, summed over the
+    explorations.
+    """
+    centers = sorted(c.center for c in unclustered)
+    center_set = set(centers)
+    edges: list[ScaleEdge] = []
+    visits = 0
+    for c in centers:
+        dist, parent = reference_bounded_dijkstra(adj, c, half)
+        visits += len(dist)
+        for v, d in sorted(dist.items()):
+            if v in center_set and v > c:
+                path = [v]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                edges.append(ScaleEdge(u=c, v=v, w=d, kind="interconnect", path=tuple(path)))
+    return edges, visits
+
+
+@st.composite
+def bounded_queries(draw, unbounded=True):
+    """A multigraph adjacency of 1-12 vertices and a depth (None or 0-7).
+
+    Weights are 0-5, and often exactly the depth; self-loops, parallel arcs
+    and each vertex's arc order are drawn at random."""
+    n = draw(st.integers(1, 12))
+    depth = draw(st.one_of(st.none(), st.integers(0, 7)) if unbounded else st.integers(0, 7))
+    weight = st.integers(0, 5)
+    if depth is not None:
+        weight = st.one_of(weight, st.just(depth))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=3 * n))
+    adj = [[] for _ in range(n)]
+    for u, v, w in arcs + arcs[: draw(st.integers(0, 3))]:  # repeats: parallel arcs
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return [draw(st.permutations(nbrs)) for nbrs in adj], depth
+
+
+class TestAgainstReferences:
+    @given(bounded_queries())
+    @settings(deadline=None, max_examples=300)
+    def test_bounded_dijkstra_matches_reference(self, query):
+        adj, depth = query
+        for source in range(len(adj)):
+            got = bounded_dijkstra(adj, source, depth)
+            assert got == reference_bounded_dijkstra(adj, source, depth)
+
+    @given(bounded_queries(), st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_multi_source_matches_reference(self, query, data):
+        adj, depth = query
+        roots = data.draw(st.lists(st.integers(0, len(adj) - 1), min_size=1, max_size=5))
+        got = multi_source_bounded_dijkstra(adj, roots, depth)
+        ref = reference_multi_source_bounded_dijkstra(adj, roots, depth)
+        assert (got.dist, got.root, got.parent) == (ref.dist, ref.root, ref.parent)
+
+    @given(bounded_queries(unbounded=False), st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_interconnect_matches_reference(self, query, data):
+        adj, half = query
+        centers = data.draw(st.lists(st.integers(0, len(adj) - 1), unique=True))
+        unclustered = [Cluster(c, (c,)) for c in centers]
+        got = interconnect_phase(adj, unclustered, half)
+        assert got == reference_interconnect_phase(adj, unclustered, half)
 
 
 def tiny_path():
@@ -54,8 +215,7 @@ class TestMultiSource:
         g = er_graph(40, 0.15, 1, 8, seed=6)
         for depth in (0, 5, 17):
             f = multi_source_bounded_dijkstra(g.adj, [7], depth)
-            dist, _ = bounded_dijkstra(g.adj, 7, depth)
-            assert f.dist == dist
+            assert (f.dist, f.parent) == reference_bounded_dijkstra(g.adj, 7, depth)
 
     def test_parent_chain_weights_sum_to_dist(self):
         g = er_graph(60, 0.1, 1, 12, seed=9)
@@ -248,8 +408,8 @@ def test_matches_dense_reference(query):
 
 
 def full_sweep(adj, source):
-    """Reference: the former dijkstra_all, a full sweep through bounded_dijkstra's dicts."""
-    dist, _ = bounded_dijkstra(adj, source, None)
+    """Reference: the former dijkstra_all, a full sweep through reference_bounded_dijkstra."""
+    dist, _ = reference_bounded_dijkstra(adj, source, None)
     out = [None] * len(adj)
     for v, d in dist.items():
         out[v] = d

@@ -59,6 +59,21 @@ class TestDimacsLoad:
         with pytest.raises(GraphFormatError):
             parse("p sp 2 1\nz 1 2 3\n")
 
+    @pytest.mark.parametrize(
+        "text,declared,found",
+        [
+            ("p sp 3 3\na 1 2 4\na 2 3 6\n", 3, 2),  # arcs cut from the end
+            ("p sp 3 1\na 1 2 4\na 2 3 6\n", 1, 2),  # arcs added
+            ("p sp 3 -1\na 1 2 4\n", -1, 1),
+            ("p sp 3 1\n", 1, 0),
+        ],
+    )
+    def test_arc_count_must_match_problem_line(self, text, declared, found):
+        with pytest.raises(GraphFormatError) as exc:
+            parse("c graph\n" + text)
+        assert exc.value.line == 2  # the problem line
+        assert f"p line declares {declared} arcs, found {found}" in str(exc.value)
+
 
 class TestRoundTrip:
     def test_dump_load_identity(self):
