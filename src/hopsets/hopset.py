@@ -10,6 +10,7 @@ independently of the aspect ratio.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TextIO
@@ -33,6 +34,7 @@ from .single_scale import (
 )
 from .util import HopsetError, as_fraction, child_seed, lcm
 from .weights import WeightScale
+from .witness import Witnesses
 
 
 class HopsetFormatError(HopsetError):
@@ -203,7 +205,9 @@ class Hopset:
     Every edge weight dominates the true distance between its endpoints, so
     adding the hopset never shortens any distance; the contract is that
     (effective_beta)-limited distances in the union graph stay within
-    (1 + effective_eps) of true distances.
+    (1 + effective_eps) of true distances.  `witnesses` is a list of graph
+    paths, one per edge, or a `Witnesses` that keeps reduced-mode paths as
+    merge-forest anchors and expands each when it is first read.
     """
 
     n: int
@@ -211,7 +215,7 @@ class Hopset:
     effective_beta: int
     effective_eps: Fraction
     provenance: dict
-    witnesses: list[tuple[int, ...]] | None = None
+    witnesses: Sequence[tuple[int, ...]] | None = None
     build_stats: dict | None = None
     raw_paths: list[tuple] | None = None
 
@@ -359,7 +363,7 @@ def _tree_anchors(sg: ScaleGraph, node_path: list[int]) -> tuple[int, ...]:
 def attach_witness_paths(
     graph: Graph, laminar: LaminarFamily | None, hopset: Hopset
 ) -> Hopset:
-    """Expand recorded construction paths into concrete graph paths.
+    """Attach the recorded construction paths as the hopset's witnesses.
 
     Without a laminar family (direct mode), each recording is the edge's
     Dijkstra tree path in the graph, used as it is (its weight equals the
@@ -367,106 +371,19 @@ def attach_witness_paths(
     tuple of tree anchors (see `_tree_anchors`); star edges are the
     two-anchor case.  Every node's spanning tree is a subtree of the laminar
     family's one merge forest, so each walk is the unique forest path
-    between its anchors.  Spliced paths weigh at most the edge weight (the
-    padding terms absorb the detours), never necessarily equal.
+    between its anchors: the witnesses are `Witnesses` over the merge
+    forest's edges, which expand when read.  Spliced paths weigh at most
+    the edge weight (the padding terms absorb the detours), never
+    necessarily equal.
     """
-    if hopset.raw_paths is None:
+    raws = hopset.raw_paths
+    if raws is None:
         raise HopsetError("hopset was built without path recording")
     if laminar is None:
-        hopset.witnesses = list(hopset.raw_paths)
-        return hopset
-    forest = SpanningForest(laminar.tree_adjacency_at(laminar.max_merge_scale()))
-    witnesses: list[tuple[int, ...]] = []
-    for anchors in hopset.raw_paths:
-        out: list[int] = []
-        for a, b in zip(anchors[::2], anchors[1::2]):
-            out.extend(forest.path(a, b))
-        witnesses.append(tuple(out))
-    hopset.witnesses = witnesses
+        hopset.witnesses = list(raws)
+    else:
+        hopset.witnesses = Witnesses([ev.edge for ev in laminar.events], list(raws))
     return hopset
-
-
-class SpanningForest:
-    """A forest given by adjacency, cut once into heavy chains.
-
-    Each tree is rooted at its first vertex in `tree`'s order.  Every vertex
-    continues the chain of its parent when it roots the parent's largest
-    child subtree (first such child on ties) and starts a chain of its own
-    otherwise, so a root-ward walk meets O(log n) chains (Sleator-Tarjan)
-    and `path` joins that many list slices.
-    """
-
-    def __init__(self, tree: dict[int, list[tuple[int, int]]]):
-        parent: dict[int, int | None] = {}
-        depth: dict[int, int] = {}
-        order: list[int] = []  # each vertex after its parent
-        for root in tree:
-            if root in parent:
-                continue
-            parent[root] = None
-            depth[root] = 0
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                order.append(x)
-                for y, _ in tree[x]:
-                    if y not in parent:
-                        parent[y] = x
-                        depth[y] = depth[x] + 1
-                        stack.append(y)
-        size = dict.fromkeys(order, 1)
-        for x in reversed(order):
-            if parent[x] is not None:
-                size[parent[x]] += size[x]
-        heavy: dict[int, int] = {}
-        for x in order:
-            p = parent[x]
-            if p is not None and (p not in heavy or size[x] > size[heavy[p]]):
-                heavy[p] = x
-        self.parent = parent
-        self.chain: dict[int, list[int]] = {}  # vertex -> its chain, head first
-        self.pos: dict[int, int] = {}  # vertex -> its index in its chain
-        self.head_depth: dict[int, int] = {}  # chain head -> its depth
-        for x in order:
-            if x in self.chain:
-                continue
-            self.head_depth[x] = depth[x]
-            ch: list[int] = []
-            y: int | None = x
-            while y is not None:
-                self.chain[y] = ch
-                self.pos[y] = len(ch)
-                ch.append(y)
-                y = heavy.get(y)
-
-    def path(self, a: int, b: int) -> list[int]:
-        """The unique forest path from a to b."""
-        if a == b:
-            return [a]
-        chain, pos = self.chain, self.pos
-        if a in chain and b in chain:
-            ca, ia, cb, ib = chain[a], pos[a], chain[b], pos[b]
-            out: list[int] = []  # a's side, root-ward
-            down: list[list[int]] = []  # b's side: head-to-vertex slices
-            while ca is not cb:
-                # climb from the chain whose head is deeper: that head's
-                # parent is still on the a..b path
-                if self.head_depth[ca[0]] >= self.head_depth[cb[0]]:
-                    x = self.parent[ca[0]]
-                    if x is None:  # both heads are roots: two trees
-                        break
-                    out += ca[ia::-1]
-                    ca, ia = chain[x], pos[x]
-                else:
-                    down.append(cb[: ib + 1])
-                    x = self.parent[cb[0]]
-                    cb, ib = chain[x], pos[x]
-            else:
-                out += reversed(ca[ib : ia + 1]) if ia >= ib else ca[ia : ib + 1]
-                for piece in reversed(down):
-                    out += piece
-                return out
-        raise HopsetError(f"vertices {a} and {b} not tree-connected")
 
 
 def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
@@ -475,6 +392,9 @@ def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
         return ["hopset has no witnesses"]
     problems = []
     for i, (edge, path) in enumerate(zip(hopset.edges, hopset.witnesses)):
+        if not path:
+            problems.append(f"edge {i}: empty witness")
+            continue
         if path[0] != edge.u or path[-1] != edge.v:
             problems.append(f"edge {i}: endpoints {path[0]},{path[-1]} != {edge.u},{edge.v}")
             continue
@@ -527,8 +447,11 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
     """Serialize; exact rationals as num/den, vertices 1-based.
 
     Output is byte-deterministic for a given hopset: provenance keys sorted,
-    edges in stored (already canonical) order, witnesses by edge index.
-    Witness vertices (ids 0..n-1) are written from one table of id strings.
+    edges in stored (already canonical) order, witnesses by edge index.  A
+    `Witnesses` is written as stored, never expanded: its forest as `f`
+    lines, then each edge's anchors as an `a` line; other witnesses are
+    paths, written as `p` lines.  Vertex ids 0..n-1 are written from one
+    table of id strings.
     """
     for key in sorted(hopset.provenance):
         out.write(f"c {key} {hopset.provenance[key]}\n")
@@ -542,14 +465,26 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
             f"e {e.u + 1} {e.v + 1} {e.weight.numerator}/{e.weight.denominator} "
             f"{e.scale} {e.kind}\n"
         )
-    if hopset.witnesses is not None:
-        ids = [str(v + 1) for v in range(hopset.n)]
-        for i, path in enumerate(hopset.witnesses):
-            out.write(f"p {i} {' '.join(map(ids.__getitem__, path))}\n")
+    wit = hopset.witnesses
+    if wit is None:
+        return
+    ids = [str(v + 1) for v in range(hopset.n)]
+    tag, records = "p", wit
+    if isinstance(wit, Witnesses):
+        for u, v, w in wit.forest:
+            out.write(f"f {ids[u]} {ids[v]} {w}\n")
+        tag, records = "a", wit.anchors
+    for i, record in enumerate(records):
+        out.write(f"{tag} {i} {' '.join(map(ids.__getitem__, record))}\n")
 
 
 def load_hopset(source) -> Hopset:
-    """Parse a hopset file (path or text stream); inverse of dump_hopset."""
+    """Parse a hopset file (path or text stream); inverse of dump_hopset.
+
+    A file's witnesses are `p` lines (paths), or `f` lines (a forest)
+    followed by `a` lines (anchors), each of whose pairs the forest must
+    join.  A file with `f` lines loads them as a `Witnesses`, unexpanded.
+    """
     close = False
     if isinstance(source, (str, bytes)):
         fh = open(source, "r", encoding="ascii")
@@ -561,6 +496,8 @@ def load_hopset(source) -> Hopset:
         header = None
         edges: list[HopsetEdge] = []
         witnesses: dict[int, tuple[int, ...]] = {}
+        forest: list[tuple[int, int, int]] = []
+        root: list[int] = []  # union-find over the forest, 0-based ids
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts:
@@ -591,30 +528,63 @@ def load_hopset(source) -> Hopset:
                 if kind not in KIND_ORDER:
                     raise HopsetFormatError(f"unknown edge kind {kind!r}", lineno)
                 edges.append(HopsetEdge(u - 1, v - 1, w, scale, kind))
-            elif tag == "p":
+            elif tag == "f":
+                if header is None:
+                    raise HopsetFormatError("forest edge before header", lineno)
+                u, v, w = _fields(lineno, fields, int, int, int)
+                _check_vertices(lineno, header[0], (u, v))
+                if w <= 0:
+                    raise HopsetFormatError(f"forest edge weight {w} is not positive", lineno)
+                if witnesses:
+                    raise HopsetFormatError("forest edge after a witness line", lineno)
+                if not root:
+                    root = list(range(header[0]))
+                ru, rv = _find(root, u - 1), _find(root, v - 1)
+                if ru == rv:
+                    raise HopsetFormatError(f"forest edge {u} {v} closes a cycle", lineno)
+                root[ru] = rv
+                forest.append((u - 1, v - 1, w))
+            elif tag in ("p", "a"):
                 if header is None:
                     raise HopsetFormatError("witness before header", lineno)
-                if len(fields) < 2:
+                if tag == "p" and len(fields) < 2:
                     raise HopsetFormatError("witness needs an index and a vertex", lineno)
+                if tag == "a" and (len(fields) < 3 or len(fields) % 2 == 0):
+                    raise HopsetFormatError("anchors need an index and vertex pairs", lineno)
                 try:
                     idx, *path = map(int, fields)
                 except ValueError:
                     raise _malformed(lineno, fields) from None
                 if min(path) < 1 or max(path) > header[0]:
                     _check_vertices(lineno, header[0], path)
+                if tag == "p" and forest:
+                    raise HopsetFormatError("path witness after a forest edge", lineno)
+                if tag == "a" and not forest:
+                    raise HopsetFormatError("anchors before any forest edge", lineno)
                 if idx in witnesses:
                     raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
-                witnesses[idx] = tuple(map((-1).__add__, path))  # 0-based
+                path = tuple(map((-1).__add__, path))  # 0-based
+                if tag == "a":
+                    if not witnesses:  # the forest is complete: label each vertex by its tree
+                        root = [_find(root, x) for x in range(header[0])]
+                    for x, y in zip(path[::2], path[1::2]):
+                        if root[x] != root[y]:
+                            raise HopsetFormatError(
+                                f"anchors {x + 1} and {y + 1} are not joined by the forest", lineno
+                            )
+                witnesses[idx] = path
             else:
                 raise HopsetFormatError(f"unknown record {tag!r}", lineno)
         if header is None:
             raise HopsetFormatError("missing header line")
         n, beta, eps = header
         wit = None
-        if witnesses:
+        if witnesses or forest:
             if sorted(witnesses) != list(range(len(edges))):
                 raise HopsetFormatError("witness lines do not cover all edges")
             wit = [witnesses[i] for i in range(len(edges))]
+            if forest:
+                wit = Witnesses(forest, wit)
         return Hopset(
             n=n,
             edges=edges,
@@ -626,6 +596,14 @@ def load_hopset(source) -> Hopset:
     finally:
         if close:
             fh.close()
+
+
+def _find(root: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
 
 
 def _fraction(text: str) -> Fraction:

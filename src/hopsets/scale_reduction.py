@@ -105,9 +105,6 @@ class LaminarFamily:
         self._entered = 0  # prefix of _entry_order admitted to the window
         self._window: list[int] = []
 
-    def max_merge_scale(self) -> int:
-        return self.events[-1].scale if self.events else 0
-
     def _advance(self, k: int) -> None:
         if k < self._scale:
             msg = f"laminar cursor is at scale {self._scale}, cannot go back to scale {k}"
@@ -163,14 +160,16 @@ class LaminarFamily:
         return self._window
 
     def tree_adjacency_at(self, k: int) -> dict[int, list[tuple[int, int]]]:
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for ev in self.events:
-            if ev.scale > k:
-                break
-            u, v, w = ev.edge
-            adj.setdefault(u, []).append((v, w))
-            adj.setdefault(v, []).append((u, w))
-        return adj
+        return forest_adjacency(ev.edge for ev in self.events if ev.scale <= k)
+
+
+def forest_adjacency(edges) -> dict[int, list[tuple[int, int]]]:
+    """Both orientations of each (u, v, w), keyed by vertex in first-seen order."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for u, v, w in edges:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    return adj
 
 
 def contraction_scale(w: int, n: int, eps: Fraction) -> int:

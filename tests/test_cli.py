@@ -233,6 +233,20 @@ class TestMalformedHopset:
             ("h 1 8 88796495 -3/10\n", 1),  # negative epsilon
             ("h 1 8 5 0/1\n", 1),  # zero epsilon
             (HEADER + "e 1 2 3/1 0 star\ne 2 3 3/1 0 bogus\n", 3),  # unknown edge kind
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2\n", 3),  # truncated forest edge
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 x\n", 3),  # non-numeric forest weight
+            (HEADER + "e 1 2 3/1 0 star\nf 1 9 1\n", 3),  # forest vertex above n
+            (HEADER + "e 1 2 3/1 0 star\nf 0 2 1\n", 3),  # forest vertex below 1
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 1\nf 2 3 1\nf 3 1 1\n", 5),  # forest cycle
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 1\na 0\n", 4),  # anchors without vertices
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 1\na 0 1\n", 4),  # odd anchor count
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 1\na 0 1 x\n", 4),  # non-numeric anchor
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 1\na 0 1 3\n", 4),  # anchors in two trees
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 1\na 0 1 2\na 0 1 2\n", 5),  # duplicate
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 1\na 0 1 2\np 0 1 2\n", 5),  # `a` and `p`
+            (HEADER + "e 1 2 3/1 0 star\np 0 1 2\nf 1 2 1\na 0 1 2\n", 4),  # `p`, then `a`
+            (HEADER + "e 1 2 3/1 0 star\na 0 1 2\n", 3),  # anchors without a forest
+            (HEADER + "e 1 2 3/1 0 star\nf 1 2 1\na 0 1 2\nf 2 3 1\n", 5),  # forest after
         ],
     )
     def test_malformed_file_is_io_error_with_line(self, workspace, capsys, command, text, line):
@@ -244,6 +258,17 @@ class TestMalformedHopset:
             args += ["--sources", "1", "--out", str(workspace / "est.csv")]
         assert run(command, *args) == EXIT_IO
         assert f"line {line}:" in capsys.readouterr().err
+
+    def test_forest_step_off_the_graph_is_a_witness_error(self, workspace, capsys):
+        # the forest edge 1-3 is no edge of the path 1-2-...-8: the file loads,
+        # and the expanded witness fails the path check as a `p` line would
+        graph = gen_graph(workspace)
+        hopset = workspace / "h.hs"
+        hopset.write_text("h 1 8 1 1/10\ne 1 3 2/1 1 star\nf 1 3 1\na 0 1 3\n")
+        args = ["--graph", str(graph), "--hopset", str(hopset), "--sources", "1"]
+        args += ["--out", str(workspace / "est.csv"), "--paths", str(workspace / "p.txt")]
+        assert run("query", *args) == EXIT_PARAM
+        assert "extracted step (0,2) is not a graph edge" in capsys.readouterr().err
 
     def test_negative_weight_in_built_hopset_is_io_error(self, workspace, capsys):
         graph = gen_graph(

@@ -3,10 +3,14 @@
 Hopset files, verify reports and query output must stay byte-identical
 across refactors; any change to these digests has to be deliberate.  Each
 graph is built in reduced mode with and without witnesses (`-w`) and in
-direct mode with witnesses.  Verify reports are digested without
-`wall_time`; query output is the CSV and `--paths` file of `hopset query`.
-Band reports pin the per-pair distance filter, and the two-component graph
-pins pairs whose target is unreachable from the source.
+direct mode with witnesses.  A reduced `-w` file writes its witnesses as
+merge-forest `f` lines and per-edge `a` anchor lines; it is pinned as
+written and, in `GOLDEN`, as rendered to one `p` line per expanded
+witness, so expansion must give back the pinned `p`-line bytes.  Verify
+reports are digested without `wall_time`; query output is the CSV and
+`--paths` file of `hopset query`.  Band reports pin the per-pair distance
+filter, and the two-component graph pins pairs whose target is
+unreachable from the source.
 """
 
 import functools
@@ -24,10 +28,12 @@ from hopsets import (
     dump_hopset,
     er_graph,
     grid_graph,
+    load_hopset,
     path_graph,
     verify_stretch,
 )
 from hopsets.cli import EXIT_OK, main
+
 
 def _two_components():
     """er(30) on vertices 0..29, a geometric path on 30..49, vertex 50 isolated."""
@@ -54,6 +60,14 @@ GOLDEN = {
     "grid-reduced": "046ddff210d8cab68e713f7851b4cfef44a719d531c9f98c442d65d316c5bfe9",
     "grid-reduced-w": "a1c48f4a90de9e497c19bf83cc5f1e37d719bed1b07d2de71247ad49aa422a56",
     "grid-direct-w": "5012efc67d4655f0b9e97bac883f69cf1aaaf4fdbee53a3ee53c00cce362e802",
+}
+
+# reduced `-w` case -> sha256 of the file as dumped, with `f` and `a` lines;
+# GOLDEN holds the digest of its `p`-line rendering (`_as_path_lines`)
+GOLDEN_COMPACT = {
+    "path-reduced-w": "cdc29e89a387d202ccc04e87ef1b1c1084173225a5e87a702c4b87f93f0f1f21",
+    "er-reduced-w": "55dce098a33773d3d823a4c14125f1906859fe2918e6331513bb0991b5b1d9b7",
+    "grid-reduced-w": "d8a723b207d7e82561da240855acfb20756767ee3e9e4f04642b787b3b458f21",
 }
 
 # (case, pair spec) -> sha256 of the verify report without wall_time
@@ -119,11 +133,54 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _as_path_lines(text):
+    """The file's `c`, `h` and `e` lines, then `p <i> <witness i>` per edge.
+
+    The witnesses are the loaded file's, expanded from its anchors, and
+    written in the `p`-line form that direct-mode files use.
+    """
+    hopset = load_hopset(io.StringIO(text))
+    lines = [line for line in text.splitlines(keepends=True) if line[0] in "che"]
+    for i, path in enumerate(hopset.witnesses):
+        lines.append(f"p {i} {' '.join(str(x + 1) for x in path)}\n")
+    return "".join(lines)
+
+
+def _witness_ids(text):
+    """Vertex ids on witness lines: two per `f` line, those after the index on `a` and `p`."""
+    count = 0
+    for line in text.splitlines():
+        tag, *fields = line.split()
+        if tag == "f":
+            count += 2
+        elif tag in ("a", "p"):
+            count += len(fields) - 1
+    return count
+
+
+def test_witness_ids_grow_linearly_on_the_path_family():
+    # doubling n takes the forest and anchors from 1,866 to 4,114 ids, while
+    # the expanded witnesses of the same builds grow fourfold (35,678 to 141,860)
+    compact, expanded = [], []
+    for n in (256, 512):
+        params = HopsetParams.make(eps_target="0.3", seed=1, path_reporting=True)
+        buf = io.StringIO()
+        dump_hopset(build_hopset(path_graph(n, 2), params), buf)
+        compact.append(_witness_ids(buf.getvalue()))
+        expanded.append(_witness_ids(_as_path_lines(buf.getvalue())))
+    assert compact[1] <= 2.5 * compact[0]
+    assert expanded[1] > 2.5 * expanded[0]  # the bound tells the two forms apart
+
+
 @pytest.mark.parametrize("case", GOLDEN)
 def test_golden_file_digests(case):
     buf = io.StringIO()
     dump_hopset(_built(case)[1], buf)
-    assert _sha(buf.getvalue()) == GOLDEN[case]
+    text = buf.getvalue()
+    if case in GOLDEN_COMPACT:
+        assert _sha(text) == GOLDEN_COMPACT[case]
+        text = _as_path_lines(text)
+    assert _sha(text) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("case,pairs", GOLDEN_VERIFY)

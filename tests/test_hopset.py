@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopsets.hopset
+import hopsets.witness
 from hopsets import (
     Graph,
     Hopset,
+    HopsetEdge,
     HopsetError,
     HopsetParams,
     attach_witness_paths,
@@ -29,7 +31,8 @@ from hopsets import (
     verify_stretch,
 )
 from hopsets.cli import main
-from hopsets.hopset import SpanningForest
+from hopsets.scale_reduction import forest_adjacency
+from hopsets.witness import SpanningForest, Witnesses
 
 
 class ReferenceSpanningForest:
@@ -332,6 +335,48 @@ class TestWitnesses:
             total = sum(g.weight(a, b) for a, b in zip(path, path[1:]))
             assert F(total) <= e.weight
 
+    def test_empty_witness_is_a_problem(self):
+        g = path_graph(4, 2)
+        edge = HopsetEdge(0, 3, F(7), 1, "star")
+        hs = Hopset(4, [edge], 1, F(1, 10), {}, witnesses=[()])
+        assert validate_witnesses(g, hs) == ["edge 0: empty witness"]
+
+    def test_forest_step_off_the_graph_is_a_problem(self):
+        g = path_graph(4, 2)
+        witnesses = Witnesses([(0, 2, 1)], [(0, 2)])
+        hs = Hopset(4, [HopsetEdge(0, 2, F(3), 1, "star")], 1, F(1, 10), {}, witnesses=witnesses)
+        assert validate_witnesses(g, hs) == ["edge 0: (0,2) is not a graph edge"]
+
+    def test_build_verify_and_stats_expand_no_witness(self, tmp_path, monkeypatch):
+        counts = {"forests": 0, "reads": 0}
+
+        class CountedForest(SpanningForest):
+            def __init__(self, tree):
+                counts["forests"] += 1
+                super().__init__(tree)
+
+        read = Witnesses.__getitem__
+
+        def counted_read(self, i):
+            counts["reads"] += 1
+            return read(self, i)
+
+        monkeypatch.setattr(hopsets.witness, "SpanningForest", CountedForest)
+        monkeypatch.setattr(Witnesses, "__getitem__", counted_read)
+        graph, hopset = tmp_path / "g.gr", tmp_path / "h.hs"
+        gen = ["--model", "path", "--n", "64", "--base", "2", "--seed", "1"]
+        assert main(["gen", *gen, "--out", str(graph)]) == 0
+        io_args = ["--graph", str(graph), "--hopset", str(hopset)]
+        build = ["build", "--graph", str(graph), "--out", str(hopset), "--path-reporting"]
+        assert main(build) == 0
+        assert main(["verify", *io_args, "--pairs", "all"]) == 0
+        assert main(["stats", "--hopset", str(hopset)]) == 0
+        assert counts == {"forests": 0, "reads": 0}
+        # the counters do see expansion: checking every witness cuts the forest once
+        hs = load_hopset(str(hopset))
+        assert validate_witnesses(load_dimacs(str(graph)), hs) == []
+        assert counts == {"forests": 1, "reads": hs.size}
+
     def test_attach_without_recording_errors(self):
         g = er_graph(20, 0.3, 1, 5, seed=1)
         hs = build_hopset(g, reduced_params())
@@ -344,7 +389,7 @@ class TestWitnesses:
         # the splice to the path inside each node's own spanning tree
         g = er_graph(40, 0.06, 1, 64, seed=seed)  # sparse: several components
         lam = build_laminar(g, F(1, 5))
-        forest = SpanningForest(lam.tree_adjacency_at(lam.max_merge_scale()))
+        forest = SpanningForest(forest_adjacency(ev.edge for ev in lam.events))
         for k in sorted({ev.scale for ev in lam.events}):
             tree = {x: {y for y, _ in ys} for x, ys in lam.tree_adjacency_at(k).items()}
             nodes: dict[int, list[int]] = {}

@@ -27,11 +27,12 @@ from hopsets import (
     validate,
 )
 from hopsets.hopset import FILE_VERSION, _check_vertices, _fraction
+from hopsets.witness import Witnesses
 
 # Replacement tokens stay small, and inserted characters are never digits, so
 # a mutated header cannot ask for a huge vertex count.
 TOKENS = [
-    "", "a", "c", "e", "h", "p", "sp", "x", "star", "0", "1", "2", "7", "12", "99",
+    "", "a", "c", "e", "f", "h", "p", "sp", "x", "star", "0", "1", "2", "7", "12", "99",
     "-1", "+3", "1_0", "0x1", "1.5", "1/2", "-3/2", "0/1", "3/0", "1/2/3", "/",
 ]
 CHARS = " \t-+/._xe"
@@ -66,6 +67,8 @@ def hopsets(draw):
     if edges and draw(st.booleans()):
         path = st.lists(vertex, min_size=1, max_size=4).map(tuple)
         witnesses = draw(st.lists(path, min_size=len(edges), max_size=len(edges)))
+        if n > 1 and draw(st.booleans()):
+            witnesses = draw(anchored_witnesses(n, len(edges)))
     provenance = draw(
         st.dictionaries(WORD, st.lists(WORD, min_size=1, max_size=3).map(" ".join), max_size=3)
     )
@@ -79,11 +82,40 @@ def hopsets(draw):
     )
 
 
+@st.composite
+def anchored_witnesses(draw, n, size):
+    """`Witnesses` of `size` anchor tuples over a random forest on 0..n-1.
+
+    Vertex 1 hangs below vertex 0, and each x > 1 below a lower vertex or
+    nowhere; edges come in a drawn order and orientation.  Anchor pairs lie
+    in one tree.
+    """
+    forest, tree = [], list(range(n))
+    for x in range(1, n):
+        if x == 1 or draw(st.booleans()):
+            y = draw(st.integers(0, x - 1))
+            tree[x] = tree[y]
+            edge = (x, y) if draw(st.booleans()) else (y, x)
+            forest.append((*edge, draw(st.integers(1, 10**9))))
+    forest = draw(st.permutations(forest))
+    members = {}
+    for x, t in enumerate(tree):
+        members.setdefault(t, []).append(x)
+    pair = st.sampled_from(sorted(members.values())).flatmap(
+        lambda ms: st.tuples(st.sampled_from(ms), st.sampled_from(ms))
+    )
+    anchors = st.lists(pair, min_size=1, max_size=3).map(lambda ps: sum(ps, ()))
+    return Witnesses(forest, draw(st.lists(anchors, min_size=size, max_size=size)))
+
+
 def reference_load_hopset(source) -> Hopset:
     """`load_hopset` as it was before its `p` branch converted with `map`.
 
     Kept verbatim, but for the two later checks that the header epsilon is
-    positive and the edge kind is one a build writes."""
+    positive and the edge kind is one a build writes, and for the `f` and
+    `a` lines of forest-anchored witnesses (with the check that no `p` line
+    follows an `f` line), whose forest is checked here by relabelling each
+    merged tree instead of by union-find."""
     close = False
     if isinstance(source, (str, bytes)):
         fh = open(source, "r", encoding="ascii")
@@ -95,6 +127,8 @@ def reference_load_hopset(source) -> Hopset:
         header = None
         edges: list[HopsetEdge] = []
         witnesses: dict[int, tuple[int, ...]] = {}
+        forest: list[tuple[int, int, int]] = []
+        tree: list[int] = []  # vertex -> label of its forest tree
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts:
@@ -132,8 +166,42 @@ def reference_load_hopset(source) -> Hopset:
                     raise HopsetFormatError("witness needs an index and a vertex", lineno)
                 idx, *path = _fields(lineno, fields, *[int] * len(fields))
                 _check_vertices(lineno, header[0], path)
+                if forest:
+                    raise HopsetFormatError("path witness after a forest edge", lineno)
                 if idx in witnesses:
                     raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
+                witnesses[idx] = tuple(x - 1 for x in path)
+            elif tag == "f":
+                if header is None:
+                    raise HopsetFormatError("forest edge before header", lineno)
+                u, v, w = _fields(lineno, fields, int, int, int)
+                _check_vertices(lineno, header[0], (u, v))
+                if w <= 0:
+                    raise HopsetFormatError(f"forest edge weight {w} is not positive", lineno)
+                if witnesses:
+                    raise HopsetFormatError("forest edge after a witness line", lineno)
+                tree = tree or list(range(header[0]))
+                old, new = tree[u - 1], tree[v - 1]
+                if old == new:
+                    raise HopsetFormatError(f"forest edge {u} {v} closes a cycle", lineno)
+                tree = [new if t == old else t for t in tree]
+                forest.append((u - 1, v - 1, w))
+            elif tag == "a":
+                if header is None:
+                    raise HopsetFormatError("witness before header", lineno)
+                if len(fields) < 3 or len(fields) % 2 == 0:
+                    raise HopsetFormatError("anchors need an index and vertex pairs", lineno)
+                idx, *path = _fields(lineno, fields, *[int] * len(fields))
+                _check_vertices(lineno, header[0], path)
+                if not forest:
+                    raise HopsetFormatError("anchors before any forest edge", lineno)
+                if idx in witnesses:
+                    raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
+                for x, y in zip(path[::2], path[1::2]):
+                    if tree[x - 1] != tree[y - 1]:
+                        raise HopsetFormatError(
+                            f"anchors {x} and {y} are not joined by the forest", lineno
+                        )
                 witnesses[idx] = tuple(x - 1 for x in path)
             else:
                 raise HopsetFormatError(f"unknown record {tag!r}", lineno)
@@ -141,10 +209,12 @@ def reference_load_hopset(source) -> Hopset:
             raise HopsetFormatError("missing header line")
         n, beta, eps = header
         wit = None
-        if witnesses:
+        if witnesses or forest:
             if sorted(witnesses) != list(range(len(edges))):
                 raise HopsetFormatError("witness lines do not cover all edges")
             wit = [witnesses[i] for i in range(len(edges))]
+            if forest:
+                wit = Witnesses(forest, wit)
         return Hopset(
             n=n,
             edges=edges,
@@ -293,3 +363,49 @@ def test_witness_line_matches_reference(line, message):
         assert loaded.witnesses == [(0, 1), (1, 2)]
     else:
         assert loaded == f"HopsetFormatError: {message}"
+
+
+FOREST_HEAD = "h 1 4 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
+
+
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        ("f 1 2 7\nf 3 2 1\na 0 1 2\na 1 2 3", None),
+        ("f 1 2 7\nf 3 2 1\na 0 1 2\na 1 2 2 3 3", None),
+        ("f 1 2", "line 4: expected 3 fields, got 2"),
+        ("f 1 2 x", "line 4: malformed record '1 2 x'"),
+        ("f 1 5 7", "line 4: vertex id 5 out of range [1,4]"),
+        ("f 1 2 0", "line 4: forest edge weight 0 is not positive"),
+        ("f 1 2 7\nf 2 3 1\nf 3 1 1", "line 6: forest edge 3 1 closes a cycle"),
+        ("f 2 2 7", "line 4: forest edge 2 2 closes a cycle"),
+        ("f 1 2 7\na 0 1 2\nf 2 3 1", "line 6: forest edge after a witness line"),
+        ("p 0 1 2\nf 1 2 7", "line 5: forest edge after a witness line"),
+        ("a 0 1 2", "line 4: anchors before any forest edge"),
+        ("f 1 2 7\na 0", "line 5: anchors need an index and vertex pairs"),
+        ("f 1 2 7\na 0 1 2 3", "line 5: anchors need an index and vertex pairs"),
+        ("f 1 2 7\na 0 1 x", "line 5: malformed record '0 1 x'"),
+        ("f 1 2 7\na 0 1 9", "line 5: vertex id 9 out of range [1,4]"),
+        ("f 1 2 7\na 0 2 3", "line 5: anchors 2 and 3 are not joined by the forest"),
+        ("f 1 2 7\na 0 1 2\na 0 2 1", "line 6: duplicate witness for edge 0"),
+        ("f 1 2 7\np 0 1 2", "line 5: path witness after a forest edge"),
+        ("f 1 2 7\na 0 1 2\np 1 2 3", "line 6: path witness after a forest edge"),
+        ("f 1 2 7\na 0 1 2", "witness lines do not cover all edges"),
+    ],
+)
+def test_forest_and_anchor_lines_match_reference(lines, message):
+    text = FOREST_HEAD + lines + "\n"
+    loaded = _load_or_error(load_hopset, text)
+    assert loaded == _load_or_error(reference_load_hopset, text)
+    if message is None:
+        assert list(loaded.witnesses) == [(0, 1), (1, 2)]
+        assert _hopset_text(loaded) == text
+    else:
+        assert loaded == f"HopsetFormatError: {message}"
+
+
+def test_forest_line_before_header_is_rejected():
+    text = "f 1 2 7\n" + FOREST_HEAD
+    expected = "HopsetFormatError: line 1: forest edge before header"
+    assert _load_or_error(load_hopset, text) == _load_or_error(reference_load_hopset, text)
+    assert _load_or_error(load_hopset, text) == expected
