@@ -90,7 +90,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     graph = load_dimacs(args.graph)
-    hs = _load_hopset_for(graph, args.hopset)
+    hs = _load_hopset_for(graph.digest(), args.hopset)
     mode, kw = args.pairs
     report = verify_stretch(graph, hs, pair_mode=mode, **kw)
     payload = report.to_dict()
@@ -113,10 +113,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _load_hopset_for(graph, path: str):
-    """Load a hopset file and reject one whose provenance names another graph."""
+def _load_hopset_for(digest: str, path: str):
+    """Load a hopset file and reject one built for a graph whose digest is not `digest`."""
     hs = load_hopset(path)
-    built_for, digest = hs.provenance.get("graph"), graph.digest()
+    built_for = hs.provenance.get("graph")
     if built_for is not None and built_for != digest:
         raise HopsetError(
             f"hopset {path} was built for graph {built_for}, "
@@ -130,8 +130,9 @@ def cmd_query(args) -> int:
     for s in args.sources:
         if not 0 <= s < graph.n:
             raise HopsetError(f"source {s + 1} out of range: vertices are 1..{graph.n}")
-    hs = _load_hopset_for(graph, args.hopset)
-    header = {"hopset": os.path.basename(args.hopset), "graph_digest": graph.digest()}
+    digest = graph.digest()
+    hs = _load_hopset_for(digest, args.hopset)
+    header = {"hopset": os.path.basename(args.hopset), "graph_digest": digest}
     header.update({k: hs.provenance[k] for k in ("seed", "eps", "mode") if k in hs.provenance})
     with open(args.out, "w", encoding="ascii") as fh:
         result = asp_mod.write_estimates_csv(graph, hs, args.sources, fh, header=header)

@@ -14,6 +14,8 @@ import math
 import random
 from typing import Iterable, TextIO
 
+from .util import opened
+
 
 class GraphError(ValueError):
     pass
@@ -134,13 +136,7 @@ def load_dimacs(source) -> Graph:
     The m of `p sp n m` counts the `a` lines.  Raises GraphFormatError with
     a line number on malformed input.
     """
-    close = False
-    if isinstance(source, (str, bytes)):
-        fh = open(source, "r", encoding="ascii")
-        close = True
-    else:
-        fh = source
-    try:
+    with opened(source) as fh:
         n = None
         raw_edges: list[tuple[int, int, int]] = []
         for lineno, raw in enumerate(fh, start=1):
@@ -187,9 +183,6 @@ def load_dimacs(source) -> Graph:
         if len(raw_edges) != m:
             raise GraphFormatError(f"p line declares {m} arcs, found {len(raw_edges)}", p_lineno)
         return Graph.from_edges(n, raw_edges)
-    finally:
-        if close:
-            fh.close()
 
 
 def dump_dimacs(graph: Graph, out: TextIO, comments: dict | None = None) -> None:

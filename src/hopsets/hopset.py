@@ -32,7 +32,7 @@ from .single_scale import (
     phase_counts,
     phase_degrees,
 )
-from .util import HopsetError, as_fraction, child_seed, lcm
+from .util import HopsetError, as_fraction, child_seed, find, lcm, opened
 from .weights import WeightScale
 from .witness import Witnesses
 
@@ -205,8 +205,9 @@ class Hopset:
     Every edge weight dominates the true distance between its endpoints, so
     adding the hopset never shortens any distance; the contract is that
     (effective_beta)-limited distances in the union graph stay within
-    (1 + effective_eps) of true distances.  `witnesses` is a list of graph
-    paths, one per edge, or a `Witnesses` that keeps reduced-mode paths as
+    (1 + effective_eps) of true distances.  `witnesses` is None unless the
+    build recorded paths; then it holds one graph path per edge, as a list
+    (direct mode) or as a `Witnesses` that keeps reduced-mode paths as
     merge-forest anchors and expands each when it is first read.
     """
 
@@ -217,7 +218,6 @@ class Hopset:
     provenance: dict
     witnesses: Sequence[tuple[int, ...]] | None = None
     build_stats: dict | None = None
-    raw_paths: list[tuple] | None = None
 
     @property
     def size(self) -> int:
@@ -239,18 +239,9 @@ class Hopset:
         return WeightScale(den)
 
 
-def _sorted_edge_order(edges, raws):
-    order = sorted(
-        range(len(edges)),
-        key=lambda i: (
-            edges[i].scale,
-            edges[i].u,
-            edges[i].v,
-            KIND_ORDER[edges[i].kind],
-            edges[i].weight,
-        ),
-    )
-    return [edges[i] for i in order], [raws[i] for i in order]
+def _edge_key(e: HopsetEdge) -> tuple:
+    """The canonical edge order of built hopsets and their files."""
+    return (e.scale, e.u, e.v, KIND_ORDER[e.kind], e.weight)
 
 
 def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
@@ -271,7 +262,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
     bp = plan(params, graph.n)
     record = params.path_reporting
     edges: list[HopsetEdge] = []
-    raws: list[tuple] = []
+    records: list[tuple] = []  # each edge's recorded path or tree anchors
     stats: dict = {"scales": {}}
     laminar: LaminarFamily | None = None
 
@@ -279,7 +270,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         laminar = build_laminar(graph, bp.eps_reduction)
         for s in star_edges(laminar):
             edges.append(HopsetEdge(s.u, s.v, s.weight, s.scale, "star"))
-            raws.append((s.u, s.v))
+            records.append((s.u, s.v))
         scales = relevant_scales(graph)
     else:
         weights = sorted((w for _, _, w in graph.edges), reverse=True)
@@ -304,13 +295,14 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
                 HopsetEdge(centers[e.u], centers[e.v], bp.wscale.to_fraction(e.w), k, e.kind)
             )
             if not record:
-                raws.append(())
+                records.append(())
             elif laminar is None:
-                raws.append(e.path)
+                records.append(e.path)
             else:
-                raws.append(_tree_anchors(sg, [centers[i] for i in e.path]))
+                records.append(_tree_anchors(sg, [centers[i] for i in e.path]))
 
-    edges, raws = _sorted_edge_order(edges, raws)
+    order = sorted(range(len(edges)), key=lambda i: _edge_key(edges[i]))
+    edges = [edges[i] for i in order]
     provenance = {
         "format": "hopset-provenance-1",
         "graph": graph.digest(),
@@ -333,10 +325,9 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         effective_eps=bp.effective_eps,
         provenance=provenance,
         build_stats=stats,
-        raw_paths=raws if record else None,
     )
     if record:
-        attach_witness_paths(graph, laminar, hs)
+        attach_witness_paths(laminar, hs, [records[i] for i in order])
     return hs
 
 
@@ -361,28 +352,24 @@ def _tree_anchors(sg: ScaleGraph, node_path: list[int]) -> tuple[int, ...]:
 
 
 def attach_witness_paths(
-    graph: Graph, laminar: LaminarFamily | None, hopset: Hopset
+    laminar: LaminarFamily | None, hopset: Hopset, records: list[tuple]
 ) -> Hopset:
-    """Attach the recorded construction paths as the hopset's witnesses.
+    """Attach the build's recorded paths, one per edge in edge order, as witnesses.
 
-    Without a laminar family (direct mode), each recording is the edge's
+    Without a laminar family (direct mode), each record is the edge's
     Dijkstra tree path in the graph, used as it is (its weight equals the
-    edge weight exactly).  With one (reduced mode), each recording is a
-    tuple of tree anchors (see `_tree_anchors`); star edges are the
-    two-anchor case.  Every node's spanning tree is a subtree of the laminar
-    family's one merge forest, so each walk is the unique forest path
-    between its anchors: the witnesses are `Witnesses` over the merge
-    forest's edges, which expand when read.  Spliced paths weigh at most
-    the edge weight (the padding terms absorb the detours), never
-    necessarily equal.
+    edge weight exactly).  With one (reduced mode), each record is a tuple
+    of tree anchors (see `_tree_anchors`); star edges are the two-anchor
+    case.  Every node's spanning tree is a subtree of the laminar family's
+    one merge forest, so each walk is the unique forest path between its
+    anchors: the witnesses are `Witnesses` over the merge forest's edges,
+    which expand when read.  Spliced paths weigh at most the edge weight
+    (the padding terms absorb the detours), never necessarily equal.
     """
-    raws = hopset.raw_paths
-    if raws is None:
-        raise HopsetError("hopset was built without path recording")
     if laminar is None:
-        hopset.witnesses = list(raws)
+        hopset.witnesses = records
     else:
-        hopset.witnesses = Witnesses([ev.edge for ev in laminar.events], list(raws))
+        hopset.witnesses = Witnesses([ev.edge for ev in laminar.events], records)
     return hopset
 
 
@@ -429,14 +416,12 @@ def hopset_from_single_scale(
         HopsetEdge(e.u, e.v, wscale.to_fraction(e.w), scale_index, e.kind)
         for e in ss.edges
     ]
-    edges, raws = _sorted_edge_order(edges, [e.path for e in ss.edges])
     return Hopset(
         n=graph.n,
-        edges=edges,
+        edges=sorted(edges, key=_edge_key),
         effective_beta=sched.beta,
         effective_eps=sched.zeta,
         provenance={"mode": "single-scale", "scale": str(scale_index)},
-        raw_paths=raws,
     )
 
 
@@ -485,13 +470,7 @@ def load_hopset(source) -> Hopset:
     followed by `a` lines (anchors), each of whose pairs the forest must
     join.  A file with `f` lines loads them as a `Witnesses`, unexpanded.
     """
-    close = False
-    if isinstance(source, (str, bytes)):
-        fh = open(source, "r", encoding="ascii")
-        close = True
-    else:
-        fh = source
-    try:
+    with opened(source) as fh:
         provenance: dict = {}
         header = None
         edges: list[HopsetEdge] = []
@@ -539,7 +518,7 @@ def load_hopset(source) -> Hopset:
                     raise HopsetFormatError("forest edge after a witness line", lineno)
                 if not root:
                     root = list(range(header[0]))
-                ru, rv = _find(root, u - 1), _find(root, v - 1)
+                ru, rv = find(root, u - 1), find(root, v - 1)
                 if ru == rv:
                     raise HopsetFormatError(f"forest edge {u} {v} closes a cycle", lineno)
                 root[ru] = rv
@@ -566,7 +545,7 @@ def load_hopset(source) -> Hopset:
                 path = tuple(map((-1).__add__, path))  # 0-based
                 if tag == "a":
                     if not witnesses:  # the forest is complete: label each vertex by its tree
-                        root = [_find(root, x) for x in range(header[0])]
+                        root = [find(root, x) for x in range(header[0])]
                     for x, y in zip(path[::2], path[1::2]):
                         if root[x] != root[y]:
                             raise HopsetFormatError(
@@ -593,17 +572,6 @@ def load_hopset(source) -> Hopset:
             provenance=provenance,
             witnesses=wit,
         )
-    finally:
-        if close:
-            fh.close()
-
-
-def _find(root: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way."""
-    while root[x] != x:
-        root[x] = root[root[x]]
-        x = root[x]
-    return x
 
 
 def _fraction(text: str) -> Fraction:

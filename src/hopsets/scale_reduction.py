@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph
-from .util import as_fraction, smallest_pow2_exceeding
+from .util import as_fraction, find, smallest_pow2_exceeding
 from .weights import WeightScale
 
 
@@ -193,16 +193,9 @@ def build_laminar(graph: Graph, eps) -> LaminarFamily:
     parent = list(range(n))
     size = [1] * n
     members: list[list[int]] = [[v] for v in range(n)]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     events: list[MergeEvent] = []
     for u, v, w in sorted(graph.edges, key=lambda e: (e[2], e[0], e[1])):
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru == rv:
             continue
         k = contraction_scale(w, n, eps)

@@ -8,6 +8,7 @@ every weight by a single per-build denominator (see `weights.py`).
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -72,3 +73,24 @@ def child_seed(*parts) -> int:
     """
     material = "/".join(str(p) for p in parts).encode("ascii")
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+
+
+def find(parent: list[int], x: int) -> int:
+    """Union-find root of x in `parent`, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+@contextmanager
+def opened(source):
+    """A file path (str or bytes) opened as ASCII text, or a stream as it is.
+
+    A file this opens is closed on exit; a stream passed in is left open.
+    """
+    if isinstance(source, (str, bytes)):
+        with open(source, "r", encoding="ascii") as fh:
+            yield fh
+    else:
+        yield source

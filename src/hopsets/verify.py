@@ -28,6 +28,7 @@ from fractions import Fraction
 from .explore import dijkstra_all, hop_limited_bellman_ford
 from .graph import Graph
 from .hopset import Hopset, HopsetError
+from .util import find
 
 # Largest n for which the all-pairs oracle and the "all" and "band" pair
 # modes run: each sweeps every source, and the oracle holds n x n distances.
@@ -282,20 +283,13 @@ def verify_stretch(
 def _sample_pairs(graph: Graph, m: int, seed: int) -> list[tuple[int, int]]:
     """Uniform over ordered pairs with finite distance: pairs sharing a component."""
     parent = list(range(graph.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v, _ in graph.edges:
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
     comps: dict[int, list[int]] = {}
     for v in range(graph.n):
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(find(parent, v), []).append(v)
     weighted = [vs for vs in comps.values() if len(vs) > 1]
     total = sum(len(vs) * (len(vs) - 1) for vs in weighted)
     if total == 0:

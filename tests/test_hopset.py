@@ -14,7 +14,6 @@ from hopsets import (
     HopsetEdge,
     HopsetError,
     HopsetParams,
-    attach_witness_paths,
     build_hopset,
     build_laminar,
     compute_schedule,
@@ -371,17 +370,16 @@ class TestWitnesses:
         assert main(build) == 0
         assert main(["verify", *io_args, "--pairs", "all"]) == 0
         assert main(["stats", "--hopset", str(hopset)]) == 0
+        # padded reduced edges are strictly longer than the distances they
+        # span, so no shortest union path takes one and a query reads none
+        query = ["query", *io_args, "--sources", "1,32,64"]
+        paths = ["--out", str(tmp_path / "q.csv"), "--paths", str(tmp_path / "q.paths")]
+        assert main([*query, *paths]) == 0
         assert counts == {"forests": 0, "reads": 0}
-        # the counters do see expansion: checking every witness cuts the forest once
+        # the counters do see expansion: checking every witness roots the forest once
         hs = load_hopset(str(hopset))
         assert validate_witnesses(load_dimacs(str(graph)), hs) == []
         assert counts == {"forests": 1, "reads": hs.size}
-
-    def test_attach_without_recording_errors(self):
-        g = er_graph(20, 0.3, 1, 5, seed=1)
-        hs = build_hopset(g, reduced_params())
-        with pytest.raises(HopsetError, match="without path recording"):
-            attach_witness_paths(g, None, hs)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_forest_paths_are_node_tree_paths(self, seed):
@@ -418,6 +416,19 @@ class TestWitnesses:
         forest, reference = SpanningForest(tree), ReferenceSpanningForest(tree)
         for a, b in pairs:
             assert _path_or_error(forest, a, b) == _path_or_error(reference, a, b)
+
+    def test_deep_forest_path_climbs_both_sides(self):
+        # a 5000-vertex path listed middle vertex first, so it is rooted
+        # there and the walk between the ends climbs about 2500 steps per side
+        n, mid = 5000, 2500
+        adj = {v: [(u, 1) for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)}
+        tree = {mid: adj[mid], **adj}
+        forest, reference = SpanningForest(tree), ReferenceSpanningForest(tree)
+        assert forest.depth[0] == mid and forest.depth[n - 1] == n - 1 - mid
+        path = forest.path(0, n - 1)
+        assert path == list(range(n))
+        assert forest.path(n - 1, 0) == path[::-1]
+        assert path == reference.path(0, n - 1)
 
 
 class TestDeterminismAndFiles:
