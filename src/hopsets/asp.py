@@ -75,13 +75,13 @@ def extract_path(
     expansions are longer than the hopset edges they replace).
     """
     if result.dist[s][v] is None:
-        raise HopsetError(f"vertex {v} unreachable from {s}")
+        raise HopsetError(f"vertex {v + 1} unreachable from {s + 1}")
     steps = []
     cur = v
     while cur != s:
         entry = result.pred[s][cur]
         if entry is None:
-            raise HopsetError(f"broken predecessor chain at {cur}")
+            raise HopsetError(f"broken predecessor chain at {cur + 1}")
         u, tag = entry
         steps.append((u, cur, tag))
         cur = u
@@ -97,13 +97,13 @@ def extract_path(
             wit = hopset.witnesses[idx]
             segment = list(wit) if (e.u, e.v) == (u, x) else list(reversed(wit))
             if segment[0] != u or segment[-1] != x:
-                raise HopsetError(f"witness for edge {idx} does not join {u} and {x}")
+                raise HopsetError(f"witness for edge {idx} does not join {u + 1} and {x + 1}")
             path.extend(segment[1:])
     total = 0
     for a, b in zip(path, path[1:]):
         w = graph.weight(a, b)
         if w is None:
-            raise HopsetError(f"extracted step ({a},{b}) is not a graph edge")
+            raise HopsetError(f"extracted step ({a + 1},{b + 1}) is not a graph edge")
         total += w
     return path, total
 
@@ -130,7 +130,7 @@ def write_paths(graph: Graph, hopset: Hopset, result: AspResult, out: TextIO) ->
         forward = (e.u, e.v) == (u, x)
         wit = hopset.witnesses[idx]
         if (wit[0], wit[-1]) != ((u, x) if forward else (x, u)):
-            raise HopsetError(f"witness for edge {idx} does not join {u} and {x}")
+            raise HopsetError(f"witness for edge {idx} does not join {u + 1} and {x + 1}")
         return idx, forward
 
     def segment(key):
@@ -142,7 +142,7 @@ def write_paths(graph: Graph, hopset: Hopset, result: AspResult, out: TextIO) ->
                 wit = wit[::-1]
             for a, b in zip(wit, wit[1:]):
                 if graph.weight(a, b) is None:
-                    raise HopsetError(f"extracted step ({a},{b}) is not a graph edge")
+                    raise HopsetError(f"extracted step ({a + 1},{b + 1}) is not a graph edge")
             text = segments[key] = "".join(f" {x + 1}" for x in wit[1:])
         return text
 
@@ -158,7 +158,7 @@ def write_paths(graph: Graph, hopset: Hopset, result: AspResult, out: TextIO) ->
             while line[cur] is None:
                 entry = pred[cur]
                 if entry is None:
-                    raise HopsetError(f"broken predecessor chain at {cur}")
+                    raise HopsetError(f"broken predecessor chain at {cur + 1}")
                 steps.append((entry[0], cur, entry[1]))
                 cur = entry[0]
             steps.reverse()
@@ -172,7 +172,7 @@ def write_paths(graph: Graph, hopset: Hopset, result: AspResult, out: TextIO) ->
                 elif 0 <= i < m and edges[i][:2] in ((u, x), (x, u)):
                     line[x] = f"{line[u]} {x + 1}"
                 else:
-                    raise HopsetError(f"extracted step ({u},{x}) is not a graph edge")
+                    raise HopsetError(f"extracted step ({u + 1},{x + 1}) is not a graph edge")
         out.writelines(
             line[v] + "\n" for v in range(result.n) if v != s and dist[v] is not None
         )

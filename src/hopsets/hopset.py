@@ -374,7 +374,10 @@ def attach_witness_paths(
 
 
 def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
-    """Check every witness is a real path u..v of weight <= the edge weight."""
+    """Check every witness is a real path u..v of weight <= the edge weight.
+
+    Problems name vertices by their 1-based ids, as files and the CLI do.
+    """
     if hopset.witnesses is None:
         return ["hopset has no witnesses"]
     problems = []
@@ -383,14 +386,15 @@ def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
             problems.append(f"edge {i}: empty witness")
             continue
         if path[0] != edge.u or path[-1] != edge.v:
-            problems.append(f"edge {i}: endpoints {path[0]},{path[-1]} != {edge.u},{edge.v}")
+            ends = f"{path[0] + 1},{path[-1] + 1} != {edge.u + 1},{edge.v + 1}"
+            problems.append(f"edge {i}: endpoints {ends}")
             continue
         total = 0
         ok = True
         for a, b in zip(path, path[1:]):
             w = graph.weight(a, b)
             if w is None:
-                problems.append(f"edge {i}: ({a},{b}) is not a graph edge")
+                problems.append(f"edge {i}: ({a + 1},{b + 1}) is not a graph edge")
                 ok = False
                 break
             total += w
@@ -500,7 +504,16 @@ def load_hopset(source) -> Hopset:
             elif tag == "e":
                 if header is None:
                     raise HopsetFormatError("edge before header", lineno)
-                u, v, w, scale, kind = _fields(lineno, fields, int, int, _fraction, int, str)
+                try:
+                    u, v, w, scale, kind = fields
+                    num, den = w.split("/")
+                    u, v, w, scale = int(u), int(v), Fraction(int(num), int(den)), int(scale)
+                except (ValueError, ZeroDivisionError):
+                    if len(fields) != 5:
+                        raise HopsetFormatError(
+                            f"expected 5 fields, got {len(fields)}", lineno
+                        ) from None
+                    raise _malformed(lineno, fields) from None
                 _check_vertices(lineno, header[0], (u, v))
                 if w <= 0:
                     raise HopsetFormatError(f"edge weight {w} is not positive", lineno)

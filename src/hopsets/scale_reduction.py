@@ -254,29 +254,49 @@ class ScaleGraph:
     """The contracted graph of one scale, ready for a single-scale build.
 
     Only `active_centers` (nodes of degree >= 1) participate in hopset
-    construction, indexed 0..active_count-1 in `adj`.  `edges` carry exact
-    padded weights as scaled integers together with the minimum-weight
-    original edge they came from.  `best` maps each node pair cu < cv,
-    keyed cu * n + cv, to its minimum original edge as (w, x, y, x_low),
-    where x_low says whether x lies in cu's node; so the graph answers
-    `base_edge` on its own, whatever the laminar cursor does later.
+    construction, indexed 0..active_count-1 in `adj`, whose arcs carry
+    exact padded weights as scaled integers.  `best` maps each node pair
+    cu < cv, keyed cu * n + cv, to one int: the id in `graph_edges` (the
+    input graph's edge list) of the pair's minimum original edge, or its
+    complement ~id when that edge leaves from cv's node.  So the graph
+    answers `base_edge` on its own, whatever the laminar cursor does later,
+    and derives its `edges` list from `adj` and `best` on each read.
     """
 
     n: int
     active_centers: list[int]
     adj: list[list[tuple[int, int]]]
-    edges: list[tuple[int, int, int, tuple[int, int, int]]]  # (cu, cv, W, base edge)
-    best: dict[int, tuple[int, int, int, bool]]
+    best: dict[int, int]
+    graph_edges: list[tuple[int, int, int]]
 
     @property
     def active_count(self) -> int:
         return len(self.active_centers)
 
+    @property
+    def edges(self) -> list[tuple[int, int, int, tuple[int, int, int]]]:
+        """(cu, cv, W, base edge) per node pair cu < cv, in (cu, cv) order.
+
+        The base edge is the original edge as stored in the graph.
+        """
+        n, centers, best = self.n, self.active_centers, self.best
+        graph_edges = self.graph_edges
+        out = []
+        for iu, arcs in enumerate(self.adj):
+            cu = centers[iu]
+            for iv, big_w in arcs:
+                if iv > iu:
+                    cv = centers[iv]
+                    tag = best[cu * n + cv]
+                    out.append((cu, cv, big_w, graph_edges[tag if tag >= 0 else ~tag]))
+        return out
+
     def base_edge(self, cu: int, cv: int) -> tuple[int, int, int]:
         """Original (x, y, w) for node pair, oriented so x lies in cu's node."""
         n = self.n
-        w, x, y, x_low = self.best[cu * n + cv if cu < cv else cv * n + cu]
-        return (x, y, w) if x_low == (cu < cv) else (y, x, w)
+        tag = self.best[cu * n + cv if cu < cv else cv * n + cu]
+        x, y, w = self.graph_edges[tag if tag >= 0 else ~tag]
+        return (x, y, w) if (tag >= 0) == (cu < cv) else (y, x, w)
 
 
 def materialize_scale_graph(
@@ -296,44 +316,43 @@ def materialize_scale_graph(
     which is s * (pad << k).  Advances the laminar family's cursor to k, so
     calls must come in ascending k; each costs the events and window edges
     it touches (see LaminarFamily).
+
+    One pass over the window fills `best` with an edge id per node pair
+    (see ScaleGraph), comparing (w, u, v) only when two edges meet on one
+    pair; one pass over the sorted pair keys writes `adj`.
     """
     n = graph.n
     view = laminar.nodes_at(k)
-    label = view.label
+    label, sizes = view.label, view.sizes
     edges = graph.edges
-    best: dict[int, tuple[int, int, int, bool]] = {}
+    best: dict[int, int] = {}
+    claim = best.setdefault
     for i in laminar.live_edges(graph, k):
         u, v, w = edges[i]
         cu, cv = label[u], label[v]
         if cu < cv:
-            key, cand = cu * n + cv, (w, u, v, True)
+            key, tag = cu * n + cv, i
         else:
-            key, cand = cv * n + cu, (w, u, v, False)
-        old = best.get(key)
-        if old is None or cand < old:
-            best[key] = cand
-    pad_unit = pad << k
-    sg_edges = []
-    active = set()
-    for key, (w, u, v, _) in sorted(best.items()):
-        cu, cv = divmod(key, n)
-        big_w = w * wscale.den + pad_unit * (view.sizes[cu] + view.sizes[cv])
-        sg_edges.append((cu, cv, big_w, (u, v, w)))
-        active.add(cu)
-        active.add(cv)
-    active_centers = sorted(active)
+            key, tag = cv * n + cu, ~i
+        old = claim(key, tag)
+        if old != tag:
+            x, y, wx = edges[old if old >= 0 else ~old]
+            if w < wx or (w == wx and (u, v) < (x, y)):
+                best[key] = tag
+    keys = sorted(best)
+    active_centers = sorted({key // n for key in keys} | {key % n for key in keys})
     index = {c: i for i, c in enumerate(active_centers)}
     adj: list[list[tuple[int, int]]] = [[] for _ in active_centers]
-    for cu, cv, big_w, _ in sg_edges:
+    den, pad_unit = wscale.den, pad << k
+    for key in keys:
+        cu, cv = divmod(key, n)
+        tag = best[key]
+        big_w = edges[tag if tag >= 0 else ~tag][2] * den + pad_unit * (sizes[cu] + sizes[cv])
         iu, iv = index[cu], index[cv]
         adj[iu].append((iv, big_w))
         adj[iv].append((iu, big_w))
     return ScaleGraph(
-        n=n,
-        active_centers=active_centers,
-        adj=adj,
-        edges=sg_edges,
-        best=best,
+        n=n, active_centers=active_centers, adj=adj, best=best, graph_edges=edges
     )
 
 

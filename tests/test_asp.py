@@ -312,7 +312,7 @@ class TestWritePaths:
             witnesses=[(0, 3, 4), (4, 3, 1)],
         )
         res = asp_estimates(g, hs, [0])
-        expected = "HopsetError: witness for edge 1 does not join 4 and 1"
+        expected = "HopsetError: witness for edge 1 does not join 5 and 2"
         assert outcome(reference_paths, g, hs, res) == expected
         assert outcome(walked_paths, g, hs, res) == expected
 
@@ -321,7 +321,8 @@ class TestWritePaths:
         s = res.sources[-1]  # the chains of vertices 0, 1, ... pass through s - 3
         res.pred[s][s - 3] = None
         expected = outcome(reference_paths, g, hs, res)
-        assert expected == f"HopsetError: broken predecessor chain at {s - 3}"
+        # errors name 1-based vertex ids, as files and the CLI do
+        assert expected == f"HopsetError: broken predecessor chain at {s - 3 + 1}"
         assert outcome(walked_paths, g, hs, res) == expected
 
     def test_graph_step_checked_by_its_tag(self):
@@ -329,5 +330,5 @@ class TestWritePaths:
         res = asp_estimates(g, empty_hopset(6, beta=5), [0])
         u, (kind, i) = res.pred[0][4]
         res.pred[0][4] = (u, (kind, i + 1))  # tag names the edge (4, 5)
-        with pytest.raises(HopsetError, match=r"extracted step \(3,4\) is not a graph edge"):
+        with pytest.raises(HopsetError, match=r"extracted step \(4,5\) is not a graph edge"):
             walked_paths(g, empty_hopset(6, beta=5), res)

@@ -268,7 +268,7 @@ class TestMalformedHopset:
         args = ["--graph", str(graph), "--hopset", str(hopset), "--sources", "1"]
         args += ["--out", str(workspace / "est.csv"), "--paths", str(workspace / "p.txt")]
         assert run("query", *args) == EXIT_PARAM
-        assert "extracted step (0,2) is not a graph edge" in capsys.readouterr().err
+        assert "extracted step (1,3) is not a graph edge" in capsys.readouterr().err
 
     def test_negative_weight_in_built_hopset_is_io_error(self, workspace, capsys):
         graph = gen_graph(

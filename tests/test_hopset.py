@@ -344,7 +344,7 @@ class TestWitnesses:
         g = path_graph(4, 2)
         witnesses = Witnesses([(0, 2, 1)], [(0, 2)])
         hs = Hopset(4, [HopsetEdge(0, 2, F(3), 1, "star")], 1, F(1, 10), {}, witnesses=witnesses)
-        assert validate_witnesses(g, hs) == ["edge 0: (0,2) is not a graph edge"]
+        assert validate_witnesses(g, hs) == ["edge 0: (1,3) is not a graph edge"]
 
     def test_build_verify_and_stats_expand_no_witness(self, tmp_path, monkeypatch):
         counts = {"forests": 0, "reads": 0}

@@ -391,6 +391,13 @@ FOREST_HEAD = "h 1 4 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
         ("f 1 2 7\np 0 1 2", "line 5: path witness after a forest edge"),
         ("f 1 2 7\na 0 1 2\np 1 2 3", "line 6: path witness after a forest edge"),
         ("f 1 2 7\na 0 1 2", "witness lines do not cover all edges"),
+        ("e 1 x 4/1 1 star", "line 4: malformed record '1 x 4/1 1 star'"),
+        ("e 1 2 3/1/2 1 star", "line 4: malformed record '1 2 3/1/2 1 star'"),
+        ("e 1 2 4 1 star", "line 4: malformed record '1 2 4 1 star'"),
+        ("e 1 2 3/0 1 star", "line 4: malformed record '1 2 3/0 1 star'"),
+        ("e 1 2 4/1 s star", "line 4: malformed record '1 2 4/1 s star'"),
+        ("e 1 2 4/1 1 star x", "line 4: expected 5 fields, got 6"),
+        ("e 1 2 4/1 1", "line 4: expected 5 fields, got 4"),
     ],
 )
 def test_forest_and_anchor_lines_match_reference(lines, message):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsets import (
@@ -376,7 +376,30 @@ def fresh(lam):
     return LaminarFamily(lam.n, lam.eps, lam.events)
 
 
+def bench_scale_sweep():
+    """A wide-weight ER graph at bench scale, swept over every scale once.
+
+    The drawn graphs stay small (n <= 24, weights <= 2**16); this one has
+    n = 300 and weights up to 1e9.  Parallel, reversed and equal-weight
+    copies of a few edges come first, so a pair's first edge often loses
+    to a later one on the (w, u, v) tie-break.
+    """
+    base = er_graph(300, 0.03, 1, 10**9, 1)
+    edges = []
+    for u, v, w in base.edges[::200]:
+        edges += [(v, u, w), (u, v, w + 1), (v, u, w)]
+    for u, v, w in base.edges[100::200]:
+        edges += [(u, v, w + 1), (v, u, max(1, w - 1))]
+    graph = Graph(base.n, edges + base.edges)
+    lam = build_laminar(graph, F(1, 4))
+    scales = sorted(
+        set(relevant_scales(graph)) | {ev.scale for ev in lam.events} | {0, 1}
+    )
+    return graph, lam, (scales,)
+
+
 @given(laminar_sweeps())
+@example(bench_scale_sweep())
 @settings(deadline=None, max_examples=150)
 def test_cursor_matches_scan_and_replay(case):
     # each order runs on a fresh family: ascending, with repeats
@@ -397,11 +420,12 @@ def test_cursor_matches_scan_and_replay(case):
             view = cursor.nodes_at(k)
             want = replay_nodes_at(cursor, k)
             assert (view.label, view.sizes, view.birth) == (want.label, want.sizes, want.birth)
-            held.append((sg, base, view))
+            held.append((sg, edges, base, view))
         # scale graphs answer on their own after the sweep has passed them;
         # views are the cursor's live state, so each now shows the last scale
         last = replay_nodes_at(cursor, order[-1])
-        for sg, base, view in held:
+        for sg, edges, base, view in held:
+            assert sg.edges == edges
             for (cu, cv), want in base.items():
                 assert sg.base_edge(cu, cv) == want
             assert (view.label, view.sizes, view.birth) == (last.label, last.sizes, last.birth)
