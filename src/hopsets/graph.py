@@ -140,6 +140,8 @@ def load_dimacs(source) -> Graph:
         n = None
         raw_edges: list[tuple[int, int, int]] = []
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise GraphFormatError("non-ASCII byte", lineno)
             if isinstance(raw, bytes):
                 raw = raw.decode("ascii")
             line = raw.strip()
@@ -219,19 +221,27 @@ def er_graph(n: int, p: float, wmin: int, wmax: int, seed: int) -> Graph:
 def path_graph(n: int, base: float, seed: int = 0) -> Graph:
     """Path on n vertices; edge i gets weight floor(base**i), clamped to >= 1.
 
+    An integral base gives exact integer powers; any other base is raised
+    as a float, so it must be finite and base**(n-2) must fit a float.
+
     A base > 1 produces geometrically growing weights, the large-aspect-ratio
     regime the scale reduction is built for.  Deterministic; seed unused.
     """
     if n < 2:
         raise GraphError("path: n must be >= 2")
+    if isinstance(base, float) and not math.isfinite(base):
+        raise GraphError("path: base must be finite")
     if base < 1:
         raise GraphError("path: base must be >= 1")
+    integral = base == int(base)
+    if not integral:
+        try:
+            base ** (n - 2)
+        except OverflowError:
+            raise GraphError(f"path: base**{n - 2} overflows a float") from None
     edges = []
     for i in range(n - 1):
-        if float(base).is_integer():
-            w = int(base) ** i
-        else:
-            w = math.floor(base**i)
+        w = int(base) ** i if integral else math.floor(base**i)
         edges.append((i, i + 1, max(1, w)))
     return Graph.from_edges(n, edges)
 

@@ -251,8 +251,11 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
     graphs of the relevant scales.  Direct mode: single-scale hopsets on the
     graph itself for every band k = 1..floor(log2(Lambda - 1)), where the
     aspect-ratio bound Lambda is the sum of the n-1 largest weights.  Both
-    skip trivial scales (`BuildPlan.is_trivial_scale`).  Unreachable regions
-    stay unexplored, so components need no special casing.  Scales build
+    skip trivial scales (`BuildPlan.is_trivial_scale`), and tell each build
+    a floor under its arc weights, so it idles the phases below it (see
+    `build_single_scale`): the lightest edge in direct mode, and
+    3 * (pad << k) at reduced scale k.  Unreachable regions stay
+    unexplored, so components need no special casing.  Scales build
     independently and merge in a fixed (scale, u, v) order, so results are
     byte-stable per seed.
     """
@@ -278,6 +281,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         scales = range(1, (lam - 1).bit_length())
         adj = [[(v, w * bp.wscale.den) for v, w in nbrs] for nbrs in graph.adj]
         centers = range(graph.n)
+        floor = weights[-1] * bp.wscale.den if weights else 0
     for k in scales:
         if bp.is_trivial_scale(k):
             continue
@@ -285,9 +289,10 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
             sg = materialize_scale_graph(graph, laminar, k, bp.wscale, bp.pad)
             if sg.active_count < 2:
                 continue
-            adj, centers = sg.adj, sg.active_centers
+            # an uncontracted edge weighs >= pad << k, and each end pads it as much
+            adj, centers, floor = sg.adj, sg.active_centers, 3 * (bp.pad << k)
         ss = build_single_scale(
-            adj, bp.phases_for(k, len(centers)), child_seed(params.seed, "scale", k)
+            adj, bp.phases_for(k, len(centers)), child_seed(params.seed, "scale", k), floor
         )
         stats["scales"][k] = {"edges": len(ss.edges), "phases": [dict(vars(p)) for p in ss.stats]}
         for e in ss.edges:
@@ -482,6 +487,8 @@ def load_hopset(source) -> Hopset:
         forest: list[tuple[int, int, int]] = []
         root: list[int] = []  # union-find over the forest, 0-based ids
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise HopsetFormatError("non-ASCII byte", lineno)
             parts = raw.split()
             if not parts:
                 continue

@@ -7,6 +7,11 @@ sampled centers to distance delta_i, and absorbs every unsampled cluster
 whose center was reached, adding one exact-distance star edge per
 absorption.  Interconnection links every pair of surviving cluster centers
 within delta_i / 2, again at exact distance.
+
+A build is told a floor: a lower bound on every arc weight of its graph.
+A phase whose radius is below the floor is idle, since an exploration to it
+reaches no vertex but its roots: it runs none, and yields what one would.
+In reduced mode that is phase 0 of every scale (see `hopset.build_hopset`).
 """
 
 from __future__ import annotations
@@ -323,44 +328,64 @@ def build_single_scale(
     adj,
     phases: ScalePhases,
     seed: int,
+    floor: int,
     sample_overrides: dict[int, float] | None = None,
     keep_partitions: bool = False,
 ) -> SingleScaleHopset:
     """Run all phases over `adj` (any graph in scaled-integer weights).
 
-    Deterministic for fixed (adj, phases, seed).  `sample_overrides` maps a
-    phase index to a forced sampling probability (test hook).  Vertices of
-    `adj` start as singleton clusters; emitted edges live in the same vertex
-    space as `adj`, each with the path that realizes it.
+    Deterministic for fixed (adj, phases, seed).  `floor` must be a lower
+    bound on every arc weight of `adj` (0 is always one).  `sample_overrides`
+    maps a phase index to a forced sampling probability (test hook).
+    Vertices of `adj` start as singleton clusters; emitted edges live in the
+    same vertex space as `adj`, each with the path that realizes it.
+
+    A phase whose radius is below `floor` is idle: no arc is that short, so
+    an exploration to it would reach its own roots only.  Idle
+    superclustering still samples, drawing as `supercluster_phase` does;
+    the sampled clusters go on unchanged and the rest are unclustered, with
+    no star edge.  Idle interconnection emits nothing and counts one visit
+    per unclustered center.  An idle first phase builds `Cluster` objects
+    for its sampled singletons only, unless `keep_partitions` asks for the
+    partition.  Edges, stats and partitions equal those of `floor` = 0.
     """
-    partition = [Cluster(v, (v,)) for v in range(len(adj))]
+    n = len(adj)
+    partition: list[Cluster] | None = None  # None: the n singletons, not yet built
     edges: list[ScaleEdge] = []
     stats: list[PhaseStats] = []
     partitions: list[list[Cluster]] = []
     ell = len(phases.depth) - 1
     for i in range(ell + 1):
+        concluding = i == ell
+        reach = phases.half[i] if concluding else phases.depth[i]  # phase i's first radius
+        if partition is None and (keep_partitions or reach >= floor):
+            partition = [Cluster(v, (v,)) for v in range(n)]
         if keep_partitions:
             partitions.append(partition)
-        concluding = i == ell
-        clusters_in = len(partition)
-        if concluding:
-            unclustered = partition
-            nxt = []
-            star: list[ScaleEdge] = []
-            n_sampled = 0
-        else:
+        clusters_in = n if partition is None else len(partition)
+        nxt: list[Cluster] = []
+        star: list[ScaleEdge] = []
+        unclustered = partition if concluding else None  # None: idle, only counted
+        if not concluding:
             p = (sample_overrides or {}).get(i, phases.sample_probability(i))
             rng = random.Random(child_seed(seed, "phase", i))
-            nxt, star, unclustered, n_sampled = supercluster_phase(
-                adj, partition, p, phases.depth[i], rng
-            )
-        inter, visits = interconnect_phase(adj, unclustered, phases.half[i])
+            if reach >= floor:
+                nxt, star, unclustered, _ = supercluster_phase(adj, partition, p, reach, rng)
+            elif partition is None:  # idle: one draw per cluster, by ascending center
+                nxt = [Cluster(v, (v,)) for v in range(n) if rng.random() < p]
+            else:
+                nxt = [c for c in partition if rng.random() < p]
+        left = clusters_in - len(nxt) if unclustered is None else len(unclustered)
+        if phases.half[i] >= floor:
+            inter, visits = interconnect_phase(adj, unclustered, phases.half[i])
+        else:
+            inter, visits = [], left
         stats.append(
             PhaseStats(
                 index=i,
                 clusters_in=clusters_in,
-                sampled=n_sampled,
-                unclustered=len(unclustered),
+                sampled=len(nxt),
+                unclustered=left,
                 star_edges=len(star),
                 interconnect_edges=len(inter),
                 interconnect_visits=visits,

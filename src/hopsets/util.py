@@ -88,9 +88,12 @@ def opened(source):
     """A file path (str or bytes) opened as ASCII text, or a stream as it is.
 
     A file this opens is closed on exit; a stream passed in is left open.
+    Bytes >= 0x80 do not raise here: the text wrapper decodes whole chunks,
+    so its error could not name a line.  They read as lone surrogates, and
+    a loader rejects each line for which `isascii()` is false.
     """
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="ascii") as fh:
+        with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
             yield fh
     else:
         yield source

@@ -110,9 +110,10 @@ def test_criterion_02_single_scale_band_contract():
         graph = er_graph(128, 0.1, 1, 16, seed=seed)
         ws = WeightScale(2 * eps_int.denominator**2)
         adj = [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
+        floor = min(w for _, _, w in graph.edges) * ws.den
         for k in relevant_scales(graph):
             sched = compute_schedule(graph.n, KAPPA, RHO, eps_int, 2 ** (k + 1))
-            ss = build_single_scale(adj, scaled_phases(sched, ws), seed=seed)
+            ss = build_single_scale(adj, scaled_phases(sched, ws), seed, floor)
             hs = hopset_from_single_scale(graph, k, ss, sched, ws)
             assert hs.effective_beta == 2 * sched.h[sched.ell] + 1
             report = verify_stretch(graph, hs, pair_mode="band", band=k)
@@ -192,9 +193,10 @@ def test_criterion_05_exploration_load():
         graph = er_graph(n, 0.05, 1, 8, seed=seed)
         ws = WeightScale(2 * eps_int.denominator**2)
         adj = [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
+        floor = min(w for _, _, w in graph.edges) * ws.den
         for k in relevant_scales(graph):
             sched = compute_schedule(n, KAPPA, RHO, eps_int, 2 ** (k + 1))
-            ss = build_single_scale(adj, scaled_phases(sched, ws), seed=seed)
+            ss = build_single_scale(adj, scaled_phases(sched, ws), seed, floor)
             for p in ss.stats:
                 if p.index > sched.i1:
                     continue  # the concluding phase has no degree parameter

@@ -303,6 +303,60 @@ class TestMalformedHopset:
             assert load_dimacs(str(path)).digest() in err
 
 
+class TestNonAsciiInput:
+    """A byte >= 0x80 in a graph or hopset file is an input error naming its line."""
+
+    # UTF-8 lines; the blank padding after them keeps the bad line inside the
+    # first chunk the text layer decodes, so only a per-line check names it
+    BAD = {"record": "{} \u00e9\n", "comment": "c caf\u00e9\n"}
+    PADDING = "\n" * 10_000
+
+    def _run(self, workspace, command, graph, hopset):
+        if command == "build":
+            return run("build", "--graph", str(graph), "--out", str(workspace / "x.hs"))
+        if command == "stats":
+            return run("stats", "--hopset", str(hopset))
+        args = ["--graph", str(graph), "--hopset", str(hopset)]
+        if command == "query":
+            args += ["--sources", "1", "--out", str(workspace / "est.csv")]
+        return run(command, *args)
+
+    def _check(self, workspace, capsys, command, target, record, kind):
+        graph = gen_graph(workspace)
+        hopset = workspace / "h.hs"
+        assert run("build", "--graph", str(graph), "--out", str(hopset)) == EXIT_OK
+        path = graph if target == "graph" else hopset
+        lines = path.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith(record[0]))
+        bad = self.BAD[kind].format(record)
+        path.write_bytes(("".join(lines[:at]) + bad + "".join(lines[at:]) + self.PADDING).encode())
+        capsys.readouterr()
+        assert self._run(workspace, command, graph, hopset) == EXIT_IO
+        assert f"line {at + 1}: non-ASCII byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "verify", "query"])
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_graph_file(self, workspace, capsys, command, kind):
+        self._check(workspace, capsys, command, "graph", "a 1 2 1", kind)
+
+    @pytest.mark.parametrize("command", ["verify", "query", "stats"])
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_hopset_file(self, workspace, capsys, command, kind):
+        self._check(workspace, capsys, command, "hopset", "e 1 2 1/1 1 star", kind)
+
+
+class TestPathBase:
+    @pytest.mark.parametrize(
+        "n,base", [("5", "nan"), ("5", "inf"), ("5", "-inf"), ("2000", "1.5")]
+    )
+    def test_unusable_base_is_parameter_error(self, workspace, capsys, n, base):
+        out = workspace / "g.gr"
+        code = run("gen", "--model", "path", "--n", n, f"--base={base}", "--out", str(out))
+        assert code == EXIT_PARAM
+        assert "path: base" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStatsProvenance:
     """`stats` takes n from the header and rejects a provenance kappa it cannot use."""
 

@@ -148,11 +148,24 @@ class TestGenerators:
             dict(model="er", n=5, p=0.5, wmin=4, wmax=3),
             dict(model="path", n=1),
             dict(model="path", n=4, base=0.5),
+            dict(model="path", n=4, base=float("nan")),
+            dict(model="path", n=4, base=float("inf")),
+            dict(model="path", n=2000, base=1.5),  # 1.5**1998 overflows a float
         ],
     )
     def test_parameter_rejection(self, kwargs):
         with pytest.raises(GraphError):
             generate(seed=0, **kwargs)
+
+    @pytest.mark.parametrize("n,base", [(1700, 1.5), (2000, 1.25), (1025, 2.0)])
+    def test_path_weights_up_to_the_float_limit(self, n, base):
+        # the last weights, 1.5**1698, 1.25**1998 and 2.0**1023, fit a float
+        g = path_graph(n, base)
+        assert [w for _, _, w in g.edges] == [max(1, math.floor(base**i)) for i in range(n - 1)]
+
+    def test_integral_base_is_not_a_float_power(self):
+        assert path_graph(3000, 2.0).edges[-1][2] == 2**2998
+        assert path_graph(3, 10**400).edges[-1][2] == 10**400
 
     def test_path_aspect_ratio_closed_form(self):
         # max distance of path(n, b) is the sum of all edge weights

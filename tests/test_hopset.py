@@ -297,6 +297,41 @@ class TestBuildDirect:
         assert verify_stretch(g, reduced, pair_mode="all").ok
 
 
+class TestArcFloor:
+    """The floors `build_hopset` passes idle phases without changing the hopset."""
+
+    # at eps_target 3/4 a direct build scales by 2**15 and phase 0 of scale k
+    # explores to 2**(k+2), half of that when interconnecting; so arcs of
+    # weight 8 sit exactly at phase 0's radius on scale 16 and at its half on
+    # scale 17, and the heavy edge lets the build reach those scales
+    BOUNDARY = Graph.from_edges(
+        24, [(v, v + 1, 8) for v in range(23)] + [(0, 12, 8), (5, 20, 8), (0, 23, 2**18)]
+    )
+
+    @pytest.mark.parametrize(
+        "mode,graph,eps",
+        [
+            ("direct", BOUNDARY, "3/4"),
+            ("direct", er_graph(60, 0.1, 1, 10**9, seed=2), "0.9"),
+            ("reduced", er_graph(200, 0.03, 1, 10**9, seed=3), "0.3"),
+            ("reduced", path_graph(64, 2), "0.3"),
+        ],
+    )
+    def test_matches_a_build_without_floor(self, monkeypatch, mode, graph, eps):
+        params = HopsetParams.make(mode=mode, eps_target=eps, seed=4, path_reporting=True)
+        fast = build_hopset(graph, params)
+        build = hopsets.hopset.build_single_scale
+
+        def without_floor(adj, phases, seed, floor):
+            return build(adj, phases, seed, 0)
+
+        monkeypatch.setattr(hopsets.hopset, "build_single_scale", without_floor)
+        slow = build_hopset(graph, params)
+        assert _dumps(fast) == _dumps(slow)
+        assert fast.build_stats == slow.build_stats
+        assert fast.build_stats["scales"]
+
+
 class TestVariants:
     def test_refined_degree_mode_builds_and_verifies(self):
         g = path_graph(64, 2)

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from hopsets import (
     Graph,
+    HopsetParams,
     LaminarFamily,
     activity_stats,
     bounded_dijkstra,
     build_laminar,
     er_graph,
     exact_apsp,
+    grid_graph,
     materialize_scale_graph,
     path_graph,
+    plan,
     relevant_scales,
     star_edges,
 )
@@ -216,6 +219,52 @@ class TestMaterialize:
                     assert dk is not None
                     dk_frac = ws.to_fraction(dk)
                     assert F(d) <= dk_frac <= (1 + 2 * eps) * d
+
+
+FLOOR_GRAPHS = {
+    "er": lambda n, seed: er_graph(n, 0.3, 1, 10**9, seed),
+    "grid": lambda n, seed: grid_graph(2, n // 2, 1, 2**20, seed),
+    "unit path": lambda n, seed: path_graph(n, 1),
+    "power-of-two path": lambda n, seed: path_graph(n, 2),
+}
+
+
+def lightest_arcs(graph, eps_target):
+    """(lightest arc, 3 * (pad << k)) of each nonempty reduced scale-k graph.
+
+    The sweep runs from scale 0 until every edge is contracted.
+    """
+    bp = plan(HopsetParams.make(eps_target=eps_target), graph.n)
+    eps = bp.eps_reduction
+    lam = build_laminar(graph, eps)
+    top = max((contraction_scale(w, graph.n, eps) for _, _, w in graph.edges), default=-1)
+    out = []
+    for k in range(top + 1):
+        sg = materialize_scale_graph(graph, lam, k, bp.wscale, bp.pad)
+        if sg.adj:
+            out.append((min(w for arcs in sg.adj for _, w in arcs), 3 * (bp.pad << k)))
+    return out
+
+
+@given(
+    st.sampled_from(sorted(FLOOR_GRAPHS)),
+    st.integers(2, 40),
+    st.integers(0, 10**6),
+    st.sampled_from(["3/10", "3/8", "1/10", "0.45"]),
+)
+@settings(deadline=None, max_examples=80)
+def test_scale_graph_arcs_are_at_least_the_build_floor(family, n, seed, eps_target):
+    # build_hopset idles every phase whose radius is below this floor
+    graph = FLOOR_GRAPHS[family](max(n, 4), seed)
+    for lightest, floor in lightest_arcs(graph, eps_target):
+        assert lightest >= floor
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_power_of_two_path_meets_the_floor(n):
+    # at eps_reduction = 1/16 and n a power of two, the weight-1 edge equals
+    # eps / n * 2**k at one scale: uncontracted there, between two singletons
+    assert any(a == f for a, f in lightest_arcs(path_graph(n, 2), "3/8"))
 
 
 class TestActivity:

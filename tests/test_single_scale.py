@@ -2,11 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import hopsets.hopset
+import hopsets.single_scale
 from hopsets import (
     Graph,
+    HopsetParams,
     WeightScale,
     bounded_dijkstra,
+    build_hopset,
     compute_schedule,
     er_graph,
     hop_limited_bellman_ford,
@@ -22,6 +28,11 @@ from hopsets.single_scale import Cluster, ScalePhases
 
 def scaled_adj(graph, ws):
     return [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
+
+
+def arc_floor(adj):
+    """The lightest arc of `adj`: the tightest floor a build can be given."""
+    return min((w for arcs in adj for _, w in arcs), default=0)
 
 
 def scaled_phases(sched, ws):
@@ -169,8 +180,9 @@ class TestStarGraphExample:
         g = Graph.from_edges(6, [(0, i, 1) for i in range(1, 6)])
         sched = compute_schedule(64, 2, F(1, 2), F(1, 10), 400)  # delta_0/2 = 2
         ws = WeightScale(100)
+        adj = scaled_adj(g, ws)
         ss = build_single_scale(
-            scaled_adj(g, ws), scaled_phases(sched, ws), seed=1, sample_overrides={0: 0.0}
+            adj, scaled_phases(sched, ws), 1, arc_floor(adj), sample_overrides={0: 0.0}
         )
         inter0 = [e for e in ss.edges if e.kind == "interconnect"]
         assert len(inter0) == 15  # all pairs of the 6 vertices
@@ -184,8 +196,9 @@ class TestBuildInvariants:
         g = er_graph(n, 0.1, 1, 8, seed=5)
         sched = compute_schedule(n, 2, F(1, 2), F(1, 10), 64)
         ws = WeightScale(2 * 100)
+        adj = scaled_adj(g, ws)
         ss = build_single_scale(
-            scaled_adj(g, ws), scaled_phases(sched, ws), seed=seed, keep_partitions=True
+            adj, scaled_phases(sched, ws), seed, arc_floor(adj), keep_partitions=True
         )
         return g, sched, ws, ss
 
@@ -281,7 +294,7 @@ class TestBuildInvariants:
         ok = 0
         seeds = range(20)
         for s in seeds:
-            ss = build_single_scale(adj, phases, seed=s, keep_partitions=True)
+            ss = build_single_scale(adj, phases, s, arc_floor(adj), keep_partitions=True)
             if len(ss.partitions[1]) <= 2 * n ** (1 - 1 / 2):
                 ok += 1
         assert ok >= 0.9 * len(seeds)
@@ -296,9 +309,71 @@ class TestBandContract:
         adj = scaled_adj(g, ws)
         for k in (2, 3, 4):
             sched = compute_schedule(100, 2, F(1, 2), F(1, 10), 2 ** (k + 1))
-            ss = build_single_scale(adj, scaled_phases(sched, ws), seed=7)
+            ss = build_single_scale(adj, scaled_phases(sched, ws), 7, arc_floor(adj))
             hs = hopset_from_single_scale(g, k, ss, sched, ws)
             assert hs.effective_beta == 735
             assert hs.effective_eps == F(96, 10)
             report = verify_stretch(g, hs, pair_mode="band", band=k)
             assert report.ok, report.violations[:3]
+
+
+@st.composite
+def floor_cases(draw):
+    """A small simple graph, a band whose first phases may be idle, overrides, a seed."""
+    n = draw(st.integers(2, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    low = draw(st.sampled_from([1, 3, 40, 1000]))
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True))
+    weights = st.integers(low, low * draw(st.sampled_from([1, 2, 50])))
+    g = Graph.from_edges(n, [(u, v, draw(weights)) for u, v in chosen])
+    rhat = draw(st.sampled_from([2**j for j in range(1, 17)] + [3, 600, 1600]))
+    overrides = draw(st.sampled_from([None, {0: 0.0}, {0: 1.0}, {1: 0.0}, {0: 0.5, 1: 1.0}]))
+    return g, rhat, overrides, draw(st.integers(0, 2**32))
+
+
+# Rhat = 1600 puts delta_0 at 16 and delta_0 / 2 at 8: arcs of exactly those
+# weights keep phase 0 active
+@given(floor_cases())
+@example((Graph.from_edges(3, [(0, 1, 8), (1, 2, 9)]), 1600, {0: 0.0}, 1))
+@example((Graph.from_edges(3, [(0, 1, 16), (1, 2, 16)]), 1600, {0: 0.5}, 3))
+@settings(deadline=None, max_examples=200)
+def test_idle_phases_match_a_build_without_floor(case):
+    # floor 0 idles no phase: every exploration runs, as before idle phases
+    g, rhat, overrides, seed = case
+    ws = WeightScale(200)
+    adj = scaled_adj(g, ws)
+    phases = scaled_phases(compute_schedule(g.n, 2, F(1, 2), F(1, 10), rhat), ws)
+    for keep in (False, True):
+        slow, fast = (
+            build_single_scale(adj, phases, seed, floor, overrides, keep_partitions=keep)
+            for floor in (0, arc_floor(adj))
+        )
+        assert fast.edges == slow.edges
+        assert fast.stats == slow.stats
+        assert fast.partitions == slow.partitions
+
+
+def test_reduced_build_explores_nothing_in_phase_zero(monkeypatch):
+    # every reduced scale-k arc weighs >= 3 * (pad << k), more than delta_0
+    builds = []  # each build's phases
+    explored = []  # (function, phase index read off its radius)
+
+    def traced(fn, radii, at):
+        def call(*args):
+            explored.append((fn.__name__, getattr(builds[-1], radii).index(args[at])))
+            return fn(*args)
+
+        return call
+
+    def traced_build(adj, phases, seed, floor):
+        builds.append(phases)
+        return build_single_scale(adj, phases, seed, floor)
+
+    ss = hopsets.single_scale
+    monkeypatch.setattr(hopsets.hopset, "build_single_scale", traced_build)
+    monkeypatch.setattr(ss, "supercluster_phase", traced(ss.supercluster_phase, "depth", 3))
+    monkeypatch.setattr(ss, "interconnect_phase", traced(ss.interconnect_phase, "half", 2))
+    build_hopset(er_graph(200, 0.03, 1, 10**9, seed=3), HopsetParams.make(seed=1))
+    assert len(builds) > 3
+    assert {name for name, _ in explored} == {"supercluster_phase", "interconnect_phase"}
+    assert all(i > 0 for _, i in explored), explored
