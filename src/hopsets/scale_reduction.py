@@ -68,11 +68,10 @@ class MergeEvent:
 
 @dataclass
 class NodesView:
-    """Node structure at one scale: per-vertex center label plus per-node data."""
+    """Node structure at one scale: per-vertex center label plus node sizes."""
 
     label: list[int]  # vertex -> center of its containing node
     sizes: dict[int, int]  # center -> member count
-    birth: dict[int, int]  # center -> scale of the event that formed the node (0 initial)
 
 
 class LaminarFamily:
@@ -101,7 +100,6 @@ class LaminarFamily:
         self._next = 0  # first event not applied yet
         self._label = list(range(n))
         self._sizes = {v: 1 for v in range(n)}
-        self._birth = {v: 0 for v in range(n)}
         self._entered = 0  # prefix of _entry_order admitted to the window
         self._window: list[int] = []
 
@@ -110,7 +108,7 @@ class LaminarFamily:
             msg = f"laminar cursor is at scale {self._scale}, cannot go back to scale {k}"
             raise ValueError(msg + ": scales must be ascending")
         events, i = self.events, self._next
-        label, sizes, birth = self._label, self._sizes, self._birth
+        label, sizes = self._label, self._sizes
         while i < len(events) and events[i].scale <= k:
             ev = events[i]
             absorbed = ev.absorbed_center
@@ -118,20 +116,18 @@ class LaminarFamily:
             for y in ev.members_absorbed:
                 label[y] = survivor
             sizes[survivor] += sizes.pop(absorbed)
-            birth.pop(absorbed)
-            birth[survivor] = ev.scale
             i += 1
         self._next = i
         self._scale = k
 
     def nodes_at(self, k: int) -> NodesView:
-        """The cursor's own scale-k labels, sizes and births (no copies).
+        """The cursor's own scale-k labels and node sizes (no copies).
 
         Scales must be ascending; the next call with a higher k updates the
         view in place.  members_absorbed snapshots keep labels chain-free.
         """
         self._advance(k)
-        return NodesView(self._label, self._sizes, self._birth)
+        return NodesView(self._label, self._sizes)
 
     def live_edges(self, graph: Graph, k: int) -> list[int]:
         """Ids into `graph.edges` of the scale-k graph's inter-node edges.
@@ -364,16 +360,24 @@ def activity_stats(graph: Graph, laminar: LaminarFamily, scales) -> dict:
     read the laminar cursor, so `scales` must be ascending (repeats are
     fine) and make one sweep.
     Nodes are identified by (center, birth scale) since the same center can
-    head successively larger nodes.  Returns per-scale active counts, the
-    per-node activity spans, and the claimed per-node bound log2(n/eps) + 2
-    (reported, not asserted: see the verification module's outlier policy).
+    head successively larger nodes; a birth is the scale of the last event
+    the center survived (0 if none), read off `laminar.events` as the sweep
+    goes (an absorbed center heads no node again).  Returns per-scale active
+    counts, the per-node activity spans, and the claimed per-node bound
+    log2(n/eps) + 2 (reported, not asserted: see the verification module's
+    outlier policy).
     """
     eps = laminar.eps
+    events = laminar.events
+    birth: dict[int, int] = {}
+    j = 0  # first event not yet read into birth
     per_node: dict[tuple[int, int], int] = {}
     n_k: dict[int, int] = {}
     for k in scales:
-        view = laminar.nodes_at(k)
-        label = view.label
+        label = laminar.nodes_at(k).label
+        while j < len(events) and events[j].scale <= k:
+            birth[events[j].survivor_center] = events[j].scale
+            j += 1
         active: set[int] = set()
         for i in laminar.live_edges(graph, k):
             u, v, _ = graph.edges[i]
@@ -381,7 +385,7 @@ def activity_stats(graph: Graph, laminar: LaminarFamily, scales) -> dict:
             active.add(label[v])
         n_k[k] = len(active)
         for c in active:
-            key = (c, view.birth[c])
+            key = (c, birth.get(c, 0))
             per_node[key] = per_node.get(key, 0) + 1
     bound = math.log2(graph.n / eps) + 2
     max_span = max(per_node.values(), default=0)

@@ -191,13 +191,8 @@ def compute_schedule(
 
 
 # ---------------------------------------------------------------------------
-# Build state
-
-
-@dataclass
-class Cluster:
-    center: int
-    members: tuple[int, ...]
+# Build state: a partition is the ascending list of its clusters' center
+# ids.  Edges join centers only, so cluster membership is never kept.
 
 
 @dataclass
@@ -230,67 +225,59 @@ class PhaseStats:
 class SingleScaleHopset:
     edges: list[ScaleEdge]
     stats: list[PhaseStats] = field(default_factory=list)
-    partitions: list[list[Cluster]] = field(default_factory=list)
+    partitions: list[list[int]] = field(default_factory=list)
+
+
+def _sample(partition: list[int], p: float, rng: random.Random) -> tuple[list[int], list[int]]:
+    """(sampled, rest): one `rng.random()` per center, in the partition's order."""
+    sampled: list[int] = []
+    rest: list[int] = []
+    for c in partition:
+        (sampled if rng.random() < p else rest).append(c)
+    return sampled, rest
 
 
 def supercluster_phase(
     adj,
-    partition: list[Cluster],
+    partition: list[int],
     p: float,
     depth: int,
     rng: random.Random,
-) -> tuple[list[Cluster], list[ScaleEdge], list[Cluster], int]:
-    """One superclustering step; returns (next partition, star edges, U_i, #sampled).
+) -> tuple[list[int], list[ScaleEdge], list[int]]:
+    """One superclustering step; returns (next partition, star edges, U_i).
 
-    Each cluster is sampled with probability p; sampling consumes
-    randomness in ascending center-id order so the outcome is independent
-    of container iteration order.  Every unsampled cluster whose center the
-    exploration to `depth` (a scaled integer) reached joins the
-    supercluster of its forest root and contributes one star edge at exact
-    distance.
+    Each center of `partition` (ascending) is sampled with probability p,
+    drawing in that order; the sampled centers are the next partition.
+    Every unsampled center that the exploration to `depth` (a scaled
+    integer) reached joins the supercluster of its forest root and
+    contributes one star edge at exact distance; the rest are U_i.
     """
-    clusters = sorted(partition, key=lambda c: c.center)
-    sampled: list[Cluster] = []
-    rest: list[Cluster] = []
-    for c in clusters:
-        (sampled if rng.random() < p else rest).append(c)
-
+    sampled, rest = _sample(partition, p, rng)
     if not sampled:
-        return [], [], rest, 0
+        return [], [], rest
 
-    forest = multi_source_bounded_dijkstra(adj, [c.center for c in sampled], depth)
-
+    forest = multi_source_bounded_dijkstra(adj, sampled, depth)
     star: list[ScaleEdge] = []
-    absorbed: dict[int, list[Cluster]] = {c.center: [] for c in sampled}
-    unclustered: list[Cluster] = []
+    unclustered: list[int] = []
     for c in rest:
-        d = forest.dist.get(c.center)
+        d = forest.dist.get(c)
         if d is None:
             unclustered.append(c)
             continue
-        r = forest.root[c.center]
-        absorbed[r].append(c)
         star.append(
             ScaleEdge(
-                u=r,
-                v=c.center,
+                u=forest.root[c],
+                v=c,
                 w=d,
                 kind="supercluster",
-                path=tuple(forest.path_from_root(c.center)),
+                path=tuple(forest.path_from_root(c)),
             )
         )
-
-    nxt = []
-    for c in sampled:
-        members = list(c.members)
-        for joined in absorbed[c.center]:
-            members.extend(joined.members)
-        nxt.append(Cluster(c.center, tuple(members)))
-    return nxt, star, unclustered, len(sampled)
+    return sampled, star, unclustered
 
 
 def interconnect_phase(
-    adj, unclustered: list[Cluster], half: int
+    adj, unclustered: list[int], half: int
 ) -> tuple[list[ScaleEdge], int]:
     """Link every pair of unclustered centers within `half` (inclusive).
 
@@ -304,7 +291,7 @@ def interconnect_phase(
     (weights are nonnegative), so it counts that one visit and skips the
     exploration; an arc of weight exactly `half` still runs it.
     """
-    centers = sorted(c.center for c in unclustered)
+    centers = sorted(unclustered)
     center_set = set(centers)
     edges: list[ScaleEdge] = []
     visits = 0
@@ -336,56 +323,48 @@ def build_single_scale(
 
     Deterministic for fixed (adj, phases, seed).  `floor` must be a lower
     bound on every arc weight of `adj` (0 is always one).  `sample_overrides`
-    maps a phase index to a forced sampling probability (test hook).
-    Vertices of `adj` start as singleton clusters; emitted edges live in the
-    same vertex space as `adj`, each with the path that realizes it.
+    maps a phase index to a forced sampling probability, and
+    `keep_partitions` records each phase's entering partition (test hooks).
+    Every vertex of `adj` starts as the center of its own cluster; emitted
+    edges live in the same vertex space as `adj`, each with the path that
+    realizes it.
 
     A phase whose radius is below `floor` is idle: no arc is that short, so
     an exploration to it would reach its own roots only.  Idle
     superclustering still samples, drawing as `supercluster_phase` does;
-    the sampled clusters go on unchanged and the rest are unclustered, with
-    no star edge.  Idle interconnection emits nothing and counts one visit
-    per unclustered center.  An idle first phase builds `Cluster` objects
-    for its sampled singletons only, unless `keep_partitions` asks for the
-    partition.  Edges, stats and partitions equal those of `floor` = 0.
+    the sampled centers go on and the rest are unclustered, with no star
+    edge.  Idle interconnection emits nothing and counts one visit per
+    unclustered center.  Edges, stats and partitions equal those of
+    `floor` = 0.
     """
-    n = len(adj)
-    partition: list[Cluster] | None = None  # None: the n singletons, not yet built
+    partition = list(range(len(adj)))
     edges: list[ScaleEdge] = []
     stats: list[PhaseStats] = []
-    partitions: list[list[Cluster]] = []
+    partitions: list[list[int]] = []
     ell = len(phases.depth) - 1
     for i in range(ell + 1):
-        concluding = i == ell
-        reach = phases.half[i] if concluding else phases.depth[i]  # phase i's first radius
-        if partition is None and (keep_partitions or reach >= floor):
-            partition = [Cluster(v, (v,)) for v in range(n)]
         if keep_partitions:
             partitions.append(partition)
-        clusters_in = n if partition is None else len(partition)
-        nxt: list[Cluster] = []
+        nxt: list[int] = []
         star: list[ScaleEdge] = []
-        unclustered = partition if concluding else None  # None: idle, only counted
-        if not concluding:
+        unclustered = partition  # the concluding phase only interconnects
+        if i < ell:
             p = (sample_overrides or {}).get(i, phases.sample_probability(i))
             rng = random.Random(child_seed(seed, "phase", i))
-            if reach >= floor:
-                nxt, star, unclustered, _ = supercluster_phase(adj, partition, p, reach, rng)
-            elif partition is None:  # idle: one draw per cluster, by ascending center
-                nxt = [Cluster(v, (v,)) for v in range(n) if rng.random() < p]
+            if phases.depth[i] >= floor:
+                nxt, star, unclustered = supercluster_phase(adj, partition, p, phases.depth[i], rng)
             else:
-                nxt = [c for c in partition if rng.random() < p]
-        left = clusters_in - len(nxt) if unclustered is None else len(unclustered)
+                nxt, unclustered = _sample(partition, p, rng)
         if phases.half[i] >= floor:
             inter, visits = interconnect_phase(adj, unclustered, phases.half[i])
         else:
-            inter, visits = [], left
+            inter, visits = [], len(unclustered)
         stats.append(
             PhaseStats(
                 index=i,
-                clusters_in=clusters_in,
+                clusters_in=len(partition),
                 sampled=len(nxt),
-                unclustered=left,
+                unclustered=len(unclustered),
                 star_edges=len(star),
                 interconnect_edges=len(inter),
                 interconnect_visits=visits,

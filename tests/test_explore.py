@@ -15,14 +15,15 @@ from hopsets import (
     path_graph,
 )
 from hopsets.explore import ExplorationForest
-from hopsets.single_scale import Cluster, ScaleEdge
+from hopsets.single_scale import ScaleEdge
 
 
 # ---------------------------------------------------------------------------
 # References: the two bounded Dijkstra loops and `interconnect_phase` as they
 # were before `bounded_dijkstra` became the one-root case of
 # `multi_source_bounded_dijkstra` and interconnection skipped centers whose
-# every arc is longer than `half`.  Kept verbatim but for their names.
+# every arc is longer than `half`.  Kept verbatim but for their names, and
+# for the interconnection reference taking center ids, as partitions now are.
 
 
 def reference_multi_source_bounded_dijkstra(
@@ -99,7 +100,7 @@ def reference_bounded_dijkstra(
 
 
 def reference_interconnect_phase(
-    adj, unclustered: list[Cluster], half: int
+    adj, unclustered: list[int], half: int
 ) -> tuple[list[ScaleEdge], int]:
     """Link every pair of unclustered centers within `half` (inclusive).
 
@@ -109,7 +110,7 @@ def reference_interconnect_phase(
     and the interconnection load: the vertices reached, summed over the
     explorations.
     """
-    centers = sorted(c.center for c in unclustered)
+    centers = sorted(unclustered)
     center_set = set(centers)
     edges: list[ScaleEdge] = []
     visits = 0
@@ -169,9 +170,8 @@ class TestAgainstReferences:
     def test_interconnect_matches_reference(self, query, data):
         adj, half = query
         centers = data.draw(st.lists(st.integers(0, len(adj) - 1), unique=True))
-        unclustered = [Cluster(c, (c,)) for c in centers]
-        got = interconnect_phase(adj, unclustered, half)
-        assert got == reference_interconnect_phase(adj, unclustered, half)
+        got = interconnect_phase(adj, centers, half)
+        assert got == reference_interconnect_phase(adj, centers, half)
 
 
 def tiny_path():

@@ -294,7 +294,11 @@ class TestActivity:
 
 
 def replay_nodes_at(lam, k):
-    """Reference: replay every merge event up to k from the start."""
+    """Reference: replay every merge event up to k from the start.
+
+    Returns the view and, beside it, each center's birth: the scale of the
+    event that formed its node (0 initial).
+    """
     label = list(range(lam.n))
     sizes = {v: 1 for v in range(lam.n)}
     birth = {v: 0 for v in range(lam.n)}
@@ -308,7 +312,7 @@ def replay_nodes_at(lam, k):
         sizes[survivor] += sizes.pop(absorbed)
         birth.pop(absorbed)
         birth[survivor] = ev.scale
-    return NodesView(label, sizes, birth)
+    return NodesView(label, sizes), birth
 
 
 def scan_scale_graph(graph, lam, k):
@@ -320,7 +324,7 @@ def scan_scale_graph(graph, lam, k):
     eps = lam.eps
     n = graph.n
     wscale = WeightScale(n * eps.denominator)
-    view = replay_nodes_at(lam, k)
+    view, _ = replay_nodes_at(lam, k)
     label = view.label
     cutoff = 2 ** (k + 2)
     best = {}
@@ -361,7 +365,7 @@ def scan_activity_stats(graph, lam, scales):
     per_node = {}
     n_k = {}
     for k in scales:
-        view = replay_nodes_at(lam, k)
+        view, birth = replay_nodes_at(lam, k)
         label = view.label
         cutoff = 2 ** (k + 2)
         active = set()
@@ -374,7 +378,7 @@ def scan_activity_stats(graph, lam, scales):
                 active.add(cv)
         n_k[k] = len(active)
         for c in active:
-            key = (c, view.birth[c])
+            key = (c, birth[c])
             per_node[key] = per_node.get(key, 0) + 1
     return n_k, per_node
 
@@ -467,17 +471,17 @@ def test_cursor_matches_scan_and_replay(case):
             for (cu, cv), want in base.items():
                 assert sg.base_edge(cu, cv) == want
             view = cursor.nodes_at(k)
-            want = replay_nodes_at(cursor, k)
-            assert (view.label, view.sizes, view.birth) == (want.label, want.sizes, want.birth)
+            want, _ = replay_nodes_at(cursor, k)
+            assert (view.label, view.sizes) == (want.label, want.sizes)
             held.append((sg, edges, base, view))
         # scale graphs answer on their own after the sweep has passed them;
         # views are the cursor's live state, so each now shows the last scale
-        last = replay_nodes_at(cursor, order[-1])
+        last, _ = replay_nodes_at(cursor, order[-1])
         for sg, edges, base, view in held:
             assert sg.edges == edges
             for (cu, cv), want in base.items():
                 assert sg.base_edge(cu, cv) == want
-            assert (view.label, view.sizes, view.birth) == (last.label, last.sizes, last.birth)
+            assert (view.label, view.sizes) == (last.label, last.sizes)
         if order[0] < order[-1]:  # a lower scale names both scales
             named = f"at scale {order[-1]}, cannot go back to scale {order[0]}:"
             with pytest.raises(ValueError, match=named):

@@ -23,7 +23,7 @@ from hopsets import (
     supercluster_phase,
     verify_stretch,
 )
-from hopsets.single_scale import Cluster, ScalePhases
+from hopsets.single_scale import ScalePhases
 
 
 def scaled_adj(graph, ws):
@@ -44,8 +44,14 @@ def scaled_phases(sched, ws):
     )
 
 
-def singleton_partition(n):
-    return [Cluster(v, (v,)) for v in range(n)]
+def fold_stars(members, star):
+    """Fold each star edge's absorbed center into its root's members.
+
+    `members` maps a center to the vertices of its cluster; the build keeps
+    centers only, and star edges are all that membership needs.
+    """
+    for e in star:
+        members[e.u].extend(members.pop(e.v))
 
 
 class ScriptedRng:
@@ -68,9 +74,9 @@ class TestSuperclusterPhase:
     def test_probability_zero_leaves_all_unclustered(self, sched_16):
         g = path_graph(5, 1)
         ws = WeightScale(100)
-        nxt, star, unclustered, _ = supercluster_phase(
+        nxt, star, unclustered = supercluster_phase(
             scaled_adj(g, ws),
-            singleton_partition(5),
+            list(range(5)),
             0.0,
             ws.to_scaled(sched_16.delta[0]),
             random.Random(1),
@@ -81,9 +87,9 @@ class TestSuperclusterPhase:
     def test_probability_one_samples_everything(self, sched_16):
         g = path_graph(5, 1)
         ws = WeightScale(100)
-        nxt, star, unclustered, _ = supercluster_phase(
+        nxt, star, unclustered = supercluster_phase(
             scaled_adj(g, ws),
-            singleton_partition(5),
+            list(range(5)),
             1.0,
             ws.to_scaled(sched_16.delta[0]),
             random.Random(1),
@@ -96,12 +102,11 @@ class TestSuperclusterPhase:
         g = Graph.from_edges(3, [(0, 1, 8), (1, 2, 8)])
         ws = WeightScale(100)
         rng = ScriptedRng([0.99, 0.0, 0.99])  # ascending center order: 0, 1, 2
-        nxt, star, unclustered, _ = supercluster_phase(
-            scaled_adj(g, ws), singleton_partition(3), 0.5, ws.to_scaled(sched_16.delta[0]), rng
+        nxt, star, unclustered = supercluster_phase(
+            scaled_adj(g, ws), list(range(3)), 0.5, ws.to_scaled(sched_16.delta[0]), rng
         )
         assert unclustered == []
-        assert len(nxt) == 1 and nxt[0].center == 1
-        assert sorted(nxt[0].members) == [0, 1, 2]
+        assert nxt == [1]
         assert sorted((e.u, e.v, e.w) for e in star) == [
             (1, 0, 8 * ws.den),
             (1, 2, 8 * ws.den),
@@ -112,9 +117,9 @@ class TestSuperclusterPhase:
         ws = WeightScale(100)
         adj = scaled_adj(g, ws)
         phases = scaled_phases(sched_16, ws)
-        nxt, star, _, _ = supercluster_phase(
+        nxt, star, _ = supercluster_phase(
             adj,
-            singleton_partition(40),
+            list(range(40)),
             phases.sample_probability(1),
             phases.depth[1],
             random.Random(7),
@@ -129,7 +134,7 @@ class TestInterconnectPhase:
         g = path_graph(3, 1)
         ws = WeightScale(100)
         edges, visits = interconnect_phase(
-            scaled_adj(g, ws), [Cluster(0, (0,))], ws.to_scaled(sched_16.delta[0] / 2)
+            scaled_adj(g, ws), [0], ws.to_scaled(sched_16.delta[0] / 2)
         )
         assert edges == []
         assert visits == 3  # delta_0/2 = 8 reaches the whole unit path
@@ -139,7 +144,7 @@ class TestInterconnectPhase:
         g = Graph.from_edges(2, [(0, 1, 8)])
         ws = WeightScale(100)
         edges, _ = interconnect_phase(
-            scaled_adj(g, ws), singleton_partition(2), ws.to_scaled(sched_16.delta[0] / 2)
+            scaled_adj(g, ws), list(range(2)), ws.to_scaled(sched_16.delta[0] / 2)
         )
         assert [(e.u, e.v, e.w) for e in edges] == [(0, 1, 8 * ws.den)]
 
@@ -150,7 +155,7 @@ class TestInterconnectPhase:
         g = path_graph(10, 1)
         ws = WeightScale(100)
         edges, _ = interconnect_phase(
-            scaled_adj(g, ws), singleton_partition(10), ws.to_scaled(sched.delta[0] / 2)
+            scaled_adj(g, ws), list(range(10)), ws.to_scaled(sched.delta[0] / 2)
         )
         expected = {(i, j) for i in range(10) for j in range(i + 1, 10) if j - i <= 3}
         assert {(e.u, e.v) for e in edges} == expected
@@ -161,17 +166,17 @@ class TestInterconnectPhase:
         g = er_graph(30, 0.3, 1, 4, seed=9)
         ws = WeightScale(100)
         adj = scaled_adj(g, ws)
-        clusters = singleton_partition(30)
+        centers = list(range(30))
         half = ws.to_scaled(sched_16.delta[2] / 2)
-        edges, visits = interconnect_phase(adj, clusters, half)
+        edges, visits = interconnect_phase(adj, centers, half)
         pairs = [(e.u, e.v) for e in edges]
         assert len(pairs) == len(set(pairs))
         assert all(u < v for u, v in pairs)
         # the load is the vertices each center's exploration reached, and
         # every exploration reaches at least its own source
-        reached = [len(bounded_dijkstra(adj, c.center, half)[0]) for c in clusters]
+        reached = [len(bounded_dijkstra(adj, c, half)[0]) for c in centers]
         assert visits == sum(reached)
-        assert visits >= len(clusters)
+        assert visits >= len(centers)
 
 
 class TestStarGraphExample:
@@ -236,29 +241,26 @@ class TestBuildInvariants:
         # entering phase i, every member sits within i star-edges of its
         # center, total length at most radius[i]
         _, sched, ws, ss = self.build()
-        star_by_phase = []
-        seen = 0
-        for i, stats in enumerate(ss.stats):
-            stars = [e for e in ss.edges if e.kind == "supercluster"][
-                seen : seen + stats.star_edges
-            ]
-            seen += stats.star_edges
-            star_by_phase.append(stars)
+        stars = [e for e in ss.edges if e.kind == "supercluster"]
         nverts = len(ss.partitions[0])
+        members = {v: [v] for v in range(nverts)}
         accumulated = []
-        for i, clusters in enumerate(ss.partitions):
+        for i, centers in enumerate(ss.partitions):
             limit = ws.to_scaled(sched.radius[i])
             if i > 0:
-                accumulated.extend(star_by_phase[i - 1])
+                seen = len(accumulated)
+                phase_stars = stars[seen : seen + ss.stats[i - 1].star_edges]
+                fold_stars(members, phase_stars)
+                accumulated.extend(phase_stars)
             if not accumulated:
-                for c in clusters:
-                    assert list(c.members) == [c.center]
+                for c in centers:
+                    assert members[c] == [c]
                 continue
             rel = [(e.u, e.v, e.w, i) for i, e in enumerate(accumulated)]
-            for c in clusters:
-                table = hop_limited_bellman_ford(nverts, rel, [c.center], i)
-                for m in c.members:
-                    d = table.dist[c.center][m]
+            for c in centers:
+                table = hop_limited_bellman_ford(nverts, rel, [c], i)
+                for m in members[c]:
+                    d = table.dist[c][m]
                     assert d is not None and d <= limit
 
     def test_partitions_and_retired_sets_cover_all_vertices(self):
@@ -269,17 +271,17 @@ class TestBuildInvariants:
         ws = WeightScale(200)
         adj = scaled_adj(g, ws)
         phases = scaled_phases(sched, ws)
-        partition = singleton_partition(80)
+        partition = list(range(80))
+        members = {v: [v] for v in range(80)}
         retired = []
         for i in range(sched.ell):
             rng = random.Random(i * 7 + 1)
-            nxt, _, unclustered, _ = supercluster_phase(
+            nxt, star, unclustered = supercluster_phase(
                 adj, partition, phases.sample_probability(i), phases.depth[i], rng
             )
+            fold_stars(members, star)
             retired.extend(unclustered)
-            covered = sorted(
-                m for c in nxt + retired for m in c.members
-            )
+            covered = sorted(m for c in nxt + retired for m in members[c])
             assert covered == list(range(80))
             partition = nxt
 
@@ -351,6 +353,16 @@ def test_idle_phases_match_a_build_without_floor(case):
         assert fast.edges == slow.edges
         assert fast.stats == slow.stats
         assert fast.partitions == slow.partitions
+        # every cluster entering a phase is sampled, absorbed or unclustered,
+        # and the sampled ones are the next phase's partition
+        for ph in fast.stats:
+            assert ph.clusters_in == ph.sampled + ph.star_edges + ph.unclustered
+        assert fast.stats[-1].sampled == 0
+        if keep:
+            assert [len(p) for p in fast.partitions] == [ph.clusters_in for ph in fast.stats]
+            assert [ph.sampled for ph in fast.stats[:-1]] == [
+                len(p) for p in fast.partitions[1:]
+            ]
 
 
 def test_reduced_build_explores_nothing_in_phase_zero(monkeypatch):

@@ -67,6 +67,8 @@ def test_traced_cli_commands_succeed_and_count_work(tmp_path, monkeypatch):
     for key in (
         "scale_reduction.materialize_scale_graph_calls",
         "single_scale.build_single_scale_calls",
+        "single_scale.supercluster_phase_calls",
+        "single_scale.interconnect_phase_calls",
         "explore.bounded_dijkstra_calls",
         "explore.multi_source_bounded_dijkstra_calls",
         "single_scale.interconnect_visits",
