@@ -3,11 +3,12 @@
 Everything here works on adjacency lists of (neighbor, weight) with plain
 integer weights (already rescaled by the build's WeightScale when weights
 are fractional).  All distances returned are exact.  Bounded explorations
-run one loop, `multi_source_bounded_dijkstra` (`bounded_dijkstra` is its
-one-root case); `dijkstra_all` can stop once a given target set has
-settled.  Hop-limited distances d^(t) come from a (distance, hops) Dijkstra
-when t >= n - 1, where d^(t) is the plain shortest distance, and from
-frontier Bellman-Ford rounds below that.
+run to a finite depth in one loop, `multi_source_bounded_dijkstra`
+(`bounded_dijkstra` is its one-root case), and return its
+`ExplorationForest`; full sweeps are `dijkstra_all`, which can stop once a
+given target set has settled.  Hop-limited distances d^(t) come from a
+(distance, hops) Dijkstra when t >= n - 1, where d^(t) is the plain
+shortest distance, and from frontier Bellman-Ford rounds below that.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class ExplorationForest:
 def multi_source_bounded_dijkstra(
     adj: list[list[tuple[int, int]]],
     roots,
-    depth: int | None,
+    depth: int,
 ) -> ExplorationForest:
     """Dijkstra from a set of roots, exploring to distance <= depth (inclusive).
 
@@ -70,7 +71,7 @@ def multi_source_bounded_dijkstra(
             if u in dist:
                 continue
             nd = d + w
-            if depth is not None and nd > depth:
+            if nd > depth:
                 continue
             cand = (nd, r)
             if u not in best or cand < best[u]:
@@ -82,15 +83,14 @@ def multi_source_bounded_dijkstra(
 def bounded_dijkstra(
     adj: list[list[tuple[int, int]]],
     source: int,
-    depth: int | None,
-) -> tuple[dict[int, int], dict[int, int | None]]:
+    depth: int,
+) -> ExplorationForest:
     """Single-source Dijkstra to distance <= depth (inclusive).
 
-    The one-root case of `multi_source_bounded_dijkstra`: returns exact
-    distances and parent pointers over the reached set.
+    The one-root case of `multi_source_bounded_dijkstra`, whose forest it
+    returns: every reached vertex has root `source`.
     """
-    forest = multi_source_bounded_dijkstra(adj, (source,), depth)
-    return forest.dist, forest.parent
+    return multi_source_bounded_dijkstra(adj, (source,), depth)
 
 
 def dijkstra_all(

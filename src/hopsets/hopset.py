@@ -485,7 +485,7 @@ def load_hopset(source) -> Hopset:
         edges: list[HopsetEdge] = []
         witnesses: dict[int, tuple[int, ...]] = {}
         forest: list[tuple[int, int, int]] = []
-        root: list[int] = []  # union-find over the forest, 0-based ids
+        root: dict[int, int] = {}  # union-find over the vertices `f` lines name, 0-based
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
                 raise HopsetFormatError("non-ASCII byte", lineno)
@@ -530,19 +530,23 @@ def load_hopset(source) -> Hopset:
             elif tag == "f":
                 if header is None:
                     raise HopsetFormatError("forest edge before header", lineno)
-                u, v, w = _fields(lineno, fields, int, int, int)
+                try:
+                    u, v, w = map(int, fields)
+                except ValueError:
+                    _fields(lineno, fields, int, int, int)  # raises, naming the fault
+                    raise
                 _check_vertices(lineno, header[0], (u, v))
                 if w <= 0:
                     raise HopsetFormatError(f"forest edge weight {w} is not positive", lineno)
                 if witnesses:
                     raise HopsetFormatError("forest edge after a witness line", lineno)
-                if not root:
-                    root = list(range(header[0]))
-                ru, rv = find(root, u - 1), find(root, v - 1)
+                x, y = u - 1, v - 1  # a vertex first named here is its own root
+                ru = find(root, x) if x in root else root.setdefault(x, x)
+                rv = find(root, y) if y in root else root.setdefault(y, y)
                 if ru == rv:
                     raise HopsetFormatError(f"forest edge {u} {v} closes a cycle", lineno)
                 root[ru] = rv
-                forest.append((u - 1, v - 1, w))
+                forest.append((x, y, w))
             elif tag in ("p", "a"):
                 if header is None:
                     raise HopsetFormatError("witness before header", lineno)
@@ -564,10 +568,12 @@ def load_hopset(source) -> Hopset:
                     raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
                 path = tuple(map((-1).__add__, path))  # 0-based
                 if tag == "a":
-                    if not witnesses:  # the forest is complete: label each vertex by its tree
-                        root = [find(root, x) for x in range(header[0])]
+                    if not witnesses:  # the forest is complete: label its vertices by tree
+                        for x in root:
+                            root[x] = find(root, x)
+                    tree = root.get  # a vertex outside the forest is its own tree
                     for x, y in zip(path[::2], path[1::2]):
-                        if root[x] != root[y]:
+                        if tree(x, x) != tree(y, y):
                             raise HopsetFormatError(
                                 f"anchors {x + 1} and {y + 1} are not joined by the forest", lineno
                             )

@@ -133,7 +133,7 @@ class LaminarFamily:
         """Ids into `graph.edges` of the scale-k graph's inter-node edges.
 
         These are the edges of weight <= 2**(k+2) whose endpoints lie in
-        different nodes at scale k, in input order.
+        different nodes at scale k, in an unspecified order.
         """
         self._advance(k)
         if graph is not self._graph:
@@ -147,7 +147,7 @@ class LaminarFamily:
         j = bisect_right(self._entry_bits, k + 2)
         window = self._window
         if j > self._entered:
-            window = sorted(window + self._entry_order[self._entered : j])
+            window = window + self._entry_order[self._entered : j]
             self._entered = j
         edges, label = graph.edges, self._label
         self._window = [

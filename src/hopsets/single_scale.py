@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .explore import bounded_dijkstra, multi_source_bounded_dijkstra
+from .explore import ExplorationForest, bounded_dijkstra, multi_source_bounded_dijkstra
 from .util import HopsetError, as_fraction, child_seed, floor_log2
 
 
@@ -228,6 +228,12 @@ class SingleScaleHopset:
     partitions: list[list[int]] = field(default_factory=list)
 
 
+def _scale_edge(forest: ExplorationForest, v: int, kind: str) -> ScaleEdge:
+    """The edge from reached vertex v's root to v: exact distance, tree path."""
+    path = tuple(forest.path_from_root(v))
+    return ScaleEdge(forest.root[v], v, forest.dist[v], kind, path)
+
+
 def _sample(partition: list[int], p: float, rng: random.Random) -> tuple[list[int], list[int]]:
     """(sampled, rest): one `rng.random()` per center, in the partition's order."""
     sampled: list[int] = []
@@ -260,19 +266,10 @@ def supercluster_phase(
     star: list[ScaleEdge] = []
     unclustered: list[int] = []
     for c in rest:
-        d = forest.dist.get(c)
-        if d is None:
+        if c in forest.dist:
+            star.append(_scale_edge(forest, c, "supercluster"))
+        else:
             unclustered.append(c)
-            continue
-        star.append(
-            ScaleEdge(
-                u=forest.root[c],
-                v=c,
-                w=d,
-                kind="supercluster",
-                path=tuple(forest.path_from_root(c)),
-            )
-        )
     return sampled, star, unclustered
 
 
@@ -299,15 +296,10 @@ def interconnect_phase(
         if all(w > half for _, w in adj[c]):
             visits += 1
             continue
-        dist, parent = bounded_dijkstra(adj, c, half)
-        visits += len(dist)
-        for v, d in sorted(dist.items()):
-            if v in center_set and v > c:
-                path = [v]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                edges.append(ScaleEdge(u=c, v=v, w=d, kind="interconnect", path=tuple(path)))
+        forest = bounded_dijkstra(adj, c, half)
+        visits += len(forest.dist)
+        linked = sorted(v for v in forest.dist if v > c and v in center_set)
+        edges.extend(_scale_edge(forest, v, "interconnect") for v in linked)
     return edges, visits
 
 

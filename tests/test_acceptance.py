@@ -262,7 +262,8 @@ def test_criterion_07_oracle_equivalences():
         if any(table.dist[s] != exact[s] for s in range(n)):
             bad.append(("bellman-ford", seed))
         roots = sorted({(seed * 7 + j * 13) % n for j in range(5)})
-        forest = multi_source_bounded_dijkstra(graph.adj, roots, None)
+        total = sum(w for _, _, w in graph.edges)  # no distance exceeds it
+        forest = multi_source_bounded_dijkstra(graph.adj, roots, total)
         for v in range(n):
             best = min(
                 (exact[r][v], r) for r in roots if exact[r][v] is not None

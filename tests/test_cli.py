@@ -398,6 +398,13 @@ class TestStatsProvenance:
         assert code == EXIT_IO
         assert "kappa" in err and "Traceback" not in err
 
+    def test_forest_of_a_huge_header_is_read(self, workspace, capsys):
+        # n >= 2**63: nothing is sized by the header's n
+        hopset = workspace / "h.hs"
+        hopset.write_text(f"h 1 {2**64} 5 1/10\ne 1 2 4/1 1 star\nf 1 2 7\na 0 1 2\n")
+        assert run("stats", "--hopset", str(hopset)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "edges           1"
+
 
 class TestMalformedArguments:
     """Values argparse cannot convert are usage errors (exit 2), not tracebacks."""

@@ -128,20 +128,26 @@ def reference_interconnect_phase(
 
 
 @st.composite
-def bounded_queries(draw, unbounded=True):
-    """A multigraph adjacency of 1-12 vertices and a depth (None or 0-7).
+def bounded_queries(draw):
+    """A multigraph adjacency of 1-12 vertices and a finite depth.
 
-    Weights are 0-5, and often exactly the depth; self-loops, parallel arcs
-    and each vertex's arc order are drawn at random."""
+    Weights are 0-5.  The depth is either 0-7, with weights often exactly
+    the depth, or at least the total arc weight, so that the exploration
+    reaches every vertex its source can; self-loops, parallel arcs and each
+    vertex's arc order are drawn at random."""
     n = draw(st.integers(1, 12))
-    depth = draw(st.one_of(st.none(), st.integers(0, 7)) if unbounded else st.integers(0, 7))
+    reach_all = draw(st.booleans())
+    depth = None if reach_all else draw(st.integers(0, 7))
     weight = st.integers(0, 5)
-    if depth is not None:
+    if not reach_all:
         weight = st.one_of(weight, st.just(depth))
     vertex = st.integers(0, n - 1)
     arcs = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=3 * n))
+    arcs += arcs[: draw(st.integers(0, 3))]  # repeats: parallel arcs
+    if reach_all:
+        depth = sum(w for _, _, w in arcs) + draw(st.integers(0, 2))
     adj = [[] for _ in range(n)]
-    for u, v, w in arcs + arcs[: draw(st.integers(0, 3))]:  # repeats: parallel arcs
+    for u, v, w in arcs:
         adj[u].append((v, w))
         adj[v].append((u, w))
     return [draw(st.permutations(nbrs)) for nbrs in adj], depth
@@ -154,7 +160,7 @@ class TestAgainstReferences:
         adj, depth = query
         for source in range(len(adj)):
             got = bounded_dijkstra(adj, source, depth)
-            assert got == reference_bounded_dijkstra(adj, source, depth)
+            assert (got.dist, got.parent) == reference_bounded_dijkstra(adj, source, depth)
 
     @given(bounded_queries(), st.data())
     @settings(deadline=None, max_examples=300)
@@ -165,7 +171,7 @@ class TestAgainstReferences:
         ref = reference_multi_source_bounded_dijkstra(adj, roots, depth)
         assert (got.dist, got.root, got.parent) == (ref.dist, ref.root, ref.parent)
 
-    @given(bounded_queries(unbounded=False), st.data())
+    @given(bounded_queries(), st.data())
     @settings(deadline=None, max_examples=300)
     def test_interconnect_matches_reference(self, query, data):
         adj, half = query
@@ -234,24 +240,24 @@ class TestMultiSource:
 class TestSingleSource:
     def test_boundary_exclusive_below(self):
         g = Graph.from_edges(2, [(0, 1, 5)])
-        dist, _ = bounded_dijkstra(g.adj, 0, 4)
+        dist = bounded_dijkstra(g.adj, 0, 4).dist
         assert dist == {0: 0}
 
     def test_boundary_inclusive_at_depth(self):
         g = Graph.from_edges(2, [(0, 1, 5)])
-        dist, _ = bounded_dijkstra(g.adj, 0, 5)
+        dist = bounded_dijkstra(g.adj, 0, 5).dist
         assert dist == {0: 0, 1: 5}
 
     def test_two_hop_beats_heavy_edge(self):
         # triangle 0-1 (1), 1-2 (1), 0-2 (3): source 0, depth 2
         g = Graph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 3)])
-        dist, _ = bounded_dijkstra(g.adj, 0, 2)
+        dist = bounded_dijkstra(g.adj, 0, 2).dist
         assert dist[2] == 2
 
     def test_monotone_depth(self):
         g = er_graph(40, 0.2, 1, 9, seed=4)
-        shallow, _ = bounded_dijkstra(g.adj, 3, 8)
-        deep, _ = bounded_dijkstra(g.adj, 3, 25)
+        shallow = bounded_dijkstra(g.adj, 3, 8).dist
+        deep = bounded_dijkstra(g.adj, 3, 25).dist
         for v, d in shallow.items():
             assert deep[v] == d
 

@@ -387,6 +387,7 @@ FOREST_HEAD = "h 1 4 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
         ("f 1 2 7\na 0 1 x", "line 5: malformed record '0 1 x'"),
         ("f 1 2 7\na 0 1 9", "line 5: vertex id 9 out of range [1,4]"),
         ("f 1 2 7\na 0 2 3", "line 5: anchors 2 and 3 are not joined by the forest"),
+        ("f 1 2 7\na 0 1 2\na 1 3 4", "line 6: anchors 3 and 4 are not joined by the forest"),
         ("f 1 2 7\na 0 1 2\na 0 2 1", "line 6: duplicate witness for edge 0"),
         ("f 1 2 7\np 0 1 2", "line 5: path witness after a forest edge"),
         ("f 1 2 7\na 0 1 2\np 1 2 3", "line 6: path witness after a forest edge"),
@@ -409,6 +410,20 @@ def test_forest_and_anchor_lines_match_reference(lines, message):
         assert _hopset_text(loaded) == text
     else:
         assert loaded == f"HopsetFormatError: {message}"
+
+
+# n >= 2**63: a table over every vertex of the header cannot even be sized
+HUGE_N = 2**64
+HUGE_FOREST_TEXT = f"h 1 {HUGE_N} 5 1/10\ne 1 2 4/1 1 star\nf 1 2 7\na 0 1 2\n"
+
+
+def test_forest_of_a_huge_header_loads():
+    loaded = load_hopset(io.StringIO(HUGE_FOREST_TEXT))
+    assert loaded.n == HUGE_N
+    assert list(loaded.witnesses) == [(0, 1)]
+    broken = HUGE_FOREST_TEXT.replace("a 0 1 2", "a 0 1 3")
+    message = "HopsetFormatError: line 4: anchors 1 and 3 are not joined by the forest"
+    assert _load_or_error(load_hopset, broken) == message
 
 
 def test_forest_line_before_header_is_rejected():

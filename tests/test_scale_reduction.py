@@ -10,8 +10,8 @@ from hopsets import (
     HopsetParams,
     LaminarFamily,
     activity_stats,
-    bounded_dijkstra,
     build_laminar,
+    dijkstra_all,
     er_graph,
     exact_apsp,
     grid_graph,
@@ -135,7 +135,7 @@ class TestStarEdges:
         g = er_graph(40, 0.2, 1, 30, seed=4)
         lam = build_laminar(g, F(1, 4))
         for s in star_edges(lam):
-            dist, _ = bounded_dijkstra(g.adj, s.u, None)
+            dist = dijkstra_all(g.adj, s.u)
             assert F(dist[s.v]) <= s.weight
 
 
@@ -214,8 +214,8 @@ class TestMaterialize:
                     iy = index.get(cy)
                     assert ix is not None and iy is not None
                     if ix not in dist_cache:
-                        dist_cache[ix], _ = bounded_dijkstra(sg.adj, ix, None)
-                    dk = dist_cache[ix].get(iy)
+                        dist_cache[ix] = dijkstra_all(sg.adj, ix)
+                    dk = dist_cache[ix][iy]
                     assert dk is not None
                     dk_frac = ws.to_fraction(dk)
                     assert F(d) <= dk_frac <= (1 + 2 * eps) * d

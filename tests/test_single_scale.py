@@ -14,6 +14,7 @@ from hopsets import (
     bounded_dijkstra,
     build_hopset,
     compute_schedule,
+    dijkstra_all,
     er_graph,
     hop_limited_bellman_ford,
     hopset_from_single_scale,
@@ -125,7 +126,7 @@ class TestSuperclusterPhase:
             random.Random(7),
         )
         for e in star:
-            dist, _ = bounded_dijkstra(adj, e.u, None)
+            dist = dijkstra_all(adj, e.u)
             assert dist[e.v] == e.w
 
 
@@ -174,7 +175,7 @@ class TestInterconnectPhase:
         assert all(u < v for u, v in pairs)
         # the load is the vertices each center's exploration reached, and
         # every exploration reaches at least its own source
-        reached = [len(bounded_dijkstra(adj, c, half)[0]) for c in centers]
+        reached = [len(bounded_dijkstra(adj, c, half).dist) for c in centers]
         assert visits == sum(reached)
         assert visits >= len(centers)
 
@@ -234,7 +235,7 @@ class TestBuildInvariants:
         g, _, ws, ss = self.build()
         adj = scaled_adj(g, ws)
         for e in ss.edges:
-            dist, _ = bounded_dijkstra(adj, e.u, None)
+            dist = dijkstra_all(adj, e.u)
             assert dist[e.v] == e.w
 
     def test_cluster_radius_claim(self):

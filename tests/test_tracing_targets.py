@@ -3,12 +3,16 @@
 perfbench/tracing.py replaces functions by `getattr(owner, attr)`; a binding
 renamed or removed here would surface only as failed benchmark operations.
 The first test reads the target list without installing any wrapper; the
-second wraps every binding for one test and runs the CLI through them.
+second wraps every binding for one test and runs the CLI through them.  The
+third feeds a counter the value its binding returns, so a return type the
+tracer miscounts fails here.
 """
 
 import importlib.util
 from pathlib import Path
 
+import hopsets.single_scale
+from hopsets import Graph
 from hopsets.cli import EXIT_OK, main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -30,6 +34,16 @@ def test_every_traced_binding_resolves_to_a_callable():
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_settled_count_reads_a_bounded_exploration():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    adj = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 5)]).adj
+    args = (adj, 0, 2)
+    result = hopsets.single_scale.bounded_dijkstra(*args)
+    tracing._count_settled(tracer, args, result)
+    assert tracer.counts["explore.dijkstra_settled"] == len(result.dist) == 3
 
 
 # (gen flags, build flags) of perfbench's geo-path and grid-direct workloads

@@ -12,8 +12,8 @@ from hopsets import (
     HopsetParams,
     build_hopset,
     er_graph,
+    dijkstra_all,
     exact_apsp,
-    bounded_dijkstra,
     hop_limited_bellman_ford,
     path_graph,
     size_stats,
@@ -210,14 +210,6 @@ class TestSizeStats:
         assert stats["star_edges"] <= 64 * 6
 
 
-def full_sweep(adj, source):
-    dist, _ = bounded_dijkstra(adj, source, None)
-    out = [None] * len(adj)
-    for v, d in dist.items():
-        out[v] = d
-    return out
-
-
 def reference_verify(graph, hopset, pair_mode="all", sample_size=1000, sample_seed=0, band=None):
     """Reference: the former stretch check, a full hop-limited Bellman-Ford table for all
     sources plus a full oracle sweep per source.  Report dict without wall_time."""
@@ -248,7 +240,7 @@ def reference_verify(graph, hopset, pair_mode="all", sample_size=1000, sample_se
     sources = sorted(wanted)
     limited = hop_limited_bellman_ford(n, rel, sources, beta).dist
     for s in sources:
-        d_true = full_sweep(graph.adj, s)
+        d_true = dijkstra_all(graph.adj, s)
         lim = limited[s]
         targets = wanted[s] if wanted[s] is not None else range(s + 1, n)
         for v in targets:
@@ -321,7 +313,7 @@ def verify_cases(draw):
     edges = []
     for _ in range(draw(st.integers(0, n))):
         u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
-        d = full_sweep(g.adj, u)[v]
+        d = dijkstra_all(g.adj, u)[v]
         if d is None:  # across components: any positive weight
             weight = F(draw(st.integers(1, 50)), draw(st.integers(1, 4)))
         else:
@@ -401,7 +393,7 @@ def test_one_union_sweep_per_source(sweeps, build_mode, eps):
 
     # one hopset edge at half its true distance: an undercut the oracle must price
     e = hs.edges[0]
-    hs.edges[0] = HopsetEdge(e.u, e.v, full_sweep(g.adj, e.u)[e.v] * F(1, 2), e.scale, e.kind)
+    hs.edges[0] = HopsetEdge(e.u, e.v, dijkstra_all(g.adj, e.u)[e.v] * F(1, 2), e.scale, e.kind)
     sweeps.clear()
     report = checked_report(g, hs)
     assert report["violation_count"] > 0
