@@ -65,6 +65,5 @@ from .single_scale import (
     supercluster_phase,
 )
 from .verify import VerificationReport, exact_apsp, size_stats, verify_stretch
-from .weights import WeightScale
 
 __version__ = "0.1.0"

@@ -40,9 +40,11 @@ class AspResult:
 
 def asp_estimates(graph: Graph, hopset: Hopset, sources) -> AspResult:
     """Estimates for all given sources: one |S| x n table, held in memory."""
+    if hopset.n != graph.n:
+        raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     sources = sorted(set(sources))
-    _check(graph, hopset, sources)
-    den = hopset.weight_scale().den
+    check_sources(graph.n, sources)
+    den = hopset.weight_den()
     rel = _union_edges(graph, hopset, den)
     table = hop_limited_bellman_ford(graph.n, rel, sources, hopset.effective_beta)
     return AspResult(
@@ -54,14 +56,13 @@ def asp_estimates(graph: Graph, hopset: Hopset, sources) -> AspResult:
     )
 
 
-def _check(graph: Graph, hopset: Hopset, sources):
-    if hopset.n != graph.n:
-        raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
+def check_sources(n: int, sources) -> None:
+    """Reject an empty source set, or a source outside 0..n-1, by its 1-based id."""
     if not sources:
         raise HopsetError("no sources given")
     for s in sources:
-        if not (0 <= s < graph.n):
-            raise HopsetError(f"source {s} out of range")
+        if not 0 <= s < n:
+            raise HopsetError(f"source {s + 1} out of range: vertices are 1..{n}")
 
 
 def extract_path(

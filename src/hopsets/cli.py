@@ -127,9 +127,7 @@ def _load_hopset_for(digest: str, path: str):
 
 def cmd_query(args) -> int:
     graph = load_dimacs(args.graph)
-    for s in args.sources:
-        if not 0 <= s < graph.n:
-            raise HopsetError(f"source {s + 1} out of range: vertices are 1..{graph.n}")
+    asp_mod.check_sources(graph.n, args.sources)
     digest = graph.digest()
     hs = _load_hopset_for(digest, args.hopset)
     header = {"hopset": os.path.basename(args.hopset), "graph_digest": digest}

@@ -1,7 +1,7 @@
 """Exploration primitives: depth-bounded Dijkstra and hop-limited Bellman-Ford.
 
 Everything here works on adjacency lists of (neighbor, weight) with plain
-integer weights (already rescaled by the build's WeightScale when weights
+integer weights (already scaled by the build's one denominator when weights
 are fractional).  All distances returned are exact.  Bounded explorations
 run to a finite depth in one loop, `multi_source_bounded_dijkstra`
 (`bounded_dijkstra` is its one-root case), and return its

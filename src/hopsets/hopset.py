@@ -10,6 +10,7 @@ independently of the aspect ratio.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,8 +33,7 @@ from .single_scale import (
     phase_counts,
     phase_degrees,
 )
-from .util import HopsetError, as_fraction, child_seed, find, lcm, opened
-from .weights import WeightScale
+from .util import HopsetError, as_fraction, child_seed, find, opened, to_scaled
 from .witness import Witnesses
 
 
@@ -97,17 +97,17 @@ class BuildPlan:
     beta_single: int  # hop budget of one single-scale hopset
     effective_beta: int
     effective_eps: Fraction
-    wscale: WeightScale
+    den: int  # D: every weight of the build is an integer over it
     schedule: PhaseSchedule  # the build's one schedule, at Rhat = 1
-    depth: tuple[int, ...]  # delta_i at Rhat = 1, scaled over wscale
-    half: tuple[int, ...]  # delta_i / 2 at Rhat = 1, scaled over wscale
-    pad: int | None  # eps_reduction / n scaled over wscale (reduced mode)
+    depth: tuple[int, ...]  # delta_i at Rhat = 1, times D
+    half: tuple[int, ...]  # delta_i / 2 at Rhat = 1, times D
+    pad: int | None  # eps_reduction / n times D (reduced mode)
 
     def phases_for(self, k: int, n_scale: int) -> ScalePhases:
         """What the phases of scale k on an n_scale-vertex graph read.
 
         The thresholds are `schedule_for(k, n_scale)`'s, converted by
-        `wscale.to_scaled`: both are linear in Rhat = 2**(k+1), so they are
+        `to_scaled` over D: both are linear in Rhat = 2**(k+1), so they are
         the plan's Rhat = 1 integers shifted left by k + 1.
         """
         s = self.schedule
@@ -169,11 +169,10 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
     beta_single = schedule.beta
     den = 2 * eps_int.denominator**ell
     if eps_red is not None:
-        den = lcm(den, n * eps_red.denominator)
+        den = math.lcm(den, n * eps_red.denominator)
         effective_beta = 6 * beta_single + 5
     else:
         effective_beta = beta_single
-    wscale = WeightScale(den)
     return BuildPlan(
         ell=ell,
         eps_int=eps_int,
@@ -181,11 +180,11 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
         beta_single=beta_single,
         effective_beta=effective_beta,
         effective_eps=params.eps_target,
-        wscale=wscale,
+        den=den,
         schedule=schedule,
-        depth=tuple(wscale.to_scaled(d) for d in schedule.delta),
-        half=tuple(wscale.to_scaled(d / 2) for d in schedule.delta),
-        pad=None if eps_red is None else wscale.to_scaled(eps_red / n),
+        depth=tuple(to_scaled(d, den) for d in schedule.delta),
+        half=tuple(to_scaled(d / 2, den) for d in schedule.delta),
+        pad=None if eps_red is None else to_scaled(eps_red / n, den),
     )
 
 
@@ -232,11 +231,9 @@ class Hopset:
     def star_count(self) -> int:
         return sum(1 for e in self.edges if e.kind == "star")
 
-    def weight_scale(self) -> WeightScale:
-        den = 1
-        for e in self.edges:
-            den = lcm(den, e.weight.denominator)
-        return WeightScale(den)
+    def weight_den(self) -> int:
+        """The least common denominator of the edge weights."""
+        return math.lcm(*(e.weight.denominator for e in self.edges))
 
 
 def _edge_key(e: HopsetEdge) -> tuple:
@@ -279,14 +276,14 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         weights = sorted((w for _, _, w in graph.edges), reverse=True)
         lam = sum(weights[: graph.n - 1])
         scales = range(1, (lam - 1).bit_length())
-        adj = [[(v, w * bp.wscale.den) for v, w in nbrs] for nbrs in graph.adj]
+        adj = [[(v, w * bp.den) for v, w in nbrs] for nbrs in graph.adj]
         centers = range(graph.n)
-        floor = weights[-1] * bp.wscale.den if weights else 0
+        floor = weights[-1] * bp.den if weights else 0
     for k in scales:
         if bp.is_trivial_scale(k):
             continue
         if laminar is not None:
-            sg = materialize_scale_graph(graph, laminar, k, bp.wscale, bp.pad)
+            sg = materialize_scale_graph(graph, laminar, k, bp.den, bp.pad)
             if sg.active_count < 2:
                 continue
             # an uncontracted edge weighs >= pad << k, and each end pads it as much
@@ -297,7 +294,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         stats["scales"][k] = {"edges": len(ss.edges), "phases": [dict(vars(p)) for p in ss.stats]}
         for e in ss.edges:
             edges.append(
-                HopsetEdge(centers[e.u], centers[e.v], bp.wscale.to_fraction(e.w), k, e.kind)
+                HopsetEdge(centers[e.u], centers[e.v], Fraction(e.w, bp.den), k, e.kind)
             )
             if not record:
                 records.append(())
@@ -413,16 +410,18 @@ def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
 
 
 def hopset_from_single_scale(
-    graph: Graph, scale_index: int, ss, sched: PhaseSchedule, wscale: WeightScale
+    graph: Graph, scale_index: int, ss, sched: PhaseSchedule, den: int
 ) -> Hopset:
     """Wrap one single-scale result, built from `sched`, as a standalone hopset.
+
+    Its edge weights are scaled integers over `den`.
 
     The contract carried over is the band guarantee: hop budget 2*h_ell + 1
     with stretch slack zeta = 32*(ell+1)*eps on pairs at distance in
     (2**k, 2**(k+1)].
     """
     edges = [
-        HopsetEdge(e.u, e.v, wscale.to_fraction(e.w), scale_index, e.kind)
+        HopsetEdge(e.u, e.v, Fraction(e.w, den), scale_index, e.kind)
         for e in ss.edges
     ]
     return Hopset(
@@ -444,8 +443,9 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
     edges in stored (already canonical) order, witnesses by edge index.  A
     `Witnesses` is written as stored, never expanded: its forest as `f`
     lines, then each edge's anchors as an `a` line; other witnesses are
-    paths, written as `p` lines.  Vertex ids 0..n-1 are written from one
-    table of id strings.
+    paths, written as `p` lines.  Vertex ids are written from one table of
+    id strings, made on first use for the vertices the lines name, so
+    nothing is sized by n.
     """
     for key in sorted(hopset.provenance):
         out.write(f"c {key} {hopset.provenance[key]}\n")
@@ -454,15 +454,19 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
         f"h {FILE_VERSION} {hopset.n} {hopset.effective_beta} "
         f"{eps.numerator}/{eps.denominator}\n"
     )
-    for e in hopset.edges:
-        out.write(
-            f"e {e.u + 1} {e.v + 1} {e.weight.numerator}/{e.weight.denominator} "
-            f"{e.scale} {e.kind}\n"
+    ids = _IdStrings()
+    out.write(
+        "".join(
+            [
+                f"e {ids[e.u]} {ids[e.v]} {e.weight.numerator}/{e.weight.denominator} "
+                f"{e.scale} {e.kind}\n"
+                for e in hopset.edges
+            ]
         )
+    )
     wit = hopset.witnesses
     if wit is None:
         return
-    ids = [str(v + 1) for v in range(hopset.n)]
     tag, records = "p", wit
     if isinstance(wit, Witnesses):
         for u, v, w in wit.forest:
@@ -470,6 +474,14 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
         tag, records = "a", wit.anchors
     for i, record in enumerate(records):
         out.write(f"{tag} {i} {' '.join(map(ids.__getitem__, record))}\n")
+
+
+class _IdStrings(dict):
+    """1-based id strings of 0-based vertices, each made on first use."""
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v + 1)
+        return text
 
 
 def load_hopset(source) -> Hopset:

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph
-from .util import as_fraction, find, smallest_pow2_exceeding
-from .weights import WeightScale
+from .util import as_fraction, find
 
 
 def relevant_scales(graph: Graph) -> list[int]:
@@ -88,18 +87,22 @@ class LaminarFamily:
     call applies only the events with scale in (previous k, k] and admits
     only the edges that became light enough since.  Returned views and
     lists are the cursor's own, valid until the next call with a higher k.
-    `events` must be sorted by scale.
+    `events` must be sorted by scale, and be the contractions of `graph`.
     """
 
-    def __init__(self, n: int, eps: Fraction, events: list[MergeEvent]):
+    def __init__(self, graph: Graph, eps: Fraction, events: list[MergeEvent]):
+        n = graph.n
+        self.graph = graph
         self.n = n
         self.eps = eps
         self.events = events
-        self._graph: Graph | None = None
         self._scale = -math.inf  # every event with scale <= _scale is applied
         self._next = 0  # first event not applied yet
         self._label = list(range(n))
         self._sizes = {v: 1 for v in range(n)}
+        bits = [(w - 1).bit_length() for _, _, w in graph.edges]
+        self._entry_order = sorted(range(len(bits)), key=bits.__getitem__)
+        self._entry_bits = [bits[i] for i in self._entry_order]
         self._entered = 0  # prefix of _entry_order admitted to the window
         self._window: list[int] = []
 
@@ -129,27 +132,20 @@ class LaminarFamily:
         self._advance(k)
         return NodesView(self._label, self._sizes)
 
-    def live_edges(self, graph: Graph, k: int) -> list[int]:
+    def live_edges(self, k: int) -> list[int]:
         """Ids into `graph.edges` of the scale-k graph's inter-node edges.
 
         These are the edges of weight <= 2**(k+2) whose endpoints lie in
         different nodes at scale k, in an unspecified order.
         """
         self._advance(k)
-        if graph is not self._graph:
-            self._graph = graph
-            bits = [(w - 1).bit_length() for _, _, w in graph.edges]
-            self._entry_order = sorted(range(len(bits)), key=bits.__getitem__)
-            self._entry_bits = [bits[i] for i in self._entry_order]
-            self._entered = 0
-            self._window = []
         # w <= 2**(k+2) iff (w-1).bit_length() <= k+2
         j = bisect_right(self._entry_bits, k + 2)
         window = self._window
         if j > self._entered:
             window = window + self._entry_order[self._entered : j]
             self._entered = j
-        edges, label = graph.edges, self._label
+        edges, label = self.graph.edges, self._label
         self._window = [
             i for i in window if label[edges[i][0]] != label[edges[i][1]]
         ]
@@ -171,9 +167,12 @@ def forest_adjacency(edges) -> dict[int, list[tuple[int, int]]]:
 def contraction_scale(w: int, n: int, eps: Fraction) -> int:
     """Smallest scale k at which an edge of weight w is contracted.
 
-    Contraction is strict: w < (eps/n) * 2**k, i.e. 2**k > w*n/eps.
+    Contraction is strict: w < (eps/n) * 2**k, i.e. 2**k > w*n/eps.  As
+    w*n/eps > 2 (eps < 1/2), k is positive, and a power 2**k with k >= 0
+    exceeds w*n/eps exactly when it exceeds its floor: k is the floor's
+    bit length.
     """
-    return smallest_pow2_exceeding(Fraction(w * n) / eps)
+    return (w * n * eps.denominator // eps.numerator).bit_length()
 
 
 def build_laminar(graph: Graph, eps) -> LaminarFamily:
@@ -214,7 +213,7 @@ def build_laminar(graph: Graph, eps) -> LaminarFamily:
             )
         )
     events.sort(key=lambda ev: ev.scale)
-    return LaminarFamily(n, eps, events)
+    return LaminarFamily(graph, eps, events)
 
 
 @dataclass(frozen=True)
@@ -236,9 +235,10 @@ def star_edges(laminar: LaminarFamily) -> list[StarEdge]:
     bound is structural, so it is asserted here rather than reported.
     """
     n, eps = laminar.n, laminar.eps
+    num, den = eps.numerator, eps.denominator * n
     out: list[StarEdge] = []
     for ev in laminar.events:
-        w = eps * (2**ev.scale) * ev.size_after / n
+        w = Fraction(num * ev.size_after << ev.scale, den)
         for z in ev.members_absorbed:
             out.append(StarEdge(ev.survivor_center, z, ev.scale, w))
     assert len(out) <= n * math.log2(n) + 1e-9, "star set exceeded n*log2(n)"
@@ -299,7 +299,7 @@ def materialize_scale_graph(
     graph: Graph,
     laminar: LaminarFamily,
     k: int,
-    wscale: WeightScale,
+    den: int,
     pad: int,
 ) -> ScaleGraph:
     """Build the scale-k contracted graph from the laminar family.
@@ -307,9 +307,9 @@ def materialize_scale_graph(
     Keeps original edges of weight <= 2**(k+2) whose endpoints lie in
     different nodes, deduplicated per node pair by minimum original weight
     (ties by (weight, u, v) for determinism); weights are scaled integers
-    over `wscale`.  `pad` is the laminar family's eps / n scaled over
-    `wscale`: a node of size s pads each of its edges by s * eps * 2**k / n,
-    which is s * (pad << k).  Advances the laminar family's cursor to k, so
+    over `den`.  `pad` is the laminar family's eps / n times `den`: a node
+    of size s pads each of its edges by s * eps * 2**k / n, which is
+    s * (pad << k).  Advances the laminar family's cursor to k, so
     calls must come in ascending k; each costs the events and window edges
     it touches (see LaminarFamily).
 
@@ -323,7 +323,7 @@ def materialize_scale_graph(
     edges = graph.edges
     best: dict[int, int] = {}
     claim = best.setdefault
-    for i in laminar.live_edges(graph, k):
+    for i in laminar.live_edges(k):
         u, v, w = edges[i]
         cu, cv = label[u], label[v]
         if cu < cv:
@@ -339,7 +339,7 @@ def materialize_scale_graph(
     active_centers = sorted({key // n for key in keys} | {key % n for key in keys})
     index = {c: i for i, c in enumerate(active_centers)}
     adj: list[list[tuple[int, int]]] = [[] for _ in active_centers]
-    den, pad_unit = wscale.den, pad << k
+    pad_unit = pad << k
     for key in keys:
         cu, cv = divmod(key, n)
         tag = best[key]
@@ -352,7 +352,7 @@ def materialize_scale_graph(
     )
 
 
-def activity_stats(graph: Graph, laminar: LaminarFamily, scales) -> dict:
+def activity_stats(laminar: LaminarFamily, scales) -> dict:
     """Active-node accounting across scales.
 
     A node is active at scale k if it has degree >= 1 in the scale-k graph,
@@ -367,8 +367,7 @@ def activity_stats(graph: Graph, laminar: LaminarFamily, scales) -> dict:
     log2(n/eps) + 2 (reported, not asserted: see the verification module's
     outlier policy).
     """
-    eps = laminar.eps
-    events = laminar.events
+    graph, eps, events = laminar.graph, laminar.eps, laminar.events
     birth: dict[int, int] = {}
     j = 0  # first event not yet read into birth
     per_node: dict[tuple[int, int], int] = {}
@@ -379,7 +378,7 @@ def activity_stats(graph: Graph, laminar: LaminarFamily, scales) -> dict:
             birth[events[j].survivor_center] = events[j].scale
             j += 1
         active: set[int] = set()
-        for i in laminar.live_edges(graph, k):
+        for i in laminar.live_edges(k):
             u, v, _ = graph.edges[i]
             active.add(label[u])
             active.add(label[v])

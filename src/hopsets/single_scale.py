@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .explore import ExplorationForest, bounded_dijkstra, multi_source_bounded_dijkstra
-from .util import HopsetError, as_fraction, child_seed, floor_log2
+from .util import HopsetError, as_fraction, child_seed
 
 
 class ScheduleError(HopsetError):
@@ -68,9 +68,9 @@ class ScalePhases:
 
     depth[i] is phase i's superclustering depth delta_i and half[i] its
     interconnection radius delta_i / 2, both scaled integers over the
-    build's `WeightScale`; the concluding phase is i = len(depth) - 1.
-    deg[i] drives sampling: probability 1/deg[i], used directly without
-    rounding.
+    build's one denominator (`BuildPlan.den`); the concluding phase is
+    i = len(depth) - 1.  deg[i] drives sampling: probability 1/deg[i], used
+    directly without rounding.
     """
 
     deg: tuple[float, ...]
@@ -88,7 +88,7 @@ def phase_counts(kappa: int, rho, degree_mode: str) -> tuple[int, int, int]:
     ell = i1 + 1 is interconnect-only; the refined mode adds one phase.
     """
     rho = as_fraction(rho)
-    if kappa < 2:
+    if not isinstance(kappa, int) or kappa < 2:
         raise ScheduleError("kappa must be an integer >= 2")
     if degree_mode not in ("basic", "refined"):
         raise ScheduleError(f"unknown degree_mode {degree_mode!r}")
@@ -99,7 +99,7 @@ def phase_counts(kappa: int, rho, degree_mode: str) -> tuple[int, int, int]:
         )
     if rho > Fraction(1, 2):
         raise ScheduleError("rho must satisfy 1/kappa <= rho <= 1/2")
-    i0 = floor_log2(kappa * rho)
+    i0 = (kappa * rho.numerator // rho.denominator).bit_length() - 1  # floor(log2(kappa*rho))
     steps = math.ceil(Fraction(kappa + 1) / (kappa * rho))
     i1 = i0 + steps - (2 if degree_mode == "basic" else 1)
     return i0, i1, i1 + 1

@@ -2,7 +2,7 @@
 
 All distance arithmetic in this package is exact.  Rational quantities are
 `fractions.Fraction`; hot loops run on plain integers obtained by rescaling
-every weight by a single per-build denominator (see `weights.py`).
+every weight by a single per-build denominator (see `to_scaled`).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
 
 
 class HopsetError(ValueError):
@@ -35,33 +34,17 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _pow2_le(k: int, num: int, den: int) -> bool:
-    """2**k <= num/den, exactly."""
-    if k >= 0:
-        return (den << k) <= num
-    return den <= (num << -k)
+def to_scaled(value, den: int) -> int:
+    """value * den as an int, for a rational value and a denominator den >= 1.
 
-
-def floor_log2(x: Fraction) -> int:
-    """Exact floor(log2(x)) for a positive rational."""
-    if x <= 0:
-        raise ValueError("floor_log2 requires a positive value")
-    num, den = x.numerator, x.denominator
-    k = num.bit_length() - den.bit_length()  # within 1 of the answer
-    while not _pow2_le(k, num, den):
-        k -= 1
-    while _pow2_le(k + 1, num, den):
-        k += 1
-    return k
-
-
-def smallest_pow2_exceeding(x: Fraction) -> int:
-    """Smallest integer k with 2**k > x, for a positive rational x."""
-    return floor_log2(x) + 1
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+    The conversion is exact or raises `ValueError`: a mis-chosen
+    denominator fails loudly instead of rounding.
+    """
+    f = Fraction(value)
+    num = f.numerator * den
+    if num % f.denominator:
+        raise ValueError(f"{value} is not representable over denominator {den}")
+    return num // f.denominator
 
 
 def child_seed(*parts) -> int:

@@ -188,7 +188,7 @@ def verify_stretch(
     if hopset.n != graph.n:
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     t0 = time.perf_counter()
-    den = hopset.weight_scale().den
+    den = hopset.weight_den()
     rel = _union_edges(graph, hopset, den)
     eps = hopset.effective_eps
     beta = hopset.effective_beta

@@ -12,7 +12,6 @@ import pytest
 
 from hopsets import (
     HopsetParams,
-    WeightScale,
     activity_stats,
     asp_estimates,
     build_hopset,
@@ -33,6 +32,7 @@ from hopsets import (
     verify_stretch,
 )
 from hopsets.single_scale import ScalePhases
+from hopsets.util import to_scaled
 
 SEEDS5 = [101, 102, 103, 104, 105]
 KAPPA, RHO = 2, F(1, 2)
@@ -45,12 +45,12 @@ def announce(num, name, ok, detail=""):
     return ok
 
 
-def scaled_phases(sched, ws):
-    """The schedule's thresholds as the phases read them, over `ws`."""
+def scaled_phases(sched, den):
+    """The schedule's thresholds as the phases read them, over `den`."""
     return ScalePhases(
         deg=sched.deg,
-        depth=tuple(ws.to_scaled(d) for d in sched.delta),
-        half=tuple(ws.to_scaled(d / 2) for d in sched.delta),
+        depth=tuple(to_scaled(d, den) for d in sched.delta),
+        half=tuple(to_scaled(d / 2, den) for d in sched.delta),
     )
 
 
@@ -108,13 +108,13 @@ def test_criterion_02_single_scale_band_contract():
     checked = 0
     for seed in SEEDS5:
         graph = er_graph(128, 0.1, 1, 16, seed=seed)
-        ws = WeightScale(2 * eps_int.denominator**2)
-        adj = [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
-        floor = min(w for _, _, w in graph.edges) * ws.den
+        den = 2 * eps_int.denominator**2
+        adj = [[(v, w * den) for v, w in nbrs] for nbrs in graph.adj]
+        floor = min(w for _, _, w in graph.edges) * den
         for k in relevant_scales(graph):
             sched = compute_schedule(graph.n, KAPPA, RHO, eps_int, 2 ** (k + 1))
-            ss = build_single_scale(adj, scaled_phases(sched, ws), seed, floor)
-            hs = hopset_from_single_scale(graph, k, ss, sched, ws)
+            ss = build_single_scale(adj, scaled_phases(sched, den), seed, floor)
+            hs = hopset_from_single_scale(graph, k, ss, sched, den)
             assert hs.effective_beta == 2 * sched.h[sched.ell] + 1
             report = verify_stretch(graph, hs, pair_mode="band", band=k)
             checked += report.pairs_checked
@@ -145,7 +145,7 @@ def test_criterion_03b_activity_hard_bound(contract_runs, trend_runs):
     for graph, params in all_runs:
         eps_red = params.eps_target / 6
         lam = build_laminar(graph, eps_red)
-        stats = activity_stats(graph, lam, relevant_scales(graph))
+        stats = activity_stats(lam, relevant_scales(graph))
         if stats["max_activity"] > stats["activity_bound"]:
             over.append(
                 (
@@ -191,12 +191,12 @@ def test_criterion_05_exploration_load():
     degs: dict[tuple[int, int], float] = {}
     for seed in range(20):
         graph = er_graph(n, 0.05, 1, 8, seed=seed)
-        ws = WeightScale(2 * eps_int.denominator**2)
-        adj = [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
-        floor = min(w for _, _, w in graph.edges) * ws.den
+        den = 2 * eps_int.denominator**2
+        adj = [[(v, w * den) for v, w in nbrs] for nbrs in graph.adj]
+        floor = min(w for _, _, w in graph.edges) * den
         for k in relevant_scales(graph):
             sched = compute_schedule(n, KAPPA, RHO, eps_int, 2 ** (k + 1))
-            ss = build_single_scale(adj, scaled_phases(sched, ws), seed, floor)
+            ss = build_single_scale(adj, scaled_phases(sched, den), seed, floor)
             for p in ss.stats:
                 if p.index > sched.i1:
                     continue  # the concluding phase has no degree parameter
@@ -225,9 +225,9 @@ def test_criterion_06_sandwich_property():
         graph = er_graph(64, 0.15, 1, 32, seed=seed)
         lam = build_laminar(graph, eps)
         apsp = exact_apsp(graph)
-        ws = WeightScale(graph.n * eps.denominator)
+        den = graph.n * eps.denominator
         for k in relevant_scales(graph):
-            sg = materialize_scale_graph(graph, lam, k, ws, ws.to_scaled(eps / graph.n))
+            sg = materialize_scale_graph(graph, lam, k, den, to_scaled(eps / graph.n, den))
             view = lam.nodes_at(k)
             index = {c: i for i, c in enumerate(sg.active_centers)}
             rows = {}
@@ -244,7 +244,7 @@ def test_criterion_06_sandwich_property():
                     if dk is None:
                         failures.append((seed, k, x, y, "unreachable"))
                         continue
-                    dk = ws.to_fraction(dk)
+                    dk = F(dk, den)
                     if not (F(d) <= dk <= (1 + 2 * eps) * d):
                         failures.append((seed, k, x, y, float(dk / d)))
     ok = announce(6, "contracted-graph distance sandwich", not failures, f"{checked} band pairs")

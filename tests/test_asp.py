@@ -66,8 +66,13 @@ class TestEstimates:
 
     def test_source_out_of_range(self):
         g = path_graph(4, 1)
-        with pytest.raises(HopsetError, match="out of range"):
+        with pytest.raises(HopsetError, match="source 5 out of range: vertices are 1..4"):
             asp_estimates(g, empty_hopset(4, beta=3), [4])
+
+    def test_negative_source_out_of_range(self):
+        g = path_graph(4, 1)
+        with pytest.raises(HopsetError, match="source 0 out of range: vertices are 1..4"):
+            asp_estimates(g, empty_hopset(4, beta=3), [-1])
 
     def test_empty_source_set(self):
         g = path_graph(4, 1)

@@ -31,6 +31,7 @@ from hopsets import (
 )
 from hopsets.cli import main
 from hopsets.scale_reduction import forest_adjacency
+from hopsets.util import to_scaled
 from hopsets.witness import SpanningForest, Witnesses
 
 
@@ -157,14 +158,14 @@ class TestPlan:
     def test_phases_for_are_schedule_for_scaled(self, case):
         params, n, k, n_scale = case
         bp = plan(params, n)
-        sched, ws = bp.schedule_for(k, n_scale), bp.wscale
+        sched, den = bp.schedule_for(k, n_scale), bp.den
         phases = bp.phases_for(k, n_scale)
-        assert phases.depth == tuple(ws.to_scaled(d) for d in sched.delta)
-        assert phases.half == tuple(ws.to_scaled(d / 2) for d in sched.delta)
+        assert phases.depth == tuple(to_scaled(d, den) for d in sched.delta)
+        assert phases.half == tuple(to_scaled(d / 2, den) for d in sched.delta)
         assert phases.deg == sched.deg
         if params.mode == "reduced":
             # materialize_scale_graph pads scale k by `pad << k`
-            assert bp.pad << k == ws.to_scaled(bp.eps_reduction * 2**k / n)
+            assert bp.pad << k == to_scaled(bp.eps_reduction * 2**k / n, den)
         else:
             assert bp.pad is None
 
@@ -200,15 +201,14 @@ class TestPlan:
         assert p.is_trivial_scale(kmax_trivial)
         assert not p.is_trivial_scale(kmax_trivial + 1)
 
-    def test_weight_scale_covers_all_derived_terms(self):
+    def test_denominator_covers_all_derived_terms(self):
         p = plan(reduced_params(eps_target="0.45"), 64)
-        ws = p.wscale
         # contraction padding and schedule thresholds must be representable
-        ws.to_scaled(p.eps_reduction * 2**7 * 5 / 64)
+        to_scaled(p.eps_reduction * 2**7 * 5 / 64, p.den)
         sched = p.schedule_for(7, 64)
         for d in sched.delta:
-            ws.to_scaled(d)
-            ws.to_scaled(d / 2)
+            to_scaled(d, p.den)
+            to_scaled(d / 2, p.den)
 
     @pytest.mark.parametrize(
         "kw",

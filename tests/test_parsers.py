@@ -415,12 +415,21 @@ def test_forest_and_anchor_lines_match_reference(lines, message):
 # n >= 2**63: a table over every vertex of the header cannot even be sized
 HUGE_N = 2**64
 HUGE_FOREST_TEXT = f"h 1 {HUGE_N} 5 1/10\ne 1 2 4/1 1 star\nf 1 2 7\na 0 1 2\n"
+# a forest that also names vertex 2**64, and anchors that walk to it
+HUGE_TAIL_TEXT = (
+    f"h 1 {HUGE_N} 5 1/10\ne 1 {HUGE_N} 11/1 1 star\nf 1 2 7\nf 2 {HUGE_N} 3\na 0 1 {HUGE_N}\n"
+)
 
 
 def test_forest_of_a_huge_header_loads():
-    loaded = load_hopset(io.StringIO(HUGE_FOREST_TEXT))
-    assert loaded.n == HUGE_N
-    assert list(loaded.witnesses) == [(0, 1)]
+    for text, witness in ((HUGE_FOREST_TEXT, (0, 1)), (HUGE_TAIL_TEXT, (0, 1, HUGE_N - 1))):
+        loaded = load_hopset(io.StringIO(text))
+        assert loaded.n == HUGE_N
+        assert list(loaded.witnesses) == [witness]
+        out = io.StringIO()
+        dump_hopset(loaded, out)  # ids come from the vertices the lines name, not from n
+        assert out.getvalue() == text
+        assert load_hopset(io.StringIO(out.getvalue())) == loaded
     broken = HUGE_FOREST_TEXT.replace("a 0 1 2", "a 0 1 3")
     message = "HopsetFormatError: line 4: anchors 1 and 3 are not joined by the forest"
     assert _load_or_error(load_hopset, broken) == message

@@ -22,7 +22,7 @@ from hopsets import (
     star_edges,
 )
 from hopsets.scale_reduction import MergeEvent, NodesView, contraction_scale
-from hopsets.weights import WeightScale
+from hopsets.util import to_scaled
 
 
 class TestRelevantScales:
@@ -145,10 +145,10 @@ class TestMaterialize:
         eps = F(1, 4)
         g = Graph.from_edges(2, [(0, 1, 5)])
         lam = build_laminar(g, eps)
-        ws = WeightScale(g.n * eps.denominator)
-        sg = materialize_scale_graph(g, lam, 2, ws, ws.to_scaled(eps / g.n))
+        den = g.n * eps.denominator
+        sg = materialize_scale_graph(g, lam, 2, den, to_scaled(eps / g.n, den))
         (edge,) = sg.edges
-        assert ws.to_fraction(edge[2]) == 5 + 4 * eps
+        assert F(edge[2], den) == 5 + 4 * eps
 
     def test_fabricated_sizes_example(self):
         # node sizes 2 and 3, min inter-edge 7, k=4, eps=1/4, n=10 -> W = 9
@@ -158,32 +158,32 @@ class TestMaterialize:
             MergeEvent(1, 2, 3, (3,), 2, (2, 3, 1)),
             MergeEvent(2, 2, 4, (4,), 3, (3, 4, 1)),
         ]
-        lam = LaminarFamily(10, eps, events)
         edges = [(0, 1, 1), (2, 3, 1), (3, 4, 1), (1, 2, 7), (1, 4, 8)]
         g = Graph.from_edges(10, edges)
-        ws = WeightScale(g.n * eps.denominator)
-        sg = materialize_scale_graph(g, lam, 4, ws, ws.to_scaled(eps / g.n))
+        lam = LaminarFamily(g, eps, events)
+        den = g.n * eps.denominator
+        sg = materialize_scale_graph(g, lam, 4, den, to_scaled(eps / g.n, den))
         pair = [e for e in sg.edges if {e[0], e[1]} == {0, 2}]
-        assert ws.to_fraction(pair[0][2]) == 9
+        assert F(pair[0][2], den) == 9
         assert pair[0][3] == (1, 2, 7)  # minimum-weight connecting edge kept
 
     def test_heavy_edge_excluded(self):
         g = Graph.from_edges(2, [(0, 1, 2**6)])
         lam = build_laminar(g, F(1, 4))
         k = 3  # cutoff 2**5 = 32 < 64
-        sg = materialize_scale_graph(g, lam, k, WeightScale(g.n * 4), 1)  # pad: (1/4) / n over n * 4
+        sg = materialize_scale_graph(g, lam, k, g.n * 4, 1)  # pad: (1/4) / n over n * 4
         assert sg.edges == [] and sg.active_count == 0
 
     def test_cutoff_inclusive(self):
         g = Graph.from_edges(2, [(0, 1, 2**5)])
         lam = build_laminar(g, F(1, 4))
-        sg = materialize_scale_graph(g, lam, 3, WeightScale(g.n * 4), 1)  # pad: (1/4) / n over n * 4
+        sg = materialize_scale_graph(g, lam, 3, g.n * 4, 1)  # pad: (1/4) / n over n * 4
         assert len(sg.edges) == 1
 
     def test_nodes_include_isolated_remainder(self):
         g = Graph.from_edges(4, [(0, 1, 2), (2, 3, 2**9)])
         lam = build_laminar(g, F(1, 4))
-        sg = materialize_scale_graph(g, lam, 1, WeightScale(g.n * 4), 1)  # pad: (1/4) / n over n * 4
+        sg = materialize_scale_graph(g, lam, 1, g.n * 4, 1)  # pad: (1/4) / n over n * 4
         assert len(lam.nodes_at(1).sizes) == 4
         assert sg.active_centers == [0, 1]
 
@@ -195,9 +195,9 @@ class TestMaterialize:
         g = er_graph(40, 0.2, 1, 16, seed=seed)
         lam = build_laminar(g, eps)
         apsp = exact_apsp(g)
-        ws = WeightScale(g.n * eps.denominator)
+        den = g.n * eps.denominator
         for k in relevant_scales(g):
-            sg = materialize_scale_graph(g, lam, k, ws, ws.to_scaled(eps / g.n))
+            sg = materialize_scale_graph(g, lam, k, den, to_scaled(eps / g.n, den))
             view = lam.nodes_at(k)
             index = {c: i for i, c in enumerate(sg.active_centers)}
             dist_cache = {}
@@ -217,7 +217,7 @@ class TestMaterialize:
                         dist_cache[ix] = dijkstra_all(sg.adj, ix)
                     dk = dist_cache[ix][iy]
                     assert dk is not None
-                    dk_frac = ws.to_fraction(dk)
+                    dk_frac = F(dk, den)
                     assert F(d) <= dk_frac <= (1 + 2 * eps) * d
 
 
@@ -240,7 +240,7 @@ def lightest_arcs(graph, eps_target):
     top = max((contraction_scale(w, graph.n, eps) for _, _, w in graph.edges), default=-1)
     out = []
     for k in range(top + 1):
-        sg = materialize_scale_graph(graph, lam, k, bp.wscale, bp.pad)
+        sg = materialize_scale_graph(graph, lam, k, bp.den, bp.pad)
         if sg.adj:
             out.append((min(w for arcs in sg.adj for _, w in arcs), 3 * (bp.pad << k)))
     return out
@@ -271,7 +271,7 @@ class TestActivity:
     def test_counts_and_spans(self):
         g = er_graph(64, 0.15, 1, 32, seed=1)
         lam = build_laminar(g, F(1, 20))
-        stats = activity_stats(g, lam, relevant_scales(g))
+        stats = activity_stats(lam, relevant_scales(g))
         assert stats["total_active"] == sum(stats["n_k"].values())
         assert stats["max_activity"] >= 1
         # activity spans are contiguous scale runs by construction
@@ -283,7 +283,7 @@ class TestActivity:
         # floor(log2(n/eps)) + 3 scales
         g = path_graph(64, 2)
         lam = build_laminar(g, F(1, 20))
-        stats = activity_stats(g, lam, relevant_scales(g))
+        stats = activity_stats(lam, relevant_scales(g))
         bound = math.floor(math.log2(64 * 20)) + 3
         assert stats["max_activity"] == bound
         assert stats["max_activity"] > stats["activity_bound"]
@@ -323,7 +323,7 @@ def scan_scale_graph(graph, lam, k):
     """
     eps = lam.eps
     n = graph.n
-    wscale = WeightScale(n * eps.denominator)
+    den = n * eps.denominator
     view, _ = replay_nodes_at(lam, k)
     label = view.label
     cutoff = 2 ** (k + 2)
@@ -338,11 +338,11 @@ def scan_scale_graph(graph, lam, k):
         cand = (w, u, v)
         if key not in best or cand < best[key]:
             best[key] = cand
-    pad_unit = wscale.to_scaled(eps * 2**k / n)
+    pad_unit = to_scaled(eps * 2**k / n, den)
     edges = []
     active = set()
     for (cu, cv), (w, u, v) in sorted(best.items()):
-        big_w = w * wscale.den + pad_unit * (view.sizes[cu] + view.sizes[cv])
+        big_w = w * den + pad_unit * (view.sizes[cu] + view.sizes[cv])
         edges.append((cu, cv, big_w, (u, v, w)))
         active.add(cu)
         active.add(cv)
@@ -426,7 +426,7 @@ def laminar_sweeps(draw):
 
 def fresh(lam):
     """A laminar family with the same events and its cursor at the start."""
-    return LaminarFamily(lam.n, lam.eps, lam.events)
+    return LaminarFamily(lam.graph, lam.eps, lam.events)
 
 
 def bench_scale_sweep():
@@ -457,13 +457,13 @@ def bench_scale_sweep():
 def test_cursor_matches_scan_and_replay(case):
     # each order runs on a fresh family: ascending, with repeats
     graph, lam, orders = case
-    ws = WeightScale(graph.n * lam.eps.denominator)
-    pad = ws.to_scaled(lam.eps / graph.n)
+    den = graph.n * lam.eps.denominator
+    pad = to_scaled(lam.eps / graph.n, den)
     for order in orders:
         cursor = fresh(lam)
         held = []
         for k in order:
-            sg = materialize_scale_graph(graph, cursor, k, ws, pad)
+            sg = materialize_scale_graph(graph, cursor, k, den, pad)
             edges, adj, active_centers, base = scan_scale_graph(graph, cursor, k)
             assert sg.edges == edges
             assert sg.adj == adj
@@ -487,7 +487,7 @@ def test_cursor_matches_scan_and_replay(case):
             with pytest.raises(ValueError, match=named):
                 cursor.nodes_at(order[0])
             with pytest.raises(ValueError, match=named):
-                cursor.live_edges(graph, order[0])
-        stats = activity_stats(graph, fresh(lam), order)
+                cursor.live_edges(order[0])
+        stats = activity_stats(fresh(lam), order)
         n_k, per_node = scan_activity_stats(graph, lam, order)
         assert (stats["n_k"], stats["per_node_scales"]) == (n_k, per_node)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hopsets import ScheduleError, compute_schedule
+from hopsets import HopsetParams, ScheduleError, build_hopset, compute_schedule, path_graph
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +107,12 @@ class TestRejections:
     def test_kappa_below_two(self):
         with pytest.raises(ScheduleError, match="kappa"):
             compute_schedule(1024, 1, F(1, 1), F(1, 10), 64)
+
+    @pytest.mark.parametrize("kappa", [2.5, "2"])
+    def test_kappa_not_an_integer(self, kappa):
+        g = path_graph(8, 2)
+        with pytest.raises(ScheduleError, match="kappa must be an integer >= 2"):
+            build_hopset(g, HopsetParams.make(kappa=kappa))
 
     def test_bad_degree_mode(self):
         with pytest.raises(ScheduleError, match="degree_mode"):

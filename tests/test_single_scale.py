@@ -10,7 +10,6 @@ import hopsets.single_scale
 from hopsets import (
     Graph,
     HopsetParams,
-    WeightScale,
     bounded_dijkstra,
     build_hopset,
     compute_schedule,
@@ -25,10 +24,11 @@ from hopsets import (
     verify_stretch,
 )
 from hopsets.single_scale import ScalePhases
+from hopsets.util import to_scaled
 
 
-def scaled_adj(graph, ws):
-    return [[(v, w * ws.den) for v, w in nbrs] for nbrs in graph.adj]
+def scaled_adj(graph, den):
+    return [[(v, w * den) for v, w in nbrs] for nbrs in graph.adj]
 
 
 def arc_floor(adj):
@@ -36,12 +36,12 @@ def arc_floor(adj):
     return min((w for arcs in adj for _, w in arcs), default=0)
 
 
-def scaled_phases(sched, ws):
-    """The schedule's thresholds as the phases read them, over `ws`."""
+def scaled_phases(sched, den):
+    """The schedule's thresholds as the phases read them, over `den`."""
     return ScalePhases(
         deg=sched.deg,
-        depth=tuple(ws.to_scaled(d) for d in sched.delta),
-        half=tuple(ws.to_scaled(d / 2) for d in sched.delta),
+        depth=tuple(to_scaled(d, den) for d in sched.delta),
+        half=tuple(to_scaled(d / 2, den) for d in sched.delta),
     )
 
 
@@ -74,12 +74,12 @@ def sched_16():
 class TestSuperclusterPhase:
     def test_probability_zero_leaves_all_unclustered(self, sched_16):
         g = path_graph(5, 1)
-        ws = WeightScale(100)
+        den = 100
         nxt, star, unclustered = supercluster_phase(
-            scaled_adj(g, ws),
+            scaled_adj(g, den),
             list(range(5)),
             0.0,
-            ws.to_scaled(sched_16.delta[0]),
+            to_scaled(sched_16.delta[0], den),
             random.Random(1),
         )
         assert nxt == [] and star == []
@@ -87,12 +87,12 @@ class TestSuperclusterPhase:
 
     def test_probability_one_samples_everything(self, sched_16):
         g = path_graph(5, 1)
-        ws = WeightScale(100)
+        den = 100
         nxt, star, unclustered = supercluster_phase(
-            scaled_adj(g, ws),
+            scaled_adj(g, den),
             list(range(5)),
             1.0,
-            ws.to_scaled(sched_16.delta[0]),
+            to_scaled(sched_16.delta[0], den),
             random.Random(1),
         )
         assert unclustered == [] and star == []
@@ -101,23 +101,23 @@ class TestSuperclusterPhase:
     def test_collinear_singletons_middle_sampled(self, sched_16):
         # three vertices spaced delta_0/2 = 8 apart; only the middle sampled
         g = Graph.from_edges(3, [(0, 1, 8), (1, 2, 8)])
-        ws = WeightScale(100)
+        den = 100
         rng = ScriptedRng([0.99, 0.0, 0.99])  # ascending center order: 0, 1, 2
         nxt, star, unclustered = supercluster_phase(
-            scaled_adj(g, ws), list(range(3)), 0.5, ws.to_scaled(sched_16.delta[0]), rng
+            scaled_adj(g, den), list(range(3)), 0.5, to_scaled(sched_16.delta[0], den), rng
         )
         assert unclustered == []
         assert nxt == [1]
         assert sorted((e.u, e.v, e.w) for e in star) == [
-            (1, 0, 8 * ws.den),
-            (1, 2, 8 * ws.den),
+            (1, 0, 8 * den),
+            (1, 2, 8 * den),
         ]
 
     def test_star_edge_weight_is_exact_distance(self, sched_16):
         g = er_graph(40, 0.2, 1, 3, seed=5)
-        ws = WeightScale(100)
-        adj = scaled_adj(g, ws)
-        phases = scaled_phases(sched_16, ws)
+        den = 100
+        adj = scaled_adj(g, den)
+        phases = scaled_phases(sched_16, den)
         nxt, star, _ = supercluster_phase(
             adj,
             list(range(40)),
@@ -133,9 +133,9 @@ class TestSuperclusterPhase:
 class TestInterconnectPhase:
     def test_single_cluster_no_edges(self, sched_16):
         g = path_graph(3, 1)
-        ws = WeightScale(100)
+        den = 100
         edges, visits = interconnect_phase(
-            scaled_adj(g, ws), [0], ws.to_scaled(sched_16.delta[0] / 2)
+            scaled_adj(g, den), [0], to_scaled(sched_16.delta[0] / 2, den)
         )
         assert edges == []
         assert visits == 3  # delta_0/2 = 8 reaches the whole unit path
@@ -143,32 +143,32 @@ class TestInterconnectPhase:
     def test_boundary_distance_inclusive(self, sched_16):
         # two centers at distance exactly delta_0/2 = 8
         g = Graph.from_edges(2, [(0, 1, 8)])
-        ws = WeightScale(100)
+        den = 100
         edges, _ = interconnect_phase(
-            scaled_adj(g, ws), list(range(2)), ws.to_scaled(sched_16.delta[0] / 2)
+            scaled_adj(g, den), list(range(2)), to_scaled(sched_16.delta[0] / 2, den)
         )
-        assert [(e.u, e.v, e.w) for e in edges] == [(0, 1, 8 * ws.den)]
+        assert [(e.u, e.v, e.w) for e in edges] == [(0, 1, 8 * den)]
 
     def test_unit_path_radius_three(self, sched_16):
         # ten singletons on a unit path with delta_0/2 = 8 -> scale to radius 3:
         # use weights of 8/3 impossible, so use delta via different Rhat
         sched = compute_schedule(64, 2, F(1, 2), F(1, 10), 600)  # alpha=6, half=3
         g = path_graph(10, 1)
-        ws = WeightScale(100)
+        den = 100
         edges, _ = interconnect_phase(
-            scaled_adj(g, ws), list(range(10)), ws.to_scaled(sched.delta[0] / 2)
+            scaled_adj(g, den), list(range(10)), to_scaled(sched.delta[0] / 2, den)
         )
         expected = {(i, j) for i in range(10) for j in range(i + 1, 10) if j - i <= 3}
         assert {(e.u, e.v) for e in edges} == expected
         for e in edges:
-            assert e.w == (e.v - e.u) * ws.den
+            assert e.w == (e.v - e.u) * den
 
     def test_dedup_and_visit_accounting(self, sched_16):
         g = er_graph(30, 0.3, 1, 4, seed=9)
-        ws = WeightScale(100)
-        adj = scaled_adj(g, ws)
+        den = 100
+        adj = scaled_adj(g, den)
         centers = list(range(30))
-        half = ws.to_scaled(sched_16.delta[2] / 2)
+        half = to_scaled(sched_16.delta[2] / 2, den)
         edges, visits = interconnect_phase(adj, centers, half)
         pairs = [(e.u, e.v) for e in edges]
         assert len(pairs) == len(set(pairs))
@@ -185,28 +185,28 @@ class TestStarGraphExample:
         # K_{1,5}, unit weights, forced unsampled phase 0 with delta_0/2 >= 2
         g = Graph.from_edges(6, [(0, i, 1) for i in range(1, 6)])
         sched = compute_schedule(64, 2, F(1, 2), F(1, 10), 400)  # delta_0/2 = 2
-        ws = WeightScale(100)
-        adj = scaled_adj(g, ws)
+        den = 100
+        adj = scaled_adj(g, den)
         ss = build_single_scale(
-            adj, scaled_phases(sched, ws), 1, arc_floor(adj), sample_overrides={0: 0.0}
+            adj, scaled_phases(sched, den), 1, arc_floor(adj), sample_overrides={0: 0.0}
         )
         inter0 = [e for e in ss.edges if e.kind == "interconnect"]
         assert len(inter0) == 15  # all pairs of the 6 vertices
         for e in inter0:
             expected = 1 if 0 in (e.u, e.v) else 2
-            assert e.w == expected * ws.den
+            assert e.w == expected * den
 
 
 class TestBuildInvariants:
     def build(self, seed=11, n=100):
         g = er_graph(n, 0.1, 1, 8, seed=5)
         sched = compute_schedule(n, 2, F(1, 2), F(1, 10), 64)
-        ws = WeightScale(2 * 100)
-        adj = scaled_adj(g, ws)
+        den = 2 * 100
+        adj = scaled_adj(g, den)
         ss = build_single_scale(
-            adj, scaled_phases(sched, ws), seed, arc_floor(adj), keep_partitions=True
+            adj, scaled_phases(sched, den), seed, arc_floor(adj), keep_partitions=True
         )
-        return g, sched, ws, ss
+        return g, sched, den, ss
 
     def test_deterministic_for_fixed_seed(self):
         _, _, _, a = self.build(seed=3)
@@ -232,8 +232,8 @@ class TestBuildInvariants:
             parent[ru] = rv
 
     def test_edge_weights_are_exact_distances(self):
-        g, _, ws, ss = self.build()
-        adj = scaled_adj(g, ws)
+        g, _, den, ss = self.build()
+        adj = scaled_adj(g, den)
         for e in ss.edges:
             dist = dijkstra_all(adj, e.u)
             assert dist[e.v] == e.w
@@ -241,13 +241,13 @@ class TestBuildInvariants:
     def test_cluster_radius_claim(self):
         # entering phase i, every member sits within i star-edges of its
         # center, total length at most radius[i]
-        _, sched, ws, ss = self.build()
+        _, sched, den, ss = self.build()
         stars = [e for e in ss.edges if e.kind == "supercluster"]
         nverts = len(ss.partitions[0])
         members = {v: [v] for v in range(nverts)}
         accumulated = []
         for i, centers in enumerate(ss.partitions):
-            limit = ws.to_scaled(sched.radius[i])
+            limit = to_scaled(sched.radius[i], den)
             if i > 0:
                 seen = len(accumulated)
                 phase_stars = stars[seen : seen + ss.stats[i - 1].star_edges]
@@ -269,9 +269,9 @@ class TestBuildInvariants:
         # disjoint cover of the vertex set
         g = er_graph(80, 0.1, 1, 8, seed=17)
         sched = compute_schedule(80, 2, F(1, 2), F(1, 10), 64)
-        ws = WeightScale(200)
-        adj = scaled_adj(g, ws)
-        phases = scaled_phases(sched, ws)
+        den = 200
+        adj = scaled_adj(g, den)
+        phases = scaled_phases(sched, den)
         partition = list(range(80))
         members = {v: [v] for v in range(80)}
         retired = []
@@ -291,9 +291,9 @@ class TestBuildInvariants:
         n = 256
         g = er_graph(n, 0.05, 1, 8, seed=13)
         sched = compute_schedule(n, 2, F(1, 2), F(1, 10), 32)
-        ws = WeightScale(200)
-        adj = scaled_adj(g, ws)
-        phases = scaled_phases(sched, ws)
+        den = 200
+        adj = scaled_adj(g, den)
+        phases = scaled_phases(sched, den)
         ok = 0
         seeds = range(20)
         for s in seeds:
@@ -308,12 +308,12 @@ class TestBandContract:
         # oracle: hop-limited Bellman-Ford + Dijkstra via the verifier, on
         # pairs with distance in (Rhat/2, Rhat]
         g = er_graph(100, 0.1, 1, 8, seed=5)
-        ws = WeightScale(200)
-        adj = scaled_adj(g, ws)
+        den = 200
+        adj = scaled_adj(g, den)
         for k in (2, 3, 4):
             sched = compute_schedule(100, 2, F(1, 2), F(1, 10), 2 ** (k + 1))
-            ss = build_single_scale(adj, scaled_phases(sched, ws), 7, arc_floor(adj))
-            hs = hopset_from_single_scale(g, k, ss, sched, ws)
+            ss = build_single_scale(adj, scaled_phases(sched, den), 7, arc_floor(adj))
+            hs = hopset_from_single_scale(g, k, ss, sched, den)
             assert hs.effective_beta == 735
             assert hs.effective_eps == F(96, 10)
             report = verify_stretch(g, hs, pair_mode="band", band=k)
@@ -343,9 +343,9 @@ def floor_cases(draw):
 def test_idle_phases_match_a_build_without_floor(case):
     # floor 0 idles no phase: every exploration runs, as before idle phases
     g, rhat, overrides, seed = case
-    ws = WeightScale(200)
-    adj = scaled_adj(g, ws)
-    phases = scaled_phases(compute_schedule(g.n, 2, F(1, 2), F(1, 10), rhat), ws)
+    den = 200
+    adj = scaled_adj(g, den)
+    phases = scaled_phases(compute_schedule(g.n, 2, F(1, 2), F(1, 10), rhat), den)
     for keep in (False, True):
         slow, fast = (
             build_single_scale(adj, phases, seed, floor, overrides, keep_partitions=keep)

@@ -213,7 +213,7 @@ class TestSizeStats:
 def reference_verify(graph, hopset, pair_mode="all", sample_size=1000, sample_seed=0, band=None):
     """Reference: the former stretch check, a full hop-limited Bellman-Ford table for all
     sources plus a full oracle sweep per source.  Report dict without wall_time."""
-    den = hopset.weight_scale().den
+    den = hopset.weight_den()
     rel = _union_edges(graph, hopset, den)
     eps = hopset.effective_eps
     beta = hopset.effective_beta
