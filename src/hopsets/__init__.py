@@ -16,6 +16,7 @@ from .explore import (
     dijkstra_all,
     hop_limited_bellman_ford,
     multi_source_bounded_dijkstra,
+    pair_distance,
 )
 from .graph import (
     Graph,

@@ -6,7 +6,9 @@ are fractional).  All distances returned are exact.  Bounded explorations
 run to a finite depth in one loop, `multi_source_bounded_dijkstra`
 (`bounded_dijkstra` is its one-root case), and return its
 `ExplorationForest`; full sweeps are `dijkstra_all`, which can stop once a
-given target set has settled.  Hop-limited distances d^(t) come from a
+given target set has settled or past a distance limit.  One s-t distance
+comes from `pair_distance`, a Dijkstra from both ends that meets in the
+middle.  Hop-limited distances d^(t) come from a
 (distance, hops) Dijkstra when t >= n - 1, where d^(t) is the plain
 shortest distance, and from frontier Bellman-Ford rounds below that.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import inf
 
 
 @dataclass
@@ -94,7 +97,7 @@ def bounded_dijkstra(
 
 
 def dijkstra_all(
-    adj: list[list[tuple[int, int]]], source: int, targets=None
+    adj: list[list[tuple[int, int]]], source: int, targets=None, limit=None
 ) -> list[int | None]:
     """Exact single-source distances as a dense array.
 
@@ -102,7 +105,9 @@ def dijkstra_all(
     means unreachable.  With `targets` it stops as soon as every target has
     settled (Dijkstra settles vertices in final order, so the values it has
     are exact), and None means not settled: every other entry may be None,
-    and a target left at None is unreachable from `source`.
+    and a target left at None is unreachable from `source`.  With `limit`
+    it also stops before settling a vertex farther than `limit`, so a
+    target left at None is then unreachable or farther than `limit`.
     """
     n = len(adj)
     dist: list[int | None] = [None] * n  # settled
@@ -122,6 +127,8 @@ def dijkstra_all(
         d, u = heappop(heap)
         if dist[u] is not None:
             continue
+        if limit is not None and d > limit:
+            break
         dist[u] = d
         if left and wanted[u]:
             left -= 1
@@ -134,6 +141,61 @@ def dijkstra_all(
                 best[v] = nd
                 heappush(heap, (nd, v))
     return dist
+
+
+def pair_distance(adj: list[list[tuple[int, int]]], s: int, t: int) -> int | None:
+    """Exact s-t distance (None if unreachable) by Dijkstra from both ends.
+
+    `adj` is undirected with weights >= 0, so the backward search from t
+    runs on it unchanged.  mu, the least dist_f[v] + dist_b[v] over the
+    tentative values of both sides, is updated whenever either drops; once
+    the two heap tops sum to at least mu, no shorter path is left.  An
+    emptied heap means its side has settled its whole component, so mu is
+    exact then too, and still infinite if the sides never met.
+
+    Each step settles one vertex on the side whose heap top has grown most
+    per vertex it has settled, a side that has settled nothing first.  Both
+    tops count alike toward the stop, so this expands whichever side closes
+    the gap faster.  Expanding the smaller top instead stalls on geometric
+    weights, where the light side crawls through every light edge.
+    """
+    if s == t:
+        return 0
+    n = len(adj)
+    dist_f: list[int | None] = [None] * n  # tentative, final once popped
+    dist_b: list[int | None] = [None] * n
+    dist_f[s] = 0
+    dist_b[t] = 0
+    heap_f = [(0, s)]
+    heap_b = [(0, t)]
+    settled_f = settled_b = 0
+    mu = inf
+    while heap_f and heap_b:
+        top_f = heap_f[0][0]
+        top_b = heap_b[0][0]
+        if top_f + top_b >= mu:
+            break
+        if not settled_f or (settled_b and top_f * settled_b >= top_b * settled_f):
+            heap, dist, other = heap_f, dist_f, dist_b
+        else:
+            heap, dist, other = heap_b, dist_b, dist_f
+        d, u = heappop(heap)
+        if d > dist[u]:  # stale: each push strictly lowers dist[u]
+            continue
+        if heap is heap_f:
+            settled_f += 1
+        else:
+            settled_b += 1
+        for v, w in adj[u]:
+            nd = d + w
+            b = dist[v]
+            if b is None or nd < b:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+                o = other[v]
+                if o is not None and nd + o < mu:
+                    mu = nd + o
+    return None if mu == inf else mu
 
 
 @dataclass

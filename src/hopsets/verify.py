@@ -3,16 +3,19 @@
 The stretch check is exact end to end and computes only the distances it
 reads.  When beta >= n - 1, d^(beta) is the plain union distance d_U, and
 since G is a subgraph of G u H, d_U <= d_G: only an undercut can violate.
-Each source then runs one distance-only Dijkstra over G u H that stops once
-its wanted targets have settled.  Its arcs weigh w * n plus 1 for a hopset
-arc, so a target's key n * d_U + c also gives c, the fewest hopset edges on
-any shortest union path.  c = 0 proves d_G = d_U; only targets with c > 0
-(undercut in, or unreachable from, G) go to one oracle sweep over G.  Below
-n - 1, one hop-limited Bellman-Ford call over the union graph gives d^(beta)
-for all sources (the |S| x n table is held for the whole check) and the
-oracle sweeps G per source.  The comparison runs in scaled integers.  There
-is no tolerance; a violation is either a bug or a genuinely failed
-probabilistic event (the report carries the seed material to replay it).
+Each source then runs one distance-only search over G u H.  Its arcs weigh
+w * n plus 1 for a hopset arc, so a target's key n * d_U + c also gives c,
+the fewest hopset edges on any shortest union path.  A source with one
+wanted target meets it halfway, by a Dijkstra from both ends; any other
+runs one Dijkstra that stops once its targets have settled, or, in band
+mode, once keys pass the band's top.  c = 0 proves d_G = d_U; only targets
+with c > 0 (undercut in, or unreachable from, G) go to one oracle sweep
+over G.  Below n - 1, one hop-limited Bellman-Ford call over the union
+graph gives d^(beta) for all sources (the |S| x n table is held for the
+whole check) and the oracle sweeps G per source.  The comparison runs in
+scaled integers.  There is no tolerance; a violation is either a bug or a
+genuinely failed probabilistic event (the report carries the seed material
+to replay it).
 Size and load bounds exceeded are reported as outliers, not contract
 violations.
 """
@@ -25,7 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .explore import dijkstra_all, hop_limited_bellman_ford
+from .explore import dijkstra_all, hop_limited_bellman_ford, pair_distance
 from .graph import Graph
 from .hopset import Hopset, HopsetError
 from .util import find
@@ -119,15 +122,25 @@ def _keyed_adjacency(n: int, rel):
     return adj
 
 
-def _union_sweep(graph: Graph, keyed, s: int, targets, den: int):
-    """(d_G, scaled d_U) for `targets` from one keyed sweep over G u H.
+def _union_sweep(graph: Graph, keyed, s: int, targets, den: int, hi=None):
+    """(d_G, scaled d_U) for `targets` from one keyed search over G u H.
 
-    c = 0 means a pure-G path has length d_U, so d_G = d_U.  c > 0 means
-    d_G > d_U or no G path: only those targets take the oracle sweep.  A
-    target unreachable in G u H is unreachable in G, and stays None in both.
+    One target takes its key from `pair_distance`; more take one
+    `dijkstra_all` sweep.  c = 0 means a pure-G path has length d_U, so
+    d_G = d_U.  c > 0 means d_G > d_U or no G path: only those targets take
+    the oracle sweep.  A target unreachable in G u H is unreachable in G,
+    and stays None in both.  Given a band top `hi`, the sweep stops once
+    d_U > hi, and a target it leaves without a key stays None in both, to
+    be skipped as out of band, which it is: d_G >= d_U > hi.
     """
     n = graph.n
-    key = dijkstra_all(keyed, s, targets)
+    if len(targets) == 1:
+        t = targets[0]
+        key = [None] * n
+        key[t] = pair_distance(keyed, s, t)
+    else:
+        limit = None if hi is None else hi * den * n + n - 1
+        key = dijkstra_all(keyed, s, targets, limit)
     d_true: list[int | None] = [None] * n
     lim: list[int | None] = [None] * n
     flagged = []
@@ -230,7 +243,7 @@ def verify_stretch(
             d_true = dijkstra_all(graph.adj, s, targets)
             lim = limited[s]
         else:
-            d_true, lim = _union_sweep(graph, keyed, s, targets, den)
+            d_true, lim = _union_sweep(graph, keyed, s, targets, den, hi)
         for v in targets:
             dg = d_true[v]
             if v == s or dg is None:

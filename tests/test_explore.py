@@ -12,6 +12,7 @@ from hopsets import (
     hop_limited_bellman_ford,
     interconnect_phase,
     multi_source_bounded_dijkstra,
+    pair_distance,
     path_graph,
 )
 from hopsets.explore import ExplorationForest
@@ -461,6 +462,12 @@ class TestDijkstraAll:
         d = dijkstra_all(g.adj, 0, targets)
         assert d[:3] == [0, 1, 2] and d[9] is None
 
+    @pytest.mark.parametrize("targets", [None, [9], [2]])
+    def test_stops_past_the_limit(self, targets):
+        # a vertex at exactly the limit settles, the next one does not
+        d = dijkstra_all(path_graph(10, 1).adj, 0, targets, limit=2)
+        assert d == [0, 1, 2] + [None] * 7
+
     def test_unreachable_target_is_none(self):
         g = Graph.from_edges(4, [(0, 1, 3), (2, 3, 1)])
         assert dijkstra_all(g.adj, 0, [3, 1]) == [0, 3, None, None]
@@ -480,3 +487,71 @@ def test_early_exit_matches_full_sweep(query):
         assert early[v] == ref[v]
     # whatever else settled before the stop is exact too
     assert all(d is None or d == ref[v] for v, d in enumerate(early))
+
+
+@given(sweep_queries(), st.sampled_from([0, 1, 4, 10**9, 2 * 10**9 + 3]))
+@settings(deadline=None, max_examples=150)
+def test_limited_sweep_matches_full_sweep(query, limit):
+    adj, source, targets = query
+    ref = full_sweep(adj, source)
+    for wanted in (None, targets):
+        early = dijkstra_all(adj, source, wanted, limit)
+        # exact where settled, and nothing settled beyond the limit
+        assert all(d is None or (d == ref[v] and d <= limit) for v, d in enumerate(early))
+        for v in range(len(adj)) if wanted is None else wanted:
+            if ref[v] is not None and ref[v] <= limit:
+                assert early[v] == ref[v]
+
+
+@st.composite
+def pair_queries(draw):
+    """Random undirected multigraph over 1-3 components and an (s, t) pair.
+
+    Weights run 0..wmax with wmax up to 10**9 * n, the size of verify's keyed
+    weights; arcs repeat (parallel edges), and s == t occurs."""
+    n = draw(st.integers(1, 40))
+    comp = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    wmax = draw(st.sampled_from([0, 1, 5, 10**9, 10**9 * n]))
+    weight = st.one_of(st.integers(0, wmax), st.sampled_from([0, wmax]))
+    adj = [[] for _ in range(n)]
+    for c in set(comp):
+        vs = [v for v in range(n) if comp[v] == c]
+        order = draw(st.permutations(vs))
+        vertex = st.sampled_from(vs)
+        arcs = [(u, v, draw(weight)) for u, v in zip(order, order[1:])]
+        arcs += draw(st.lists(st.tuples(vertex, vertex, weight), max_size=2 * len(vs)))
+        for u, v, w in arcs + arcs[: draw(st.integers(0, 3))]:  # repeats: parallel arcs
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+    s = draw(st.integers(0, n - 1))
+    t = draw(st.one_of(st.just(s), st.integers(0, n - 1)))
+    return adj, s, t
+
+
+@given(pair_queries())
+@settings(deadline=None, max_examples=300)
+def test_pair_distance_matches_one_sided_sweep(query):
+    adj, s, t = query
+    assert pair_distance(adj, s, t) == dijkstra_all(adj, s, [t])[t]
+
+
+class TestPairDistance:
+    @pytest.mark.parametrize("s,t", [(59, 40), (40, 59), (0, 59), (59, 0), (30, 31), (7, 7)])
+    def test_geometric_path(self, s, t):
+        # weights 2**i: the side toward the heavy end must do most of the work
+        adj = path_graph(60, 2).adj
+        assert pair_distance(adj, s, t) == dijkstra_all(adj, s)[t]
+
+    def test_zero_weight_edge_between_the_tops(self):
+        # the heap tops sum to the distance before either side scans the
+        # 0-weight middle edge, so only a stop at top_f + top_b >= mu is exact
+        adj = [[] for _ in range(4)]
+        for u, v, w in [(0, 1, 5), (1, 2, 0), (2, 3, 5), (0, 3, 11)]:
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        assert pair_distance(adj, 0, 3) == pair_distance(adj, 3, 0) == 10
+
+    def test_other_component_is_none(self):
+        g = Graph.from_edges(4, [(0, 1, 3), (2, 3, 1)])
+        assert pair_distance(g.adj, 0, 3) is None
+        assert pair_distance(g.adj, 1, 0) == 3

@@ -356,15 +356,19 @@ def test_built_hopset_matches_full_table_reference(mode, kw, seed):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Record (adjacency, source) of every `dijkstra_all` call verify makes."""
+    """Record (search, adjacency, source) of every `dijkstra_all` ("sweep") and
+    `pair_distance` ("pair") call verify makes."""
     calls = []
-    real = verify_module.dijkstra_all
 
-    def counted(adj, source, targets=None):
-        calls.append((adj, source))
-        return real(adj, source, targets)
+    def record(kind, real):
+        def counted(adj, source, *rest, **kw):
+            calls.append((kind, adj, source))
+            return real(adj, source, *rest, **kw)
 
-    monkeypatch.setattr(verify_module, "dijkstra_all", counted)
+        monkeypatch.setattr(verify_module, real.__name__, counted)
+
+    record("sweep", verify_module.dijkstra_all)
+    record("pair", verify_module.pair_distance)
     return calls
 
 
@@ -375,21 +379,31 @@ def checked_report(g, hopset, mode="all", **kw):
     return report
 
 
+def targets_by_source(pairs):
+    wanted = {}
+    for s, v in pairs:
+        wanted.setdefault(s, []).append(v)
+    return wanted
+
+
 @pytest.mark.parametrize("build_mode,eps", [("reduced", "0.3"), ("direct", "1")])
 def test_one_union_sweep_per_source(sweeps, build_mode, eps):
-    # three isolated vertices: targets the union sweep leaves without a key
+    # three isolated vertices: targets the union search leaves without a key
     g = Graph.from_edges(63, er_graph(60, 0.15, 1, 1000, seed=2).edges)
     hs = build_hopset(g, HopsetParams.make(eps_target=eps, seed=2, mode=build_mode))
     assert hs.size > 0 and hs.effective_beta >= g.n - 1
     sample = {"sample_size": 80, "sample_seed": 3}
-    for mode, kw, sources in (
-        ("all", {}, list(range(g.n))),
-        ("sample", sample, sorted({s for s, _ in _sample_pairs(g, 80, 3)})),
+    for mode, kw, wanted in (
+        ("all", {}, {s: range(s + 1, g.n) for s in range(g.n)}),
+        ("sample", sample, targets_by_source(_sample_pairs(g, 80, 3))),
     ):
         sweeps.clear()
         assert checked_report(g, hs, mode, **kw)["violation_count"] == 0
-        assert [s for _, s in sweeps] == sources
-        assert all(adj is not g.adj for adj, _ in sweeps)
+        # each source searched once: by a pair search exactly when it has one target
+        expected = [("pair" if len(wanted[s]) == 1 else "sweep", s) for s in sorted(wanted)]
+        assert [(kind, s) for kind, _, s in sweeps] == expected
+        assert all(adj is not g.adj for _, adj, _ in sweeps)
+    assert {kind for kind, _ in expected} == {"pair", "sweep"}  # the sample takes both
 
     # one hopset edge at half its true distance: an undercut the oracle must price
     e = hs.edges[0]
@@ -397,7 +411,31 @@ def test_one_union_sweep_per_source(sweeps, build_mode, eps):
     sweeps.clear()
     report = checked_report(g, hs)
     assert report["violation_count"] > 0
-    assert any(adj is g.adj for adj, _ in sweeps)
+    assert any(adj is g.adj for _, adj, _ in sweeps)
+
+
+def test_sampled_undercut_reaches_the_oracle(sweeps):
+    # a pair search that takes an undercutting hopset edge still goes to the G oracle
+    g = er_graph(60, 0.15, 1, 1000, seed=2)
+    hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=2))
+    wanted = targets_by_source(_sample_pairs(g, 80, 3))
+    s, (t,) = next((s, vs) for s, vs in sorted(wanted.items()) if len(vs) == 1)
+    half = dijkstra_all(g.adj, s)[t] * F(1, 2)
+    hs.edges.append(HopsetEdge(min(s, t), max(s, t), half, 0, "interconnect"))
+    sweeps.clear()
+    report = checked_report(g, hs, "sample", sample_size=80, sample_seed=3)
+    assert report["violation_count"] > 0
+    assert any((v["u"], v["v"]) == (s, t) for v in report["violations"])
+    assert ("pair", s) in [(kind, u) for kind, adj, u in sweeps if adj is not g.adj]
+    assert ("sweep", s) in [(kind, u) for kind, adj, u in sweeps if adj is g.adj]
+
+
+@given(verify_cases(), st.sampled_from([-1, 0, 3, 20]))
+@settings(deadline=None, max_examples=100)
+def test_band_stop_matches_full_table_reference(case, band):
+    # band mode stops each union sweep once keys pass the band's top
+    g, hopset, _, _ = case
+    checked_report(g, hopset, "band", band=band)
 
 
 def test_hopset_edge_count_carries_no_digit():
@@ -420,4 +458,4 @@ def test_hopset_twin_at_graph_weight_is_a_tie(sweeps):
     hs = Hopset(n=n, edges=twins, effective_beta=n - 1, effective_eps=F(0), provenance={})
     report = checked_report(g, hs)
     assert (report["violation_count"], report["max_stretch"]) == (0, "1/1")
-    assert len(sweeps) == n and all(adj is not g.adj for adj, _ in sweeps)
+    assert len(sweeps) == n and all(adj is not g.adj for _, adj, _ in sweeps)
