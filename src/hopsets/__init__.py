@@ -15,6 +15,7 @@ from .explore import (
     bounded_dijkstra,
     dijkstra_all,
     hop_limited_bellman_ford,
+    hop_limited_rows,
     multi_source_bounded_dijkstra,
     pair_distance,
 )

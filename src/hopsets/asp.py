@@ -1,23 +1,26 @@
 """S x V approximate shortest distances and paths through a hopset.
 
 Each source runs one hop-limited Bellman-Ford over the union graph with the
-hopset's hop budget; estimates inherit the (1 + eps) contract.  With a
-path-reporting hopset, predecessor chains expand into concrete graph paths
-whose weight never exceeds the estimate (it is usually below it in reduced
-mode, where edge weights carry padding).  `write_paths` emits every path of
-a source in one walk of its predecessor forest: a vertex's path is its
-predecessor's path plus one step, and each hopset edge's witness is checked
-and formatted once per orientation.  `extract_path` answers a single pair.
+hopset's hop budget; estimates inherit the (1 + eps) contract.  Sources are
+answered one at a time: `asp_estimates` yields one `AspResult` row per
+source, and `write_estimates_csv` writes a row's CSV lines, and its path
+lines if asked, before it computes the next.  With a path-reporting hopset,
+predecessor chains expand into concrete graph paths whose weight never
+exceeds the estimate (in reduced mode, where edge weights carry padding, it
+is usually below it).  `extract_path` answers one vertex; the path lines of
+a source come from one walk of its predecessor forest.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import TextIO
 
-from .explore import hop_limited_bellman_ford
+# hop_limited_bellman_ford is not called here: perfbench's tracer wraps this binding
+from .explore import hop_limited_bellman_ford, hop_limited_rows
 from .graph import Graph
 from .hopset import Hopset, HopsetError
 from .verify import _union_edges
@@ -25,35 +28,31 @@ from .verify import _union_edges
 
 @dataclass
 class AspResult:
-    """Per-(source, vertex) estimates as scaled integers over `den`."""
+    """One source's estimates as scaled integers over `den`, and its predecessors."""
 
-    sources: list[int]
-    n: int
+    source: int
     den: int
-    dist: dict[int, list[int | None]]
-    pred: dict[int, list[tuple[int, object] | None]]
+    dist: list[int | None]
+    pred: list[tuple[int, object] | None]
 
-    def estimate(self, s: int, v: int) -> Fraction | None:
-        d = self.dist[s][v]
+    def estimate(self, v: int) -> Fraction | None:
+        d = self.dist[v]
         return None if d is None else Fraction(d, self.den)
 
 
-def asp_estimates(graph: Graph, hopset: Hopset, sources) -> AspResult:
-    """Estimates for all given sources: one |S| x n table, held in memory."""
+def asp_estimates(graph: Graph, hopset: Hopset, sources) -> Iterator[AspResult]:
+    """One row per source, in ascending source order, each computed when drawn.
+
+    The graph, the hopset and the sources are checked before this returns.
+    """
     if hopset.n != graph.n:
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     sources = sorted(set(sources))
     check_sources(graph.n, sources)
     den = hopset.weight_den()
     rel = _union_edges(graph, hopset, den)
-    table = hop_limited_bellman_ford(graph.n, rel, sources, hopset.effective_beta)
-    return AspResult(
-        sources=sources,
-        n=graph.n,
-        den=den,
-        dist=table.dist,
-        pred=table.pred,
-    )
+    rows = hop_limited_rows(graph.n, rel, sources, hopset.effective_beta)
+    return (AspResult(s, den, dist, pred) for s, dist, pred in rows)
 
 
 def check_sources(n: int, sources) -> None:
@@ -65,22 +64,21 @@ def check_sources(n: int, sources) -> None:
             raise HopsetError(f"source {s + 1} out of range: vertices are 1..{n}")
 
 
-def extract_path(
-    graph: Graph, hopset: Hopset, result: AspResult, s: int, v: int
-) -> tuple[list[int], int]:
-    """Concrete graph path realizing the estimate for (s, v).
+def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tuple[list[int], int]:
+    """Concrete graph path realizing the estimate for (result.source, v).
 
     Follows Bellman-Ford predecessors and expands every hopset edge to its
     witness.  Returns (vertex sequence, total weight); the weight is at most
     the estimate, while the hop count may exceed the hop budget (witness
     expansions are longer than the hopset edges they replace).
     """
-    if result.dist[s][v] is None:
+    s = result.source
+    if result.dist[v] is None:
         raise HopsetError(f"vertex {v + 1} unreachable from {s + 1}")
     steps = []
     cur = v
     while cur != s:
-        entry = result.pred[s][cur]
+        entry = result.pred[cur]
         if entry is None:
             raise HopsetError(f"broken predecessor chain at {cur + 1}")
         u, tag = entry
@@ -109,20 +107,16 @@ def extract_path(
     return path, total
 
 
-def write_paths(graph: Graph, hopset: Hopset, result: AspResult, out: TextIO) -> None:
-    """Write one `format_path` line per source and reachable vertex v != s.
+def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict) -> list[str]:
+    """One `format_path` line per vertex v != s that `result` reaches, in vertex order.
 
-    Lines come in `extract_path` order (sources ascending, then vertices)
-    and equal its output.  The checks are the same, so the first that fails
-    raises the `HopsetError` `extract_path` would raise for the same pair;
-    a graph step is checked by its ("g", i) tag against `graph.edges[i]`.
-    Each source's predecessor forest is walked once: the line of a vertex is
-    its predecessor's line plus the last step's segment, memoised for the
-    source.  Each hopset edge's witness is checked and formatted once per
-    orientation.
+    Lines and errors are `extract_path`'s, vertex by vertex; a graph step is
+    checked by its ("g", i) tag against `graph.edges[i]`.  The predecessor
+    forest is walked once: a vertex's line is its predecessor's line plus
+    the last step's segment.  `segments` memoises each hopset edge's checked
+    witness text per orientation, (hopset edge, forward) -> text.
     """
-    edges, m = graph.edges, graph.m
-    segments: dict[tuple[int, bool], str] = {}  # (hopset edge, forward) -> text
+    edges, m, n = graph.edges, graph.m, graph.n
 
     def orientation(u, x, idx):
         if hopset.witnesses is None:
@@ -147,63 +141,60 @@ def write_paths(graph: Graph, hopset: Hopset, result: AspResult, out: TextIO) ->
             text = segments[key] = "".join(f" {x + 1}" for x in wit[1:])
         return text
 
-    for s in result.sources:
-        dist, pred = result.dist[s], result.pred[s]
-        line: list[str | None] = [None] * result.n
-        line[s] = str(s + 1)
-        for v in range(result.n):
-            if line[v] is not None or dist[v] is None:
-                continue
-            steps = []  # back from v to the nearest vertex with a line
-            cur = v
-            while line[cur] is None:
-                entry = pred[cur]
-                if entry is None:
-                    raise HopsetError(f"broken predecessor chain at {cur + 1}")
-                steps.append((entry[0], cur, entry[1]))
-                cur = entry[0]
-            steps.reverse()
-            # as in extract_path: expand every hopset step, then check each edge
-            for u, x, (kind, i) in steps:
-                if kind != "g":
-                    orientation(u, x, i)
-            for u, x, (kind, i) in steps:
-                if kind != "g":
-                    line[x] = line[u] + segment(orientation(u, x, i))
-                elif 0 <= i < m and edges[i][:2] in ((u, x), (x, u)):
-                    line[x] = f"{line[u]} {x + 1}"
-                else:
-                    raise HopsetError(f"extracted step ({u + 1},{x + 1}) is not a graph edge")
-        out.writelines(
-            line[v] + "\n" for v in range(result.n) if v != s and dist[v] is not None
-        )
+    s, dist, pred = result.source, result.dist, result.pred
+    line: list[str | None] = [None] * n
+    line[s] = str(s + 1)
+    for v in range(n):
+        if line[v] is not None or dist[v] is None:
+            continue
+        steps = []  # back from v to the nearest vertex with a line
+        cur = v
+        while line[cur] is None:
+            entry = pred[cur]
+            if entry is None:
+                raise HopsetError(f"broken predecessor chain at {cur + 1}")
+            steps.append((entry[0], cur, entry[1]))
+            cur = entry[0]
+        steps.reverse()
+        # as in extract_path: expand every hopset step, then check each edge
+        for u, x, (kind, i) in steps:
+            if kind != "g":
+                orientation(u, x, i)
+        for u, x, (kind, i) in steps:
+            if kind != "g":
+                line[x] = line[u] + segment(orientation(u, x, i))
+            elif 0 <= i < m and edges[i][:2] in ((u, x), (x, u)):
+                line[x] = f"{line[u]} {x + 1}"
+            else:
+                raise HopsetError(f"extracted step ({u + 1},{x + 1}) is not a graph edge")
+    return [line[v] + "\n" for v in range(n) if v != s and dist[v] is not None]
 
 
 def write_estimates_csv(
-    graph: Graph, hopset: Hopset, sources, out: TextIO, header: dict | None = None
-) -> AspResult:
+    graph: Graph, hopset: Hopset, sources, out: TextIO, header: dict | None = None, paths=None
+) -> None:
     """CSV emission: source,vertex,estimate_num,estimate_den (1-based ids).
 
-    Unreachable vertices get estimate inf/1.  Returns the `asp_estimates`
-    result the rows came from, so paths can be extracted without a second
-    Bellman-Ford run.
+    Unreachable vertices get estimate inf/1.  Given a text file `paths`,
+    each source's rows are followed by its `_path_lines` there, so a path
+    fault at a source raises `HopsetError` after its rows, before its lines.
     """
-    result = asp_estimates(graph, hopset, sources)
+    rows = asp_estimates(graph, hopset, sources)
     if header:
         for key in sorted(header):
             out.write(f"# {key} {header[key]}\n")
     out.write("source,vertex,estimate_num,estimate_den\n")
-    den = result.den
-    for s in result.sources:
-        dist = result.dist[s]
-        for v in range(result.n):
-            d = dist[v]
+    segments: dict[tuple[int, bool], str] = {}
+    for result in rows:
+        s, den = result.source + 1, result.den
+        for v, d in enumerate(result.dist, 1):
             if d is None:
-                out.write(f"{s + 1},{v + 1},inf,1\n")
+                out.write(f"{s},{v},inf,1\n")
             else:
                 g = gcd(d, den)  # d / den in lowest terms, as Fraction would print it
-                out.write(f"{s + 1},{v + 1},{d // g},{den // g}\n")
-    return result
+                out.write(f"{s},{v},{d // g},{den // g}\n")
+        if paths is not None:
+            paths.writelines(_path_lines(graph, hopset, result, segments))
 
 
 def format_path(path: list[int]) -> str:

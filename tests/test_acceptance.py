@@ -299,14 +299,14 @@ def test_criterion_09_asp_contract():
     )
     hopset = build_hopset(graph, params)
     sources = [0, 40, 80, 120, 160]
-    result = asp_estimates(graph, hopset, sources)
     apsp = exact_apsp(graph)
     bound = 1 + hopset.effective_eps
     bad = []
     extracted = 0
-    for s in sources:
+    for result in asp_estimates(graph, hopset, sources):
+        s = result.source
         for v in range(graph.n):
-            est, d = result.estimate(s, v), apsp[s][v]
+            est, d = result.estimate(v), apsp[s][v]
             if d is None:
                 if est is not None:
                     bad.append(("phantom", s, v))
@@ -315,7 +315,7 @@ def test_criterion_09_asp_contract():
                 bad.append(("stretch", s, v, d, est))
                 continue
             if v != s:
-                path, w = extract_path(graph, hopset, result, s, v)
+                path, w = extract_path(graph, hopset, result, v)
                 extracted += 1
                 if path[0] != s or path[-1] != v or F(w) > est:
                     bad.append(("path", s, v))

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,8 @@ from hopsets import (
     grid_graph,
     path_graph,
 )
-from hopsets.asp import format_path, write_estimates_csv, write_paths
+import hopsets.asp
+from hopsets.asp import format_path, write_estimates_csv
 from hopsets.hopset import HopsetEdge
 
 
@@ -27,29 +29,35 @@ def empty_hopset(n, beta):
     return Hopset(n=n, edges=[], effective_beta=beta, effective_eps=F(1, 10), provenance={})
 
 
+def rows(graph, hopset, sources):
+    """Every row of `asp_estimates`, by source."""
+    return {row.source: row for row in asp_estimates(graph, hopset, sources)}
+
+
 class TestEstimates:
     def test_isolated_source(self):
         g = Graph.from_edges(4, [(0, 1, 2)])  # vertices 2, 3 isolated
-        res = asp_estimates(g, empty_hopset(4, beta=3), [3])
-        assert res.estimate(3, 3) == 0
-        assert all(res.estimate(3, v) is None for v in (0, 1, 2))
+        (res,) = asp_estimates(g, empty_hopset(4, beta=3), [3])
+        assert res.source == 3 and res.estimate(3) == 0
+        assert all(res.estimate(v) is None for v in (0, 1, 2))
 
     def test_exact_when_budget_covers_path(self):
         g = path_graph(12, 1)
-        res = asp_estimates(g, empty_hopset(12, beta=11), [0])
+        (res,) = asp_estimates(g, empty_hopset(12, beta=11), [0])
         for v in range(12):
-            assert res.estimate(0, v) == v
+            assert res.estimate(v) == v
 
     def test_contract_against_apsp_rows(self):
         g = er_graph(200, 0.05, 1, 100, seed=9)
         hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=9))
         sources = [3, 57, 101, 150, 199]
-        res = asp_estimates(g, hs, sources)
+        res = rows(g, hs, sources)
+        assert list(res) == sources  # ascending, one row each
         apsp = exact_apsp(g)
         bound = 1 + hs.effective_eps
         for s in sources:
             for v in range(g.n):
-                est, d = res.estimate(s, v), apsp[s][v]
+                est, d = res[s].estimate(v), apsp[s][v]
                 if d is None:
                     assert est is None
                 else:
@@ -57,10 +65,10 @@ class TestEstimates:
 
     def test_estimate_monotone_in_budget(self):
         g = er_graph(40, 0.15, 1, 9, seed=3)
-        small = asp_estimates(g, empty_hopset(40, beta=2), [0])
-        big = asp_estimates(g, empty_hopset(40, beta=6), [0])
+        (small,) = asp_estimates(g, empty_hopset(40, beta=2), [0])
+        (big,) = asp_estimates(g, empty_hopset(40, beta=6), [0])
         for v in range(40):
-            a, b = small.estimate(0, v), big.estimate(0, v)
+            a, b = small.estimate(v), big.estimate(v)
             if a is not None:
                 assert b is not None and b <= a
 
@@ -83,58 +91,54 @@ class TestEstimates:
 class TestExtractPath:
     def test_graph_only_path_weight_equals_estimate(self):
         g = path_graph(10, 1)
-        res = asp_estimates(g, empty_hopset(10, beta=9), [0])
-        path, w = extract_path(g, empty_hopset(10, beta=9), res, 0, 7)
+        (res,) = asp_estimates(g, empty_hopset(10, beta=9), [0])
+        path, w = extract_path(g, empty_hopset(10, beta=9), res, 7)
         assert path == list(range(8))
-        assert F(w) == res.estimate(0, 7)
+        assert F(w) == res.estimate(7)
 
     def test_direct_mode_expansion(self):
         g = path_graph(64, 2)
         hs = build_hopset(
             g, HopsetParams.make(mode="direct", eps_target="1", seed=2, path_reporting=True)
         )
-        res = asp_estimates(g, hs, [0])
+        (res,) = asp_estimates(g, hs, [0])
         for v in (20, 45, 63):
-            path, w = extract_path(g, hs, res, 0, v)
+            path, w = extract_path(g, hs, res, v)
             assert path[0] == 0 and path[-1] == v
             for a, b in zip(path, path[1:]):
                 assert g.weight(a, b) is not None
-            assert F(w) <= res.estimate(0, v)
+            assert F(w) <= res.estimate(v)
 
     def test_reduced_mode_weight_at_most_estimate(self):
         g = er_graph(80, 0.08, 1, 40, seed=12)
         hs = build_hopset(
             g, HopsetParams.make(eps_target="0.3", seed=12, path_reporting=True)
         )
-        res = asp_estimates(g, hs, [0, 11])
         apsp = exact_apsp(g)
-        for s in (0, 11):
+        for res in asp_estimates(g, hs, [0, 11]):
+            s = res.source
             for v in range(g.n):
-                if v == s or res.estimate(s, v) is None:
+                if v == s or res.estimate(v) is None:
                     continue
-                path, w = extract_path(g, hs, res, s, v)
+                path, w = extract_path(g, hs, res, v)
                 assert path[0] == s and path[-1] == v
-                assert F(w) <= res.estimate(s, v)
+                assert F(w) <= res.estimate(v)
                 assert w >= apsp[s][v]
 
     def test_non_path_reporting_hopset_errors(self):
         g = er_graph(80, 0.08, 1, 40, seed=12)
         hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=12))
-        res = asp_estimates(g, hs, [0])
-        used_hopset = [
-            v
-            for v in range(g.n)
-            if res.dist[0][v] is not None and _uses_hopset(res, 0, v)
-        ]
+        (res,) = asp_estimates(g, hs, [0])
+        used_hopset = [v for v in range(g.n) if res.dist[v] is not None and _uses_hopset(res, v)]
         if used_hopset:
             with pytest.raises(HopsetError, match="not path-reporting"):
-                extract_path(g, hs, res, 0, used_hopset[0])
+                extract_path(g, hs, res, used_hopset[0])
 
     def test_unreachable_target_errors(self):
         g = Graph.from_edges(3, [(0, 1, 1)])
-        res = asp_estimates(g, empty_hopset(3, beta=2), [0])
+        (res,) = asp_estimates(g, empty_hopset(3, beta=2), [0])
         with pytest.raises(HopsetError, match="unreachable"):
-            extract_path(g, empty_hopset(3, beta=2), res, 0, 2)
+            extract_path(g, empty_hopset(3, beta=2), res, 2)
 
 
 class TestCsvEmission:
@@ -142,8 +146,7 @@ class TestCsvEmission:
         g = Graph.from_edges(3, [(0, 1, 2), (1, 2, 3)])
         hs = empty_hopset(3, beta=2)
         buf = io.StringIO()
-        res = write_estimates_csv(g, hs, [0], buf, header={"note": "x"})
-        assert res.sources == [0] and res.estimate(0, 2) == 5  # the rows' own table
+        assert write_estimates_csv(g, hs, [0], buf, header={"note": "x"}) is None
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# note x"
         assert lines[1] == "source,vertex,estimate_num,estimate_den"
@@ -161,31 +164,37 @@ class TestCsvEmission:
         assert format_path([0, 4, 2]) == "1 5 3"
 
 
-def _uses_hopset(res, s, v):
+
+
+def _uses_hopset(res, v):
     cur = v
-    while cur != s:
-        u, (kind, _) = res.pred[s][cur]
+    while cur != res.source:
+        u, (kind, _) = res.pred[cur]
         if kind == "h":
             return True
         cur = u
     return False
 
 
-def reference_paths(graph, hopset, result):
-    """Reference: one extract_path + format_path line per source and reachable vertex."""
+def reference_paths(graph, hopset, sources):
+    """Reference: one extract_path + format_path line per source and reachable vertex.
+
+    Rows come from `hopsets.asp.asp_estimates` as bound when called, so a test
+    that alters the rows `write_estimates_csv` draws alters these too.
+    """
     out = io.StringIO()
-    for s in result.sources:
+    for res in hopsets.asp.asp_estimates(graph, hopset, sources):
         for v in range(graph.n):
-            if v == s or result.dist[s][v] is None:
+            if v == res.source or res.dist[v] is None:
                 continue
-            path, _ = extract_path(graph, hopset, result, s, v)
+            path, _ = extract_path(graph, hopset, res, v)
             out.write(format_path(path) + "\n")
     return out.getvalue()
 
 
-def walked_paths(graph, hopset, result):
+def walked_paths(graph, hopset, sources):
     out = io.StringIO()
-    write_paths(graph, hopset, result, out)
+    write_estimates_csv(graph, hopset, sources, io.StringIO(), paths=out)
     return out.getvalue()
 
 
@@ -197,14 +206,26 @@ def outcome(fn, *args):
         return f"HopsetError: {exc}"
 
 
-def hopset_steps(res):
+def hopset_steps(graph, hopset, sources):
     """(s, v, hopset edge index) for every hopset step in the predecessor forests."""
     return [
-        (s, v, pred[1][1])
-        for s in res.sources
-        for v, pred in enumerate(res.pred[s])
+        (res.source, v, pred[1][1])
+        for res in asp_estimates(graph, hopset, sources)
+        for v, pred in enumerate(res.pred)
         if pred is not None and pred[1][0] == "h"
     ]
+
+
+def alter_rows(monkeypatch, alter):
+    """Make `hopsets.asp.asp_estimates` yield its rows after `alter(row)` changed them."""
+    real = hopsets.asp.asp_estimates
+
+    def altered(*args):
+        for row in real(*args):
+            alter(row)
+            yield row
+
+    monkeypatch.setattr(hopsets.asp, "asp_estimates", altered)
 
 
 GRAPHS = {
@@ -229,46 +250,48 @@ def path_reporting_queries(draw):
     # a budget below n - 1 makes paths take hopset edges even in reduced mode
     hs.effective_beta = draw(st.sampled_from([hs.effective_beta, 1, 2, 3, 4, 8]))
     sources = draw(st.lists(st.integers(0, graph.n - 1), min_size=1, max_size=4))
-    return graph, hs, asp_estimates(graph, hs, sources)
+    return graph, hs, sources
 
 
 class TestWritePaths:
     @given(path_reporting_queries())
     @settings(deadline=None, max_examples=60)
     def test_matches_extract_path(self, query):
-        graph, hs, res = query
-        assert walked_paths(graph, hs, res) == reference_paths(graph, hs, res)
+        graph, hs, sources = query
+        assert walked_paths(graph, hs, sources) == reference_paths(graph, hs, sources)
         # without witnesses: the same error wherever a hopset step is taken
         bare = dataclasses.replace(hs, witnesses=None)
-        assert outcome(walked_paths, graph, bare, res) == outcome(reference_paths, graph, bare, res)
+        assert outcome(walked_paths, graph, bare, sources) == outcome(
+            reference_paths, graph, bare, sources
+        )
 
     @staticmethod
     def _built(n=64):
         g = path_graph(n, 2)
         params = HopsetParams.make(eps_target="0.3", seed=2, mode="direct", path_reporting=True)
         hs = build_hopset(g, params)
-        res = asp_estimates(g, hs, [0, n // 2, n - 1])
-        assert hopset_steps(res)  # the paths expand witnesses
-        return g, hs, res
+        sources = [0, n // 2, n - 1]
+        assert hopset_steps(g, hs, sources)  # the paths expand witnesses
+        return g, hs, sources
 
     def test_matches_extract_path_on_witness_heavy_build(self):
-        g, hs, res = self._built()
-        text = walked_paths(g, hs, res)
-        assert text == reference_paths(g, hs, res)
+        g, hs, sources = self._built()
+        text = walked_paths(g, hs, sources)
+        assert text == reference_paths(g, hs, sources)
         assert len(text.splitlines()) == 3 * (g.n - 1)
 
     def test_hopset_without_witnesses_raises(self):
-        g, hs, res = self._built()
+        g, hs, sources = self._built()
         bare = dataclasses.replace(hs, witnesses=None)
-        expected = outcome(reference_paths, g, bare, res)
+        expected = outcome(reference_paths, g, bare, sources)
         assert expected == "HopsetError: hopset is not path-reporting; rebuild with witnesses"
-        assert outcome(walked_paths, g, bare, res) == expected
+        assert outcome(walked_paths, g, bare, sources) == expected
 
     @pytest.mark.parametrize("corrupt", ["reverse", "drop_last", "detour", "swap_inner"])
     def test_corrupted_witness_raises_as_extract_path(self, corrupt):
-        g, hs, res = self._built()
+        g, hs, sources = self._built()
         witnesses = list(hs.witnesses)
-        for _, _, idx in hopset_steps(res):
+        for _, _, idx in hopset_steps(g, hs, sources):
             wit = list(witnesses[idx])
             if len(wit) >= 4:
                 break
@@ -282,14 +305,14 @@ class TestWritePaths:
             wit[1], wit[2] = wit[2], wit[1]
         witnesses[idx] = tuple(wit)
         bad = dataclasses.replace(hs, witnesses=witnesses)
-        expected = outcome(reference_paths, g, bad, res)
+        expected = outcome(reference_paths, g, bad, sources)
         assert expected.startswith("HopsetError: ")
-        assert outcome(walked_paths, g, bad, res) == expected
+        assert outcome(walked_paths, g, bad, sources) == expected
 
     def test_every_witness_corrupted_raises_as_extract_path(self):
         # extract_path expands every step before checking edges, so a witness
         # whose ends are wrong wins over an earlier witness with a bad edge
-        g, hs, res = self._built()
+        g, hs, sources = self._built()
         witnesses = []
         for i, wit in enumerate(hs.witnesses):
             wit = list(wit)
@@ -299,9 +322,9 @@ class TestWritePaths:
                 wit.insert(1, wit[-1])
             witnesses.append(tuple(wit))
         bad = dataclasses.replace(hs, witnesses=witnesses)
-        expected = outcome(reference_paths, g, bad, res)
+        expected = outcome(reference_paths, g, bad, sources)
         assert expected.startswith("HopsetError: ")
-        assert outcome(walked_paths, g, bad, res) == expected
+        assert outcome(walked_paths, g, bad, sources) == expected
 
     def test_end_errors_come_before_edge_errors(self):
         # path 0-2-4-3-1 and two hopset edges 0-4, 4-1: with beta = 2 the path
@@ -316,24 +339,73 @@ class TestWritePaths:
             provenance={},
             witnesses=[(0, 3, 4), (4, 3, 1)],
         )
-        res = asp_estimates(g, hs, [0])
         expected = "HopsetError: witness for edge 1 does not join 5 and 2"
-        assert outcome(reference_paths, g, hs, res) == expected
-        assert outcome(walked_paths, g, hs, res) == expected
+        assert outcome(reference_paths, g, hs, [0]) == expected
+        assert outcome(walked_paths, g, hs, [0]) == expected
 
-    def test_broken_predecessor_chain_raises_as_extract_path(self):
-        g, hs, res = self._built()
-        s = res.sources[-1]  # the chains of vertices 0, 1, ... pass through s - 3
-        res.pred[s][s - 3] = None
-        expected = outcome(reference_paths, g, hs, res)
+    def test_broken_predecessor_chain_raises_as_extract_path(self, monkeypatch):
+        g, hs, sources = self._built()
+        s = sources[-1]  # the chains of vertices 0, 1, ... pass through s - 3
+
+        def cut(row):
+            if row.source == s:
+                row.pred[s - 3] = None
+
+        alter_rows(monkeypatch, cut)
+        expected = outcome(reference_paths, g, hs, sources)
         # errors name 1-based vertex ids, as files and the CLI do
         assert expected == f"HopsetError: broken predecessor chain at {s - 3 + 1}"
-        assert outcome(walked_paths, g, hs, res) == expected
+        assert outcome(walked_paths, g, hs, sources) == expected
 
-    def test_graph_step_checked_by_its_tag(self):
-        g = path_graph(6, 1)
-        res = asp_estimates(g, empty_hopset(6, beta=5), [0])
-        u, (kind, i) = res.pred[0][4]
-        res.pred[0][4] = (u, (kind, i + 1))  # tag names the edge (4, 5)
+    def test_graph_step_checked_by_its_tag(self, monkeypatch):
+        def retag(row):
+            u, (kind, i) = row.pred[4]
+            row.pred[4] = (u, (kind, i + 1))  # tag names the edge (4, 5)
+
+        alter_rows(monkeypatch, retag)
         with pytest.raises(HopsetError, match=r"extracted step \(4,5\) is not a graph edge"):
-            walked_paths(g, empty_hopset(6, beta=5), res)
+            walked_paths(path_graph(6, 1), empty_hopset(6, beta=5), [0])
+
+    def test_fault_at_a_source_stops_after_its_rows(self, monkeypatch):
+        # each source's CSV rows are written before its paths are walked, and
+        # a source's path lines only once all of them are checked
+        g, hs, sources = self._built()
+        j = sources[1]
+
+        def cut(row):
+            if row.source == j:
+                row.pred[j + 3] = None
+
+        alter_rows(monkeypatch, cut)
+        csv, paths = io.StringIO(), io.StringIO()
+        with pytest.raises(HopsetError, match=f"broken predecessor chain at {j + 3 + 1}"):
+            write_estimates_csv(g, hs, sources, csv, paths=paths)
+        rows_written = csv.getvalue().splitlines()[1:]
+        assert {line.split(",")[0] for line in rows_written} == {"1", str(j + 1)}
+        assert len(rows_written) == 2 * g.n
+        assert len(paths.getvalue().splitlines()) == g.n - 1
+        assert all(line.startswith("1 ") for line in paths.getvalue().splitlines())
+
+
+class NullSink:
+    def write(self, text):
+        pass
+
+    def writelines(self, lines):
+        pass
+
+
+def test_query_memory_does_not_grow_with_the_source_count():
+    g = er_graph(300, 0.03, 1, 10**6, seed=5)
+    hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=5, path_reporting=True))
+
+    def peak(sources):
+        tracemalloc.start()
+        try:
+            write_estimates_csv(g, hs, sources, NullSink(), paths=NullSink())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, every = peak([0]), peak(range(g.n))
+    assert every <= 2 * one, (one, every)

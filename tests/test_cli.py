@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hopsets.asp
 from hopsets import load_dimacs
 from hopsets.cli import EXIT_IO, EXIT_OK, EXIT_PARAM, EXIT_USAGE, EXIT_VIOLATION, main
 
@@ -269,6 +270,43 @@ class TestMalformedHopset:
         args += ["--out", str(workspace / "est.csv"), "--paths", str(workspace / "p.txt")]
         assert run("query", *args) == EXIT_PARAM
         assert "extracted step (1,3) is not a graph edge" in capsys.readouterr().err
+
+    def test_path_fault_keeps_the_rows_and_paths_before_it(self, workspace, monkeypatch):
+        # a fault at source j leaves the CSV rows of every source up to j, and
+        # the path lines of the sources before j
+        graph = gen_graph(workspace)  # the path 1-2-...-8
+        hopset = workspace / "h.hs"
+        build = ["build", "--graph", str(graph), "--out", str(hopset), "--path-reporting"]
+        assert run(*build) == EXIT_OK
+        real = hopsets.asp.asp_estimates
+
+        def cut_source_3_chain(*args):
+            for row in real(*args):
+                if row.source == 2:
+                    row.pred[0] = None
+                yield row
+
+        monkeypatch.setattr(hopsets.asp, "asp_estimates", cut_source_3_chain)
+        csv, paths = workspace / "est.csv", workspace / "p.txt"
+        code = run(
+            "query", "--graph", str(graph), "--hopset", str(hopset),
+            "--sources", "1,3,5", "--out", str(csv), "--paths", str(paths),
+        )
+        assert code == EXIT_PARAM
+        rows = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
+        assert rows[0] == "source,vertex,estimate_num,estimate_den"
+        assert [row.split(",")[0] for row in rows[1:]] == ["1"] * 8 + ["3"] * 8
+        assert [line.split()[0] for line in paths.read_text().splitlines()] == ["1"] * 7
+
+    @pytest.mark.parametrize("same", ["est.csv", "./est.csv", "link.csv"])
+    def test_paths_naming_the_csv_is_usage_error(self, workspace, capsys, monkeypatch, same):
+        monkeypatch.chdir(workspace)
+        (workspace / "est.csv").write_text("kept\n")
+        (workspace / "link.csv").symlink_to(workspace / "est.csv")
+        args = ["--graph", "missing.gr", "--hopset", "missing.hs", "--sources", "1"]
+        assert run("query", *args, "--out", "est.csv", "--paths", same) == EXIT_USAGE
+        assert "--paths and --out" in capsys.readouterr().err
+        assert (workspace / "est.csv").read_text() == "kept\n"  # nothing read or written
 
     def test_negative_weight_in_built_hopset_is_io_error(self, workspace, capsys):
         graph = gen_graph(

@@ -10,6 +10,7 @@ from hopsets import (
     dijkstra_all,
     er_graph,
     hop_limited_bellman_ford,
+    hop_limited_rows,
     interconnect_phase,
     multi_source_bounded_dijkstra,
     pair_distance,
@@ -326,6 +327,12 @@ class TestHopLimitedBellmanFord:
     def test_negative_weight_rejected(self, t):
         with pytest.raises(ValueError, match="negative weight"):
             hop_limited_bellman_ford(3, [(0, 1, 1, ("g", 0)), (1, 2, -1, ("h", 0))], [0], t)
+
+    def test_rows_reject_bad_input_before_the_first_row(self):
+        with pytest.raises(ValueError, match="negative weight"):
+            hop_limited_rows(3, [(0, 1, 1, ("g", 0)), (1, 2, -1, ("h", 0))], [0], 1)
+        with pytest.raises(ValueError, match="hop budget"):
+            hop_limited_rows(3, [], [0], -1)
 
 
 def _tag(g):

@@ -77,7 +77,7 @@ def test_traced_cli_commands_succeed_and_count_work(tmp_path, monkeypatch):
         for argv in commands:
             assert main(argv) == EXIT_OK, argv
     metrics = tracer.layer_metrics()
-    # asp.path_vertices is left out: the tracer does not wrap write_paths
+    # asp.path_vertices is left out: it counts extract_path, which query does not call
     for key in (
         "scale_reduction.materialize_scale_graph_calls",
         "single_scale.build_single_scale_calls",
