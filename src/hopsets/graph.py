@@ -134,21 +134,47 @@ def load_dimacs(source) -> Graph:
 
     Duplicate arcs and (u,v)/(v,u) pairs collapse to the minimum weight.
     The m of `p sp n m` counts the `a` lines.  Raises GraphFormatError with
-    a line number on malformed input.
+    a line number on malformed input.  Each line is checked once, here: the
+    arcs that pass are the edges `Graph.from_edges` would accept, so the
+    loader collapses and sorts them itself and builds the `Graph` directly.
     """
     with opened(source) as fh:
         n = None
-        raw_edges: list[tuple[int, int, int]] = []
+        arcs = 0
+        best: dict[tuple[int, int], int] = {}  # (u, v), u < v, 0-based -> min weight
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
                 raise GraphFormatError("non-ASCII byte", lineno)
             if isinstance(raw, bytes):
                 raw = raw.decode("ascii")
-            line = raw.strip()
-            if not line or line.startswith("c"):
+            parts = raw.split()
+            if not parts:
                 continue
-            parts = line.split()
-            if parts[0] == "p":
+            tag = parts[0]
+            if tag == "a":
+                if n is None:
+                    raise GraphFormatError("arc before problem line", lineno)
+                try:
+                    _, u, v, w = parts
+                    u, v, w = int(u), int(v), int(w)
+                except ValueError:
+                    raise GraphFormatError(f"malformed arc line {raw.strip()!r}", lineno) from None
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise GraphFormatError(
+                        f"vertex id out of range [1,{n}] in {raw.strip()!r}", lineno
+                    )
+                if w < 1:
+                    raise GraphFormatError(f"weight {w} < 1", lineno)
+                if u == v:
+                    raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+                arcs += 1
+                key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+                if w < best.get(key, w + 1):
+                    best[key] = w
+            elif tag[0] == "c":
+                continue
+            elif tag == "p":
+                line = raw.strip()
                 if n is not None:
                     raise GraphFormatError("duplicate problem line", lineno)
                 if len(parts) != 4 or parts[1] != "sp":
@@ -160,31 +186,13 @@ def load_dimacs(source) -> Graph:
                 if n < 1:
                     raise GraphFormatError(f"vertex count {n} < 1", lineno)
                 p_lineno = lineno
-            elif parts[0] == "a":
-                if n is None:
-                    raise GraphFormatError("arc before problem line", lineno)
-                if len(parts) != 4:
-                    raise GraphFormatError(f"malformed arc line {line!r}", lineno)
-                try:
-                    u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
-                except ValueError:
-                    raise GraphFormatError(f"malformed arc line {line!r}", lineno)
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise GraphFormatError(
-                        f"vertex id out of range [1,{n}] in {line!r}", lineno
-                    )
-                if w < 1:
-                    raise GraphFormatError(f"weight {w} < 1", lineno)
-                if u == v:
-                    raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-                raw_edges.append((u - 1, v - 1, w))
             else:
-                raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
+                raise GraphFormatError(f"unknown record {tag!r}", lineno)
         if n is None:
             raise GraphFormatError("missing problem line", None)
-        if len(raw_edges) != m:
-            raise GraphFormatError(f"p line declares {m} arcs, found {len(raw_edges)}", p_lineno)
-        return Graph.from_edges(n, raw_edges)
+        if arcs != m:
+            raise GraphFormatError(f"p line declares {m} arcs, found {arcs}", p_lineno)
+        return Graph(n, sorted((u, v, w) for (u, v), w in best.items()))
 
 
 def dump_dimacs(graph: Graph, out: TextIO, comments: dict | None = None) -> None:

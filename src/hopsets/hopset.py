@@ -490,55 +490,69 @@ def load_hopset(source) -> Hopset:
     A file's witnesses are `p` lines (paths), or `f` lines (a forest)
     followed by `a` lines (anchors), each of whose pairs the forest must
     join.  A file with `f` lines loads them as a `Witnesses`, unexpanded.
+    Each record is checked once, in the order of its checks' messages.  The
+    frequent records go first: an `e` line's weight sign is checked on its
+    parsed integers, and once the first `a` line has labelled the forest's
+    trees, an `a` line with two anchors that passes every check is read
+    straight from the labels; any other line, and any such line that fails
+    a check, takes the general branch, which names its fault.
     """
     with opened(source) as fh:
         provenance: dict = {}
         header = None
+        n = 0
         edges: list[HopsetEdge] = []
         witnesses: dict[int, tuple[int, ...]] = {}
         forest: list[tuple[int, int, int]] = []
         root: dict[int, int] = {}  # union-find over the vertices `f` lines name, 0-based
+        tree = None  # vertex -> its tree's label, once the forest is complete
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
                 raise HopsetFormatError("non-ASCII byte", lineno)
             parts = raw.split()
             if not parts:
                 continue
-            tag, fields = parts[0], parts[1:]
-            if tag == "c":
-                if len(fields) < 2:
-                    raise HopsetFormatError("provenance needs a key and a value", lineno)
-                if fields[0] in provenance:
-                    raise HopsetFormatError(f"duplicate provenance key {fields[0]!r}", lineno)
-                provenance[fields[0]] = " ".join(fields[1:])
-            elif tag == "h":
-                if header is not None:
-                    raise HopsetFormatError("duplicate header", lineno)
-                version, n, beta, eps = _fields(lineno, fields, int, int, int, _fraction)
-                if version != FILE_VERSION:
-                    raise HopsetFormatError(f"unsupported hopset file version {version}", lineno)
-                if n < 1 or beta < 0 or eps <= 0:
-                    raise HopsetFormatError(f"bad header n={n} beta={beta} eps={eps}", lineno)
-                header = (n, beta, eps)
-            elif tag == "e":
+            tag = parts[0]
+            # most `a` lines: two anchors, read once the forest's trees are labelled
+            if tag == "a" and tree is not None and len(parts) == 4:
+                try:
+                    idx, x, y = int(parts[1]), int(parts[2]) - 1, int(parts[3]) - 1
+                except ValueError:
+                    pass
+                else:
+                    if (
+                        0 <= x < n
+                        and 0 <= y < n
+                        and idx not in witnesses
+                        and tree(x, x) == tree(y, y)
+                    ):
+                        witnesses[idx] = (x, y)
+                        continue
+            fields = parts[1:]
+            if tag == "e":
                 if header is None:
                     raise HopsetFormatError("edge before header", lineno)
                 try:
                     u, v, w, scale, kind = fields
                     num, den = w.split("/")
-                    u, v, w, scale = int(u), int(v), Fraction(int(num), int(den)), int(scale)
-                except (ValueError, ZeroDivisionError):
+                    u, v, num, den, scale = int(u), int(v), int(num), int(den), int(scale)
+                except ValueError:
                     if len(fields) != 5:
                         raise HopsetFormatError(
                             f"expected 5 fields, got {len(fields)}", lineno
                         ) from None
                     raise _malformed(lineno, fields) from None
-                _check_vertices(lineno, header[0], (u, v))
-                if w <= 0:
-                    raise HopsetFormatError(f"edge weight {w} is not positive", lineno)
+                if not den:
+                    raise _malformed(lineno, fields)
+                if not (1 <= u <= n and 1 <= v <= n):
+                    _check_vertices(lineno, n, (u, v))
+                if num * den <= 0:
+                    raise HopsetFormatError(
+                        f"edge weight {Fraction(num, den)} is not positive", lineno
+                    )
                 if kind not in KIND_ORDER:
                     raise HopsetFormatError(f"unknown edge kind {kind!r}", lineno)
-                edges.append(HopsetEdge(u - 1, v - 1, w, scale, kind))
+                edges.append(HopsetEdge(u - 1, v - 1, Fraction(num, den), scale, kind))
             elif tag == "f":
                 if header is None:
                     raise HopsetFormatError("forest edge before header", lineno)
@@ -547,7 +561,7 @@ def load_hopset(source) -> Hopset:
                 except ValueError:
                     _fields(lineno, fields, int, int, int)  # raises, naming the fault
                     raise
-                _check_vertices(lineno, header[0], (u, v))
+                _check_vertices(lineno, n, (u, v))
                 if w <= 0:
                     raise HopsetFormatError(f"forest edge weight {w} is not positive", lineno)
                 if witnesses:
@@ -570,8 +584,8 @@ def load_hopset(source) -> Hopset:
                     idx, *path = map(int, fields)
                 except ValueError:
                     raise _malformed(lineno, fields) from None
-                if min(path) < 1 or max(path) > header[0]:
-                    _check_vertices(lineno, header[0], path)
+                if min(path) < 1 or max(path) > n:
+                    _check_vertices(lineno, n, path)
                 if tag == "p" and forest:
                     raise HopsetFormatError("path witness after a forest edge", lineno)
                 if tag == "a" and not forest:
@@ -580,16 +594,31 @@ def load_hopset(source) -> Hopset:
                     raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
                 path = tuple(map((-1).__add__, path))  # 0-based
                 if tag == "a":
-                    if not witnesses:  # the forest is complete: label its vertices by tree
+                    if tree is None:  # the forest is complete: label its vertices by tree
                         for x in root:
                             root[x] = find(root, x)
-                    tree = root.get  # a vertex outside the forest is its own tree
+                        tree = root.get  # a vertex outside the forest is its own tree
                     for x, y in zip(path[::2], path[1::2]):
                         if tree(x, x) != tree(y, y):
                             raise HopsetFormatError(
                                 f"anchors {x + 1} and {y + 1} are not joined by the forest", lineno
                             )
                 witnesses[idx] = path
+            elif tag == "c":
+                if len(fields) < 2:
+                    raise HopsetFormatError("provenance needs a key and a value", lineno)
+                if fields[0] in provenance:
+                    raise HopsetFormatError(f"duplicate provenance key {fields[0]!r}", lineno)
+                provenance[fields[0]] = " ".join(fields[1:])
+            elif tag == "h":
+                if header is not None:
+                    raise HopsetFormatError("duplicate header", lineno)
+                version, n, beta, eps = _fields(lineno, fields, int, int, int, _fraction)
+                if version != FILE_VERSION:
+                    raise HopsetFormatError(f"unsupported hopset file version {version}", lineno)
+                if n < 1 or beta < 0 or eps <= 0:
+                    raise HopsetFormatError(f"bad header n={n} beta={beta} eps={eps}", lineno)
+                header = (n, beta, eps)
             else:
                 raise HopsetFormatError(f"unknown record {tag!r}", lineno)
         if header is None:

@@ -3,14 +3,15 @@
 The stretch check is exact end to end and computes only the distances it
 reads.  When beta >= n - 1, d^(beta) is the plain union distance d_U, and
 since G is a subgraph of G u H, d_U <= d_G: only an undercut can violate.
-Each source then runs one distance-only search over G u H.  Its arcs weigh
+Each source then runs distance-only searches over G u H, whose adjacency
+is built once from the graph's and the hopset's own lists.  Its arcs weigh
 w * n plus 1 for a hopset arc, so a target's key n * d_U + c also gives c,
-the fewest hopset edges on any shortest union path.  A source with one
-wanted target meets it halfway, by a Dijkstra from both ends; any other
-runs one Dijkstra that stops once its targets have settled, or, in band
-mode, once keys pass the band's top.  c = 0 proves d_G = d_U; only targets
-with c > 0 (undercut in, or unreachable from, G) go to one oracle sweep
-over G.  Below n - 1, hop-limited Bellman-Ford over the union graph gives
+the fewest hopset edges on any shortest union path.  A source with one or
+two wanted targets meets each halfway, by a Dijkstra from both ends; any
+other runs one Dijkstra that stops once its targets have settled, or, in
+band mode, once keys pass the band's top.  c = 0 proves d_G = d_U; only
+targets with c > 0 (undercut in, or unreachable from, G) go to one oracle
+sweep over G.  Below n - 1, hop-limited Bellman-Ford over the union graph gives
 d^(beta) one source's row at a time, and the oracle sweeps G per source.
 The comparison runs in scaled integers.  There is no tolerance; a violation
 is either a bug or a genuinely failed probabilistic event (the report
@@ -104,40 +105,46 @@ def _union_edges(graph: Graph, hopset: Hopset, den: int):
     return rel
 
 
-def _keyed_adjacency(n: int, rel):
-    """Undirected (neighbor, key weight) lists of tagged union edges.
+def _keyed_adjacency(graph: Graph, hopset: Hopset, den: int):
+    """Undirected (neighbor, key weight) lists of G u H, from `graph.adj`.
 
-    An arc of weight w weighs w * n, plus 1 if it is a hopset arc.  A
-    minimum-key path is simple, so it has at most n - 1 hopset arcs, and a
-    shortest-path key K splits as divmod(K, n) = (d_U, c): the union
-    distance and the fewest hopset edges on any shortest union path.
+    An arc of weight w, scaled by `den`, weighs w * n, plus 1 if it is a
+    hopset arc.  A minimum-key path is simple, so it has at most n - 1
+    hopset arcs, and a shortest-path key K splits as divmod(K, n) =
+    (d_U, c): the union distance and the fewest hopset edges on any
+    shortest union path.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, w, tag in rel:
+    n = graph.n
+    unit = den * n
+    adj = [[(v, w * unit) for v, w in nbrs] for nbrs in graph.adj]
+    for e in hopset.edges:
+        w = e.weight.numerator * den // e.weight.denominator
         if w < 0:
-            raise ValueError(f"negative weight {w} on edge ({u}, {v})")
-        k = w * n + (tag[0] == "h")
-        adj[u].append((v, k))
-        adj[v].append((u, k))
+            raise ValueError(f"negative weight {w} on edge ({e.u}, {e.v})")
+        k = w * n + 1
+        adj[e.u].append((e.v, k))
+        adj[e.v].append((e.u, k))
     return adj
 
 
 def _union_sweep(graph: Graph, keyed, s: int, targets, den: int, hi=None):
-    """(d_G, scaled d_U) for `targets` from one keyed search over G u H.
+    """(d_G, scaled d_U) for `targets` from keyed searches over G u H.
 
-    One target takes its key from `pair_distance`; more take one
-    `dijkstra_all` sweep.  c = 0 means a pure-G path has length d_U, so
-    d_G = d_U.  c > 0 means d_G > d_U or no G path: only those targets take
-    the oracle sweep.  A target unreachable in G u H is unreachable in G,
-    and stays None in both.  Given a band top `hi`, the sweep stops once
-    d_U > hi, and a target it leaves without a key stays None in both, to
-    be skipped as out of band, which it is: d_G >= d_U > hi.
+    Up to two targets take their keys from one `pair_distance` each; more
+    take one `dijkstra_all` sweep.  c = 0 means a pure-G path has length
+    d_U, so d_G = d_U.  c > 0 means d_G > d_U or no G path: only those
+    targets take the oracle sweep.  A target unreachable in G u H is
+    unreachable in G, and stays None in both.  Given a band top `hi`, the
+    sweep stops once d_U > hi, and a target it leaves without a key stays
+    None in both, to be skipped as out of band, which it is:
+    d_G >= d_U > hi.  A pair search has no such stop; its target gets its
+    key, and the band filter on d_G skips it as before.
     """
     n = graph.n
-    if len(targets) == 1:
-        t = targets[0]
+    if len(targets) <= 2:
         key = [None] * n
-        key[t] = pair_distance(keyed, s, t)
+        for t in targets:
+            key[t] = pair_distance(keyed, s, t)
     else:
         limit = None if hi is None else hi * den * n + n - 1
         key = dijkstra_all(keyed, s, targets, limit)
@@ -202,7 +209,6 @@ def verify_stretch(
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     t0 = time.perf_counter()
     den = hopset.weight_den()
-    rel = _union_edges(graph, hopset, den)
     eps = hopset.effective_eps
     beta = hopset.effective_beta
     n = graph.n
@@ -234,8 +240,9 @@ def verify_stretch(
     sources = sorted(wanted)
     keyed = rows = None
     if n > 1 and beta >= n - 1:
-        keyed = _keyed_adjacency(n, rel)  # d^(beta) is the plain distance
+        keyed = _keyed_adjacency(graph, hopset, den)  # d^(beta) is the plain distance
     else:
+        rel = _union_edges(graph, hopset, den)
         rows = hop_limited_rows(n, rel, sources, beta)  # one row per source, ascending
     for s in sources:
         targets = wanted[s] if wanted[s] is not None else range(s + 1, n)

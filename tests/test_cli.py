@@ -1,8 +1,10 @@
+import gc
 import json
 
 import pytest
 
 import hopsets.asp
+import hopsets.cli
 from hopsets import load_dimacs
 from hopsets.cli import EXIT_IO, EXIT_OK, EXIT_PARAM, EXIT_USAGE, EXIT_VIOLATION, main
 
@@ -526,3 +528,60 @@ class TestQuerySources:
         assert exc.value.code == EXIT_USAGE
         assert "--sources" in capsys.readouterr().err
         assert not csv.exists() and not paths.exists()
+
+
+class TestCollectorPause:
+    """`main` runs a command with the cyclic collector paused and hands the
+    caller's collector state back on every exit."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-collects", "caller-paused"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_survives_every_exit_code(self, workspace, capsys, monkeypatch, collecting):
+        graph = gen_graph(workspace)
+        hopset = workspace / "h.hs"
+        undercut = workspace / "undercut.hs"  # 1 -> 8 is 7 on the unit path
+        undercut.write_text("h 1 8 100 1/10\ne 1 8 1/1 0 star\n")
+        bad = workspace / "bad.gr"
+        bad.write_text("p sp 2 1\na 1 2 0\n")
+        io = ["--graph", str(graph)]
+        seen = []
+        real_verify = hopsets.cli.verify_stretch
+
+        def verify_stretch(*args, **kw):
+            seen.append(gc.isenabled())
+            return real_verify(*args, **kw)
+
+        monkeypatch.setattr(hopsets.cli, "verify_stretch", verify_stretch)
+        cases = [
+            (["build", *io, "--out", str(hopset)], EXIT_OK),
+            (["verify", *io, "--hopset", str(hopset)], EXIT_OK),
+            (["query", *io, "--hopset", str(hopset), "--sources", "1", "--out", "x.csv",
+              "--paths", "x.csv"], EXIT_USAGE),
+            (["build", "--graph", str(bad), "--out", str(hopset)], EXIT_IO),
+            (["build", *io, "--out", str(hopset), "--rho", "0.25"], EXIT_PARAM),
+            (["verify", *io, "--hopset", str(undercut)], EXIT_VIOLATION),
+        ]
+        for argv, code in cases:
+            assert run(*argv) == code
+            assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit) as exc:  # argparse's own exit 2, before the pause
+            run("verify", *io)
+        assert exc.value.code == EXIT_USAGE
+        assert gc.isenabled() is collecting
+        assert seen == [False, False]  # paused while the command ran
+
+    def test_state_survives_an_uncaught_exception(self, workspace, monkeypatch, collecting):
+        graph = gen_graph(workspace)
+
+        def broken(path):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(hopsets.cli, "load_dimacs", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            run("build", "--graph", str(graph), "--out", str(workspace / "h.hs"))
+        assert gc.isenabled() is collecting

@@ -4,14 +4,16 @@ A dump -> load round trip is the identity, and a file with mutated,
 truncated, duplicated or reordered lines either loads into something valid
 or raises the parser's format error (`GraphFormatError`,
 `HopsetFormatError`), which the CLI reports with exit code 3.  Any other
-exception is a traceback for the user and fails these tests.
+exception is a traceback for the user and fails these tests.  Each loader
+must also agree with its reference, kept from before its fast paths: the
+same graph or hopset, or the same message with the same line number.
 """
 
 import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsets import (
@@ -27,6 +29,7 @@ from hopsets import (
     validate,
 )
 from hopsets.hopset import FILE_VERSION, _check_vertices, _fraction
+from hopsets.util import opened
 from hopsets.witness import Witnesses
 
 # Replacement tokens stay small, and inserted characters are never digits, so
@@ -106,6 +109,62 @@ def anchored_witnesses(draw, n, size):
     )
     anchors = st.lists(pair, min_size=1, max_size=3).map(lambda ps: sum(ps, ()))
     return Witnesses(forest, draw(st.lists(anchors, min_size=size, max_size=size)))
+
+
+def reference_load_dimacs(source) -> Graph:
+    """`load_dimacs` as it was before it collapsed and sorted its own arcs.
+
+    Kept verbatim: it checks each line, then hands the arcs to
+    `Graph.from_edges`, which checks them again and deduplicates them."""
+    with opened(source) as fh:
+        n = None
+        raw_edges: list[tuple[int, int, int]] = []
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise GraphFormatError("non-ASCII byte", lineno)
+            if isinstance(raw, bytes):
+                raw = raw.decode("ascii")
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if n is not None:
+                    raise GraphFormatError("duplicate problem line", lineno)
+                if len(parts) != 4 or parts[1] != "sp":
+                    raise GraphFormatError(f"malformed problem line {line!r}", lineno)
+                try:
+                    n, m = int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise GraphFormatError(f"malformed problem line {line!r}", lineno)
+                if n < 1:
+                    raise GraphFormatError(f"vertex count {n} < 1", lineno)
+                p_lineno = lineno
+            elif parts[0] == "a":
+                if n is None:
+                    raise GraphFormatError("arc before problem line", lineno)
+                if len(parts) != 4:
+                    raise GraphFormatError(f"malformed arc line {line!r}", lineno)
+                try:
+                    u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise GraphFormatError(f"malformed arc line {line!r}", lineno)
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise GraphFormatError(
+                        f"vertex id out of range [1,{n}] in {line!r}", lineno
+                    )
+                if w < 1:
+                    raise GraphFormatError(f"weight {w} < 1", lineno)
+                if u == v:
+                    raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+                raw_edges.append((u - 1, v - 1, w))
+            else:
+                raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
+        if n is None:
+            raise GraphFormatError("missing problem line", None)
+        if len(raw_edges) != m:
+            raise GraphFormatError(f"p line declares {m} arcs, found {len(raw_edges)}", p_lineno)
+        return Graph.from_edges(n, raw_edges)
 
 
 def reference_load_hopset(source) -> Hopset:
@@ -239,11 +298,11 @@ def _fields(lineno: int, fields: list[str], *kinds) -> list:
 
 
 def _load_or_error(load, text):
-    """The loaded hopset, or the message of the `HopsetFormatError` raised."""
+    """The loaded graph or hopset, or the message of the format error raised."""
     try:
         return load(io.StringIO(text))
-    except HopsetFormatError as exc:
-        return f"HopsetFormatError: {exc}"
+    except (GraphFormatError, HopsetFormatError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _dimacs_text(graph):
@@ -318,12 +377,39 @@ def test_hopset_round_trip_is_identity(hopset):
 @given(graphs(wmax=999), st.data())
 @settings(deadline=None, max_examples=200)
 def test_mutated_dimacs_loads_or_raises_format_error(graph, data):
+    # both loaders load equal graphs or raise the same message, line included
     text = _mutate(data, _dimacs_text(graph))
-    try:
-        loaded = load_dimacs(io.StringIO(text))
-    except GraphFormatError:
+    loaded = _load_or_error(load_dimacs, text)
+    expected = _load_or_error(reference_load_dimacs, text)
+    assert loaded == expected
+    if isinstance(loaded, str):
         return
+    assert loaded.adj == expected.adj
     assert validate(loaded) == []
+
+
+@st.composite
+def arc_files(draw):
+    """DIMACS text whose arcs repeat pairs in both orientations with other
+    weights, and may name a vertex past n, loop, or weigh 0."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(1, n + 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 9)), max_size=12))
+    lines = [f"a {u} {v} {w}" for u, v, w in arcs]
+    m = len(lines) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return "\n".join([f"p sp {n} {m}", *lines]) + "\n"
+
+
+@given(arc_files())
+@example("p sp 3 4\na 1 2 5\na 2 1 3\na 1 2 9\na 3 2 1\n")  # the minimum of each pair
+@example("p sp 2 1\na 2 1 4\n")  # an arc given high end first
+@settings(deadline=None, max_examples=300)
+def test_arc_lines_load_as_reference(text):
+    loaded = _load_or_error(load_dimacs, text)
+    expected = _load_or_error(reference_load_dimacs, text)
+    assert loaded == expected
+    if not isinstance(loaded, str):
+        assert loaded.adj == expected.adj
 
 
 @given(hopsets(), st.data())
@@ -389,6 +475,9 @@ FOREST_HEAD = "h 1 4 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
         ("f 1 2 7\na 0 2 3", "line 5: anchors 2 and 3 are not joined by the forest"),
         ("f 1 2 7\na 0 1 2\na 1 3 4", "line 6: anchors 3 and 4 are not joined by the forest"),
         ("f 1 2 7\na 0 1 2\na 0 2 1", "line 6: duplicate witness for edge 0"),
+        ("f 1 2 7\na 0 1 2\na x 2 1", "line 6: malformed record 'x 2 1'"),
+        ("f 1 2 7\na 0 1 2\na 1 2 5", "line 6: vertex id 5 out of range [1,4]"),
+        ("f 1 2 7\na 0 1 2\na 1 0 2", "line 6: vertex id 0 out of range [1,4]"),
         ("f 1 2 7\np 0 1 2", "line 5: path witness after a forest edge"),
         ("f 1 2 7\na 0 1 2\np 1 2 3", "line 6: path witness after a forest edge"),
         ("f 1 2 7\na 0 1 2", "witness lines do not cover all edges"),
@@ -399,6 +488,13 @@ FOREST_HEAD = "h 1 4 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
         ("e 1 2 4/1 s star", "line 4: malformed record '1 2 4/1 s star'"),
         ("e 1 2 4/1 1 star x", "line 4: expected 5 fields, got 6"),
         ("e 1 2 4/1 1", "line 4: expected 5 fields, got 4"),
+        ("e 1 2 0/1 1 star", "line 4: edge weight 0 is not positive"),
+        ("e 1 2 0/-3 1 star", "line 4: edge weight 0 is not positive"),
+        ("e 1 2 3/-2 1 star", "line 4: edge weight -3/2 is not positive"),
+        ("e 1 2 -3/2 1 star", "line 4: edge weight -3/2 is not positive"),
+        ("e 1 2 -3/-2 1 bogus", "line 4: unknown edge kind 'bogus'"),
+        ("e 1 5 0/1 1 star", "line 4: vertex id 5 out of range [1,4]"),
+        ("e 1 2 0/0 1 star", "line 4: malformed record '1 2 0/0 1 star'"),
     ],
 )
 def test_forest_and_anchor_lines_match_reference(lines, message):
@@ -410,6 +506,29 @@ def test_forest_and_anchor_lines_match_reference(lines, message):
         assert _hopset_text(loaded) == text
     else:
         assert loaded == f"HopsetFormatError: {message}"
+
+
+# a forest joining 1, 2 and 3 (vertex 4 is its own tree), and the first
+# anchor line, which labels the trees: the next two-anchor line takes the
+# loader's fast branch, or falls through to the general one on any fault
+LABELLED_HEAD = FOREST_HEAD + "f 1 2 7\nf 3 2 1\na 0 1 2\n"
+
+
+@given(st.lists(st.sampled_from(TOKENS + ["3", "4", "5"]), max_size=4).map(" ".join))
+@example("1 2 3")  # loads
+@example("1 4 4")  # loads: an anchor outside the forest joins itself
+@example("x 2 3")  # an index that is not an integer
+@example("1 2 x")  # an anchor that is not an integer
+@example("1 2 5")  # an out-of-range vertex
+@example("1 0 2")  # an out-of-range vertex, below 1
+@example("1 0 0")  # two out-of-range vertices that would share a label
+@example("1 5 5")
+@example("0 2 3")  # a duplicate index
+@example("1 3 4")  # anchors the forest does not join
+@settings(deadline=None, max_examples=200)
+def test_anchor_line_after_labelling_matches_reference(fields):
+    text = f"{LABELLED_HEAD}a {fields}\n"
+    assert _load_or_error(load_hopset, text) == _load_or_error(reference_load_hopset, text)
 
 
 # n >= 2**63: a table over every vertex of the header cannot even be sized

@@ -399,11 +399,17 @@ def test_one_union_sweep_per_source(sweeps, build_mode, eps):
     ):
         sweeps.clear()
         assert checked_report(g, hs, mode, **kw)["violation_count"] == 0
-        # each source searched once: by a pair search exactly when it has one target
-        expected = [("pair" if len(wanted[s]) == 1 else "sweep", s) for s in sorted(wanted)]
+        # a source with at most two targets takes one pair search per target,
+        # any other one union sweep
+        expected = []
+        for s in sorted(wanted):
+            n_targets = len(wanted[s])
+            expected += [("pair", s)] * n_targets if n_targets <= 2 else [("sweep", s)]
         assert [(kind, s) for kind, _, s in sweeps] == expected
         assert all(adj is not g.adj for _, adj, _ in sweeps)
-    assert {kind for kind, _ in expected} == {"pair", "sweep"}  # the sample takes both
+        # both kinds, and a source that takes two pair searches
+        assert {kind for kind, _ in expected} == {"pair", "sweep"}
+        assert any(len(wanted[s]) == 2 for s in wanted)
 
     # one hopset edge at half its true distance: an undercut the oracle must price
     e = hs.edges[0]
@@ -458,4 +464,17 @@ def test_hopset_twin_at_graph_weight_is_a_tie(sweeps):
     hs = Hopset(n=n, edges=twins, effective_beta=n - 1, effective_eps=F(0), provenance={})
     report = checked_report(g, hs)
     assert (report["violation_count"], report["max_stretch"]) == (0, "1/1")
-    assert len(sweeps) == n and all(adj is not g.adj for _, adj, _ in sweeps)
+    # no oracle sweep; source s has n - 1 - s targets, so one union search each
+    # but for the last three sources, which take 2, 1 and 0 pair searches
+    searches = sum(k if k <= 2 else 1 for k in range(n))
+    assert len(sweeps) == searches and all(adj is not g.adj for _, adj, _ in sweeps)
+
+
+@pytest.mark.parametrize("beta", [10, 1])
+def test_negative_hopset_weight_is_rejected(beta):
+    # both the keyed union graph (beta >= n - 1) and the Bellman-Ford rows refuse it
+    g = path_graph(4, 1)
+    edge = HopsetEdge(0, 3, F(-1, 2), 0, "star")
+    hs = Hopset(n=4, edges=[edge], effective_beta=beta, effective_eps=F(1, 10), provenance={})
+    with pytest.raises(ValueError, match=r"negative weight -1 on edge \(0, 3\)"):
+        verify_stretch(g, hs)
