@@ -49,12 +49,10 @@ from .hopset import (
 from .scale_reduction import (
     LaminarFamily,
     ScaleGraph,
-    StarEdge,
     activity_stats,
     build_laminar,
     materialize_scale_graph,
     relevant_scales,
-    star_edges,
 )
 from .single_scale import (
     PhaseSchedule,

@@ -49,10 +49,8 @@ def asp_estimates(graph: Graph, hopset: Hopset, sources) -> Iterator[AspResult]:
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     sources = sorted(set(sources))
     check_sources(graph.n, sources)
-    den = hopset.weight_den()
-    rel = _union_edges(graph, hopset, den)
-    rows = hop_limited_rows(graph.n, rel, sources, hopset.effective_beta)
-    return (AspResult(s, den, dist, pred) for s, dist, pred in rows)
+    rows = hop_limited_rows(graph.n, _union_edges(graph, hopset), sources, hopset.effective_beta)
+    return (AspResult(s, hopset.den, dist, pred) for s, dist, pred in rows)
 
 
 def check_sources(n: int, sources) -> None:

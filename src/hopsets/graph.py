@@ -80,11 +80,8 @@ class Graph:
 
     def digest(self) -> str:
         """Content hash over (n, canonical edge list)."""
-        h = hashlib.sha256()
-        h.update(f"gr {self.n}\n".encode())
-        for u, v, w in self.edges:
-            h.update(f"{u} {v} {w}\n".encode())
-        return h.hexdigest()[:16]
+        lines = "".join([f"{u} {v} {w}\n" for u, v, w in self.edges])
+        return hashlib.sha256(f"gr {self.n}\n{lines}".encode()).hexdigest()[:16]
 
     def __eq__(self, other):
         return (

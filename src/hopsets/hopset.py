@@ -23,7 +23,6 @@ from .scale_reduction import (
     build_laminar,
     materialize_scale_graph,
     relevant_scales,
-    star_edges,
 )
 from .single_scale import (
     PhaseSchedule,
@@ -190,9 +189,11 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
 
 @dataclass
 class HopsetEdge:
+    """An edge of weight w / den, `den` being its hopset's denominator."""
+
     u: int
     v: int
-    weight: Fraction
+    w: int
     scale: int
     kind: str
 
@@ -201,17 +202,21 @@ class HopsetEdge:
 class Hopset:
     """A built hopset with its guarantee and provenance.
 
-    Every edge weight dominates the true distance between its endpoints, so
-    adding the hopset never shortens any distance; the contract is that
-    (effective_beta)-limited distances in the union graph stay within
-    (1 + effective_eps) of true distances.  `witnesses` is None unless the
-    build recorded paths; then it holds one graph path per edge, as a list
-    (direct mode) or as a `Witnesses` that keeps reduced-mode paths as
-    merge-forest anchors and expands each when it is first read.
+    Edge weights are integers over one denominator `den`; built and loaded
+    hopsets carry the least one, and rationals appear only where a file or
+    report is written or read.  Every edge weight dominates the true
+    distance between its endpoints, so adding the hopset never shortens any
+    distance; the contract is that (effective_beta)-limited distances in the
+    union graph stay within (1 + effective_eps) of true distances.
+    `witnesses` is None unless the build recorded paths; then it holds one
+    graph path per edge, as a list (direct mode) or as a `Witnesses` that
+    keeps reduced-mode paths as merge-forest anchors and expands each when
+    it is first read.
     """
 
     n: int
     edges: list[HopsetEdge]
+    den: int
     effective_beta: int
     effective_eps: Fraction
     provenance: dict
@@ -231,14 +236,19 @@ class Hopset:
     def star_count(self) -> int:
         return sum(1 for e in self.edges if e.kind == "star")
 
-    def weight_den(self) -> int:
-        """The least common denominator of the edge weights."""
-        return math.lcm(*(e.weight.denominator for e in self.edges))
-
 
 def _edge_key(e: HopsetEdge) -> tuple:
     """The canonical edge order of built hopsets and their files."""
-    return (e.scale, e.u, e.v, KIND_ORDER[e.kind], e.weight)
+    return (e.scale, e.u, e.v, KIND_ORDER[e.kind], e.w)
+
+
+def _lowest_den(edges: list[HopsetEdge], den: int) -> int:
+    """Divide `den` and every weight over it by their gcd, in place; return the new den."""
+    g = math.gcd(den, *(e.w for e in edges))
+    if g > 1:
+        for e in edges:
+            e.w //= g
+    return den // g
 
 
 def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
@@ -268,9 +278,17 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
 
     if params.mode == "reduced":
         laminar = build_laminar(graph, bp.eps_reduction)
-        for s in star_edges(laminar):
-            edges.append(HopsetEdge(s.u, s.v, s.weight, s.scale, "star"))
-            records.append((s.u, s.v))
+        # One star per (merge event, absorbed vertex), from the surviving center,
+        # weighing (eps/n) * 2**k * |U| for the merged node U.  It dominates the
+        # distance: U's spanning tree joins center and vertex in at most |U| - 1
+        # edges, each below (eps/n) * 2**k.
+        for ev in laminar.events:
+            w = ev.size_after * (bp.pad << ev.scale)
+            for z in ev.members_absorbed:
+                edges.append(HopsetEdge(ev.survivor_center, z, w, ev.scale, "star"))
+                records.append((ev.survivor_center, z))
+        # at most n*log2(n) stars: the bound is structural, so asserted, not reported
+        assert len(edges) <= graph.n * math.log2(graph.n) + 1e-9, "star set exceeded n*log2(n)"
         scales = relevant_scales(graph)
     else:
         weights = sorted((w for _, _, w in graph.edges), reverse=True)
@@ -293,9 +311,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         )
         stats["scales"][k] = {"edges": len(ss.edges), "phases": [dict(vars(p)) for p in ss.stats]}
         for e in ss.edges:
-            edges.append(
-                HopsetEdge(centers[e.u], centers[e.v], Fraction(e.w, bp.den), k, e.kind)
-            )
+            edges.append(HopsetEdge(centers[e.u], centers[e.v], e.w, k, e.kind))
             if not record:
                 records.append(())
             elif laminar is None:
@@ -323,6 +339,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
     hs = Hopset(
         n=graph.n,
         edges=edges,
+        den=_lowest_den(edges, bp.den),
         effective_beta=bp.effective_beta,
         effective_eps=bp.effective_eps,
         provenance=provenance,
@@ -400,8 +417,9 @@ def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
                 ok = False
                 break
             total += w
-        if ok and Fraction(total) > edge.weight:
-            problems.append(f"edge {i}: witness weight {total} > edge weight {edge.weight}")
+        if ok and total * hopset.den > edge.w:
+            weight = Fraction(edge.w, hopset.den)
+            problems.append(f"edge {i}: witness weight {total} > edge weight {weight}")
     return problems
 
 
@@ -414,19 +432,18 @@ def hopset_from_single_scale(
 ) -> Hopset:
     """Wrap one single-scale result, built from `sched`, as a standalone hopset.
 
-    Its edge weights are scaled integers over `den`.
-
-    The contract carried over is the band guarantee: hop budget 2*h_ell + 1
-    with stretch slack zeta = 32*(ell+1)*eps on pairs at distance in
-    (2**k, 2**(k+1)].
+    `ss`'s edge weights are integers over `den`; the hopset keeps them over
+    the least denominator.  The contract carried over is the band
+    guarantee: hop budget 2*h_ell + 1 with stretch slack
+    zeta = 32*(ell+1)*eps on pairs at distance in (2**k, 2**(k+1)].
     """
-    edges = [
-        HopsetEdge(e.u, e.v, Fraction(e.w, den), scale_index, e.kind)
-        for e in ss.edges
-    ]
+    edges = sorted(
+        (HopsetEdge(e.u, e.v, e.w, scale_index, e.kind) for e in ss.edges), key=_edge_key
+    )
     return Hopset(
         n=graph.n,
-        edges=sorted(edges, key=_edge_key),
+        edges=edges,
+        den=_lowest_den(edges, den),
         effective_beta=sched.beta,
         effective_eps=sched.zeta,
         provenance={"mode": "single-scale", "scale": str(scale_index)},
@@ -437,10 +454,12 @@ FILE_VERSION = 1
 
 
 def dump_hopset(hopset: Hopset, out: TextIO) -> None:
-    """Serialize; exact rationals as num/den, vertices 1-based.
+    """Serialize; exact rationals as num/den in lowest terms, vertices 1-based.
 
-    Output is byte-deterministic for a given hopset: provenance keys sorted,
-    edges in stored (already canonical) order, witnesses by edge index.  A
+    An edge weight w over the hopset's `den` is written as w/den divided by
+    their gcd.  Output is byte-deterministic for a given hopset: provenance
+    keys sorted, edges in stored (already canonical) order, witnesses by
+    edge index.  A
     `Witnesses` is written as stored, never expanded: its forest as `f`
     lines, then each edge's anchors as an `a` line; other witnesses are
     paths, written as `p` lines.  Vertex ids are written from one table of
@@ -455,15 +474,11 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
         f"{eps.numerator}/{eps.denominator}\n"
     )
     ids = _IdStrings()
-    out.write(
-        "".join(
-            [
-                f"e {ids[e.u]} {ids[e.v]} {e.weight.numerator}/{e.weight.denominator} "
-                f"{e.scale} {e.kind}\n"
-                for e in hopset.edges
-            ]
-        )
-    )
+    den, lines = hopset.den, []
+    for e in hopset.edges:
+        g = math.gcd(e.w, den)
+        lines.append(f"e {ids[e.u]} {ids[e.v]} {e.w // g}/{den // g} {e.scale} {e.kind}\n")
+    out.write("".join(lines))
     wit = hopset.witnesses
     if wit is None:
         return
@@ -492,16 +507,19 @@ def load_hopset(source) -> Hopset:
     join.  A file with `f` lines loads them as a `Witnesses`, unexpanded.
     Each record is checked once, in the order of its checks' messages.  The
     frequent records go first: an `e` line's weight sign is checked on its
-    parsed integers, and once the first `a` line has labelled the forest's
-    trees, an `a` line with two anchors that passes every check is read
-    straight from the labels; any other line, and any such line that fails
-    a check, takes the general branch, which names its fault.
+    parsed integers, which are then put in lowest terms, and once the first
+    `a` line has labelled the forest's trees, an `a` line with two anchors
+    that passes every check is read straight from the labels; any other
+    line, and any such line that fails a check, takes the general branch,
+    which names its fault.  After the last line, each weight is scaled once
+    to the lcm of the denominators, the hopset's `den`.
     """
     with opened(source) as fh:
         provenance: dict = {}
         header = None
         n = 0
         edges: list[HopsetEdge] = []
+        dens: list[int] = []  # each edge's weight is edges[i].w / dens[i], in lowest terms
         witnesses: dict[int, tuple[int, ...]] = {}
         forest: list[tuple[int, int, int]] = []
         root: dict[int, int] = {}  # union-find over the vertices `f` lines name, 0-based
@@ -552,7 +570,9 @@ def load_hopset(source) -> Hopset:
                     )
                 if kind not in KIND_ORDER:
                     raise HopsetFormatError(f"unknown edge kind {kind!r}", lineno)
-                edges.append(HopsetEdge(u - 1, v - 1, Fraction(num, den), scale, kind))
+                g = math.gcd(num, den)  # num and den share a sign: keep |num| / |den|
+                edges.append(HopsetEdge(u - 1, v - 1, abs(num) // g, scale, kind))
+                dens.append(abs(den) // g)
             elif tag == "f":
                 if header is None:
                     raise HopsetFormatError("forest edge before header", lineno)
@@ -624,6 +644,10 @@ def load_hopset(source) -> Hopset:
         if header is None:
             raise HopsetFormatError("missing header line")
         n, beta, eps = header
+        common = math.lcm(*dens)
+        for e, d in zip(edges, dens):
+            if d != common:
+                e.w *= common // d
         wit = None
         if witnesses or forest:
             if sorted(witnesses) != list(range(len(edges))):
@@ -634,6 +658,7 @@ def load_hopset(source) -> Hopset:
         return Hopset(
             n=n,
             edges=edges,
+            den=common,
             effective_beta=beta,
             effective_eps=eps,
             provenance=provenance,

@@ -1,11 +1,12 @@
-"""Aspect-ratio elimination: contracted per-scale graphs and the star set.
+"""Aspect-ratio elimination: contracted per-scale graphs and their merge history.
 
 For scale k, the contracted graph keeps original edges of weight at most
 2**(k+2) and contracts every edge of weight strictly below (eps/n) * 2**k.
-Contractions across all scales form a laminar family of "nodes"; every merge
-of a smaller node into a larger one adds star edges from the surviving
-center to the absorbed vertices, padded so they can never undershoot true
-distances.  Contracted-graph edge weights carry the same padding:
+Contractions across all scales form a laminar family of "nodes"; from every
+merge of a smaller node into a larger one the build writes star edges from
+the surviving center to the absorbed vertices, padded so they can never
+undershoot true distances.  Contracted-graph edge weights carry the same
+padding:
 
     W(X, Y) = w(x, y) + (eps/n) * 2**k * (|X| + |Y|)
 
@@ -214,35 +215,6 @@ def build_laminar(graph: Graph, eps) -> LaminarFamily:
         )
     events.sort(key=lambda ev: ev.scale)
     return LaminarFamily(graph, eps, events)
-
-
-@dataclass(frozen=True)
-class StarEdge:
-    """Hopset edge from a node center to an absorbed vertex."""
-
-    u: int  # surviving center
-    v: int  # absorbed vertex
-    scale: int
-    weight: Fraction
-
-
-def star_edges(laminar: LaminarFamily) -> list[StarEdge]:
-    """One padded edge per (merge event, absorbed vertex).
-
-    Weight (eps/n) * 2**k * |U| dominates the true center-to-vertex distance
-    because the node's spanning tree connects them with at most |U|-1 edges,
-    each below (eps/n) * 2**k.  The total count is at most n*log2(n); that
-    bound is structural, so it is asserted here rather than reported.
-    """
-    n, eps = laminar.n, laminar.eps
-    num, den = eps.numerator, eps.denominator * n
-    out: list[StarEdge] = []
-    for ev in laminar.events:
-        w = Fraction(num * ev.size_after << ev.scale, den)
-        for z in ev.members_absorbed:
-            out.append(StarEdge(ev.survivor_center, z, ev.scale, w))
-    assert len(out) <= n * math.log2(n) + 1e-9, "star set exceeded n*log2(n)"
-    return out
 
 
 @dataclass

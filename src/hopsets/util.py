@@ -1,8 +1,9 @@
 """Small numeric and seeding helpers shared across the package.
 
-All distance arithmetic in this package is exact.  Rational quantities are
-`fractions.Fraction`; hot loops run on plain integers obtained by rescaling
-every weight by a single per-build denominator (see `to_scaled`).
+All distance arithmetic in this package is exact.  Parameters are
+`fractions.Fraction`; a build converts its thresholds to integers over one
+denominator (see `to_scaled`), and a hopset keeps its edge weights as
+integers over its own.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ band mode, once keys pass the band's top.  c = 0 proves d_G = d_U; only
 targets with c > 0 (undercut in, or unreachable from, G) go to one oracle
 sweep over G.  Below n - 1, hop-limited Bellman-Ford over the union graph gives
 d^(beta) one source's row at a time, and the oracle sweeps G per source.
-The comparison runs in scaled integers.  There is no tolerance; a violation
-is either a bug or a genuinely failed probabilistic event (the report
-carries the seed material to replay it).
-Size and load bounds exceeded are reported as outliers, not contract
-violations.
+Distances are integers over the hopset's `den`, and stretches are compared
+as integer pairs; only the reported maximum and the listed violations
+become rationals.  There is no tolerance; a violation is either a bug or
+a genuinely failed probabilistic event (the report carries the seed
+material to replay it).  Size and load bounds exceeded are reported as
+outliers, not contract violations.
 """
 
 from __future__ import annotations
@@ -97,31 +98,30 @@ def exact_apsp(graph: Graph) -> list[list[int | None]]:
     return [dijkstra_all(graph.adj, s) for s in range(graph.n)]
 
 
-def _union_edges(graph: Graph, hopset: Hopset, den: int):
+def _union_edges(graph: Graph, hopset: Hopset):
+    """Tagged (u, v, weight, tag) edges of G u H, weights over the hopset's den."""
+    den = hopset.den
     rel = [(u, v, w * den, ("g", i)) for i, (u, v, w) in enumerate(graph.edges)]
-    for i, e in enumerate(hopset.edges):
-        w = e.weight.numerator * den // e.weight.denominator
-        rel.append((e.u, e.v, w, ("h", i)))
+    rel += [(e.u, e.v, e.w, ("h", i)) for i, e in enumerate(hopset.edges)]
     return rel
 
 
-def _keyed_adjacency(graph: Graph, hopset: Hopset, den: int):
+def _keyed_adjacency(graph: Graph, hopset: Hopset):
     """Undirected (neighbor, key weight) lists of G u H, from `graph.adj`.
 
-    An arc of weight w, scaled by `den`, weighs w * n, plus 1 if it is a
+    An arc of weight w over the hopset's den weighs w * n, plus 1 if it is a
     hopset arc.  A minimum-key path is simple, so it has at most n - 1
     hopset arcs, and a shortest-path key K splits as divmod(K, n) =
     (d_U, c): the union distance and the fewest hopset edges on any
     shortest union path.
     """
     n = graph.n
-    unit = den * n
+    unit = hopset.den * n
     adj = [[(v, w * unit) for v, w in nbrs] for nbrs in graph.adj]
     for e in hopset.edges:
-        w = e.weight.numerator * den // e.weight.denominator
-        if w < 0:
-            raise ValueError(f"negative weight {w} on edge ({e.u}, {e.v})")
-        k = w * n + 1
+        if e.w < 0:
+            raise ValueError(f"negative weight {e.w} on edge ({e.u}, {e.v})")
+        k = e.w * n + 1
         adj[e.u].append((e.v, k))
         adj[e.v].append((e.u, k))
     return adj
@@ -208,7 +208,7 @@ def verify_stretch(
     if hopset.n != graph.n:
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     t0 = time.perf_counter()
-    den = hopset.weight_den()
+    den = hopset.den
     eps = hopset.effective_eps
     beta = hopset.effective_beta
     n = graph.n
@@ -234,15 +234,15 @@ def verify_stretch(
         lo, hi = 2**band, 2 ** (band + 1)
 
     pairs_checked = 0
-    max_stretch: Fraction | None = None
+    top = None  # the largest stretch so far, as a pair (d_limited, d_true), both over den
     violations: list[dict] = []
     total_violations = 0
     sources = sorted(wanted)
     keyed = rows = None
     if n > 1 and beta >= n - 1:
-        keyed = _keyed_adjacency(graph, hopset, den)  # d^(beta) is the plain distance
+        keyed = _keyed_adjacency(graph, hopset)  # d^(beta) is the plain distance
     else:
-        rel = _union_edges(graph, hopset, den)
+        rel = _union_edges(graph, hopset)
         rows = hop_limited_rows(n, rel, sources, beta)  # one row per source, ascending
     for s in sources:
         targets = wanted[s] if wanted[s] is not None else range(s + 1, n)
@@ -258,15 +258,12 @@ def verify_stretch(
             if lo is not None and not (lo < dg <= hi):
                 continue
             pairs_checked += 1
-            dl = lim[v]
-            stretch = None
-            if dl is not None:
-                stretch = Fraction(dl, dg * den)
-                if max_stretch is None or stretch > max_stretch:
-                    max_stretch = stretch
+            dl, dt = lim[v], dg * den
+            if dl is not None and (top is None or dl * top[1] > top[0] * dt):
+                top = (dl, dt)
             # both sides of the contract: no undercut below the true
             # distance, no overshoot beyond (1 + eps) times it
-            if dl is None or dl < dg * den or dl * eps.denominator > dg * den * (
+            if dl is None or dl < dt or dl * eps.denominator > dt * (
                 eps.numerator + eps.denominator
             ):
                 total_violations += 1
@@ -277,7 +274,7 @@ def verify_stretch(
                             "v": v,
                             "d_true": dg,
                             "d_limited": _frac(Fraction(dl, den)) if dl is not None else None,
-                            "stretch": _frac(stretch),
+                            "stretch": _frac(Fraction(dl, dt)) if dl is not None else None,
                         }
                     )
     load = None
@@ -289,7 +286,7 @@ def verify_stretch(
         effective_beta=beta,
         effective_eps=eps,
         pairs_checked=pairs_checked,
-        max_stretch=max_stretch,
+        max_stretch=None if top is None else Fraction(*top),
         violations=violations,
         violation_total=total_violations,
         per_scale_sizes=hopset.per_scale_sizes(),

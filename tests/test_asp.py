@@ -26,7 +26,7 @@ from hopsets.hopset import HopsetEdge
 
 
 def empty_hopset(n, beta):
-    return Hopset(n=n, edges=[], effective_beta=beta, effective_eps=F(1, 10), provenance={})
+    return Hopset(n=n, edges=[], den=1, effective_beta=beta, effective_eps=F(1, 10), provenance={})
 
 
 def rows(graph, hopset, sources):
@@ -333,7 +333,8 @@ class TestWritePaths:
         g = Graph.from_edges(5, [(0, 2, 1), (2, 4, 1), (4, 3, 1), (3, 1, 1)])
         hs = Hopset(
             n=5,
-            edges=[HopsetEdge(0, 4, F(2), 1, "star"), HopsetEdge(1, 4, F(2), 1, "star")],
+            edges=[HopsetEdge(0, 4, 2, 1, "star"), HopsetEdge(1, 4, 2, 1, "star")],
+            den=1,
             effective_beta=2,
             effective_eps=F(1, 10),
             provenance={},

@@ -1,11 +1,17 @@
+import functools
 import gc
+import hashlib
+import io
 import json
+import math
+import random
+import time
 
 import pytest
 
 import hopsets.asp
 import hopsets.cli
-from hopsets import load_dimacs
+from hopsets import dump_dimacs, load_dimacs, load_hopset, path_graph
 from hopsets.cli import EXIT_IO, EXIT_OK, EXIT_PARAM, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -585,3 +591,78 @@ class TestCollectorPause:
         with pytest.raises(RuntimeError, match="boom"):
             run("build", "--graph", str(graph), "--out", str(workspace / "h.hs"))
         assert gc.isenabled() is collecting
+
+
+def is_prime(x):
+    """Miller-Rabin, deterministic for odd x < 3.4e14 (bases 2..17)."""
+    d, r = x - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17):
+        y = pow(a, d, x)
+        if y in (1, x - 1):
+            continue
+        for _ in range(r - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# the verify report of `hostile_hopset`, as the Fraction-weighted loader gave it
+HOSTILE_REPORT = "25fd8e26e637644a"
+
+
+@functools.cache
+def hostile_hopset():
+    """(text, denominators) of a hopset file for the unit path(50) whose 2,000 `e`
+    lines have the 2,000 primes above 2**40 as denominators: their lcm has some
+    80,000 bits.  The weights alternate just under and just over the distance v - u."""
+    primes, x = [], 2**40 + 1
+    while len(primes) < 2000:
+        if is_prime(x):
+            primes.append(x)
+        x += 2
+    rng = random.Random(1)
+    lines = ["h 1 50 50 1/10\n"]
+    for i, q in enumerate(primes):
+        u, v = sorted(rng.sample(range(1, 51), 2))
+        num = (v - u) * q + (1 if i % 2 else -1) * rng.randrange(1, q)
+        lines.append(f"e {u} {v} {num}/{q} 1 star\n")
+    return "".join(lines), primes
+
+
+class TestHostileDenominators:
+    """Distinct large prime denominators: the loader scales each weight once to
+    their lcm, and verify keeps its exact report."""
+
+    BOUND_S = 2.0  # each took about 0.13 s on 2 cores
+
+    def test_load_and_stats_finish_within_the_bound(self, workspace, capsys):
+        text, primes = hostile_hopset()
+        t0 = time.perf_counter()
+        hs = load_hopset(io.StringIO(text))
+        assert time.perf_counter() - t0 < self.BOUND_S
+        assert hs.den == math.lcm(*primes)
+        hopset = workspace / "h.hs"
+        hopset.write_text(text)
+        t0 = time.perf_counter()
+        assert run("stats", "--hopset", str(hopset)) == EXIT_OK
+        assert time.perf_counter() - t0 < self.BOUND_S
+        assert capsys.readouterr().out.splitlines()[0] == "edges           2000"
+
+    def test_verify_report_is_unchanged(self, workspace):
+        hopset, graph, report = workspace / "h.hs", workspace / "g.gr", workspace / "r.json"
+        hopset.write_text(hostile_hopset()[0])
+        with open(graph, "w") as fh:
+            dump_dimacs(path_graph(50, 1), fh)
+        code = run("verify", "--graph", str(graph), "--hopset", str(hopset),
+                   "--pairs", "sample:40:1", "--report", str(report))
+        assert code == EXIT_VIOLATION
+        payload = json.loads(report.read_text())
+        del payload["wall_time"]
+        assert payload["violation_count"] == 39  # pairs where an undercutting line wins
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == HOSTILE_REPORT

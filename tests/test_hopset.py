@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction as F
 
@@ -256,7 +257,7 @@ class TestBuildReduced:
         assert hs.edges
         for e in hs.edges:
             d = dijkstra_all(g.adj, e.u)[e.v]
-            assert d is not None and e.weight >= d, (e.u, e.v, e.weight, d)
+            assert d is not None and e.w >= d * hs.den, (e.u, e.v, F(e.w, hs.den), d)
 
     def test_disconnected_graph(self):
         edges = [(0, 1, 2), (1, 2, 3), (4, 5, 7)]
@@ -281,6 +282,100 @@ class TestBuildReduced:
         g.adj[1][0] = (0, 0)
         with pytest.raises(HopsetError, match="invalid graph"):
             build_hopset(g, reduced_params())
+
+
+def reference_star_edges(lam):
+    """(u, v, scale, weight) of each star, by the rule of the former `star_edges`.
+
+    One per (merge event, absorbed vertex): (eps/n) * 2**k * |U| from the
+    surviving center, for U the merged node."""
+    n, eps = lam.n, lam.eps
+    num, den = eps.numerator, eps.denominator * n
+    out = []
+    for ev in lam.events:
+        w = F(num * ev.size_after << ev.scale, den)
+        out += [(ev.survivor_center, z, ev.scale, w) for z in ev.members_absorbed]
+    return out
+
+
+class TestStarEdges:
+    """The `kind == "star"` edges of reduced builds, written from the merge events."""
+
+    @staticmethod
+    def stars(g, **kw):
+        hs = build_hopset(g, reduced_params(**kw))
+        return [(e.u, e.v, e.scale, F(e.w, hs.den)) for e in hs.edges if e.kind == "star"]
+
+    def test_no_merges_no_stars(self):
+        assert self.stars(Graph.from_edges(3, [])) == []
+
+    def test_single_merge_weight(self):
+        g = Graph.from_edges(2, [(0, 1, 1)])
+        ((u, v, k, w),) = self.stars(g)
+        assert (u, v, k) == (0, 1, build_laminar(g, F(1, 20)).events[0].scale)
+        assert w == F(1, 20) * 2**k * 2 / 2
+
+    def test_unit_path_eight(self):
+        stars = self.stars(path_graph(8, 1))
+        assert len(stars) <= 8 * 3  # n log2 n
+        # each merge absorbs one singleton on this instance
+        assert len(stars) == 7
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_count_bound_random(self, seed):
+        g = er_graph(128, 0.08, 1, 100, seed=seed)
+        stars = self.stars(g)
+        assert len(stars) <= 128 * math.log2(128)
+        assert sorted(stars) == sorted(reference_star_edges(build_laminar(g, F(1, 20))))
+
+    def test_star_weight_dominates_distance(self):
+        g = er_graph(40, 0.2, 1, 30, seed=4)
+        for u, v, _, w in self.stars(g):
+            assert dijkstra_all(g.adj, u)[v] <= w
+
+
+def least_den(hs):
+    """The lcm of the edge weights' denominators in lowest terms."""
+    return math.lcm(*(F(e.w, hs.den).denominator for e in hs.edges))
+
+
+class TestDenominator:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            reduced_params(seed=3),
+            reduced_params(eps_target="0.45", kappa=3, rho="0.4", path_reporting=True),
+            HopsetParams.make(mode="direct", eps_target="0.3", seed=2),
+            HopsetParams.make(mode="direct", eps_target="1", seed=5, path_reporting=True),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "graph",
+        [er_graph(80, 0.08, 1, 10**9, seed=1), path_graph(48, 2), Graph.from_edges(4, [])],
+        ids=["er-wide", "geo-path", "edgeless"],
+    )
+    def test_built_and_loaded_den_is_the_least(self, graph, params):
+        hs = build_hopset(graph, params)
+        assert hs.den == least_den(hs)
+        assert plan(params, graph.n).den % hs.den == 0  # the build's den, reduced once
+        loaded = load_hopset(io.StringIO(_dumps(hs)))
+        assert loaded.den == hs.den
+        assert [e.w for e in loaded.edges] == [e.w for e in hs.edges]
+
+    @pytest.mark.parametrize(
+        "weights,den,ws",
+        [
+            ([], 1, []),
+            (["5/1"], 1, [5]),
+            (["1/6", "3/4", "5/1"], 12, [2, 9, 60]),
+            (["2/4", "6/4"], 2, [1, 3]),  # each line in lowest terms
+            (["-1/-2", "-3/-1"], 2, [1, 6]),  # the signs cancel
+        ],
+    )
+    def test_loaded_den_is_the_lcm_of_lowest_denominators(self, weights, den, ws):
+        text = "h 1 3 5 1/10\n" + "".join(f"e 1 2 {w} 1 star\n" for w in weights)
+        loaded = load_hopset(io.StringIO(text))
+        assert (loaded.den, [e.w for e in loaded.edges]) == (den, ws)
 
 
 class TestBuildDirect:
@@ -357,7 +452,7 @@ class TestWitnesses:
         assert validate_witnesses(g, hs) == []
         for e, path in zip(hs.edges, hs.witnesses):
             total = sum(g.weight(a, b) for a, b in zip(path, path[1:]))
-            assert F(total) == e.weight  # exact equality in direct mode
+            assert total * hs.den == e.w  # exact equality in direct mode
 
     def test_star_witness_bounded_by_tree_budget(self):
         g = er_graph(40, 0.2, 1, 4, seed=5)
@@ -367,18 +462,26 @@ class TestWitnesses:
             if e.kind != "star":
                 continue
             total = sum(g.weight(a, b) for a, b in zip(path, path[1:]))
-            assert F(total) <= e.weight
+            assert total * hs.den <= e.w
 
     def test_empty_witness_is_a_problem(self):
         g = path_graph(4, 2)
-        edge = HopsetEdge(0, 3, F(7), 1, "star")
-        hs = Hopset(4, [edge], 1, F(1, 10), {}, witnesses=[()])
+        edge = HopsetEdge(0, 3, 7, 1, "star")
+        hs = Hopset(4, [edge], 1, 1, F(1, 10), {}, witnesses=[()])
         assert validate_witnesses(g, hs) == ["edge 0: empty witness"]
+
+    @pytest.mark.parametrize(
+        "w,problems", [(5, ["edge 0: witness weight 3 > edge weight 5/2"]), (6, [])]
+    )
+    def test_witness_heavier_than_its_edge_is_a_problem(self, w, problems):
+        g = path_graph(4, 2)  # weights 1, 2, 4: the path 1, 2, 3 weighs 3
+        hs = Hopset(4, [HopsetEdge(0, 2, w, 1, "star")], 2, 1, F(1, 10), {}, witnesses=[(0, 1, 2)])
+        assert validate_witnesses(g, hs) == problems
 
     def test_forest_step_off_the_graph_is_a_problem(self):
         g = path_graph(4, 2)
         witnesses = Witnesses([(0, 2, 1)], [(0, 2)])
-        hs = Hopset(4, [HopsetEdge(0, 2, F(3), 1, "star")], 1, F(1, 10), {}, witnesses=witnesses)
+        hs = Hopset(4, [HopsetEdge(0, 2, 3, 1, "star")], 1, 1, F(1, 10), {}, witnesses=witnesses)
         assert validate_witnesses(g, hs) == ["edge 0: (1,3) is not a graph edge"]
 
     def test_build_verify_and_stats_expand_no_witness(self, tmp_path, monkeypatch):
@@ -488,8 +591,9 @@ class TestDeterminismAndFiles:
         assert loaded.effective_beta == hs.effective_beta
         assert loaded.effective_eps == hs.effective_eps
         assert loaded.witnesses == hs.witnesses
-        assert [(e.u, e.v, e.weight, e.scale, e.kind) for e in loaded.edges] == [
-            (e.u, e.v, e.weight, e.scale, e.kind) for e in hs.edges
+        assert loaded.den == hs.den
+        assert [(e.u, e.v, e.w, e.scale, e.kind) for e in loaded.edges] == [
+            (e.u, e.v, e.w, e.scale, e.kind) for e in hs.edges
         ]
 
     @pytest.mark.parametrize(
@@ -553,6 +657,7 @@ class TestScalePartition:
             restricted = Hopset(
                 n=hs.n,
                 edges=[e for e in hs.edges if e.scale > k],
+                den=hs.den,
                 effective_beta=hs.effective_beta,
                 effective_eps=hs.effective_eps,
                 provenance=hs.provenance,

@@ -10,6 +10,7 @@ same graph or hopset, or the same message with the same line number.
 """
 
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -60,12 +61,12 @@ def hopsets(draw):
     vertex = st.integers(0, n - 1)
     weight = st.builds(Fraction, st.integers(1, 10**15), st.integers(1, 10**6))
     kind = st.sampled_from(["star", "supercluster", "interconnect"])
-    edges = draw(
-        st.lists(
-            st.builds(HopsetEdge, vertex, vertex, weight, st.integers(-2, 60), kind),
-            max_size=6,
-        )
+    rows = draw(
+        st.lists(st.tuples(vertex, vertex, weight, st.integers(-2, 60), kind), max_size=6)
     )
+    # integer weights over the least common denominator, as builds and loads keep them
+    den = math.lcm(*(w.denominator for _, _, w, _, _ in rows))
+    edges = [HopsetEdge(u, v, int(w * den), scale, k) for u, v, w, scale, k in rows]
     witnesses = None
     if edges and draw(st.booleans()):
         path = st.lists(vertex, min_size=1, max_size=4).map(tuple)
@@ -78,6 +79,7 @@ def hopsets(draw):
     return Hopset(
         n=n,
         edges=edges,
+        den=den,
         effective_beta=draw(st.integers(0, 10**12)),
         effective_eps=draw(weight),
         provenance=provenance,
@@ -171,10 +173,12 @@ def reference_load_hopset(source) -> Hopset:
     """`load_hopset` as it was before its `p` branch converted with `map`.
 
     Kept verbatim, but for the two later checks that the header epsilon is
-    positive and the edge kind is one a build writes, and for the `f` and
-    `a` lines of forest-anchored witnesses (with the check that no `p` line
+    positive and the edge kind is one a build writes, for the `f` and `a`
+    lines of forest-anchored witnesses (with the check that no `p` line
     follows an `f` line), whose forest is checked here by relabelling each
-    merged tree instead of by union-find."""
+    merged tree instead of by union-find, and for the edge weights: each is
+    read as a `Fraction`, and all are put over their least common
+    denominator at the end."""
     close = False
     if isinstance(source, (str, bytes)):
         fh = open(source, "r", encoding="ascii")
@@ -267,6 +271,9 @@ def reference_load_hopset(source) -> Hopset:
         if header is None:
             raise HopsetFormatError("missing header line")
         n, beta, eps = header
+        den = math.lcm(*(e.w.denominator for e in edges))
+        for e in edges:
+            e.w = int(e.w * den)
         wit = None
         if witnesses or forest:
             if sorted(witnesses) != list(range(len(edges))):
@@ -277,6 +284,7 @@ def reference_load_hopset(source) -> Hopset:
         return Hopset(
             n=n,
             edges=edges,
+            den=den,
             effective_beta=beta,
             effective_eps=eps,
             provenance=provenance,
@@ -422,7 +430,7 @@ def test_mutated_hopset_loads_or_raises_format_error(hopset, data):
     if isinstance(loaded, str):
         return
     for e in loaded.edges:
-        assert 0 <= e.u < loaded.n and 0 <= e.v < loaded.n and e.weight > 0
+        assert 0 <= e.u < loaded.n and 0 <= e.v < loaded.n and e.w > 0
     for path in loaded.witnesses or ():
         assert all(0 <= x < loaded.n for x in path)
 

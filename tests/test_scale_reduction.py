@@ -19,7 +19,6 @@ from hopsets import (
     path_graph,
     plan,
     relevant_scales,
-    star_edges,
 )
 from hopsets.scale_reduction import MergeEvent, NodesView, contraction_scale
 from hopsets.util import to_scaled
@@ -101,42 +100,6 @@ class TestBuildLaminar:
             build_laminar(g, F(1, 2))
         with pytest.raises(ValueError):
             build_laminar(g, 0)
-
-
-class TestStarEdges:
-    def test_no_merges_no_stars(self):
-        g = Graph.from_edges(3, [])
-        lam = build_laminar(g, F(1, 4))
-        assert star_edges(lam) == []
-
-    def test_single_merge_weight(self):
-        g = Graph.from_edges(2, [(0, 1, 1)])
-        lam = build_laminar(g, F(1, 4))
-        (s,) = star_edges(lam)
-        k = lam.events[0].scale
-        assert (s.u, s.v, s.scale) == (0, 1, k)
-        assert s.weight == F(1, 4) * 2**k * 2 / 2
-
-    def test_unit_path_eight(self):
-        g = path_graph(8, 1)
-        lam = build_laminar(g, F(1, 4))
-        stars = star_edges(lam)
-        assert len(stars) <= 8 * 3  # n log2 n
-        # each merge absorbs one singleton on this instance
-        assert len(stars) == 7
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_count_bound_random(self, seed):
-        g = er_graph(128, 0.08, 1, 100, seed=seed)
-        stars = star_edges(build_laminar(g, F(1, 20)))
-        assert len(stars) <= 128 * math.log2(128)
-
-    def test_star_weight_dominates_distance(self):
-        g = er_graph(40, 0.2, 1, 30, seed=4)
-        lam = build_laminar(g, F(1, 4))
-        for s in star_edges(lam):
-            dist = dijkstra_all(g.adj, s.u)
-            assert F(dist[s.v]) <= s.weight
 
 
 class TestMaterialize:

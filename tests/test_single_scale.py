@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -318,6 +319,20 @@ class TestBandContract:
             assert hs.effective_eps == F(96, 10)
             report = verify_stretch(g, hs, pair_mode="band", band=k)
             assert report.ok, report.violations[:3]
+
+    def test_wrapped_weights_keep_their_least_denominator(self):
+        # the same build over 200 or 1400 wraps to the same integer weights and den
+        g = er_graph(100, 0.1, 1, 8, seed=5)
+        wrapped = []
+        for den in (200, 1400):
+            adj = scaled_adj(g, den)
+            for k in (2, 3, 4):
+                sched = compute_schedule(100, 2, F(1, 2), F(1, 10), 2 ** (k + 1))
+                ss = build_single_scale(adj, scaled_phases(sched, den), 7, arc_floor(adj))
+                hs = hopset_from_single_scale(g, k, ss, sched, den)
+                assert hs.den == math.lcm(*(F(e.w, hs.den).denominator for e in hs.edges))
+                wrapped.append((hs.den, [(e.u, e.v, e.w) for e in hs.edges]))
+        assert wrapped[:3] == wrapped[3:]
 
 
 @st.composite

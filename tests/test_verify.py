@@ -1,8 +1,9 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsets import (
@@ -31,7 +32,20 @@ from hopsets.verify import (
 
 
 def empty_hopset(n, beta, eps=F(1, 10)):
-    return Hopset(n=n, edges=[], effective_beta=beta, effective_eps=eps, provenance={})
+    return Hopset(n=n, edges=[], den=1, effective_beta=beta, effective_eps=eps, provenance={})
+
+
+def rational_hopset(n, rows, beta, eps=F(1, 10), **kw):
+    """A hopset of (u, v, rational weight, scale, kind) rows, over their least denominator."""
+    den = math.lcm(*(F(w).denominator for _, _, w, _, _ in rows))
+    edges = [HopsetEdge(u, v, int(w * den), scale, kind) for u, v, w, scale, kind in rows]
+    return Hopset(n=n, edges=edges, den=den, effective_beta=beta, effective_eps=eps,
+                  provenance={}, **kw)
+
+
+def rational_rows(hopset):
+    """The (u, v, rational weight, scale, kind) rows of `hopset`'s edges."""
+    return [(e.u, e.v, F(e.w, hopset.den), e.scale, e.kind) for e in hopset.edges]
 
 
 class TestExactApsp:
@@ -85,7 +99,8 @@ class TestVerifyStretch:
         g = path_graph(6, 1)
         bogus = Hopset(
             n=6,
-            edges=[HopsetEdge(0, 5, F(2), 2, "interconnect")],
+            edges=[HopsetEdge(0, 5, 2, 2, "interconnect")],
+            den=1,
             effective_beta=10,
             effective_eps=F(1, 2),
             provenance={},
@@ -168,10 +183,11 @@ class TestVerifyStretch:
         g = er_graph(40, 0.2, 1, 7, seed=2)
         hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=1))
         digest = g.digest()
-        edges_before = [(e.u, e.v, e.weight) for e in hs.edges]
+        edges_before = [(e.u, e.v, e.w) for e in hs.edges]
+        den = hs.den
         verify_stretch(g, hs, pair_mode="all")
         assert g.digest() == digest
-        assert [(e.u, e.v, e.weight) for e in hs.edges] == edges_before
+        assert [(e.u, e.v, e.w) for e in hs.edges] == edges_before and hs.den == den
 
 class TestReport:
     def test_json_stable_key_order(self):
@@ -197,8 +213,8 @@ class TestSizeStats:
         assert stats["normalized_ratio"] == 0
 
     def test_per_scale_counts(self):
-        edges = [HopsetEdge(0, 1, F(3), 4, "interconnect") for _ in range(3)]
-        hs = Hopset(n=8, edges=edges, effective_beta=9, effective_eps=F(1, 5), provenance={})
+        edges = [HopsetEdge(0, 1, 3, 4, "interconnect") for _ in range(3)]
+        hs = Hopset(n=8, edges=edges, den=1, effective_beta=9, effective_eps=F(1, 5), provenance={})
         stats = size_stats(hs, 8, 2)
         assert stats["per_scale"] == {4: 3}
 
@@ -212,9 +228,10 @@ class TestSizeStats:
 
 def reference_verify(graph, hopset, pair_mode="all", sample_size=1000, sample_seed=0, band=None):
     """Reference: the former stretch check, a full hop-limited Bellman-Ford table for all
-    sources plus a full oracle sweep per source.  Report dict without wall_time."""
-    den = hopset.weight_den()
-    rel = _union_edges(graph, hopset, den)
+    sources plus a full oracle sweep per source, each stretch a `Fraction`.  Report dict
+    without wall_time."""
+    den = hopset.den
+    rel = _union_edges(graph, hopset)
     eps = hopset.effective_eps
     beta = hopset.effective_beta
     n = graph.n
@@ -310,7 +327,7 @@ def verify_cases(draw):
     vertex = st.integers(0, n - 1)
     raw += draw(st.lists(st.tuples(vertex, vertex, weight), max_size=2 * n))
     g = Graph.from_edges(n, [(u, v, w) for u, v, w in raw if u != v and comp[u] == comp[v]])
-    edges = []
+    rows = []
     for _ in range(draw(st.integers(0, n))):
         u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
         d = dijkstra_all(g.adj, u)[v]
@@ -318,10 +335,10 @@ def verify_cases(draw):
             weight = F(draw(st.integers(1, 50)), draw(st.integers(1, 4)))
         else:
             weight = d * draw(st.sampled_from(FACTORS))
-        edges.append(HopsetEdge(u, v, weight, draw(st.integers(0, 5)), "interconnect"))
+        rows.append((u, v, weight, draw(st.integers(0, 5)), "interconnect"))
     beta = draw(st.sampled_from([0, 1, 2, max(0, n - 2), n - 1, n, 10**8]))
     eps = draw(st.sampled_from([F(0), F(1, 10), F(3, 10), F(1)]))
-    hopset = Hopset(n=n, edges=edges, effective_beta=beta, effective_eps=eps, provenance={})
+    hopset = rational_hopset(n, rows, beta, eps)
     mode = draw(st.sampled_from(["all", "band", "sample"]))
     kw = {}
     if mode == "band":
@@ -331,7 +348,24 @@ def verify_cases(draw):
     return g, hopset, mode, kw
 
 
+def many_violations(beta):
+    """A unit path(20) with a hopset edge over each of its 171 pairs two or more
+    apart, undercutting (9/10 of the distance d) or overlong (d + 1/(v + 1)), and
+    eps = 0: 171 violations at beta = 1 and 159 at beta >= n - 1, more than the
+    MAX_LISTED_VIOLATIONS = 100 a report lists."""
+    n = 20
+    g = Graph.from_edges(n, [(i, i + 1, 1) for i in range(n - 1)])
+    rows = [
+        (u, v, (v - u) * F(9, 10) if (u + v) % 3 == 0 else v - u + F(1, v + 1), 0, "interconnect")
+        for u in range(n)
+        for v in range(u + 2, n)
+    ]
+    return g, rational_hopset(n, rows, beta, F(0)), "all", {}
+
+
 @given(verify_cases())
+@example(many_violations(1))  # Bellman-Ford rows: each pair takes its own hopset edge
+@example(many_violations(10**8))  # keyed union sweeps
 @settings(deadline=None, max_examples=200)
 def test_matches_full_table_reference(case):
     # beta >= n - 1 takes the early-exit Dijkstras, smaller beta the Bellman-Ford table
@@ -412,8 +446,10 @@ def test_one_union_sweep_per_source(sweeps, build_mode, eps):
         assert any(len(wanted[s]) == 2 for s in wanted)
 
     # one hopset edge at half its true distance: an undercut the oracle must price
-    e = hs.edges[0]
-    hs.edges[0] = HopsetEdge(e.u, e.v, dijkstra_all(g.adj, e.u)[e.v] * F(1, 2), e.scale, e.kind)
+    rows = rational_rows(hs)
+    u, v, _, scale, kind = rows[0]
+    rows[0] = (u, v, dijkstra_all(g.adj, u)[v] * F(1, 2), scale, kind)
+    hs = rational_hopset(g.n, rows, hs.effective_beta, hs.effective_eps, build_stats=hs.build_stats)
     sweeps.clear()
     report = checked_report(g, hs)
     assert report["violation_count"] > 0
@@ -427,7 +463,8 @@ def test_sampled_undercut_reaches_the_oracle(sweeps):
     wanted = targets_by_source(_sample_pairs(g, 80, 3))
     s, (t,) = next((s, vs) for s, vs in sorted(wanted.items()) if len(vs) == 1)
     half = dijkstra_all(g.adj, s)[t] * F(1, 2)
-    hs.edges.append(HopsetEdge(min(s, t), max(s, t), half, 0, "interconnect"))
+    rows = rational_rows(hs) + [(min(s, t), max(s, t), half, 0, "interconnect")]
+    hs = rational_hopset(g.n, rows, hs.effective_beta, hs.effective_eps, build_stats=hs.build_stats)
     sweeps.clear()
     report = checked_report(g, hs, "sample", sample_size=80, sample_seed=3)
     assert report["violation_count"] > 0
@@ -449,8 +486,7 @@ def test_hopset_edge_count_carries_no_digit():
     # all n - 1 twins, the largest count a key must hold below its distance digit
     n = 9
     g = path_graph(n, 3)  # odd weights 3**i, so the halved twins need den = 2
-    half = [HopsetEdge(u, v, F(w, 2), 0, "interconnect") for u, v, w in g.edges]
-    hs = Hopset(n=n, edges=half, effective_beta=n - 1, effective_eps=F(1, 10), provenance={})
+    hs = rational_hopset(n, [(u, v, F(w, 2), 0, "interconnect") for u, v, w in g.edges], n - 1)
     report = checked_report(g, hs)
     assert report["violation_count"] == n * (n - 1) // 2
     far = next(v for v in report["violations"] if (v["u"], v["v"]) == (0, n - 1))
@@ -460,8 +496,8 @@ def test_hopset_edge_count_carries_no_digit():
 def test_hopset_twin_at_graph_weight_is_a_tie(sweeps):
     n = 9
     g = path_graph(n, 3)
-    twins = [HopsetEdge(u, v, F(w), 0, "interconnect") for u, v, w in g.edges]
-    hs = Hopset(n=n, edges=twins, effective_beta=n - 1, effective_eps=F(0), provenance={})
+    twins = [HopsetEdge(u, v, w, 0, "interconnect") for u, v, w in g.edges]
+    hs = Hopset(n=n, edges=twins, den=1, effective_beta=n - 1, effective_eps=F(0), provenance={})
     report = checked_report(g, hs)
     assert (report["violation_count"], report["max_stretch"]) == (0, "1/1")
     # no oracle sweep; source s has n - 1 - s targets, so one union search each
@@ -474,7 +510,6 @@ def test_hopset_twin_at_graph_weight_is_a_tie(sweeps):
 def test_negative_hopset_weight_is_rejected(beta):
     # both the keyed union graph (beta >= n - 1) and the Bellman-Ford rows refuse it
     g = path_graph(4, 1)
-    edge = HopsetEdge(0, 3, F(-1, 2), 0, "star")
-    hs = Hopset(n=4, edges=[edge], effective_beta=beta, effective_eps=F(1, 10), provenance={})
+    hs = rational_hopset(4, [(0, 3, F(-1, 2), 0, "star")], beta)
     with pytest.raises(ValueError, match=r"negative weight -1 on edge \(0, 3\)"):
         verify_stretch(g, hs)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopsets import Hopset, HopsetEdge
 from hopsets.scale_reduction import contraction_scale
 from hopsets.single_scale import phase_counts
 from hopsets.util import as_fraction, child_seed, to_scaled
@@ -29,15 +28,6 @@ class TestToScaled:
         # sums of scaled weights are sums of integers: no drift possible
         total = sum(to_scaled(F(k, 20), 1280) for k in range(1, 100))
         assert F(total, 1280) == sum(F(k, 20) for k in range(1, 100))
-
-    def test_weight_den_is_the_lcm_of_edge_denominators(self):
-        def hopset(*weights):
-            edges = [HopsetEdge(0, 1, w, 1, "star") for w in weights]
-            return Hopset(n=2, edges=edges, effective_beta=1, effective_eps=F(1), provenance={})
-
-        assert hopset().weight_den() == 1
-        assert hopset(F(5)).weight_den() == 1
-        assert hopset(F(1, 6), F(3, 4), F(5)).weight_den() == 12
 
 
 def reference_contraction_scale(w, n, eps):
