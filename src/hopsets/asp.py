@@ -1,8 +1,9 @@
 """S x V approximate shortest distances and paths through a hopset.
 
-Each source runs one hop-limited Bellman-Ford over the union graph with the
-hopset's hop budget; estimates inherit the (1 + eps) contract.  Sources are
-answered one at a time: `asp_estimates` yields one `AspResult` row per
+Each source runs one hop-limited Bellman-Ford with the hopset's hop budget
+over the union graph G u H, which only this module builds (`verify` checks
+these rows below n - 1); estimates inherit the (1 + eps) contract.  Sources
+are answered one at a time: `asp_estimates` yields one `AspResult` row per
 source, and `write_estimates_csv` writes a row's CSV lines, and its path
 lines if asked, before it computes the next.  With a path-reporting hopset,
 predecessor chains expand into concrete graph paths whose weight never
@@ -23,7 +24,6 @@ from typing import TextIO
 from .explore import hop_limited_bellman_ford, hop_limited_rows
 from .graph import Graph
 from .hopset import Hopset, HopsetError
-from .verify import _union_edges
 
 
 @dataclass
@@ -33,7 +33,7 @@ class AspResult:
     source: int
     den: int
     dist: list[int | None]
-    pred: list[tuple[int, object] | None]
+    pred: list[tuple[int, int] | None]
 
     def estimate(self, v: int) -> Fraction | None:
         d = self.dist[v]
@@ -49,8 +49,28 @@ def asp_estimates(graph: Graph, hopset: Hopset, sources) -> Iterator[AspResult]:
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     sources = sorted(set(sources))
     check_sources(graph.n, sources)
-    rows = hop_limited_rows(graph.n, _union_edges(graph, hopset), sources, hopset.effective_beta)
+    rows = hop_limited_rows(_union_adjacency(graph, hopset), sources, hopset.effective_beta)
     return (AspResult(s, hopset.den, dist, pred) for s, dist, pred in rows)
+
+
+def _union_adjacency(graph: Graph, hopset: Hopset):
+    """Undirected (neighbor, weight over the hopset's den, tag) lists of G u H.
+
+    Graph edge i is tagged ~i < 0 and hopset edge i is tagged i, so predecessor
+    ties take graph arcs first, then hopset arcs by index.  A negative hopset
+    weight raises ValueError.
+    """
+    den = hopset.den
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
+    for i, (u, v, w) in enumerate(graph.edges):
+        adj[u].append((v, w * den, ~i))
+        adj[v].append((u, w * den, ~i))
+    for i, e in enumerate(hopset.edges):
+        if e.w < 0:
+            raise ValueError(f"negative weight {e.w} on edge ({e.u}, {e.v})")
+        adj[e.u].append((e.v, e.w, i))
+        adj[e.v].append((e.u, e.w, i))
+    return adj
 
 
 def check_sources(n: int, sources) -> None:
@@ -79,13 +99,12 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
         entry = result.pred[cur]
         if entry is None:
             raise HopsetError(f"broken predecessor chain at {cur + 1}")
-        u, tag = entry
-        steps.append((u, cur, tag))
-        cur = u
+        steps.append((entry[0], cur, entry[1]))
+        cur = entry[0]
     steps.reverse()
     path = [s]
-    for u, x, (kind, idx) in steps:
-        if kind == "g":
+    for u, x, idx in steps:
+        if idx < 0:
             path.append(x)
         else:
             if hopset.witnesses is None:
@@ -109,7 +128,7 @@ def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict)
     """One `format_path` line per vertex v != s that `result` reaches, in vertex order.
 
     Lines and errors are `extract_path`'s, vertex by vertex; a graph step is
-    checked by its ("g", i) tag against `graph.edges[i]`.  The predecessor
+    checked by its tag ~i against `graph.edges[i]`.  The predecessor
     forest is walked once: a vertex's line is its predecessor's line plus
     the last step's segment.  `segments` memoises each hopset edge's checked
     witness text per orientation, (hopset edge, forward) -> text.
@@ -155,13 +174,13 @@ def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict)
             cur = entry[0]
         steps.reverse()
         # as in extract_path: expand every hopset step, then check each edge
-        for u, x, (kind, i) in steps:
-            if kind != "g":
+        for u, x, i in steps:
+            if i >= 0:
                 orientation(u, x, i)
-        for u, x, (kind, i) in steps:
-            if kind != "g":
+        for u, x, i in steps:
+            if i >= 0:
                 line[x] = line[u] + segment(orientation(u, x, i))
-            elif 0 <= i < m and edges[i][:2] in ((u, x), (x, u)):
+            elif ~i < m and edges[~i][:2] in ((u, x), (x, u)):
                 line[x] = f"{line[u]} {x + 1}"
             else:
                 raise HopsetError(f"extracted step ({u + 1},{x + 1}) is not a graph edge")

@@ -2,14 +2,14 @@
 
 Everything here works on adjacency lists of (neighbor, weight) with plain
 integer weights (already scaled by the build's one denominator when weights
-are fractional).  All distances returned are exact.  Bounded explorations
-run to a finite depth in one loop, `multi_source_bounded_dijkstra`
-(`bounded_dijkstra` is its one-root case), and return its
-`ExplorationForest`; full sweeps are `dijkstra_all`, which can stop once a
-given target set has settled or past a distance limit.  One s-t distance
-comes from `pair_distance`, a Dijkstra from both ends that meets in the
-middle.  Hop-limited distances d^(t) come from a
-(distance, hops) Dijkstra when t >= n - 1, where d^(t) is the plain
+are fractional), or (neighbor, weight, opaque tag) for hop limits.  All
+distances returned are exact.  Bounded explorations run to a finite depth
+in one loop, `multi_source_bounded_dijkstra` (`bounded_dijkstra` is its
+one-root case), and return its `ExplorationForest`; full sweeps are
+`dijkstra_all`, which can stop once a given target set has settled or past
+a distance limit.  One s-t distance comes from `pair_distance`, a Dijkstra
+from both ends that meets in the middle.  Hop-limited distances d^(t) come
+from a (distance, hops) Dijkstra when t >= n - 1, where d^(t) is the plain
 shortest distance, and from frontier Bellman-Ford rounds below that, one
 source at a time (`hop_limited_bellman_ford` collects the rows in a table).
 """
@@ -206,9 +206,9 @@ class HopLimitedTable:
 
     dist[s][v] is the minimum length of a path from s to v with at most t
     edges (None if no such path).  pred[s][v] is (u, tag) for the winning
-    last edge: with h the fewest edges any such minimum path needs, it is the
+    last arc u->v: with h the fewest edges any such minimum path needs, the
     lexicographically smallest (u, tag) over arcs u->v with
-    d^(h-1)[u] + w == dist[s][v], i.e. the tie a Bellman-Ford round settles
+    d^(h-1)[u] + w == dist[s][v], the tie a Bellman-Ford round settles
     when v first reaches its final value.
     """
 
@@ -218,17 +218,15 @@ class HopLimitedTable:
     pred: dict[int, list[tuple[int, object] | None]]
 
 
-def hop_limited_rows(n: int, edges, sources, t: int):
+def hop_limited_rows(adj, sources, t: int):
     """Exact at-most-t-edges distances, one source at a time.
 
-    Checks the input and builds the adjacency before it returns an iterator
-    of (s, dist, pred), the rows `HopLimitedTable` describes, one per source
-    s in ascending order.  `edges` is an iterable of (u, v, w, tag) treated
-    as undirected, with weights w >= 0 (a negative weight, or t < 0, raises
-    ValueError); `tag` is opaque and comes back in predecessor entries (the
-    hopset machinery passes ("g", i) / ("h", i) tags for path extraction).
+    `adj` holds undirected (neighbor, weight >= 0, tag) lists; `tag` comes
+    back in predecessor entries.  t < 0 raises ValueError before this returns
+    an iterator of (s, dist, pred), the rows `HopLimitedTable` describes, one
+    per source s in ascending order.
 
-    The method follows from t and n alone; both are exact:
+    The method follows from t and n = len(adj) alone; both are exact:
     - t >= n - 1 (n > 1): a minimum path never needs more than n - 1 edges,
       so d^(t) is the plain shortest distance.  One Dijkstra per source,
       keyed on (distance, hops), yields it together with the fewest edges h
@@ -245,12 +243,7 @@ def hop_limited_rows(n: int, edges, sources, t: int):
     """
     if t < 0:
         raise ValueError("hop budget must be >= 0")
-    adj: list[list[tuple[int, int, object]]] = [[] for _ in range(n)]
-    for u, v, w, tag in edges:
-        if w < 0:
-            raise ValueError(f"negative weight {w} on edge ({u}, {v})")
-        adj[u].append((v, w, tag))
-        adj[v].append((u, w, tag))
+    n = len(adj)
     if n > 1 and t >= n - 1:
         row = _fewest_hops_dijkstra
     else:
@@ -258,10 +251,10 @@ def hop_limited_rows(n: int, edges, sources, t: int):
     return ((s, *row(adj, s)) for s in sorted(set(sources)))
 
 
-def hop_limited_bellman_ford(n: int, edges, sources, t: int) -> HopLimitedTable:
+def hop_limited_bellman_ford(adj, sources, t: int) -> HopLimitedTable:
     """`hop_limited_rows` collected into one table of every source's rows."""
     table = HopLimitedTable(t, [], {}, {})
-    for s, dist, pred in hop_limited_rows(n, edges, sources, t):
+    for s, dist, pred in hop_limited_rows(adj, sources, t):
         table.sources.append(s)
         table.dist[s] = dist
         table.pred[s] = pred

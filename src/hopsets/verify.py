@@ -11,8 +11,8 @@ two wanted targets meets each halfway, by a Dijkstra from both ends; any
 other runs one Dijkstra that stops once its targets have settled, or, in
 band mode, once keys pass the band's top.  c = 0 proves d_G = d_U; only
 targets with c > 0 (undercut in, or unreachable from, G) go to one oracle
-sweep over G.  Below n - 1, hop-limited Bellman-Ford over the union graph gives
-d^(beta) one source's row at a time, and the oracle sweeps G per source.
+sweep over G.  Below n - 1, d^(beta) comes from `asp_estimates`, the rows
+`query` writes, one source at a time, and the oracle sweeps G per source.
 Distances are integers over the hopset's `den`, and stretches are compared
 as integer pairs; only the reported maximum and the listed violations
 become rationals.  There is no tolerance; a violation is either a bug or
@@ -30,13 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # hop_limited_bellman_ford is not called here: perfbench's tracer wraps this binding
-from .explore import dijkstra_all, hop_limited_bellman_ford, hop_limited_rows, pair_distance
+from .asp import asp_estimates
+from .explore import dijkstra_all, hop_limited_bellman_ford, pair_distance
 from .graph import Graph
 from .hopset import Hopset, HopsetError
 from .util import find
 
-# Largest n for which the all-pairs oracle and the "all" and "band" pair
-# modes run: each sweeps every source, and the oracle holds n x n distances.
+# Largest n for which the all-pairs oracle runs: it holds n x n distances.
 N_MAX_ALLPAIRS = 500
 # Violations listed in a report; `violation_count` still counts them all.
 MAX_LISTED_VIOLATIONS = 100
@@ -96,14 +96,6 @@ def exact_apsp(graph: Graph) -> list[list[int | None]]:
             f"graph too large for all-pairs oracle (n={graph.n} > {N_MAX_ALLPAIRS})"
         )
     return [dijkstra_all(graph.adj, s) for s in range(graph.n)]
-
-
-def _union_edges(graph: Graph, hopset: Hopset):
-    """Tagged (u, v, weight, tag) edges of G u H, weights over the hopset's den."""
-    den = hopset.den
-    rel = [(u, v, w * den, ("g", i)) for i, (u, v, w) in enumerate(graph.edges)]
-    rel += [(e.u, e.v, e.w, ("h", i)) for i, e in enumerate(hopset.edges)]
-    return rel
 
 
 def _keyed_adjacency(graph: Graph, hopset: Hopset):
@@ -195,14 +187,14 @@ def verify_stretch(
 ) -> VerificationReport:
     """Check hop-limited stretch of the union graph against exact distances.
 
-    pair_mode "all": every unordered pair with finite distance (n capped by
-    N_MAX_ALLPAIRS); "band": pairs with distance in (2**band, 2**(band+1)];
-    "sample": sample_size ordered pairs drawn uniformly over finite-distance
-    pairs, deterministically per sample_seed.  A spec that can select no
-    pair is rejected (`check_pair_spec`).  A pair violates if its
-    beta-limited distance is infinite, falls below the true distance (an
-    undercut: hopset edges must never shorten a distance), or exceeds
-    (1 + eps) times it; pairs unreachable in G are excluded.
+    pair_mode "all": every unordered pair with finite distance, at any n;
+    "band": pairs with distance in (2**band, 2**(band+1)], none once 2**band
+    reaches the total weight; "sample": sample_size ordered pairs drawn
+    uniformly over finite-distance pairs, deterministically per sample_seed.
+    A spec that can select no pair is rejected (`check_pair_spec`).  A pair
+    violates if its beta-limited distance is infinite, falls below the true
+    distance (an undercut: hopset edges must never shorten a distance), or
+    exceeds (1 + eps) times it; pairs unreachable in G are excluded.
     """
     check_pair_spec(pair_mode, sample_size, band)
     if hopset.n != graph.n:
@@ -214,10 +206,6 @@ def verify_stretch(
     n = graph.n
 
     if pair_mode in ("all", "band"):
-        if n > N_MAX_ALLPAIRS:
-            raise HopsetError(
-                f"pair mode {pair_mode!r} limited to n <= {N_MAX_ALLPAIRS}"
-            )
         wanted = {s: None for s in range(n)}  # all targets above s
         mode_desc = "all" if pair_mode == "all" else f"band({band})"
     elif pair_mode == "sample":
@@ -230,7 +218,9 @@ def verify_stretch(
         raise HopsetError(f"unknown pair mode {pair_mode!r}")
 
     lo = hi = None
-    if pair_mode == "band":
+    if pair_mode == "band" and band >= sum(w for _, _, w in graph.edges).bit_length():
+        wanted = {}  # no distance exceeds the total weight W < 2**W.bit_length()
+    elif pair_mode == "band":
         lo, hi = 2**band, 2 ** (band + 1)
 
     pairs_checked = 0
@@ -238,17 +228,14 @@ def verify_stretch(
     violations: list[dict] = []
     total_violations = 0
     sources = sorted(wanted)
-    keyed = rows = None
-    if n > 1 and beta >= n - 1:
-        keyed = _keyed_adjacency(graph, hopset)  # d^(beta) is the plain distance
-    else:
-        rel = _union_edges(graph, hopset)
-        rows = hop_limited_rows(n, rel, sources, beta)  # one row per source, ascending
+    # beta >= n - 1: d^(beta) is the plain distance; below, query's rows give it
+    keyed = _keyed_adjacency(graph, hopset) if sources and n > 1 and beta >= n - 1 else None
+    rows = asp_estimates(graph, hopset, sources) if keyed is None and sources else None
     for s in sources:
         targets = wanted[s] if wanted[s] is not None else range(s + 1, n)
         if keyed is None:
             d_true = dijkstra_all(graph.adj, s, targets)
-            lim = next(rows)[1]
+            lim = next(rows).dist
         else:
             d_true, lim = _union_sweep(graph, keyed, s, targets, den, hi)
         for v in targets:

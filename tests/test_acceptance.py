@@ -256,8 +256,11 @@ def test_criterion_07_oracle_equivalences():
     for seed in range(10):
         n = 24 + 4 * seed  # 24..60
         graph = er_graph(n, 0.2, 1, 12, seed=seed)
-        rel = [(u, v, w, i) for i, (u, v, w) in enumerate(graph.edges)]
-        table = hop_limited_bellman_ford(n, rel, range(n), n - 1)
+        adj = [[] for _ in range(n)]
+        for i, (u, v, w) in enumerate(graph.edges):
+            adj[u].append((v, w, i))
+            adj[v].append((u, w, i))
+        table = hop_limited_bellman_ford(adj, range(n), n - 1)
         exact = [dijkstra_all(graph.adj, s) for s in range(n)]
         if any(table.dist[s] != exact[s] for s in range(n)):
             bad.append(("bellman-ford", seed))

@@ -87,6 +87,15 @@ class TestEstimates:
         with pytest.raises(HopsetError, match="no sources given"):
             asp_estimates(g, empty_hopset(4, beta=3), [])
 
+    @pytest.mark.parametrize("beta", [1, 10**8])
+    def test_negative_weight_rejected(self, beta):
+        # by the union graph's builder, before the first row, for either kernel
+        g = path_graph(3, 1)
+        hs = Hopset(n=3, edges=[HopsetEdge(1, 2, -1, 0, "star")], den=1, effective_beta=beta,
+                    effective_eps=F(1, 10), provenance={})
+        with pytest.raises(ValueError, match=r"negative weight -1 on edge \(1, 2\)"):
+            asp_estimates(g, hs, [0])
+
 
 class TestExtractPath:
     def test_graph_only_path_weight_equals_estimate(self):
@@ -169,8 +178,8 @@ class TestCsvEmission:
 def _uses_hopset(res, v):
     cur = v
     while cur != res.source:
-        u, (kind, _) = res.pred[cur]
-        if kind == "h":
+        u, tag = res.pred[cur]
+        if tag >= 0:  # a hopset edge's index; graph edge i is ~i
             return True
         cur = u
     return False
@@ -209,10 +218,10 @@ def outcome(fn, *args):
 def hopset_steps(graph, hopset, sources):
     """(s, v, hopset edge index) for every hopset step in the predecessor forests."""
     return [
-        (res.source, v, pred[1][1])
+        (res.source, v, pred[1])
         for res in asp_estimates(graph, hopset, sources)
         for v, pred in enumerate(res.pred)
-        if pred is not None and pred[1][0] == "h"
+        if pred is not None and pred[1] >= 0
     ]
 
 
@@ -360,8 +369,8 @@ class TestWritePaths:
 
     def test_graph_step_checked_by_its_tag(self, monkeypatch):
         def retag(row):
-            u, (kind, i) = row.pred[4]
-            row.pred[4] = (u, (kind, i + 1))  # tag names the edge (4, 5)
+            u, tag = row.pred[4]
+            row.pred[4] = (u, tag - 1)  # ~3 - 1 == ~4 names the edge (4, 5)
 
         alter_rows(monkeypatch, retag)
         with pytest.raises(HopsetError, match=r"extracted step \(4,5\) is not a graph edge"):

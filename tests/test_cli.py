@@ -4,8 +4,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -499,6 +504,28 @@ class TestMalformedArguments:
         assert run("build", "--graph", str(graph), "--out", str(hopset)) == EXIT_OK
         code = run("verify", "--graph", str(graph), "--hopset", str(hopset), "--pairs", spec)
         assert code == EXIT_OK
+
+    def test_band_above_every_distance_checks_no_pair(self, workspace):
+        # band 10**12 starts far above the total weight.  The command runs under
+        # a 1 GiB address-space cap, so building 2**k (about 125 GB) would fail
+        graph = gen_graph(workspace)
+        hopset, report = workspace / "h.hs", workspace / "r.json"
+        assert run("build", "--graph", str(graph), "--out", str(hopset)) == EXIT_OK
+        src = Path(hopsets.cli.__file__).resolve().parents[1]
+        cap = 1 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "hopsets.cli", "verify", "--graph", str(graph),
+             "--hopset", str(hopset), "--pairs", f"band:{10**12}", "--report", str(report)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        payload = json.loads(report.read_text())
+        assert (payload["pair_mode"], payload["pairs_checked"]) == (f"band({10**12})", 0)
 
 
 class TestQuerySources:

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from heapq import heappop, heappush
 
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import strategies as st
 
 from hopsets import (
     Graph,
+    Hopset,
+    HopsetEdge,
+    asp_estimates,
     bounded_dijkstra,
     dijkstra_all,
     er_graph,
@@ -267,24 +271,24 @@ class TestSingleSource:
 class TestHopLimitedBellmanFord:
     def test_insufficient_hops_is_infinite(self):
         g = tiny_path()
-        t = hop_limited_bellman_ford(g.n, _tag(g), [0], 1)
+        t = hop_limited_bellman_ford(_tag(g), [0], 1)
         assert t.dist[0][2] is None
 
     def test_two_hops_reach(self):
         g = tiny_path()
-        t = hop_limited_bellman_ford(g.n, _tag(g), [0], 2)
+        t = hop_limited_bellman_ford(_tag(g), [0], 2)
         assert t.dist[0][2] == 2
 
     def test_equals_dijkstra_at_n_minus_one(self):
         g = er_graph(30, 0.3, 1, 5, seed=1)
-        t = hop_limited_bellman_ford(g.n, _tag(g), list(range(g.n)), 29)
+        t = hop_limited_bellman_ford(_tag(g), list(range(g.n)), 29)
         for s in range(g.n):
             assert t.dist[s] == dijkstra_all(g.adj, s)
 
     def test_never_fewer_hop_contamination(self):
         # in-place relaxation would report d=3 for the 3-hop endpoint at t=2
         g = path_graph(4, 1)
-        t = hop_limited_bellman_ford(g.n, _tag(g), [0], 2)
+        t = hop_limited_bellman_ford(_tag(g), [0], 2)
         assert t.dist[0][2] == 2
         assert t.dist[0][3] is None
 
@@ -292,7 +296,7 @@ class TestHopLimitedBellmanFord:
         g = er_graph(25, 0.25, 1, 7, seed=8)
         prev = None
         for t in range(0, g.n):
-            table = hop_limited_bellman_ford(g.n, _tag(g), [0], t)
+            table = hop_limited_bellman_ford(_tag(g), [0], t)
             row = table.dist[0]
             if prev is not None:
                 for a, b in zip(row, prev):
@@ -302,49 +306,53 @@ class TestHopLimitedBellmanFord:
 
     def test_huge_budget_equals_exact(self):
         g = path_graph(12, 2)
-        t = hop_limited_bellman_ford(g.n, _tag(g), [0], 10**9)
+        t = hop_limited_bellman_ford(_tag(g), [0], 10**9)
         assert t.dist[0] == dijkstra_all(g.adj, 0)
 
     def test_extra_edges_participate(self):
         g = tiny_path()
         extra = [(0, 2, 1, ("h", 0))]
-        t = hop_limited_bellman_ford(g.n, _tag(g) + extra, [0], 1)
+        t = hop_limited_bellman_ford(_tag(g, extra), [0], 1)
         assert t.dist[0][2] == 1
         assert t.pred[0][2] == (0, ("h", 0))
 
     def test_predecessor_ties_prefer_lower_neighbor(self):
         # two equal-length 2-hop routes to vertex 3: via 1 and via 2
         g = Graph.from_edges(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
-        t = hop_limited_bellman_ford(g.n, _tag(g), [0], 5)
+        t = hop_limited_bellman_ford(_tag(g), [0], 5)
         assert t.pred[0][3][0] == 1
 
     def test_zero_budget(self):
         g = tiny_path()
-        t = hop_limited_bellman_ford(g.n, _tag(g), [1], 0)
+        t = hop_limited_bellman_ford(_tag(g), [1], 0)
         assert t.dist[1] == [None, 0, None]
 
-    @pytest.mark.parametrize("t", [1, 10**8])
-    def test_negative_weight_rejected(self, t):
-        with pytest.raises(ValueError, match="negative weight"):
-            hop_limited_bellman_ford(3, [(0, 1, 1, ("g", 0)), (1, 2, -1, ("h", 0))], [0], t)
-
     def test_rows_reject_bad_input_before_the_first_row(self):
-        with pytest.raises(ValueError, match="negative weight"):
-            hop_limited_rows(3, [(0, 1, 1, ("g", 0)), (1, 2, -1, ("h", 0))], [0], 1)
         with pytest.raises(ValueError, match="hop budget"):
-            hop_limited_rows(3, [], [0], -1)
+            hop_limited_rows([[], [], []], [0], -1)
 
 
-def _tag(g):
-    return [(u, v, w, ("g", i)) for i, (u, v, w) in enumerate(g.edges)]
+def tagged_adjacency(n, edges):
+    """(neighbor, weight, tag) lists of undirected (u, v, w, tag) edges, in edge order."""
+    adj = [[] for _ in range(n)]
+    for u, v, w, tag in edges:
+        adj[u].append((v, w, tag))
+        adj[v].append((u, w, tag))
+    return adj
+
+
+def _tag(g, extra=()):
+    """g's adjacency with ("g", i) tags, then the (u, v, w, tag) edges `extra`."""
+    edges = [(u, v, w, ("g", i)) for i, (u, v, w) in enumerate(g.edges)]
+    return tagged_adjacency(g.n, edges + list(extra))
 
 
 @given(st.integers(0, 2**32), st.integers(2, 24), st.integers(0, 6))
 @settings(deadline=None, max_examples=25)
 def test_hop_budget_and_depth_properties(seed, n, t):
     g = er_graph(n, 0.4, 1, 6, seed=seed)
-    table = hop_limited_bellman_ford(g.n, _tag(g), [0], t)
-    bigger = hop_limited_bellman_ford(g.n, _tag(g), [0], t + 1)
+    table = hop_limited_bellman_ford(_tag(g), [0], t)
+    bigger = hop_limited_bellman_ford(_tag(g), [0], t + 1)
     exact = dijkstra_all(g.adj, 0)
     for v in range(n):
         d_t, d_t1 = table.dist[0][v], bigger.dist[0][v]
@@ -417,8 +425,57 @@ def multigraph_queries(draw):
 @settings(deadline=None, max_examples=150)
 def test_matches_dense_reference(query):
     # t >= n - 1 takes the (distance, hops) Dijkstra, smaller t frontier rounds
-    table = hop_limited_bellman_ford(*query)
+    n, edges, sources, t = query
+    table = hop_limited_bellman_ford(tagged_adjacency(n, edges), sources, t)
     assert (table.sources, table.dist, table.pred) == dense_bellman_ford(*query)
+
+
+@st.composite
+def union_queries(draw):
+    """A graph, a hopset over den > 1 with parallel edges on one pair and weights
+    that tie graph paths, sources and a hop budget for either kernel."""
+    n = draw(st.integers(2, 24))
+    seed = draw(st.integers(0, 10**6))
+    g = draw(st.sampled_from([er_graph(n, 0.3, 1, 4, seed=seed), path_graph(n, 1)]))
+    den = draw(st.sampled_from([2, 3, 12]))
+    vertex = st.integers(0, n - 1)
+    # whole multiples of den tie graph distances, others fall between them
+    weight = st.one_of(st.integers(1, 6).map(lambda k: k * den), st.integers(1, 6 * den))
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    edges = [HopsetEdge(u, v, draw(weight), 0, "interconnect") for u, v in ends if u != v]
+    u, v = draw(st.permutations(range(n)))[:2]
+    w = draw(weight)
+    twins = [HopsetEdge(u, v, w, 0, "star"), HopsetEdge(v, u, w, 1, "star")]
+    twins.append(HopsetEdge(u, v, draw(weight), 2, "interconnect"))
+    at = draw(st.integers(0, len(edges)))
+    edges[at:at] = twins
+    t = draw(st.sampled_from([0, 1, n - 2, n - 1, 10**8]))
+    hopset = Hopset(n=n, edges=edges, den=den, effective_beta=t,
+                    effective_eps=Fraction(1, 10), provenance={})
+    sources = draw(st.lists(vertex, min_size=1, max_size=4))
+    return g, hopset, sources
+
+
+@given(union_queries())
+@settings(deadline=None, max_examples=150)
+def test_union_rows_match_dense_reference_on_tuple_tags(query):
+    # asp tags graph edge i as ~i and hopset edge i as i; the reference runs on
+    # the former ("g", i) / ("h", i) tags, which order ties the same way
+    g, hopset, sources = query
+    den = hopset.den
+    edges = [(u, v, w * den, ("g", i)) for i, (u, v, w) in enumerate(g.edges)]
+    edges += [(e.u, e.v, e.w, ("h", i)) for i, e in enumerate(hopset.edges)]
+    order, dist, pred = dense_bellman_ford(g.n, edges, sources, hopset.effective_beta)
+
+    def retag(entry):
+        if entry is None:
+            return None
+        u, (kind, i) = entry
+        return u, ~i if kind == "g" else i
+
+    expected = [(s, den, dist[s], [retag(p) for p in pred[s]]) for s in order]
+    rows = asp_estimates(g, hopset, sources)
+    assert [(r.source, r.den, r.dist, r.pred) for r in rows] == expected
 
 
 def full_sweep(adj, source):

@@ -258,9 +258,12 @@ class TestBuildInvariants:
                 for c in centers:
                     assert members[c] == [c]
                 continue
-            rel = [(e.u, e.v, e.w, i) for i, e in enumerate(accumulated)]
+            adj = [[] for _ in range(nverts)]
+            for j, e in enumerate(accumulated):
+                adj[e.u].append((e.v, e.w, j))
+                adj[e.v].append((e.u, e.w, j))
             for c in centers:
-                table = hop_limited_bellman_ford(nverts, rel, [c], i)
+                table = hop_limited_bellman_ford(adj, [c], i)
                 for m in members[c]:
                     d = table.dist[c][m]
                     assert d is not None and d <= limit

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hopsets
 from hopsets import (
     Graph,
     Hopset,
@@ -27,8 +33,23 @@ from hopsets.verify import (
     _frac,
     _load_summary,
     _sample_pairs,
-    _union_edges,
 )
+
+
+def run_capped(*argv):
+    """`python *argv` with the package importable, in a fresh interpreter whose
+    address space is capped at 1 GiB: runaway allocations fail with MemoryError."""
+    src = Path(hopsets.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    cap = 1 << 30
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
 
 
 def empty_hopset(n, beta, eps=F(1, 10)):
@@ -147,11 +168,35 @@ class TestVerifyStretch:
         assert da == db
         assert a.pairs_checked == 50  # vertex 6 isolated, never drawn
 
-    def test_all_mode_size_guard(self):
-        g = path_graph(501, 1)  # one above N_MAX_ALLPAIRS = 500
+    @pytest.mark.parametrize("beta", [5, 10**8])
+    def test_all_and_band_modes_run_above_the_oracle_cap(self, beta):
+        g = path_graph(501, 1)  # one above exact_apsp's N_MAX_ALLPAIRS = 500
+        hs = empty_hopset(501, beta=beta)
         for mode, kw in (("all", {}), ("band", {"band": 3})):
-            with pytest.raises(HopsetError, match="limited to n <= 500"):
-                verify_stretch(g, empty_hopset(501, beta=5), pair_mode=mode, **kw)
+            report = verify_stretch(g, hs, pair_mode=mode, **kw).to_dict()
+            del report["wall_time"]
+            assert report == reference_verify(g, hs, pair_mode=mode, **kw)
+
+    @pytest.mark.parametrize("beta", [5, 10**8])
+    def test_band_above_every_distance_selects_no_pair(self, beta):
+        g = path_graph(40, 2)  # weights 2**i: total weight 2**39 - 1, 39 bits
+        hs = empty_hopset(40, beta=beta)
+        for band, checked in ((38, 38), (39, 0)):  # (2**38, 2**39] holds 38 pairs
+            report = verify_stretch(g, hs, pair_mode="band", band=band).to_dict()
+            del report["wall_time"]
+            assert report == reference_verify(g, hs, pair_mode="band", band=band)
+            assert report["pairs_checked"] == checked
+        # 2**(10**12) would take about 125 GB; under a 1 GiB cap, building it fails
+        code = (
+            "from fractions import Fraction\n"
+            "from hopsets import Hopset, path_graph, verify_stretch\n"
+            f"hs = Hopset(40, [], 1, {beta}, Fraction(1, 10), {{}})\n"
+            "r = verify_stretch(path_graph(40, 2), hs, pair_mode='band', band=10**12)\n"
+            "print(r.pair_mode, r.pairs_checked, r.max_stretch, r.ok)\n"
+        )
+        done = run_capped("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [f"band({10**12})", "0", "None", "True"]
 
     @pytest.mark.parametrize(
         "kw,match",
@@ -226,12 +271,23 @@ class TestSizeStats:
         assert stats["star_edges"] <= 64 * 6
 
 
+def union_adjacency(graph, hopset):
+    """Reference: G u H as (neighbor, weight, tag) lists, with the former ("g", i) /
+    ("h", i) tags and weights over the hopset's den."""
+    adj = [[] for _ in range(graph.n)]
+    edges = [(u, v, w * hopset.den, ("g", i)) for i, (u, v, w) in enumerate(graph.edges)]
+    edges += [(e.u, e.v, e.w, ("h", i)) for i, e in enumerate(hopset.edges)]
+    for u, v, w, tag in edges:
+        adj[u].append((v, w, tag))
+        adj[v].append((u, w, tag))
+    return adj
+
+
 def reference_verify(graph, hopset, pair_mode="all", sample_size=1000, sample_seed=0, band=None):
     """Reference: the former stretch check, a full hop-limited Bellman-Ford table for all
     sources plus a full oracle sweep per source, each stretch a `Fraction`.  Report dict
     without wall_time."""
     den = hopset.den
-    rel = _union_edges(graph, hopset)
     eps = hopset.effective_eps
     beta = hopset.effective_beta
     n = graph.n
@@ -255,7 +311,7 @@ def reference_verify(graph, hopset, pair_mode="all", sample_size=1000, sample_se
     violations = []
     total_violations = 0
     sources = sorted(wanted)
-    limited = hop_limited_bellman_ford(n, rel, sources, beta).dist
+    limited = hop_limited_bellman_ford(union_adjacency(graph, hopset), sources, beta).dist
     for s in sources:
         d_true = dijkstra_all(graph.adj, s)
         lim = limited[s]
