@@ -17,7 +17,7 @@ import time
 from contextlib import nullcontext
 
 from . import asp as asp_mod
-from .graph import GraphError, GraphFormatError, dump_dimacs, generate, load_dimacs
+from .graph import GraphError, dump_dimacs, generate, load_dimacs
 from .hopset import (
     HopsetError,
     HopsetFormatError,
@@ -26,7 +26,7 @@ from .hopset import (
     dump_hopset,
     load_hopset,
 )
-from .util import as_fraction
+from .util import FormatError, as_fraction
 from .verify import check_pair_spec, size_stats, verify_stretch
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _add_param_flags(p: argparse.ArgumentParser):
 
 
 def _params(args) -> HopsetParams:
-    return HopsetParams.make(
+    return HopsetParams(
         kappa=args.kappa,
         rho=args.rho,
         eps_target=args.eps,
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.fn(args)
-    except (GraphFormatError, HopsetFormatError) as exc:
+    except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (HopsetError, GraphError) as exc:

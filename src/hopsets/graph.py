@@ -14,21 +14,15 @@ import math
 import random
 from typing import Iterable, TextIO
 
-from .util import opened
+from .util import FormatError, opened
 
 
 class GraphError(ValueError):
     pass
 
 
-class GraphFormatError(GraphError):
-    """Parse failure; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class GraphFormatError(GraphError, FormatError):
+    """Malformed DIMACS input; carries the 1-based line number when known."""
 
 
 class Graph:
@@ -127,7 +121,7 @@ def validate(graph: Graph) -> list[str]:
 
 
 def load_dimacs(source) -> Graph:
-    """Parse a DIMACS .gr file (path, text stream, or byte stream).
+    """Parse a DIMACS .gr file (a path or a text stream).
 
     Duplicate arcs and (u,v)/(v,u) pairs collapse to the minimum weight.
     The m of `p sp n m` counts the `a` lines.  Raises GraphFormatError with
@@ -142,8 +136,6 @@ def load_dimacs(source) -> Graph:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
                 raise GraphFormatError("non-ASCII byte", lineno)
-            if isinstance(raw, bytes):
-                raw = raw.decode("ascii")
             parts = raw.split()
             if not parts:
                 continue
@@ -223,14 +215,14 @@ def er_graph(n: int, p: float, wmin: int, wmax: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def path_graph(n: int, base: float, seed: int = 0) -> Graph:
+def path_graph(n: int, base: float) -> Graph:
     """Path on n vertices; edge i gets weight floor(base**i), clamped to >= 1.
 
     An integral base gives exact integer powers; any other base is raised
     as a float, so it must be finite and base**(n-2) must fit a float.
 
     A base > 1 produces geometrically growing weights, the large-aspect-ratio
-    regime the scale reduction is built for.  Deterministic; seed unused.
+    regime the scale reduction is built for.  Deterministic: it takes no seed.
     """
     if n < 2:
         raise GraphError("path: n must be >= 2")
@@ -276,7 +268,7 @@ def generate(model: str, seed: int = 0, **params) -> Graph:
             params["n"], params["p"], params.get("wmin", 1), params.get("wmax", 1), seed
         )
     if model == "path":
-        return path_graph(params["n"], params.get("base", 1), seed)
+        return path_graph(params["n"], params.get("base", 1))
     if model == "grid":
         return grid_graph(
             params["rows"],

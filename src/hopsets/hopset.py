@@ -32,18 +32,12 @@ from .single_scale import (
     phase_counts,
     phase_degrees,
 )
-from .util import HopsetError, as_fraction, child_seed, find, opened, to_scaled
+from .util import FormatError, HopsetError, as_fraction, child_seed, find, opened, to_scaled
 from .witness import Witnesses
 
 
-class HopsetFormatError(HopsetError):
+class HopsetFormatError(HopsetError, FormatError):
     """Malformed hopset file; carries the 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 KIND_ORDER = {"star": 0, "supercluster": 1, "interconnect": 2}
@@ -54,9 +48,10 @@ class HopsetParams:
     """User-facing build parameters.
 
     eps_target is the stretch slack of the final guarantee; rescaling to the
-    internal per-phase eps happens in `plan`.  Builds are deterministic for
-    fixed (graph, params): every scale and phase derives its own RNG stream
-    from `seed`.
+    internal per-phase eps happens in `plan`.  rho and eps_target are stored
+    as `as_fraction` reads them, so 0.3, "0.3" and "3/10" are one value.
+    Builds are deterministic for fixed (graph, params): every scale and
+    phase derives its own RNG stream from `seed`.
     """
 
     kappa: int = 2
@@ -67,13 +62,9 @@ class HopsetParams:
     degree_mode: str = "basic"  # "basic" | "refined"
     path_reporting: bool = False
 
-    @staticmethod
-    def make(**kw) -> "HopsetParams":
-        if "rho" in kw:
-            kw["rho"] = as_fraction(kw["rho"])
-        if "eps_target" in kw:
-            kw["eps_target"] = as_fraction(kw["eps_target"])
-        return HopsetParams(**kw)
+    def __post_init__(self):
+        object.__setattr__(self, "rho", as_fraction(self.rho))
+        object.__setattr__(self, "eps_target", as_fraction(self.eps_target))
 
     def validated(self) -> "HopsetParams":
         """Check mode and eps_target; `phase_counts` checks the rest."""

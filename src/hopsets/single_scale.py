@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .explore import ExplorationForest, bounded_dijkstra, multi_source_bounded_dijkstra
@@ -224,8 +224,8 @@ class PhaseStats:
 @dataclass
 class SingleScaleHopset:
     edges: list[ScaleEdge]
-    stats: list[PhaseStats] = field(default_factory=list)
-    partitions: list[list[int]] = field(default_factory=list)
+    stats: list[PhaseStats]
+    partitions: list[list[int]]  # each phase's entering partition
 
 
 def _scale_edge(forest: ExplorationForest, v: int, kind: str) -> ScaleEdge:
@@ -303,23 +303,16 @@ def interconnect_phase(
     return edges, visits
 
 
-def build_single_scale(
-    adj,
-    phases: ScalePhases,
-    seed: int,
-    floor: int,
-    sample_overrides: dict[int, float] | None = None,
-    keep_partitions: bool = False,
-) -> SingleScaleHopset:
+def build_single_scale(adj, phases: ScalePhases, seed: int, floor: int) -> SingleScaleHopset:
     """Run all phases over `adj` (any graph in scaled-integer weights).
 
     Deterministic for fixed (adj, phases, seed).  `floor` must be a lower
-    bound on every arc weight of `adj` (0 is always one).  `sample_overrides`
-    maps a phase index to a forced sampling probability, and
-    `keep_partitions` records each phase's entering partition (test hooks).
-    Every vertex of `adj` starts as the center of its own cluster; emitted
-    edges live in the same vertex space as `adj`, each with the path that
-    realizes it.
+    bound on every arc weight of `adj` (0 is always one).  Phase i samples
+    with `phases.sample_probability(i)`, so a deg of 1 samples every
+    cluster and a deg of `math.inf` none.  Every vertex of `adj` starts as
+    the center of its own cluster; emitted edges live in the same vertex
+    space as `adj`, each with the path that realizes it, and the result
+    keeps each phase's entering partition.
 
     A phase whose radius is below `floor` is idle: no arc is that short, so
     an exploration to it would reach its own roots only.  Idle
@@ -335,13 +328,12 @@ def build_single_scale(
     partitions: list[list[int]] = []
     ell = len(phases.depth) - 1
     for i in range(ell + 1):
-        if keep_partitions:
-            partitions.append(partition)
+        partitions.append(partition)
         nxt: list[int] = []
         star: list[ScaleEdge] = []
         unclustered = partition  # the concluding phase only interconnects
         if i < ell:
-            p = (sample_overrides or {}).get(i, phases.sample_probability(i))
+            p = phases.sample_probability(i)
             rng = random.Random(child_seed(seed, "phase", i))
             if phases.depth[i] >= floor:
                 nxt, star, unclustered = supercluster_phase(adj, partition, p, phases.depth[i], rng)

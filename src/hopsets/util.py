@@ -9,12 +9,23 @@ integers over its own.
 from __future__ import annotations
 
 import hashlib
+import os
 from contextlib import contextmanager
 from fractions import Fraction
 
 
 class HopsetError(ValueError):
     """Base of the package's errors: rejected parameters, hopsets and queries."""
+
+
+class FormatError(ValueError):
+    """Malformed input file; carries the 1-based line number when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 def as_fraction(x) -> Fraction:
@@ -69,14 +80,16 @@ def find(parent: list[int], x: int) -> int:
 
 @contextmanager
 def opened(source):
-    """A file path (str or bytes) opened as ASCII text, or a stream as it is.
+    """A path (str, bytes or `os.PathLike`) opened as ASCII text, or a stream as it is.
 
     A file this opens is closed on exit; a stream passed in is left open.
     Bytes >= 0x80 do not raise here: the text wrapper decodes whole chunks,
     so its error could not name a line.  They read as lone surrogates, and
-    a loader rejects each line for which `isascii()` is false.
+    a loader rejects each line for which `isascii()` is false.  A binary
+    stream yields `bytes` lines, whose tags match no record: a loader
+    rejects its first non-blank line as a format error.
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
             yield fh
     else:

@@ -70,7 +70,7 @@ def contract_runs():
         for name, make in instances():
             for seed in SEEDS5:
                 graph = make(seed)
-                params = HopsetParams.make(
+                params = HopsetParams(
                     kappa=KAPPA, rho=RHO, eps_target=eps, seed=seed, mode="reduced"
                 )
                 hopset = build_hopset(graph, params)
@@ -85,7 +85,7 @@ def trend_runs():
     for n in (128, 256, 512):
         for seed in range(10):
             graph = er_graph(n, 0.1, 1, 8, seed=seed)
-            params = HopsetParams.make(
+            params = HopsetParams(
                 kappa=KAPPA, rho=RHO, eps_target="0.3", seed=seed, mode="reduced"
             )
             runs.append((n, seed, graph, params, build_hopset(graph, params)))
@@ -297,7 +297,7 @@ def test_criterion_08_schedule_calculator():
 
 def test_criterion_09_asp_contract():
     graph = er_graph(200, 0.05, 1, 100, seed=77)
-    params = HopsetParams.make(
+    params = HopsetParams(
         kappa=KAPPA, rho=RHO, eps_target="0.3", seed=77, mode="reduced", path_reporting=True
     )
     hopset = build_hopset(graph, params)

@@ -49,7 +49,7 @@ class TestEstimates:
 
     def test_contract_against_apsp_rows(self):
         g = er_graph(200, 0.05, 1, 100, seed=9)
-        hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=9))
+        hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=9))
         sources = [3, 57, 101, 150, 199]
         res = rows(g, hs, sources)
         assert list(res) == sources  # ascending, one row each
@@ -108,7 +108,7 @@ class TestExtractPath:
     def test_direct_mode_expansion(self):
         g = path_graph(64, 2)
         hs = build_hopset(
-            g, HopsetParams.make(mode="direct", eps_target="1", seed=2, path_reporting=True)
+            g, HopsetParams(mode="direct", eps_target="1", seed=2, path_reporting=True)
         )
         (res,) = asp_estimates(g, hs, [0])
         for v in (20, 45, 63):
@@ -121,7 +121,7 @@ class TestExtractPath:
     def test_reduced_mode_weight_at_most_estimate(self):
         g = er_graph(80, 0.08, 1, 40, seed=12)
         hs = build_hopset(
-            g, HopsetParams.make(eps_target="0.3", seed=12, path_reporting=True)
+            g, HopsetParams(eps_target="0.3", seed=12, path_reporting=True)
         )
         apsp = exact_apsp(g)
         for res in asp_estimates(g, hs, [0, 11]):
@@ -136,7 +136,7 @@ class TestExtractPath:
 
     def test_non_path_reporting_hopset_errors(self):
         g = er_graph(80, 0.08, 1, 40, seed=12)
-        hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=12))
+        hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=12))
         (res,) = asp_estimates(g, hs, [0])
         used_hopset = [v for v in range(g.n) if res.dist[v] is not None and _uses_hopset(res, v)]
         if used_hopset:
@@ -239,7 +239,7 @@ def alter_rows(monkeypatch, alter):
 
 GRAPHS = {
     "er": lambda n, seed: er_graph(n, 0.3, 1, 10**6, seed=seed),
-    "path": lambda n, seed: path_graph(n, 2, seed=seed),
+    "path": lambda n, seed: path_graph(n, 2),
     "grid": lambda n, seed: grid_graph(4, n // 4, 1, 30, seed=seed),
 }
 
@@ -249,7 +249,7 @@ def path_reporting_queries(draw):
     graph = GRAPHS[draw(st.sampled_from(sorted(GRAPHS)))](
         draw(st.integers(8, 40)), draw(st.integers(0, 10**6))
     )
-    params = HopsetParams.make(
+    params = HopsetParams(
         eps_target=draw(st.sampled_from(["0.3", "0.45"])),
         seed=draw(st.integers(0, 10**6)),
         mode=draw(st.sampled_from(["reduced", "direct"])),
@@ -277,7 +277,7 @@ class TestWritePaths:
     @staticmethod
     def _built(n=64):
         g = path_graph(n, 2)
-        params = HopsetParams.make(eps_target="0.3", seed=2, mode="direct", path_reporting=True)
+        params = HopsetParams(eps_target="0.3", seed=2, mode="direct", path_reporting=True)
         hs = build_hopset(g, params)
         sources = [0, n // 2, n - 1]
         assert hopset_steps(g, hs, sources)  # the paths expand witnesses
@@ -407,7 +407,7 @@ class NullSink:
 
 def test_query_memory_does_not_grow_with_the_source_count():
     g = er_graph(300, 0.03, 1, 10**6, seed=5)
-    hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=5, path_reporting=True))
+    hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=5, path_reporting=True))
 
     def peak(sources):
         tracemalloc.start()

@@ -122,7 +122,7 @@ GOLDEN_QUERY = {
 @functools.cache
 def _built(case):
     graph, mode, *witnesses = case.split("-")
-    params = HopsetParams.make(
+    params = HopsetParams(
         eps_target="0.3", seed=1, mode=mode, path_reporting=bool(witnesses)
     )
     g = GRAPHS[graph]()
@@ -163,7 +163,7 @@ def test_witness_ids_grow_linearly_on_the_path_family():
     # the expanded witnesses of the same builds grow fourfold (35,678 to 141,860)
     compact, expanded = [], []
     for n in (256, 512):
-        params = HopsetParams.make(eps_target="0.3", seed=1, path_reporting=True)
+        params = HopsetParams(eps_target="0.3", seed=1, path_reporting=True)
         buf = io.StringIO()
         dump_hopset(build_hopset(path_graph(n, 2), params), buf)
         compact.append(_witness_ids(buf.getvalue()))

@@ -116,7 +116,7 @@ def _path_or_error(forest, a, b):
 def reduced_params(**kw):
     base = dict(kappa=2, rho="0.5", eps_target="0.3", seed=1, mode="reduced")
     base.update(kw)
-    return HopsetParams.make(**base)
+    return HopsetParams(**base)
 
 
 @st.composite
@@ -131,7 +131,7 @@ def plan_cases(draw):
             lambda e: 0 < e and (e < top or mode == "direct")
         )
     )
-    params = HopsetParams.make(
+    params = HopsetParams(
         kappa=kappa,
         rho=rho,
         eps_target=eps,
@@ -181,7 +181,7 @@ class TestPlan:
         assert hs.build_stats["scales"] and len(calls) == 1
 
     def test_direct_rescaling(self):
-        p = plan(HopsetParams.make(mode="direct", eps_target="0.96"), 1024)
+        p = plan(HopsetParams(mode="direct", eps_target="0.96"), 1024)
         assert p.ell == 2
         assert p.eps_int == F(1, 100)
         # recurrence at eps=1/100: h = (1, 209, 21427), beta = 2*21427 + 1
@@ -345,8 +345,8 @@ class TestDenominator:
         [
             reduced_params(seed=3),
             reduced_params(eps_target="0.45", kappa=3, rho="0.4", path_reporting=True),
-            HopsetParams.make(mode="direct", eps_target="0.3", seed=2),
-            HopsetParams.make(mode="direct", eps_target="1", seed=5, path_reporting=True),
+            HopsetParams(mode="direct", eps_target="0.3", seed=2),
+            HopsetParams(mode="direct", eps_target="1", seed=5, path_reporting=True),
         ],
     )
     @pytest.mark.parametrize(
@@ -381,12 +381,12 @@ class TestDenominator:
 class TestBuildDirect:
     def test_small_er(self):
         g = er_graph(40, 0.15, 1, 6, seed=7)
-        hs = build_hopset(g, HopsetParams.make(mode="direct", eps_target="0.9", seed=5))
+        hs = build_hopset(g, HopsetParams(mode="direct", eps_target="0.9", seed=5))
         assert verify_stretch(g, hs, pair_mode="all").ok
 
     def test_both_modes_verify_on_geometric_path(self):
         g = path_graph(64, 2)
-        direct = build_hopset(g, HopsetParams.make(mode="direct", eps_target="1", seed=2))
+        direct = build_hopset(g, HopsetParams(mode="direct", eps_target="1", seed=2))
         reduced = build_hopset(g, reduced_params(seed=2))
         assert verify_stretch(g, direct, pair_mode="all").ok
         assert verify_stretch(g, reduced, pair_mode="all").ok
@@ -413,7 +413,7 @@ class TestArcFloor:
         ],
     )
     def test_matches_a_build_without_floor(self, monkeypatch, mode, graph, eps):
-        params = HopsetParams.make(mode=mode, eps_target=eps, seed=4, path_reporting=True)
+        params = HopsetParams(mode=mode, eps_target=eps, seed=4, path_reporting=True)
         fast = build_hopset(graph, params)
         build = hopsets.hopset.build_single_scale
 
@@ -447,7 +447,7 @@ class TestWitnesses:
     def test_direct_witness_weight_equality(self):
         g = path_graph(64, 2)
         hs = build_hopset(
-            g, HopsetParams.make(mode="direct", eps_target="1", seed=2, path_reporting=True)
+            g, HopsetParams(mode="direct", eps_target="1", seed=2, path_reporting=True)
         )
         assert validate_witnesses(g, hs) == []
         for e, path in zip(hs.edges, hs.witnesses):
@@ -581,6 +581,18 @@ class TestDeterminismAndFiles:
         a = build_hopset(g, reduced_params(seed=1))
         b = build_hopset(g, reduced_params(seed=2))
         assert _dumps(a) != _dumps(b)
+
+    @pytest.mark.parametrize(
+        "kw", [dict(path_reporting=True), dict(mode="direct")], ids=["reduced-w", "direct"]
+    )
+    def test_float_params_are_exact(self, kw):
+        # 0.3 and 0.5 are stored as 3/10 and 1/2, not as the binary floats near them
+        floats = HopsetParams(eps_target=0.3, rho=0.5, **kw)
+        exact = HopsetParams(eps_target="3/10", rho="1/2", **kw)
+        assert floats == exact
+        assert (floats.eps_target, floats.rho) == (F(3, 10), F(1, 2))
+        g = path_graph(64, 2)
+        assert _dumps(build_hopset(g, floats)) == _dumps(build_hopset(g, exact))
 
     def test_roundtrip_bit_exact(self):
         g = er_graph(50, 0.15, 1, 20, seed=4)

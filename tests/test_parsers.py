@@ -23,10 +23,13 @@ from hopsets import (
     Hopset,
     HopsetEdge,
     HopsetFormatError,
+    HopsetParams,
+    build_hopset,
     dump_dimacs,
     dump_hopset,
     load_dimacs,
     load_hopset,
+    path_graph,
     validate,
 )
 from hopsets.hopset import FILE_VERSION, _check_vertices, _fraction
@@ -567,3 +570,31 @@ def test_forest_line_before_header_is_rejected():
     expected = "HopsetFormatError: line 1: forest edge before header"
     assert _load_or_error(load_hopset, text) == _load_or_error(reference_load_hopset, text)
     assert _load_or_error(load_hopset, text) == expected
+
+
+def test_loaders_open_path_objects(tmp_path):
+    # an os.PathLike is opened as a file, as a str path is, not read as a stream
+    graph = path_graph(16, 2)
+    hopset = build_hopset(graph, HopsetParams(seed=1, path_reporting=True))
+    graph_file, hopset_file = tmp_path / "g.gr", tmp_path / "h.hopset"
+    graph_file.write_text(_dimacs_text(graph), encoding="ascii")
+    hopset_file.write_text(_hopset_text(hopset), encoding="ascii")
+    assert load_dimacs(graph_file) == graph
+    assert _hopset_text(load_hopset(hopset_file)) == hopset_file.read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "load, error, text",
+    [
+        (load_dimacs, GraphFormatError, _dimacs_text(Graph.from_edges(2, [(0, 1, 3)]))),
+        (load_hopset, HopsetFormatError, HUGE_FOREST_TEXT),
+        (load_hopset, HopsetFormatError, "h 1 2 5 1/10\n"),
+    ],
+    ids=["dimacs", "hopset-forest", "hopset-header"],
+)
+def test_binary_stream_is_a_format_error_on_line_one(load, error, text):
+    # a byte stream's lines are bytes, whose tags match no record
+    with pytest.raises(error) as exc:
+        load(io.BytesIO(text.encode("ascii")))
+    assert exc.value.line == 1
+    assert str(exc.value).startswith("line 1: unknown record b")

@@ -197,7 +197,7 @@ def lightest_arcs(graph, eps_target):
 
     The sweep runs from scale 0 until every edge is contracted.
     """
-    bp = plan(HopsetParams.make(eps_target=eps_target), graph.n)
+    bp = plan(HopsetParams(eps_target=eps_target), graph.n)
     eps = bp.eps_reduction
     lam = build_laminar(graph, eps)
     top = max((contraction_scale(w, graph.n, eps) for _, _, w in graph.edges), default=-1)

@@ -112,7 +112,7 @@ class TestRejections:
     def test_kappa_not_an_integer(self, kappa):
         g = path_graph(8, 2)
         with pytest.raises(ScheduleError, match="kappa must be an integer >= 2"):
-            build_hopset(g, HopsetParams.make(kappa=kappa))
+            build_hopset(g, HopsetParams(kappa=kappa))
 
     def test_bad_degree_mode(self):
         with pytest.raises(ScheduleError, match="degree_mode"):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -183,14 +184,13 @@ class TestInterconnectPhase:
 
 class TestStarGraphExample:
     def test_all_pairs_interconnected_at_exact_distance(self):
-        # K_{1,5}, unit weights, forced unsampled phase 0 with delta_0/2 >= 2
+        # K_{1,5}, unit weights, phase 0 forced unsampled (deg inf) with delta_0/2 >= 2
         g = Graph.from_edges(6, [(0, i, 1) for i in range(1, 6)])
         sched = compute_schedule(64, 2, F(1, 2), F(1, 10), 400)  # delta_0/2 = 2
         den = 100
         adj = scaled_adj(g, den)
-        ss = build_single_scale(
-            adj, scaled_phases(sched, den), 1, arc_floor(adj), sample_overrides={0: 0.0}
-        )
+        phases = replace(scaled_phases(sched, den), deg=(math.inf, *sched.deg[1:]))
+        ss = build_single_scale(adj, phases, 1, arc_floor(adj))
         inter0 = [e for e in ss.edges if e.kind == "interconnect"]
         assert len(inter0) == 15  # all pairs of the 6 vertices
         for e in inter0:
@@ -204,9 +204,7 @@ class TestBuildInvariants:
         sched = compute_schedule(n, 2, F(1, 2), F(1, 10), 64)
         den = 2 * 100
         adj = scaled_adj(g, den)
-        ss = build_single_scale(
-            adj, scaled_phases(sched, den), seed, arc_floor(adj), keep_partitions=True
-        )
+        ss = build_single_scale(adj, scaled_phases(sched, den), seed, arc_floor(adj))
         return g, sched, den, ss
 
     def test_deterministic_for_fixed_seed(self):
@@ -301,7 +299,7 @@ class TestBuildInvariants:
         ok = 0
         seeds = range(20)
         for s in seeds:
-            ss = build_single_scale(adj, phases, s, arc_floor(adj), keep_partitions=True)
+            ss = build_single_scale(adj, phases, s, arc_floor(adj))
             if len(ss.partitions[1]) <= 2 * n ** (1 - 1 / 2):
                 ok += 1
         assert ok >= 0.9 * len(seeds)
@@ -340,7 +338,12 @@ class TestBandContract:
 
 @st.composite
 def floor_cases(draw):
-    """A small simple graph, a band whose first phases may be idle, overrides, a seed."""
+    """A small simple graph, a band whose first phases may be idle, degrees, a seed.
+
+    The degrees are None, for the schedule's own, or a deg tuple for phases
+    0 and 1 that forces some of their sampling probabilities 1/deg: inf
+    samples no cluster, 1.0 every one and 2.0 half.
+    """
     n = draw(st.integers(2, 24))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     low = draw(st.sampled_from([1, 3, 40, 1000]))
@@ -348,40 +351,37 @@ def floor_cases(draw):
     weights = st.integers(low, low * draw(st.sampled_from([1, 2, 50])))
     g = Graph.from_edges(n, [(u, v, draw(weights)) for u, v in chosen])
     rhat = draw(st.sampled_from([2**j for j in range(1, 17)] + [3, 600, 1600]))
-    overrides = draw(st.sampled_from([None, {0: 0.0}, {0: 1.0}, {1: 0.0}, {0: 0.5, 1: 1.0}]))
-    return g, rhat, overrides, draw(st.integers(0, 2**32))
+    own = compute_schedule(n, 2, F(1, 2), F(1, 10), 1).deg  # deg does not depend on Rhat
+    inf = math.inf
+    deg = draw(st.sampled_from([None, (inf, own[1]), (1.0, own[1]), (own[0], inf), (2.0, 1.0)]))
+    return g, rhat, deg, draw(st.integers(0, 2**32))
 
 
 # Rhat = 1600 puts delta_0 at 16 and delta_0 / 2 at 8: arcs of exactly those
 # weights keep phase 0 active
 @given(floor_cases())
-@example((Graph.from_edges(3, [(0, 1, 8), (1, 2, 9)]), 1600, {0: 0.0}, 1))
-@example((Graph.from_edges(3, [(0, 1, 16), (1, 2, 16)]), 1600, {0: 0.5}, 3))
+@example((Graph.from_edges(3, [(0, 1, 8), (1, 2, 9)]), 1600, (math.inf, 3.0**0.5), 1))
+@example((Graph.from_edges(3, [(0, 1, 16), (1, 2, 16)]), 1600, (2.0, 3.0**0.5), 3))
 @settings(deadline=None, max_examples=200)
 def test_idle_phases_match_a_build_without_floor(case):
     # floor 0 idles no phase: every exploration runs, as before idle phases
-    g, rhat, overrides, seed = case
+    g, rhat, deg, seed = case
     den = 200
     adj = scaled_adj(g, den)
     phases = scaled_phases(compute_schedule(g.n, 2, F(1, 2), F(1, 10), rhat), den)
-    for keep in (False, True):
-        slow, fast = (
-            build_single_scale(adj, phases, seed, floor, overrides, keep_partitions=keep)
-            for floor in (0, arc_floor(adj))
-        )
-        assert fast.edges == slow.edges
-        assert fast.stats == slow.stats
-        assert fast.partitions == slow.partitions
-        # every cluster entering a phase is sampled, absorbed or unclustered,
-        # and the sampled ones are the next phase's partition
-        for ph in fast.stats:
-            assert ph.clusters_in == ph.sampled + ph.star_edges + ph.unclustered
-        assert fast.stats[-1].sampled == 0
-        if keep:
-            assert [len(p) for p in fast.partitions] == [ph.clusters_in for ph in fast.stats]
-            assert [ph.sampled for ph in fast.stats[:-1]] == [
-                len(p) for p in fast.partitions[1:]
-            ]
+    if deg is not None:
+        phases = replace(phases, deg=deg)
+    slow, fast = (build_single_scale(adj, phases, seed, floor) for floor in (0, arc_floor(adj)))
+    assert fast.edges == slow.edges
+    assert fast.stats == slow.stats
+    assert fast.partitions == slow.partitions
+    # every cluster entering a phase is sampled, absorbed or unclustered,
+    # and the sampled ones are the next phase's partition
+    for ph in fast.stats:
+        assert ph.clusters_in == ph.sampled + ph.star_edges + ph.unclustered
+    assert fast.stats[-1].sampled == 0
+    assert [len(p) for p in fast.partitions] == [ph.clusters_in for ph in fast.stats]
+    assert [ph.sampled for ph in fast.stats[:-1]] == [len(p) for p in fast.partitions[1:]]
 
 
 def test_reduced_build_explores_nothing_in_phase_zero(monkeypatch):
@@ -404,7 +404,7 @@ def test_reduced_build_explores_nothing_in_phase_zero(monkeypatch):
     monkeypatch.setattr(hopsets.hopset, "build_single_scale", traced_build)
     monkeypatch.setattr(ss, "supercluster_phase", traced(ss.supercluster_phase, "depth", 3))
     monkeypatch.setattr(ss, "interconnect_phase", traced(ss.interconnect_phase, "half", 2))
-    build_hopset(er_graph(200, 0.03, 1, 10**9, seed=3), HopsetParams.make(seed=1))
+    build_hopset(er_graph(200, 0.03, 1, 10**9, seed=3), HopsetParams(seed=1))
     assert len(builds) > 3
     assert {name for name, _ in explored} == {"supercluster_phase", "interconnect_phase"}
     assert all(i > 0 for _, i in explored), explored

@@ -111,7 +111,7 @@ class TestVerifyStretch:
 
     def test_built_hopset_no_violations(self):
         g = er_graph(100, 0.1, 1, 8, seed=5)
-        hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=5))
+        hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=5))
         report = verify_stretch(g, hs, pair_mode="all")
         assert report.ok
 
@@ -226,7 +226,7 @@ class TestVerifyStretch:
 
     def test_verification_is_read_only(self):
         g = er_graph(40, 0.2, 1, 7, seed=2)
-        hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=1))
+        hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=1))
         digest = g.digest()
         edges_before = [(e.u, e.v, e.w) for e in hs.edges]
         den = hs.den
@@ -265,7 +265,7 @@ class TestSizeStats:
 
     def test_star_bound_reported(self):
         g = er_graph(64, 0.1, 1, 8, seed=1)
-        hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=1))
+        hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=1))
         stats = size_stats(hs, 64, 2)
         assert stats["star_within_bound"]
         assert stats["star_edges"] <= 64 * 6
@@ -436,7 +436,7 @@ def test_matches_full_table_reference(case):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_built_hopset_matches_full_table_reference(mode, kw, seed):
     g = er_graph(60, 0.08, 1, 12, seed=seed)
-    hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=seed, mode="direct"))
+    hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=seed, mode="direct"))
     for beta in (hs.effective_beta, 2):  # as built, and far below n - 1
         hs.effective_beta = beta
         report = verify_stretch(g, hs, pair_mode=mode, **kw).to_dict()
@@ -480,7 +480,7 @@ def targets_by_source(pairs):
 def test_one_union_sweep_per_source(sweeps, build_mode, eps):
     # three isolated vertices: targets the union search leaves without a key
     g = Graph.from_edges(63, er_graph(60, 0.15, 1, 1000, seed=2).edges)
-    hs = build_hopset(g, HopsetParams.make(eps_target=eps, seed=2, mode=build_mode))
+    hs = build_hopset(g, HopsetParams(eps_target=eps, seed=2, mode=build_mode))
     assert hs.size > 0 and hs.effective_beta >= g.n - 1
     sample = {"sample_size": 80, "sample_seed": 3}
     for mode, kw, wanted in (
@@ -515,7 +515,7 @@ def test_one_union_sweep_per_source(sweeps, build_mode, eps):
 def test_sampled_undercut_reaches_the_oracle(sweeps):
     # a pair search that takes an undercutting hopset edge still goes to the G oracle
     g = er_graph(60, 0.15, 1, 1000, seed=2)
-    hs = build_hopset(g, HopsetParams.make(eps_target="0.3", seed=2))
+    hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=2))
     wanted = targets_by_source(_sample_pairs(g, 80, 3))
     s, (t,) = next((s, vs) for s, vs in sorted(wanted.items()) if len(vs) == 1)
     half = dijkstra_all(g.adj, s)[t] * F(1, 2)
