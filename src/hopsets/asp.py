@@ -1,9 +1,9 @@
 """S x V approximate shortest distances and paths through a hopset.
 
 Each source runs one hop-limited Bellman-Ford with the hopset's hop budget
-over the union graph G u H, which only this module builds (`verify` checks
-these rows below n - 1); estimates inherit the (1 + eps) contract.  Sources
-are answered one at a time: `asp_estimates` yields one `AspResult` row per
+over the tagged union graph G u H of a hopset `check_hopset` admits (`verify`
+checks these rows below n - 1); estimates inherit the (1 + eps) contract.
+Sources are answered one at a time: `asp_estimates` yields one row per
 source, and `write_estimates_csv` writes a row's CSV lines, and its path
 lines if asked, before it computes the next.  With a path-reporting hopset,
 predecessor chains expand into concrete graph paths whose weight never
@@ -45,8 +45,7 @@ def asp_estimates(graph: Graph, hopset: Hopset, sources) -> Iterator[AspResult]:
 
     The graph, the hopset and the sources are checked before this returns.
     """
-    if hopset.n != graph.n:
-        raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
+    check_hopset(graph, hopset)
     sources = sorted(set(sources))
     check_sources(graph.n, sources)
     rows = hop_limited_rows(_union_adjacency(graph, hopset), sources, hopset.effective_beta)
@@ -57,8 +56,7 @@ def _union_adjacency(graph: Graph, hopset: Hopset):
     """Undirected (neighbor, weight over the hopset's den, tag) lists of G u H.
 
     Graph edge i is tagged ~i < 0 and hopset edge i is tagged i, so predecessor
-    ties take graph arcs first, then hopset arcs by index.  A negative hopset
-    weight raises ValueError.
+    ties take graph arcs first, then hopset arcs by index; `check_hopset` has run.
     """
     den = hopset.den
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.n)]
@@ -66,11 +64,21 @@ def _union_adjacency(graph: Graph, hopset: Hopset):
         adj[u].append((v, w * den, ~i))
         adj[v].append((u, w * den, ~i))
     for i, e in enumerate(hopset.edges):
-        if e.w < 0:
-            raise ValueError(f"negative weight {e.w} on edge ({e.u}, {e.v})")
         adj[e.u].append((e.v, e.w, i))
         adj[e.v].append((e.u, e.w, i))
     return adj
+
+
+def check_hopset(graph: Graph, hopset: Hopset) -> None:
+    """Reject a hopset G u H cannot hold: another n, an end outside 0..n-1, a weight < 0."""
+    if hopset.n != graph.n:
+        raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
+    n = graph.n
+    for i, e in enumerate(hopset.edges):
+        if not (0 <= e.u < n and 0 <= e.v < n):
+            raise HopsetError(f"hopset edge {i} ({e.u + 1}, {e.v + 1}) leaves vertices 1..{n}")
+        if e.w < 0:
+            raise HopsetError(f"negative weight {e.w} on edge ({e.u}, {e.v})")
 
 
 def check_sources(n: int, sources) -> None:

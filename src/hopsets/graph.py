@@ -89,29 +89,27 @@ class Graph:
 
 
 def validate(graph: Graph) -> list[str]:
-    """Check all graph invariants; returns violations (empty means valid)."""
+    """Check all graph invariants in one pass over the edges; returns violations."""
+    n = graph.n
     violations = []
     seen = set()
+    mirror: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in graph.edges:
-        if not (0 <= u < graph.n and 0 <= v < graph.n):
-            violations.append(f"vertex-range: edge ({u},{v}) outside [0,{graph.n})")
+        if not (0 <= u < n and 0 <= v < n):
+            violations.append(f"vertex-range: edge ({u},{v}) outside [0,{n})")
             continue
         if u == v:
             violations.append(f"self-loop: vertex {u}")
         if not isinstance(w, int) or w < 1:
             violations.append(f"weight-positivity: edge ({u},{v}) has weight {w}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             violations.append(f"duplicate-edge: pair {key}")
         seen.add(key)
-    # adjacency must mirror the edge list exactly
-    mirror: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    for u, v, w in graph.edges:
-        if 0 <= u < graph.n and 0 <= v < graph.n:
-            mirror[u].append((v, w))
-            mirror[v].append((u, w))
-    for v in range(graph.n):
-        if sorted(mirror[v]) != sorted(graph.adj[v]):
+        mirror[u].append((v, w))
+        mirror[v].append((u, w))
+    for v, arcs in enumerate(mirror):
+        if arcs != graph.adj[v] and sorted(arcs) != sorted(graph.adj[v]):
             violations.append(f"adjacency-consistency: vertex {v}")
     return violations
 

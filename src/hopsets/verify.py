@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # hop_limited_bellman_ford is not called here: perfbench's tracer wraps this binding
-from .asp import asp_estimates
+from .asp import asp_estimates, check_hopset
 from .explore import dijkstra_all, hop_limited_bellman_ford, pair_distance
 from .graph import Graph
 from .hopset import Hopset, HopsetError
@@ -105,14 +105,12 @@ def _keyed_adjacency(graph: Graph, hopset: Hopset):
     hopset arc.  A minimum-key path is simple, so it has at most n - 1
     hopset arcs, and a shortest-path key K splits as divmod(K, n) =
     (d_U, c): the union distance and the fewest hopset edges on any
-    shortest union path.
+    shortest union path.  The hopset must have passed `check_hopset`.
     """
     n = graph.n
     unit = hopset.den * n
     adj = [[(v, w * unit) for v, w in nbrs] for nbrs in graph.adj]
     for e in hopset.edges:
-        if e.w < 0:
-            raise ValueError(f"negative weight {e.w} on edge ({e.u}, {e.v})")
         k = e.w * n + 1
         adj[e.u].append((e.v, k))
         adj[e.v].append((e.u, k))
@@ -197,8 +195,7 @@ def verify_stretch(
     exceeds (1 + eps) times it; pairs unreachable in G are excluded.
     """
     check_pair_spec(pair_mode, sample_size, band)
-    if hopset.n != graph.n:
-        raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
+    check_hopset(graph, hopset)
     t0 = time.perf_counter()
     den = hopset.den
     eps = hopset.effective_eps

@@ -96,6 +96,16 @@ class TestEstimates:
         with pytest.raises(ValueError, match=r"negative weight -1 on edge \(1, 2\)"):
             asp_estimates(g, hs, [0])
 
+    @pytest.mark.parametrize("beta", [10, 1])
+    @pytest.mark.parametrize("u,v,named", [(-1, 1, r"\(0, 2\)"), (0, 4, r"\(1, 5\)")])
+    def test_hopset_edge_off_the_vertex_set_rejected(self, beta, u, v, named):
+        # (-1, 1) must not be read as (3, 1), nor (0, 4) end in an IndexError
+        g = Graph.from_edges(4, [(0, 1, 5), (1, 2, 5), (2, 3, 5)])
+        hs = Hopset(n=4, edges=[HopsetEdge(u, v, 1, 0, "star")], den=1, effective_beta=beta,
+                    effective_eps=F(1, 10), provenance={})
+        with pytest.raises(HopsetError, match=rf"hopset edge 0 {named} leaves vertices 1..4"):
+            asp_estimates(g, hs, [0])
+
 
 class TestExtractPath:
     def test_graph_only_path_weight_equals_estimate(self):

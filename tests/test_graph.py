@@ -198,6 +198,52 @@ class TestValidate:
         g.edges.append((0, 1, 5))
         assert any(v.startswith("duplicate-edge") for v in validate(g))
 
+    def test_reordered_adjacency_is_consistent(self):
+        # the same arcs in another order: the lists differ until sorted
+        g = Graph.from_edges(4, [(0, 1, 3), (0, 2, 2), (0, 3, 2)])
+        g.adj[0].reverse()
+        assert validate(g) == []
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_two_pass_reference(self, data):
+        n = data.draw(st.integers(1, 8))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = [(u, v, w) for (u, v), w in data.draw(st.dictionaries(pairs, st.integers(1, 9)))
+                 .items() if u != v]
+        g = Graph.from_edges(n, edges)
+        for _ in range(data.draw(st.integers(0, 4))):
+            fault = data.draw(st.sampled_from(
+                ["range", "weight", "duplicate", "self-loop", "extra", "missing", "reorder"]))
+            vertex = st.integers(0, n - 1)
+            if fault == "range":
+                x, end = data.draw(vertex), data.draw(st.sampled_from([-1, n, n + 3]))
+                g.edges.append(data.draw(st.sampled_from([(x, end, 1), (end, x, 1)])))
+            elif fault == "weight" and g.edges:
+                i = data.draw(st.integers(0, len(g.edges) - 1))
+                u, v, _ = g.edges[i]
+                w = data.draw(st.sampled_from([0, -2, 2.5]))
+                g.edges[i] = (u, v, w)
+                if data.draw(st.booleans()) and 0 <= u < n and 0 <= v < n:  # in adj too
+                    g.adj[u] = [(x, w if x == v else y) for x, y in g.adj[u]]
+                    g.adj[v] = [(x, w if x == u else y) for x, y in g.adj[v]]
+            elif fault == "duplicate" and g.edges:
+                u, v, w = data.draw(st.sampled_from(g.edges))
+                g.edges.append(data.draw(st.sampled_from([(u, v, w), (v, u, w + 1)])))
+            elif fault == "self-loop":
+                x = data.draw(vertex)
+                g.edges.append((x, x, 1))
+            elif fault == "extra":
+                g.adj[data.draw(vertex)].append((data.draw(vertex), data.draw(st.integers(1, 9))))
+            elif fault in ("missing", "reorder"):
+                x = data.draw(vertex)
+                if g.adj[x]:
+                    if fault == "missing":
+                        g.adj[x].pop(data.draw(st.integers(0, len(g.adj[x]) - 1)))
+                    else:
+                        g.adj[x] = data.draw(st.permutations(g.adj[x]))
+        assert validate(g) == reference_validate(g)
+
     def test_from_edges_rejects_bad_input(self):
         with pytest.raises(GraphError):
             Graph.from_edges(2, [(0, 0, 1)])
@@ -205,6 +251,33 @@ class TestValidate:
             Graph.from_edges(2, [(0, 2, 1)])
         with pytest.raises(GraphError):
             Graph.from_edges(2, [(0, 1, -2)])
+
+
+def reference_validate(graph: Graph) -> list[str]:
+    """`validate` as it was: a loop of edge checks, then one more loop to mirror them."""
+    violations = []
+    seen = set()
+    for u, v, w in graph.edges:
+        if not (0 <= u < graph.n and 0 <= v < graph.n):
+            violations.append(f"vertex-range: edge ({u},{v}) outside [0,{graph.n})")
+            continue
+        if u == v:
+            violations.append(f"self-loop: vertex {u}")
+        if not isinstance(w, int) or w < 1:
+            violations.append(f"weight-positivity: edge ({u},{v}) has weight {w}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            violations.append(f"duplicate-edge: pair {key}")
+        seen.add(key)
+    mirror: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for u, v, w in graph.edges:
+        if 0 <= u < graph.n and 0 <= v < graph.n:
+            mirror[u].append((v, w))
+            mirror[v].append((u, w))
+    for v in range(graph.n):
+        if sorted(mirror[v]) != sorted(graph.adj[v]):
+            violations.append(f"adjacency-consistency: vertex {v}")
+    return violations
 
 
 def test_digest_stable_and_content_sensitive():

@@ -569,3 +569,22 @@ def test_negative_hopset_weight_is_rejected(beta):
     hs = rational_hopset(4, [(0, 3, F(-1, 2), 0, "star")], beta)
     with pytest.raises(ValueError, match=r"negative weight -1 on edge \(0, 3\)"):
         verify_stretch(g, hs)
+
+
+@pytest.mark.parametrize("beta", [10, 1])
+def test_negative_hopset_weight_is_rejected_when_no_pair_is_selected(beta):
+    # band 10 lies above the total weight 3, so no pair is selected: the hopset is still checked
+    g = path_graph(4, 1)
+    hs = rational_hopset(4, [(0, 3, -1, 0, "star")], beta)
+    with pytest.raises(HopsetError, match=r"negative weight -1 on edge \(0, 3\)"):
+        verify_stretch(g, hs, pair_mode="band", band=10)
+
+
+@pytest.mark.parametrize("beta", [10, 1])
+@pytest.mark.parametrize("u,v,named", [(-1, 1, r"\(0, 2\)"), (0, 4, r"\(1, 5\)")])
+def test_hopset_edge_off_the_vertex_set_is_rejected(beta, u, v, named):
+    # (-1, 1) must not be read as (3, 1), nor (0, 4) end in an IndexError
+    g = Graph.from_edges(4, [(0, 1, 5), (1, 2, 5), (2, 3, 5)])
+    hs = rational_hopset(4, [(u, v, 1, 0, "star")], beta)
+    with pytest.raises(HopsetError, match=rf"hopset edge 0 {named} leaves vertices 1..4"):
+        verify_stretch(g, hs)
