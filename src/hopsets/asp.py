@@ -4,12 +4,14 @@ Each source runs one hop-limited Bellman-Ford with the hopset's hop budget
 over the tagged union graph G u H of a hopset `check_hopset` admits (`verify`
 checks these rows below n - 1); estimates inherit the (1 + eps) contract.
 Sources are answered one at a time: `asp_estimates` yields one row per
-source, and `write_estimates_csv` writes a row's CSV lines, and its path
-lines if asked, before it computes the next.  With a path-reporting hopset,
-predecessor chains expand into concrete graph paths whose weight never
-exceeds the estimate (in reduced mode, where edge weights carry padding, it
-is usually below it).  `extract_path` answers one vertex; the path lines of
-a source come from one walk of its predecessor forest.
+source, and `write_estimates_csv` writes a row's CSV lines in one call, and
+its path lines if asked in another, before it computes the next.  With a
+path-reporting hopset, predecessor chains expand into concrete graph paths
+whose weight never exceeds the estimate (in reduced mode, where edge
+weights carry padding, it is usually below it).  `extract_path` answers one
+vertex; the path lines of a source come from one forward pass over the
+order in which its row's kernel fixed the vertices, each line its
+predecessor's line plus one step.
 """
 
 from __future__ import annotations
@@ -28,12 +30,18 @@ from .hopset import Hopset, HopsetError
 
 @dataclass
 class AspResult:
-    """One source's estimates as scaled integers over `den`, and its predecessors."""
+    """One source's estimates as scaled integers over `den`, and its predecessors.
+
+    `order` lists the vertices the source reaches in the order the kernel
+    fixed them: the source first, and every other vertex after its
+    predecessor.
+    """
 
     source: int
     den: int
     dist: list[int | None]
     pred: list[tuple[int, int] | None]
+    order: list[int]
 
     def estimate(self, v: int) -> Fraction | None:
         d = self.dist[v]
@@ -49,7 +57,9 @@ def asp_estimates(graph: Graph, hopset: Hopset, sources) -> Iterator[AspResult]:
     sources = sorted(set(sources))
     check_sources(graph.n, sources)
     rows = hop_limited_rows(_union_adjacency(graph, hopset), sources, hopset.effective_beta)
-    return (AspResult(s, hopset.den, dist, pred) for s, dist, pred in rows)
+    return (
+        AspResult(s, hopset.den, dist, pred, order) for s, dist, pred, order in rows
+    )
 
 
 def _union_adjacency(graph: Graph, hopset: Hopset):
@@ -70,15 +80,20 @@ def _union_adjacency(graph: Graph, hopset: Hopset):
 
 
 def check_hopset(graph: Graph, hopset: Hopset) -> None:
-    """Reject a hopset G u H cannot hold: another n, an end outside 0..n-1, a weight < 0."""
+    """Reject a hopset G u H cannot hold: another n, an end outside 0..n-1, a weight <= 0.
+
+    Weights must be positive, as `load_hopset` requires: an edge of weight 0
+    would put its two ends at distance 0, below any graph distance.
+    """
     if hopset.n != graph.n:
         raise HopsetError(f"hopset is for n={hopset.n}, graph has n={graph.n}")
     n = graph.n
     for i, e in enumerate(hopset.edges):
         if not (0 <= e.u < n and 0 <= e.v < n):
             raise HopsetError(f"hopset edge {i} ({e.u + 1}, {e.v + 1}) leaves vertices 1..{n}")
-        if e.w < 0:
-            raise HopsetError(f"negative weight {e.w} on edge ({e.u}, {e.v})")
+        if e.w <= 0:
+            kind = "negative" if e.w else "zero"
+            raise HopsetError(f"{kind} weight {e.w} on edge ({e.u}, {e.v})")
 
 
 def check_sources(n: int, sources) -> None:
@@ -132,67 +147,84 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
     return path, total
 
 
-def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict) -> list[str]:
-    """One `format_path` line per vertex v != s that `result` reaches, in vertex order.
+def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict) -> str:
+    """The `format_path` lines, as one text, of each vertex v != s `result` reaches.
 
-    Lines and errors are `extract_path`'s, vertex by vertex; a graph step is
-    checked by its tag ~i against `graph.edges[i]`.  The predecessor
-    forest is walked once: a vertex's line is its predecessor's line plus
-    the last step's segment.  `segments` memoises each hopset edge's checked
-    witness text per orientation, (hopset edge, forward) -> text.
+    Lines come in vertex order, and lines and errors are `extract_path`'s,
+    vertex by vertex.  One forward pass over `result.order` makes each
+    vertex's line from its predecessor's line and the last step: a graph
+    step is checked by its tag ~i against `graph.edges[i]`, and a hopset
+    step adds its witness after the first vertex.  `segments` memoises each
+    hopset edge's checked witness text per orientation, (hopset edge,
+    forward) -> text.
+
+    A fault does not stop the pass: each vertex carries the one
+    `extract_path` would raise for it, ranked as extract_path meets them.
+    A broken chain nearest v comes first (rank 0), then the end fault
+    nearest the source, a missing or mis-oriented witness (rank 1), then
+    the edge fault nearest the source, a step that is no graph edge
+    (rank 2).  After the pass the lowest-numbered faulty vertex's fault is
+    raised, as a vertex-by-vertex walk would meet it first.
     """
     edges, m, n = graph.edges, graph.m, graph.n
+    witnesses = hopset.witnesses
 
-    def orientation(u, x, idx):
-        if hopset.witnesses is None:
-            raise HopsetError("hopset is not path-reporting; rebuild with witnesses")
-        e = hopset.edges[idx]
+    def hopset_step(u, x, i):
+        """(witness text after its first vertex, None) for step u -> x on hopset
+        edge i, or (None, (rank, message)) for its fault."""
+        if witnesses is None:
+            return None, (1, "hopset is not path-reporting; rebuild with witnesses")
+        e = hopset.edges[i]
         forward = (e.u, e.v) == (u, x)
-        wit = hopset.witnesses[idx]
+        wit = witnesses[i]
         if (wit[0], wit[-1]) != ((u, x) if forward else (x, u)):
-            raise HopsetError(f"witness for edge {idx} does not join {u + 1} and {x + 1}")
-        return idx, forward
-
-    def segment(key):
-        """' v2 v3 ...': 1-based text of an oriented witness after its first vertex."""
-        text = segments.get(key)
+            return None, (1, f"witness for edge {i} does not join {u + 1} and {x + 1}")
+        text = segments.get((i, forward))
         if text is None:
-            wit = hopset.witnesses[key[0]]
-            if not key[1]:
+            if not forward:
                 wit = wit[::-1]
             for a, b in zip(wit, wit[1:]):
                 if graph.weight(a, b) is None:
-                    raise HopsetError(f"extracted step ({a + 1},{b + 1}) is not a graph edge")
-            text = segments[key] = "".join(f" {x + 1}" for x in wit[1:])
-        return text
+                    return None, (2, f"extracted step ({a + 1},{b + 1}) is not a graph edge")
+            text = segments[i, forward] = "".join(f" {y + 1}" for y in wit[1:])
+        return text, None
 
-    s, dist, pred = result.source, result.dist, result.pred
+    s, pred = result.source, result.pred
     line: list[str | None] = [None] * n
     line[s] = str(s + 1)
-    for v in range(n):
-        if line[v] is not None or dist[v] is None:
+    fault: dict[int, tuple[int, str]] = {}  # vertex -> (rank, message)
+    for v in result.order[1:]:
+        entry = pred[v]
+        if entry is None:
+            fault[v] = (0, f"broken predecessor chain at {v + 1}")
             continue
-        steps = []  # back from v to the nearest vertex with a line
-        cur = v
-        while line[cur] is None:
-            entry = pred[cur]
-            if entry is None:
-                raise HopsetError(f"broken predecessor chain at {cur + 1}")
-            steps.append((entry[0], cur, entry[1]))
-            cur = entry[0]
-        steps.reverse()
-        # as in extract_path: expand every hopset step, then check each edge
-        for u, x, i in steps:
-            if i >= 0:
-                orientation(u, x, i)
-        for u, x, i in steps:
-            if i >= 0:
-                line[x] = line[u] + segment(orientation(u, x, i))
-            elif ~i < m and edges[~i][:2] in ((u, x), (x, u)):
-                line[x] = f"{line[u]} {x + 1}"
+        u, i = entry
+        text = line[u]
+        if text is None:  # u is faulty: v inherits it, unless an end fault outranks it
+            f = fault[u]
+            if f[0] == 2 and i >= 0:
+                g = hopset_step(u, v, i)[1]
+                if g is not None and g[0] == 1:
+                    f = g
+            fault[v] = f
+        elif i >= 0:
+            seg, f = hopset_step(u, v, i)
+            if f is None:
+                line[v] = text + seg
             else:
-                raise HopsetError(f"extracted step ({u + 1},{x + 1}) is not a graph edge")
-    return [line[v] + "\n" for v in range(n) if v != s and dist[v] is not None]
+                fault[v] = f
+        else:
+            a, b, _ = edges[~i] if ~i < m else (-1, -1, 0)  # a tag past the edges joins nothing
+            if (a == u and b == v) or (a == v and b == u):
+                line[v] = f"{text} {v + 1}"
+            else:
+                fault[v] = (2, f"extracted step ({u + 1},{v + 1}) is not a graph edge")
+    if fault:
+        raise HopsetError(fault[min(fault)][1])
+    line[s] = None
+    lines = [x for x in line if x is not None]
+    lines.append("")  # so the last line ends in a newline too
+    return "\n".join(lines)
 
 
 def write_estimates_csv(
@@ -200,26 +232,31 @@ def write_estimates_csv(
 ) -> None:
     """CSV emission: source,vertex,estimate_num,estimate_den (1-based ids).
 
-    Unreachable vertices get estimate inf/1.  Given a text file `paths`,
-    each source's rows are followed by its `_path_lines` there, so a path
-    fault at a source raises `HopsetError` after its rows, before its lines.
+    Unreachable vertices get estimate inf/1.  A source's n rows are written
+    with one format call, each estimate d / den in lowest terms through one
+    gcd.  Given a text file `paths`, each source's rows are followed by its
+    `_path_lines` there, written in one call, so a path fault at a source
+    raises `HopsetError` after its rows, before its lines.
     """
     rows = asp_estimates(graph, hopset, sources)
     if header:
         for key in sorted(header):
             out.write(f"# {key} {header[key]}\n")
     out.write("source,vertex,estimate_num,estimate_den\n")
+    row_format = "%d,%d,%s,%d\n" * graph.n
     segments: dict[tuple[int, bool], str] = {}
     for result in rows:
         s, den = result.source + 1, result.den
+        cells = []
         for v, d in enumerate(result.dist, 1):
             if d is None:
-                out.write(f"{s},{v},inf,1\n")
+                cells += (s, v, "inf", 1)
             else:
                 g = gcd(d, den)  # d / den in lowest terms, as Fraction would print it
-                out.write(f"{s},{v},{d // g},{den // g}\n")
+                cells += (s, v, d // g, den // g)
+        out.write(row_format % tuple(cells))
         if paths is not None:
-            paths.writelines(_path_lines(graph, hopset, result, segments))
+            paths.write(_path_lines(graph, hopset, result, segments))
 
 
 def format_path(path: list[int]) -> str:

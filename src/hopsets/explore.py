@@ -223,20 +223,27 @@ def hop_limited_rows(adj, sources, t: int):
 
     `adj` holds undirected (neighbor, weight >= 0, tag) lists; `tag` comes
     back in predecessor entries.  t < 0 raises ValueError before this returns
-    an iterator of (s, dist, pred), the rows `HopLimitedTable` describes, one
-    per source s in ascending order.
+    an iterator of (s, dist, pred, order), one per source s in ascending
+    order: dist and pred are the rows `HopLimitedTable` describes, and order
+    lists the vertices s reaches, s first and every other vertex after its
+    predecessor, so one forward pass over it can extend each vertex's path
+    from its predecessor's.
 
     The method follows from t and n = len(adj) alone; both are exact:
     - t >= n - 1 (n > 1): a minimum path never needs more than n - 1 edges,
       so d^(t) is the plain shortest distance.  One Dijkstra per source,
       keyed on (distance, hops), yields it together with the fewest edges h
       each vertex needs; the predecessor tie is settled among arcs out of
-      vertices at h - 1 hops, which all leave the heap first.
+      vertices at h - 1 hops, which all leave the heap first.  The order is
+      the heap's settle order: a predecessor is always settled first.
     - t < n - 1: t Bellman-Ford rounds.  Round j relaxes only arcs out of
       vertices lowered in round j - 1 (no other arc can lower or tie a
       value), reading their values as they stood at the start of the
       round, so the result is d^(t) exactly rather than something between
-      d^(t) and d.  Rounds stop once one lowers nothing.
+      d^(t) and d.  Rounds stop once one lowers nothing.  The order is by
+      ascending distance, ties by the round that last lowered the vertex: a
+      predecessor's final distance is below its successor's, or equal and
+      final a round earlier (possible only across a weight-0 arc).
 
     Ties on equal distance are broken toward the lexicographically smallest
     (neighbor id, tag) so predecessor trees are deterministic.
@@ -254,7 +261,7 @@ def hop_limited_rows(adj, sources, t: int):
 def hop_limited_bellman_ford(adj, sources, t: int) -> HopLimitedTable:
     """`hop_limited_rows` collected into one table of every source's rows."""
     table = HopLimitedTable(t, [], {}, {})
-    for s, dist, pred in hop_limited_rows(adj, sources, t):
+    for s, dist, pred, _ in hop_limited_rows(adj, sources, t):
         table.sources.append(s)
         table.dist[s] = dist
         table.pred[s] = pred
@@ -268,6 +275,7 @@ def _fewest_hops_dijkstra(adj, s):
     hops = [0] * n
     pred: list[tuple[int, object] | None] = [None] * n
     done = [False] * n
+    order = []
     dist[s] = 0
     heap = [(0, 0, s)]
     while heap:
@@ -275,6 +283,7 @@ def _fewest_hops_dijkstra(adj, s):
         if done[u]:
             continue
         done[u] = True
+        order.append(u)
         h += 1
         for v, w, tag in adj[u]:
             if done[v]:
@@ -288,7 +297,7 @@ def _fewest_hops_dijkstra(adj, s):
                 heappush(heap, (cand, h, v))
             elif cand == dv and h == hops[v] and (u, tag) < pred[v]:
                 pred[v] = (u, tag)
-    return dist, pred
+    return dist, pred, order
 
 
 def _frontier_rounds(adj, s, rounds):
@@ -317,4 +326,6 @@ def _frontier_rounds(adj, s, rounds):
         if not lowered:
             break
         frontier = lowered
-    return dist, pred
+    order = [v for v in range(n) if dist[v] is not None]
+    order.sort(key=lambda v: (dist[v], stamp[v]))
+    return dist, pred, order

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import tracemalloc
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from hopsets import (
 )
 import hopsets.asp
 from hopsets.asp import format_path, write_estimates_csv
-from hopsets.hopset import HopsetEdge
+from hopsets.hopset import HopsetEdge, HopsetFormatError, dump_hopset, load_hopset
+from hopsets.verify import verify_stretch
 
 
 def empty_hopset(n, beta):
@@ -96,6 +98,31 @@ class TestEstimates:
         with pytest.raises(ValueError, match=r"negative weight -1 on edge \(1, 2\)"):
             asp_estimates(g, hs, [0])
 
+    @pytest.mark.parametrize("beta", [1, 10**8])
+    def test_zero_weight_rejected_as_load_hopset_rejects_it(self, beta):
+        # path 0-1-2 of weights 5, 5: an edge (0, 2) of weight 0 would give vertex 2
+        # the estimate 0, where the true distance is 10
+        g = Graph.from_edges(3, [(0, 1, 5), (1, 2, 5)])
+        hs = Hopset(n=3, edges=[HopsetEdge(0, 2, 0, 1, "star")], den=1, effective_beta=beta,
+                    effective_eps=F(1, 10), provenance={})
+        with pytest.raises(HopsetError, match=r"zero weight 0 on edge \(0, 2\)"):
+            asp_estimates(g, hs, [0])
+        with pytest.raises(HopsetError, match=r"zero weight 0 on edge \(0, 2\)"):
+            verify_stretch(g, hs)
+        buf = io.StringIO()
+        dump_hopset(hs, buf)
+        assert buf.getvalue().splitlines()[1] == "e 1 3 0/1 1 star"
+        with pytest.raises(HopsetFormatError, match="line 2: edge weight 0 is not positive"):
+            load_hopset(io.StringIO(buf.getvalue()))
+        # weight 10 passes all three, and round-trips
+        hs.edges[0] = HopsetEdge(0, 2, 10, 1, "star")
+        buf = io.StringIO()
+        dump_hopset(hs, buf)
+        assert load_hopset(io.StringIO(buf.getvalue())) == hs
+        (res,) = asp_estimates(g, hs, [0])
+        assert res.estimate(2) == 10
+        assert verify_stretch(g, hs).ok
+
     @pytest.mark.parametrize("beta", [10, 1])
     @pytest.mark.parametrize("u,v,named", [(-1, 1, r"\(0, 2\)"), (0, 4, r"\(1, 5\)")])
     def test_hopset_edge_off_the_vertex_set_rejected(self, beta, u, v, named):
@@ -160,6 +187,52 @@ class TestExtractPath:
             extract_path(g, empty_hopset(3, beta=2), res, 2)
 
 
+def reference_csv(graph, hopset, sources, header):
+    """Reference: `write_estimates_csv`'s rows as one f-string and one write per row."""
+    out = io.StringIO()
+    if header:
+        for key in sorted(header):
+            out.write(f"# {key} {header[key]}\n")
+    out.write("source,vertex,estimate_num,estimate_den\n")
+    for result in asp_estimates(graph, hopset, sources):
+        s, den = result.source + 1, result.den
+        for v, d in enumerate(result.dist, 1):
+            if d is None:
+                out.write(f"{s},{v},inf,1\n")
+            else:
+                g = gcd(d, den)
+                out.write(f"{s},{v},{d // g},{den // g}\n")
+    return out.getvalue()
+
+
+@st.composite
+def csv_queries(draw):
+    """Two components (so `inf,1` rows), a hopset over den 1, 12 or 625 inside
+    them, a hop budget for either kernel, sources and an optional header."""
+    parts = [draw(st.integers(2, 12)), draw(st.integers(2, 12))]
+    edges, base = [], 0
+    for k in parts:
+        part = er_graph(k, 0.4, 1, 10**6, seed=draw(st.integers(0, 10**6)))
+        edges += [(u + base, v + base, w) for u, v, w in part.edges]
+        base += k
+    n = base
+    graph = Graph.from_edges(n, edges)
+    den = draw(st.sampled_from([1, 12, 625]))
+    weight = st.integers(1, 10**6 * den)
+    hop = []
+    for lo, hi in ((0, parts[0]), (parts[0], n)):
+        vertex = st.integers(lo, hi - 1)
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=hi - lo)):
+            if u != v:
+                hop.append(HopsetEdge(u, v, draw(weight), 0, "star"))
+    beta = draw(st.sampled_from([0, 1, max(0, n - 2), n - 1, 10**8]))
+    hs = Hopset(n=n, edges=hop, den=den, effective_beta=beta, effective_eps=F(1, 10),
+                provenance={})
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    header = draw(st.sampled_from([None, {}, {"graph": "g.gr", "beta": beta}]))
+    return graph, hs, sources, header
+
+
 class TestCsvEmission:
     def test_format(self):
         g = Graph.from_edges(3, [(0, 1, 2), (1, 2, 3)])
@@ -182,7 +255,13 @@ class TestCsvEmission:
     def test_format_path_one_based(self):
         assert format_path([0, 4, 2]) == "1 5 3"
 
-
+    @given(csv_queries())
+    @settings(deadline=None, max_examples=80)
+    def test_rows_match_the_per_row_loop(self, query):
+        graph, hs, sources, header = query
+        buf = io.StringIO()
+        write_estimates_csv(graph, hs, sources, buf, header=header)
+        assert buf.getvalue() == reference_csv(graph, hs, sources, header)
 
 
 def _uses_hopset(res, v):
@@ -363,6 +442,29 @@ class TestWritePaths:
         assert outcome(reference_paths, g, hs, [0]) == expected
         assert outcome(walked_paths, g, hs, [0]) == expected
 
+    @pytest.mark.parametrize("beta", [10, 2])
+    def test_lowest_numbered_fault_wins_over_the_first_settled(self, beta):
+        # graph 0-2-4 (weights 1) and 0-3-5-1 (weights 2); hopset edges 0-4 and 3-1
+        # take vertices 4 and 1 in fewer hops, and both witnesses are stored the
+        # wrong way round.  Vertex 4 settles fourth and vertex 1 last, for both
+        # kernels, yet vertex 1's fault is the one a vertex-by-vertex walk meets
+        g = Graph.from_edges(6, [(0, 2, 1), (2, 4, 1), (0, 3, 2), (3, 5, 2), (5, 1, 2)])
+        hs = Hopset(
+            n=6,
+            edges=[HopsetEdge(0, 4, 2, 1, "star"), HopsetEdge(1, 3, 4, 1, "star")],
+            den=1,
+            effective_beta=beta,
+            effective_eps=F(1, 10),
+            provenance={},
+            witnesses=[(4, 2, 0), (3, 5, 1)],
+        )
+        (res,) = asp_estimates(g, hs, [0])
+        assert res.order == [0, 2, 3, 4, 5, 1]
+        assert (res.pred[4], res.pred[1]) == ((0, 0), (3, 1))
+        expected = "HopsetError: witness for edge 1 does not join 4 and 2"
+        assert outcome(reference_paths, g, hs, [0]) == expected
+        assert outcome(walked_paths, g, hs, [0]) == expected
+
     def test_broken_predecessor_chain_raises_as_extract_path(self, monkeypatch):
         g, hs, sources = self._built()
         s = sources[-1]  # the chains of vertices 0, 1, ... pass through s - 3
@@ -377,10 +479,12 @@ class TestWritePaths:
         assert expected == f"HopsetError: broken predecessor chain at {s - 3 + 1}"
         assert outcome(walked_paths, g, hs, sources) == expected
 
-    def test_graph_step_checked_by_its_tag(self, monkeypatch):
+    @pytest.mark.parametrize("shift", [1, 2, 100])
+    def test_graph_step_checked_by_its_tag(self, monkeypatch, shift):
         def retag(row):
             u, tag = row.pred[4]
-            row.pred[4] = (u, tag - 1)  # ~3 - 1 == ~4 names the edge (4, 5)
+            # ~3 - 1 == ~4 names the edge (4, 5); ~5 and ~103 name no edge
+            row.pred[4] = (u, tag - shift)
 
         alter_rows(monkeypatch, retag)
         with pytest.raises(HopsetError, match=r"extracted step \(4,5\) is not a graph edge"):

@@ -478,6 +478,33 @@ def test_union_rows_match_dense_reference_on_tuple_tags(query):
     assert [(r.source, r.den, r.dist, r.pred) for r in rows] == expected
 
 
+def assert_settle_order(s, dist, pred, order):
+    """`order` holds each reached vertex once, s first, each after its predecessor."""
+    assert sorted(order) == [v for v, d in enumerate(dist) if d is not None]
+    assert order[0] == s
+    place = {v: k for k, v in enumerate(order)}
+    for v in order[1:]:
+        assert place[pred[v][0]] < place[v]
+
+
+@given(union_queries())
+@settings(deadline=None, max_examples=150)
+def test_union_rows_list_each_vertex_after_its_predecessor(query):
+    g, hopset, sources = query
+    for row in asp_estimates(g, hopset, sources):
+        assert_settle_order(row.source, row.dist, row.pred, row.order)
+
+
+@given(multigraph_queries())
+@settings(deadline=None, max_examples=150)
+def test_rows_list_each_vertex_after_its_predecessor_across_weight_0_arcs(query):
+    # across a weight-0 arc a vertex ties its predecessor's distance, so the
+    # frontier rounds order ties by the round that fixed them
+    n, edges, sources, t = query
+    for s, dist, pred, order in hop_limited_rows(tagged_adjacency(n, edges), sources, t):
+        assert_settle_order(s, dist, pred, order)
+
+
 def full_sweep(adj, source):
     """Reference: the former dijkstra_all, a full sweep through reference_bounded_dijkstra."""
     dist, _ = reference_bounded_dijkstra(adj, source, None)
