@@ -9,9 +9,10 @@ its path lines if asked in another, before it computes the next.  With a
 path-reporting hopset, predecessor chains expand into concrete graph paths
 whose weight never exceeds the estimate (in reduced mode, where edge
 weights carry padding, it is usually below it).  `extract_path` answers one
-vertex; the path lines of a source come from one forward pass over the
-order in which its row's kernel fixed the vertices, each line its
-predecessor's line plus one step.
+vertex and names every path fault; the path lines of a source come from one
+forward pass over the order in which its row's kernel fixed the vertices,
+each line its predecessor's line plus one step, and a vertex left without a
+line has its fault named by `extract_path`.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def check_hopset(graph: Graph, hopset: Hopset) -> None:
             raise HopsetError(f"hopset edge {i} ({e.u + 1}, {e.v + 1}) leaves vertices 1..{n}")
         if e.w <= 0:
             kind = "negative" if e.w else "zero"
-            raise HopsetError(f"{kind} weight {e.w} on edge ({e.u}, {e.v})")
+            w = Fraction(e.w, hopset.den)
+            raise HopsetError(f"hopset edge {i} ({e.u + 1}, {e.v + 1}) has {kind} weight {w}")
 
 
 def check_sources(n: int, sources) -> None:
@@ -112,6 +114,10 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
     witness.  Returns (vertex sequence, total weight); the weight is at most
     the estimate, while the hop count may exceed the hop budget (witness
     expansions are longer than the hopset edges they replace).
+
+    Every path fault is named here: a broken chain nearest v, then (hopset
+    steps expanded in path order) a missing or mis-joined witness, then (steps
+    in path order) one that is no graph edge; a step tagged ~i must be edge i.
     """
     s = result.source
     if result.dist[v] is None:
@@ -126,9 +132,11 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
         cur = entry[0]
     steps.reverse()
     path = [s]
+    tags = []  # beside path[1:]: a graph step's edge index, None for a witness step
     for u, x, idx in steps:
         if idx < 0:
             path.append(x)
+            tags.append(~idx)
         else:
             if hopset.witnesses is None:
                 raise HopsetError("hopset is not path-reporting; rebuild with witnesses")
@@ -138,9 +146,14 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
             if segment[0] != u or segment[-1] != x:
                 raise HopsetError(f"witness for edge {idx} does not join {u + 1} and {x + 1}")
             path.extend(segment[1:])
+            tags += [None] * (len(segment) - 1)
+    edges = graph.edges
     total = 0
-    for a, b in zip(path, path[1:]):
-        w = graph.weight(a, b)
+    for a, b, j in zip(path, path[1:], tags):
+        if j is None:
+            w = graph.weight(a, b)
+        else:
+            w = edges[j][2] if j < len(edges) and edges[j][:2] in ((a, b), (b, a)) else None
         if w is None:
             raise HopsetError(f"extracted step ({a + 1},{b + 1}) is not a graph edge")
         total += w
@@ -150,79 +163,64 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
 def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict) -> str:
     """The `format_path` lines, as one text, of each vertex v != s `result` reaches.
 
-    Lines come in vertex order, and lines and errors are `extract_path`'s,
-    vertex by vertex.  One forward pass over `result.order` makes each
-    vertex's line from its predecessor's line and the last step: a graph
-    step is checked by its tag ~i against `graph.edges[i]`, and a hopset
-    step adds its witness after the first vertex.  `segments` memoises each
-    hopset edge's checked witness text per orientation, (hopset edge,
-    forward) -> text.
+    Lines come in vertex order and are `extract_path`'s.  One forward pass
+    over `result.order` makes each vertex's line from its predecessor's line
+    and the last step: a graph step is checked by its tag ~i against
+    `graph.edges[i]`, and a hopset step adds its witness after the first
+    vertex.  `segments` memoises each hopset edge's checked witness text per
+    orientation, (hopset edge, forward) -> text.
 
-    A fault does not stop the pass: each vertex carries the one
-    `extract_path` would raise for it, ranked as extract_path meets them.
-    A broken chain nearest v comes first (rank 0), then the end fault
-    nearest the source, a missing or mis-oriented witness (rank 1), then
-    the edge fault nearest the source, a step that is no graph edge
-    (rank 2).  After the pass the lowest-numbered faulty vertex's fault is
-    raised, as a vertex-by-vertex walk would meet it first.
+    The pass only finds where a fault is: a vertex gets no line when its
+    predecessor is missing or has none, or when its own step fails a check.
+    If a reached vertex has no line, `extract_path` on the lowest-numbered
+    one raises its fault, the one a vertex-by-vertex walk meets first.
     """
     edges, m, n = graph.edges, graph.m, graph.n
     witnesses = hopset.witnesses
 
-    def hopset_step(u, x, i):
-        """(witness text after its first vertex, None) for step u -> x on hopset
-        edge i, or (None, (rank, message)) for its fault."""
+    def witness_text(u, x, i):
+        """Step u -> x's witness text past u on hopset edge i, or None on a fault."""
         if witnesses is None:
-            return None, (1, "hopset is not path-reporting; rebuild with witnesses")
+            return None
         e = hopset.edges[i]
         forward = (e.u, e.v) == (u, x)
         wit = witnesses[i]
         if (wit[0], wit[-1]) != ((u, x) if forward else (x, u)):
-            return None, (1, f"witness for edge {i} does not join {u + 1} and {x + 1}")
+            return None
         text = segments.get((i, forward))
         if text is None:
             if not forward:
                 wit = wit[::-1]
-            for a, b in zip(wit, wit[1:]):
-                if graph.weight(a, b) is None:
-                    return None, (2, f"extracted step ({a + 1},{b + 1}) is not a graph edge")
+            if any(graph.weight(a, b) is None for a, b in zip(wit, wit[1:])):
+                return None
             text = segments[i, forward] = "".join(f" {y + 1}" for y in wit[1:])
-        return text, None
+        return text
 
     s, pred = result.source, result.pred
     line: list[str | None] = [None] * n
     line[s] = str(s + 1)
-    fault: dict[int, tuple[int, str]] = {}  # vertex -> (rank, message)
     for v in result.order[1:]:
         entry = pred[v]
         if entry is None:
-            fault[v] = (0, f"broken predecessor chain at {v + 1}")
             continue
         u, i = entry
         text = line[u]
-        if text is None:  # u is faulty: v inherits it, unless an end fault outranks it
-            f = fault[u]
-            if f[0] == 2 and i >= 0:
-                g = hopset_step(u, v, i)[1]
-                if g is not None and g[0] == 1:
-                    f = g
-            fault[v] = f
-        elif i >= 0:
-            seg, f = hopset_step(u, v, i)
-            if f is None:
+        if text is None:  # u has no line, so v has none
+            continue
+        if i >= 0:
+            seg = witness_text(u, v, i)
+            if seg is not None:
                 line[v] = text + seg
-            else:
-                fault[v] = f
         else:
             a, b, _ = edges[~i] if ~i < m else (-1, -1, 0)  # a tag past the edges joins nothing
             if (a == u and b == v) or (a == v and b == u):
                 line[v] = f"{text} {v + 1}"
-            else:
-                fault[v] = (2, f"extracted step ({u + 1},{v + 1}) is not a graph edge")
-    if fault:
-        raise HopsetError(fault[min(fault)][1])
     line[s] = None
     lines = [x for x in line if x is not None]
+    if len(lines) < len(result.order) - 1:
+        v = min(x for x in result.order[1:] if line[x] is None)
+        extract_path(graph, hopset, result, v)
+        raise AssertionError(f"extract_path finds no fault at vertex {v + 1}")
     lines.append("")  # so the last line ends in a newline too
     return "\n".join(lines)
 

@@ -95,7 +95,7 @@ class TestEstimates:
         g = path_graph(3, 1)
         hs = Hopset(n=3, edges=[HopsetEdge(1, 2, -1, 0, "star")], den=1, effective_beta=beta,
                     effective_eps=F(1, 10), provenance={})
-        with pytest.raises(ValueError, match=r"negative weight -1 on edge \(1, 2\)"):
+        with pytest.raises(ValueError, match=r"hopset edge 0 \(2, 3\) has negative weight -1$"):
             asp_estimates(g, hs, [0])
 
     @pytest.mark.parametrize("beta", [1, 10**8])
@@ -105,9 +105,9 @@ class TestEstimates:
         g = Graph.from_edges(3, [(0, 1, 5), (1, 2, 5)])
         hs = Hopset(n=3, edges=[HopsetEdge(0, 2, 0, 1, "star")], den=1, effective_beta=beta,
                     effective_eps=F(1, 10), provenance={})
-        with pytest.raises(HopsetError, match=r"zero weight 0 on edge \(0, 2\)"):
+        with pytest.raises(HopsetError, match=r"hopset edge 0 \(1, 3\) has zero weight 0$"):
             asp_estimates(g, hs, [0])
-        with pytest.raises(HopsetError, match=r"zero weight 0 on edge \(0, 2\)"):
+        with pytest.raises(HopsetError, match=r"hopset edge 0 \(1, 3\) has zero weight 0$"):
             verify_stretch(g, hs)
         buf = io.StringIO()
         dump_hopset(hs, buf)
@@ -179,6 +179,17 @@ class TestExtractPath:
         if used_hopset:
             with pytest.raises(HopsetError, match="not path-reporting"):
                 extract_path(g, hs, res, used_hopset[0])
+
+    def test_graph_step_checked_by_its_tag(self):
+        # path 0-1-...-5 from 0: vertex 4's step (3, 4) on edge 3, tagged ~3,
+        # re-tagged ~4 names the edge (4, 5)
+        g, hs = path_graph(6, 1), empty_hopset(6, beta=5)
+        (res,) = asp_estimates(g, hs, [0])
+        res.pred[4] = (3, ~4)
+        assert extract_path(g, hs, res, 3) == ([0, 1, 2, 3], 3)
+        for v in (4, 5):
+            with pytest.raises(HopsetError, match=r"extracted step \(4,5\) is not a graph edge"):
+                extract_path(g, hs, res, v)
 
     def test_unreachable_target_errors(self):
         g = Graph.from_edges(3, [(0, 1, 1)])
@@ -351,6 +362,44 @@ def path_reporting_queries(draw):
     return graph, hs, sources
 
 
+ROW_FAULTS = ("cut", "retag_graph", "retag_hopset")
+# one to three (fault, pick) pairs; `pick` chooses the step or witness it hits
+INJECTED_FAULTS = st.lists(
+    st.tuples(st.sampled_from(ROW_FAULTS + ("reverse", "truncate", "detour")),
+              st.integers(0, 10**6)),
+    min_size=1, max_size=3,
+)
+
+
+def corrupt_witness(wit, kind):
+    """`wit` reversed, without its last vertex, or with a step that is no graph edge."""
+    wit = list(wit)
+    if kind == "reverse":
+        wit.reverse()
+    elif kind == "truncate":
+        wit.pop()
+    else:  # ends kept, a step from the last vertex to itself
+        wit.insert(1, wit[-1])
+    return tuple(wit)
+
+
+def inject_fault(row, kind, pick, m):
+    """Cut a predecessor, re-tag a graph step by -1, -2 or -100, or re-tag a
+    hopset step to another of the m hopset edges; `pick` chooses which."""
+    graph_step = {"cut": None, "retag_graph": True, "retag_hopset": False}[kind]
+    steps = [v for v, e in enumerate(row.pred) if e is not None and graph_step in (None, e[1] < 0)]
+    if not steps or (kind == "retag_hopset" and m < 2):
+        return
+    v = steps[pick % len(steps)]
+    u, tag = row.pred[v]
+    if kind == "cut":
+        row.pred[v] = None
+    elif kind == "retag_graph":
+        row.pred[v] = (u, tag - (1, 2, 100)[pick % 3])
+    else:
+        row.pred[v] = (u, (tag + 1 + pick % (m - 1)) % m)
+
+
 class TestWritePaths:
     @given(path_reporting_queries())
     @settings(deadline=None, max_examples=60)
@@ -487,8 +536,84 @@ class TestWritePaths:
             row.pred[4] = (u, tag - shift)
 
         alter_rows(monkeypatch, retag)
+        g, hs = path_graph(6, 1), empty_hopset(6, beta=5)
         with pytest.raises(HopsetError, match=r"extracted step \(4,5\) is not a graph edge"):
-            walked_paths(path_graph(6, 1), empty_hopset(6, beta=5), [0])
+            walked_paths(g, hs, [0])
+        assert outcome(walked_paths, g, hs, [0]) == outcome(reference_paths, g, hs, [0])
+
+    def test_witness_ends_checked_before_the_memo(self, monkeypatch):
+        # path 0-1-2-3-4, hopset edges 2-0 and 2-4, beta 2: vertex 2 takes edge 0
+        # against its stored direction, which memoises its witness reversed;
+        # vertex 4's step 2 -> 4, re-tagged to edge 0, must not read that text
+        g = path_graph(5, 1)
+        hs = Hopset(
+            n=5,
+            edges=[HopsetEdge(2, 0, 2, 1, "star"), HopsetEdge(2, 4, 2, 1, "star")],
+            den=1,
+            effective_beta=2,
+            effective_eps=F(1, 10),
+            provenance={},
+            witnesses=[(2, 1, 0), (2, 3, 4)],
+        )
+        (res,) = asp_estimates(g, hs, [0])
+        assert (res.pred[2], res.pred[4]) == ((0, 0), (2, 1))
+
+        def retag(row):
+            row.pred[4] = (2, 0)
+
+        alter_rows(monkeypatch, retag)
+        expected = "HopsetError: witness for edge 0 does not join 3 and 5"
+        assert outcome(reference_paths, g, hs, [0]) == expected
+        assert outcome(walked_paths, g, hs, [0]) == expected
+
+    @given(path_reporting_queries(), INJECTED_FAULTS)
+    @settings(deadline=None, max_examples=100)
+    def test_injected_faults_raise_as_extract_path(self, query, faults):
+        graph, hs, sources = query
+        witnesses = list(hs.witnesses)
+        used = sorted({idx for _, _, idx in hopset_steps(graph, hs, sources)})
+        targets = used or range(len(witnesses))  # witnesses the paths expand, if any
+        row_faults = []
+        for kind, pick in faults:
+            if kind in ROW_FAULTS:
+                row_faults.append((kind, pick))
+            elif targets:
+                idx = targets[pick % len(targets)]
+                witnesses[idx] = corrupt_witness(witnesses[idx], kind)
+        bad = dataclasses.replace(hs, witnesses=witnesses)
+
+        def alter(row):
+            for kind, pick in row_faults:
+                inject_fault(row, kind, pick, len(hs.edges))
+
+        with pytest.MonkeyPatch.context() as mp:
+            alter_rows(mp, alter)
+            assert outcome(walked_paths, graph, bad, sources) == outcome(
+                reference_paths, graph, bad, sources
+            )
+
+    def test_extract_path_runs_only_on_a_fault(self, monkeypatch):
+        g, hs, sources = self._built()
+        calls = []
+        real = hopsets.asp.extract_path
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(hopsets.asp, "extract_path", counted)
+        walked_paths(g, hs, sources)
+        assert calls == []
+        s = sources[-1]
+
+        def cut(row):
+            if row.source == s:
+                row.pred[s - 3] = None
+
+        alter_rows(monkeypatch, cut)
+        with pytest.raises(HopsetError, match=f"broken predecessor chain at {s - 3 + 1}"):
+            walked_paths(g, hs, sources)
+        assert calls == [0]  # the lowest-numbered vertex whose chain passes s - 3
 
     def test_fault_at_a_source_stops_after_its_rows(self, monkeypatch):
         # each source's CSV rows are written before its paths are walked, and
