@@ -18,10 +18,9 @@ line has its fault named by `extract_path`.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 # hop_limited_bellman_ford is not called here: perfbench's tracer wraps this binding
 from .explore import hop_limited_bellman_ford, hop_limited_rows
@@ -29,8 +28,7 @@ from .graph import Graph
 from .hopset import Hopset, HopsetError
 
 
-@dataclass
-class AspResult:
+class AspResult(NamedTuple):
     """One source's estimates as scaled integers over `den`, and its predecessors.
 
     `order` lists the vertices the source reaches in the order the kernel
@@ -116,8 +114,9 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
     expansions are longer than the hopset edges they replace).
 
     Every path fault is named here: a broken chain nearest v, then (hopset
-    steps expanded in path order) a missing or mis-joined witness, then (steps
-    in path order) one that is no graph edge; a step tagged ~i must be edge i.
+    steps expanded in path order) a missing witness, a tag past the hopset's
+    edges or a mis-joined witness, then (steps in path order) one that is no
+    graph edge; a step tagged ~i must be edge i.
     """
     s = result.source
     if result.dist[v] is None:
@@ -140,6 +139,11 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
         else:
             if hopset.witnesses is None:
                 raise HopsetError("hopset is not path-reporting; rebuild with witnesses")
+            m = len(hopset.edges)
+            if idx >= m:
+                raise HopsetError(
+                    f"step ({u + 1},{x + 1}) names hopset edge {idx}; the hopset has {m}"
+                )
             e = hopset.edges[idx]
             wit = hopset.witnesses[idx]
             segment = list(wit) if (e.u, e.v) == (u, x) else list(reversed(wit))
@@ -180,7 +184,7 @@ def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict)
 
     def witness_text(u, x, i):
         """Step u -> x's witness text past u on hopset edge i, or None on a fault."""
-        if witnesses is None:
+        if witnesses is None or i >= len(hopset.edges):
             return None
         e = hopset.edges[i]
         forward = (e.u, e.v) == (u, x)

@@ -16,14 +16,13 @@ source at a time (`hop_limited_bellman_ford` collects the rows in a table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
+from typing import NamedTuple
 
 
-@dataclass
-class ExplorationForest:
+class ExplorationForest(NamedTuple):
     """Result of a multi-source bounded Dijkstra.
 
     Only reached vertices appear in the maps.  For every reached v,
@@ -200,8 +199,7 @@ def pair_distance(adj: list[list[tuple[int, int]]], s: int, t: int) -> int | Non
     return None if mu == inf else mu
 
 
-@dataclass
-class HopLimitedTable:
+class HopLimitedTable(NamedTuple):
     """Exact t-limited distances d^(t) from a set of sources.
 
     dist[s][v] is the minimum length of a path from s to v with at most t

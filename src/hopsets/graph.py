@@ -205,11 +205,12 @@ def er_graph(n: int, p: float, wmin: int, wmax: int, seed: int) -> Graph:
     if not (1 <= wmin <= wmax):
         raise GraphError("er: need 1 <= wmin <= wmax")
     rng = random.Random(seed)
+    draw, weight = rng.random, rng.randint
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v, rng.randint(wmin, wmax)))
+            if draw() < p:
+                edges.append((u, v, weight(wmin, wmax)))
     return Graph.from_edges(n, edges)
 
 
@@ -247,15 +248,15 @@ def grid_graph(rows: int, cols: int, wmin: int, wmax: int, seed: int) -> Graph:
         raise GraphError("grid: need at least 2 vertices")
     if not (1 <= wmin <= wmax):
         raise GraphError("grid: need 1 <= wmin <= wmax")
-    rng = random.Random(seed)
+    weight = random.Random(seed).randint
     edges = []
     for r in range(rows):
         for c in range(cols):
             v = r * cols + c
             if c + 1 < cols:
-                edges.append((v, v + 1, rng.randint(wmin, wmax)))
+                edges.append((v, v + 1, weight(wmin, wmax)))
             if r + 1 < rows:
-                edges.append((v, v + cols, rng.randint(wmin, wmax)))
+                edges.append((v, v + cols, weight(wmin, wmax)))
     return Graph.from_edges(rows * cols, edges)
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .graph import Graph, validate
 from .scale_reduction import (
@@ -43,8 +42,17 @@ class HopsetFormatError(HopsetError, FormatError):
 KIND_ORDER = {"star": 0, "supercluster": 1, "interconnect": 2}
 
 
-@dataclass(frozen=True)
-class HopsetParams:
+class _HopsetParamFields(NamedTuple):
+    kappa: int = 2
+    rho: Fraction = Fraction(1, 2)
+    eps_target: Fraction = Fraction(3, 10)
+    seed: int = 0
+    mode: str = "reduced"  # "reduced" | "direct"
+    degree_mode: str = "basic"  # "basic" | "refined"
+    path_reporting: bool = False
+
+
+class HopsetParams(_HopsetParamFields):
     """User-facing build parameters.
 
     eps_target is the stretch slack of the final guarantee; rescaling to the
@@ -54,17 +62,16 @@ class HopsetParams:
     phase derives its own RNG stream from `seed`.
     """
 
-    kappa: int = 2
-    rho: Fraction = Fraction(1, 2)
-    eps_target: Fraction = Fraction(3, 10)
-    seed: int = 0
-    mode: str = "reduced"  # "reduced" | "direct"
-    degree_mode: str = "basic"  # "basic" | "refined"
-    path_reporting: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", as_fraction(self.rho))
-        object.__setattr__(self, "eps_target", as_fraction(self.eps_target))
+    def __new__(cls, *args, **kwargs):
+        p = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, (p.kappa, as_fraction(p.rho), as_fraction(p.eps_target), *p[3:]))
+
+    @classmethod
+    def _make(cls, iterable) -> "HopsetParams":
+        """So `_replace` converts rho and eps_target too."""
+        return cls(*iterable)
 
     def validated(self) -> "HopsetParams":
         """Check mode and eps_target; `phase_counts` checks the rest."""
@@ -77,8 +84,7 @@ class HopsetParams:
         return self
 
 
-@dataclass
-class BuildPlan:
+class BuildPlan(NamedTuple):
     """Derived quantities shared by every scale of one build."""
 
     ell: int
@@ -116,8 +122,7 @@ class BuildPlan:
         """
         s = self.schedule
         rhat = 2 ** (k + 1)
-        return replace(
-            s,
+        return s._replace(
             n=n_scale,
             Rhat=rhat,
             alpha=s.alpha * rhat,
@@ -178,19 +183,43 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
     )
 
 
-@dataclass
-class HopsetEdge:
+class _MutableRecord:
+    """Equality and repr over `__slots__`, in order, as a dataclass has them.
+
+    Code rescales edge weights and attaches witnesses in place, so these
+    records are plain classes rather than tuples.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class HopsetEdge(_MutableRecord):
     """An edge of weight w / den, `den` being its hopset's denominator."""
 
-    u: int
-    v: int
-    w: int
-    scale: int
-    kind: str
+    __slots__ = ("u", "v", "w", "scale", "kind")
+
+    def __init__(self, u: int, v: int, w: int, scale: int, kind: str):
+        self.u = u
+        self.v = v
+        self.w = w
+        self.scale = scale
+        self.kind = kind
 
 
-@dataclass
-class Hopset:
+class Hopset(_MutableRecord):
     """A built hopset with its guarantee and provenance.
 
     Edge weights are integers over one denominator `den`; built and loaded
@@ -205,14 +234,36 @@ class Hopset:
     it is first read.
     """
 
-    n: int
-    edges: list[HopsetEdge]
-    den: int
-    effective_beta: int
-    effective_eps: Fraction
-    provenance: dict
-    witnesses: Sequence[tuple[int, ...]] | None = None
-    build_stats: dict | None = None
+    __slots__ = (
+        "n",
+        "edges",
+        "den",
+        "effective_beta",
+        "effective_eps",
+        "provenance",
+        "witnesses",
+        "build_stats",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        edges: list[HopsetEdge],
+        den: int,
+        effective_beta: int,
+        effective_eps: Fraction,
+        provenance: dict,
+        witnesses: Sequence[tuple[int, ...]] | None = None,
+        build_stats: dict | None = None,
+    ):
+        self.n = n
+        self.edges = edges
+        self.den = den
+        self.effective_beta = effective_beta
+        self.effective_eps = effective_eps
+        self.provenance = provenance
+        self.witnesses = witnesses
+        self.build_stats = build_stats
 
     @property
     def size(self) -> int:
@@ -300,7 +351,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         ss = build_single_scale(
             adj, bp.phases_for(k, len(centers)), child_seed(params.seed, "scale", k), floor
         )
-        stats["scales"][k] = {"edges": len(ss.edges), "phases": [dict(vars(p)) for p in ss.stats]}
+        stats["scales"][k] = {"edges": len(ss.edges), "phases": [p._asdict() for p in ss.stats]}
         for e in ss.edges:
             edges.append(HopsetEdge(centers[e.u], centers[e.v], e.w, k, e.kind))
             if not record:

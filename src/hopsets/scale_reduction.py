@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph
 from .util import as_fraction, find
@@ -50,8 +50,7 @@ def relevant_scales(graph: Graph) -> list[int]:
     return sorted(ks)
 
 
-@dataclass(frozen=True)
-class MergeEvent:
+class MergeEvent(NamedTuple):
     """One contraction: node Y (smaller) absorbed into X at a scale.
 
     `members_absorbed` snapshots Y's vertices at merge time; `edge` is the
@@ -66,8 +65,7 @@ class MergeEvent:
     edge: tuple[int, int, int]
 
 
-@dataclass
-class NodesView:
+class NodesView(NamedTuple):
     """Node structure at one scale: per-vertex center label plus node sizes."""
 
     label: list[int]  # vertex -> center of its containing node
@@ -217,8 +215,7 @@ def build_laminar(graph: Graph, eps) -> LaminarFamily:
     return LaminarFamily(graph, eps, events)
 
 
-@dataclass
-class ScaleGraph:
+class ScaleGraph(NamedTuple):
     """The contracted graph of one scale, ready for a single-scale build.
 
     Only `active_centers` (nodes of degree >= 1) participate in hopset

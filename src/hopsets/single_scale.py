@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .explore import ExplorationForest, bounded_dijkstra, multi_source_bounded_dijkstra
 from .util import HopsetError, as_fraction, child_seed
@@ -29,8 +29,7 @@ class ScheduleError(HopsetError):
     pass
 
 
-@dataclass(frozen=True)
-class PhaseSchedule:
+class PhaseSchedule(NamedTuple):
     """All derived per-scale parameters.
 
     Thresholds are exact rationals: delta[i] is the superclustering
@@ -62,8 +61,7 @@ class PhaseSchedule:
         return 32 * (self.ell + 1) * self.eps
 
 
-@dataclass(frozen=True)
-class ScalePhases:
+class ScalePhases(NamedTuple):
     """What the phases of one single-scale build read, in the units they use.
 
     depth[i] is phase i's superclustering depth delta_i and half[i] its
@@ -195,8 +193,7 @@ def compute_schedule(
 # ids.  Edges join centers only, so cluster membership is never kept.
 
 
-@dataclass
-class ScaleEdge:
+class ScaleEdge(NamedTuple):
     """A hopset edge in the coordinates of the graph the build ran on.
 
     `w` is a scaled integer (exact distance measured by the construction's
@@ -210,8 +207,7 @@ class ScaleEdge:
     path: tuple[int, ...]
 
 
-@dataclass
-class PhaseStats:
+class PhaseStats(NamedTuple):
     index: int
     clusters_in: int
     sampled: int
@@ -221,8 +217,7 @@ class PhaseStats:
     interconnect_visits: int
 
 
-@dataclass
-class SingleScaleHopset:
+class SingleScaleHopset(NamedTuple):
     edges: list[ScaleEdge]
     stats: list[PhaseStats]
     partitions: list[list[int]]  # each phase's entering partition

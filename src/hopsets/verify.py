@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # hop_limited_bellman_ford is not called here: perfbench's tracer wraps this binding
 from .asp import asp_estimates, check_hopset
@@ -42,8 +42,7 @@ N_MAX_ALLPAIRS = 500
 MAX_LISTED_VIOLATIONS = 100
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     pair_mode: str
     effective_beta: int

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import tracemalloc
 from fractions import Fraction as F
@@ -29,6 +28,18 @@ from hopsets.verify import verify_stretch
 
 def empty_hopset(n, beta):
     return Hopset(n=n, edges=[], den=1, effective_beta=beta, effective_eps=F(1, 10), provenance={})
+
+
+def with_witnesses(hs, witnesses):
+    """A copy of `hs` that holds `witnesses`; `hs` itself is left as it is."""
+    return Hopset(hs.n, hs.edges, hs.den, hs.effective_beta, hs.effective_eps, hs.provenance,
+                  witnesses, hs.build_stats)
+
+
+def two_edge_hopset():
+    """Hopset edges 0-2 and 2-4 of path(5, 1), with their witnesses."""
+    edges = [HopsetEdge(0, 2, 2, 1, "star"), HopsetEdge(2, 4, 2, 1, "star")]
+    return Hopset(5, edges, 1, 4, F(1, 10), {}, witnesses=[(0, 1, 2), (2, 3, 4)])
 
 
 def rows(graph, hopset, sources):
@@ -190,6 +201,18 @@ class TestExtractPath:
         for v in (4, 5):
             with pytest.raises(HopsetError, match=r"extracted step \(4,5\) is not a graph edge"):
                 extract_path(g, hs, res, v)
+
+    def test_hopset_tag_past_the_edges(self):
+        # path 0-1-2-3-4, hopset edges 0-2 and 2-4, beta 4: vertex 4's step 2 -> 4
+        # on hopset edge 1, re-tagged 7, names no hopset edge
+        g, hs = path_graph(5, 1), two_edge_hopset()
+        (res,) = asp_estimates(g, hs, [0])
+        assert res.pred[4] == (2, 1)
+        res.pred[4] = (2, 7)
+        assert extract_path(g, hs, res, 3) == ([0, 1, 2, 3], 3)
+        named = r"step \(3,5\) names hopset edge 7; the hopset has 2$"
+        with pytest.raises(HopsetError, match=named):
+            extract_path(g, hs, res, 4)
 
     def test_unreachable_target_errors(self):
         g = Graph.from_edges(3, [(0, 1, 1)])
@@ -362,7 +385,7 @@ def path_reporting_queries(draw):
     return graph, hs, sources
 
 
-ROW_FAULTS = ("cut", "retag_graph", "retag_hopset")
+ROW_FAULTS = ("cut", "retag_graph", "retag_hopset", "retag_past")
 # one to three (fault, pick) pairs; `pick` chooses the step or witness it hits
 INJECTED_FAULTS = st.lists(
     st.tuples(st.sampled_from(ROW_FAULTS + ("reverse", "truncate", "detour")),
@@ -384,9 +407,10 @@ def corrupt_witness(wit, kind):
 
 
 def inject_fault(row, kind, pick, m):
-    """Cut a predecessor, re-tag a graph step by -1, -2 or -100, or re-tag a
-    hopset step to another of the m hopset edges; `pick` chooses which."""
-    graph_step = {"cut": None, "retag_graph": True, "retag_hopset": False}[kind]
+    """Cut a predecessor, re-tag a graph step by -1, -2 or -100, re-tag a
+    hopset step to another of the m hopset edges, or to m, m + 1 or m + 100,
+    past them; `pick` chooses which."""
+    graph_step = {"cut": None, "retag_graph": True}.get(kind, False)
     steps = [v for v, e in enumerate(row.pred) if e is not None and graph_step in (None, e[1] < 0)]
     if not steps or (kind == "retag_hopset" and m < 2):
         return
@@ -396,6 +420,8 @@ def inject_fault(row, kind, pick, m):
         row.pred[v] = None
     elif kind == "retag_graph":
         row.pred[v] = (u, tag - (1, 2, 100)[pick % 3])
+    elif kind == "retag_past":
+        row.pred[v] = (u, m + (0, 1, 100)[pick % 3])
     else:
         row.pred[v] = (u, (tag + 1 + pick % (m - 1)) % m)
 
@@ -407,7 +433,7 @@ class TestWritePaths:
         graph, hs, sources = query
         assert walked_paths(graph, hs, sources) == reference_paths(graph, hs, sources)
         # without witnesses: the same error wherever a hopset step is taken
-        bare = dataclasses.replace(hs, witnesses=None)
+        bare = with_witnesses(hs, None)
         assert outcome(walked_paths, graph, bare, sources) == outcome(
             reference_paths, graph, bare, sources
         )
@@ -429,7 +455,7 @@ class TestWritePaths:
 
     def test_hopset_without_witnesses_raises(self):
         g, hs, sources = self._built()
-        bare = dataclasses.replace(hs, witnesses=None)
+        bare = with_witnesses(hs, None)
         expected = outcome(reference_paths, g, bare, sources)
         assert expected == "HopsetError: hopset is not path-reporting; rebuild with witnesses"
         assert outcome(walked_paths, g, bare, sources) == expected
@@ -451,7 +477,7 @@ class TestWritePaths:
         else:
             wit[1], wit[2] = wit[2], wit[1]
         witnesses[idx] = tuple(wit)
-        bad = dataclasses.replace(hs, witnesses=witnesses)
+        bad = with_witnesses(hs, witnesses)
         expected = outcome(reference_paths, g, bad, sources)
         assert expected.startswith("HopsetError: ")
         assert outcome(walked_paths, g, bad, sources) == expected
@@ -468,7 +494,7 @@ class TestWritePaths:
             elif len(wit) > 1:
                 wit.insert(1, wit[-1])
             witnesses.append(tuple(wit))
-        bad = dataclasses.replace(hs, witnesses=witnesses)
+        bad = with_witnesses(hs, witnesses)
         expected = outcome(reference_paths, g, bad, sources)
         assert expected.startswith("HopsetError: ")
         assert outcome(walked_paths, g, bad, sources) == expected
@@ -541,6 +567,16 @@ class TestWritePaths:
             walked_paths(g, hs, [0])
         assert outcome(walked_paths, g, hs, [0]) == outcome(reference_paths, g, hs, [0])
 
+    def test_hopset_tag_past_the_edges_raises_as_extract_path(self, monkeypatch):
+        def retag(row):
+            row.pred[4] = (2, 7)
+
+        alter_rows(monkeypatch, retag)
+        g, hs = path_graph(5, 1), two_edge_hopset()
+        expected = "HopsetError: step (3,5) names hopset edge 7; the hopset has 2"
+        assert outcome(reference_paths, g, hs, [0]) == expected
+        assert outcome(walked_paths, g, hs, [0]) == expected
+
     def test_witness_ends_checked_before_the_memo(self, monkeypatch):
         # path 0-1-2-3-4, hopset edges 2-0 and 2-4, beta 2: vertex 2 takes edge 0
         # against its stored direction, which memoises its witness reversed;
@@ -580,7 +616,7 @@ class TestWritePaths:
             elif targets:
                 idx = targets[pick % len(targets)]
                 witnesses[idx] = corrupt_witness(witnesses[idx], kind)
-        bad = dataclasses.replace(hs, witnesses=witnesses)
+        bad = with_witnesses(hs, witnesses)
 
         def alter(row):
             for kind, pick in row_faults:

@@ -1,8 +1,9 @@
 import io
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopsets import (
@@ -286,3 +287,55 @@ def test_digest_stable_and_content_sensitive():
     c = er_graph(20, 0.3, 1, 5, seed=2)
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+def reference_er(n, p, wmin, wmax, seed):
+    """`er_graph` as it was: `rng.random` and `rng.randint` looked up per call."""
+    rng = random.Random(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v, rng.randint(wmin, wmax)))
+    return Graph.from_edges(n, edges)
+
+
+def reference_grid(rows, cols, wmin, wmax, seed):
+    """`grid_graph` as it was: `rng.randint` looked up per call."""
+    rng = random.Random(seed)
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1, rng.randint(wmin, wmax)))
+            if r + 1 < rows:
+                edges.append((v, v + cols, rng.randint(wmin, wmax)))
+    return Graph.from_edges(rows * cols, edges)
+
+
+# weights from 1 to past 2**64, so randint draws more than one 32-bit word
+WEIGHT_RANGES = st.integers(1, 2**40).flatmap(
+    lambda wmin: st.tuples(st.just(wmin), st.integers(wmin, wmin + 2**64))
+)
+SEEDS = st.integers(0, 2**64)
+
+
+@given(st.integers(2, 40), st.floats(0, 1, exclude_min=True), WEIGHT_RANGES, SEEDS)
+@example(12, 1.0, (1, 2**33), 3)
+@settings(deadline=None, max_examples=200)
+def test_er_matches_the_reference_loop(n, p, weights, seed):
+    wmin, wmax = weights
+    g, ref = er_graph(n, p, wmin, wmax, seed), reference_er(n, p, wmin, wmax, seed)
+    assert (g.n, g.edges) == (ref.n, ref.edges)
+    assert g.digest() == ref.digest()
+
+
+@given(st.integers(1, 12), st.integers(1, 12), WEIGHT_RANGES, SEEDS)
+@settings(deadline=None, max_examples=200)
+def test_grid_matches_the_reference_loop(rows, cols, weights, seed):
+    assume(rows * cols >= 2)
+    wmin, wmax = weights
+    g, ref = grid_graph(rows, cols, wmin, wmax, seed), reference_grid(rows, cols, wmin, wmax, seed)
+    assert (g.n, g.edges) == (ref.n, ref.edges)
+    assert g.digest() == ref.digest()

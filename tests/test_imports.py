@@ -19,14 +19,31 @@ MODULES = ["hopsets"] + sorted(
 )
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports_first_in_a_fresh_interpreter(module):
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that finds the package in SRC."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    done = fresh_python(f"import {module}")
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("module", ["hopsets.cli", "hopsets"])
+def test_import_leaves_dataclasses_and_inspect_unloaded(module):
+    # every CLI process pays for its imports; records are NamedTuples and
+    # slotted classes, so `dataclasses` (and the `inspect` it loads) stay out
+    done = fresh_python(
+        f"import sys, {module}\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -189,7 +188,7 @@ class TestStarGraphExample:
         sched = compute_schedule(64, 2, F(1, 2), F(1, 10), 400)  # delta_0/2 = 2
         den = 100
         adj = scaled_adj(g, den)
-        phases = replace(scaled_phases(sched, den), deg=(math.inf, *sched.deg[1:]))
+        phases = scaled_phases(sched, den)._replace(deg=(math.inf, *sched.deg[1:]))
         ss = build_single_scale(adj, phases, 1, arc_floor(adj))
         inter0 = [e for e in ss.edges if e.kind == "interconnect"]
         assert len(inter0) == 15  # all pairs of the 6 vertices
@@ -370,7 +369,7 @@ def test_idle_phases_match_a_build_without_floor(case):
     adj = scaled_adj(g, den)
     phases = scaled_phases(compute_schedule(g.n, 2, F(1, 2), F(1, 10), rhat), den)
     if deg is not None:
-        phases = replace(phases, deg=deg)
+        phases = phases._replace(deg=deg)
     slow, fast = (build_single_scale(adj, phases, seed, floor) for floor in (0, arc_floor(adj)))
     assert fast.edges == slow.edges
     assert fast.stats == slow.stats
