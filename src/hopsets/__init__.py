@@ -25,7 +25,6 @@ from .graph import (
     GraphFormatError,
     dump_dimacs,
     er_graph,
-    generate,
     grid_graph,
     load_dimacs,
     path_graph,

@@ -17,7 +17,7 @@ import time
 from contextlib import nullcontext
 
 from . import asp as asp_mod
-from .graph import GraphError, dump_dimacs, generate, load_dimacs
+from .graph import GraphError, dump_dimacs, er_graph, grid_graph, load_dimacs, path_graph
 from .hopset import (
     HopsetError,
     HopsetFormatError,
@@ -59,16 +59,16 @@ def _params(args) -> HopsetParams:
 
 
 def cmd_gen(args) -> int:
-    params = {}
     if args.model == "er":
         params = dict(n=args.n, p=args.p, wmin=args.wmin, wmax=args.wmax)
+        graph = er_graph(**params, seed=args.seed)
     elif args.model == "path":
         params = dict(n=args.n, base=args.base)
+        graph = path_graph(**params)
     else:
         params = dict(rows=args.rows, cols=args.cols, wmin=args.wmin, wmax=args.wmax)
-    graph = generate(args.model, seed=args.seed, **params)
-    header = {"generator": args.model, "seed": args.seed}
-    header.update({k: v for k, v in params.items()})
+        graph = grid_graph(**params, seed=args.seed)
+    header = {"generator": args.model, "seed": args.seed, **params}
     with open(args.out, "w", encoding="ascii") as fh:
         dump_dimacs(graph, fh, comments=header)
     print(f"wrote {args.out}: n={graph.n} m={graph.m} digest={graph.digest()}")
@@ -135,6 +135,7 @@ def cmd_query(args) -> int:
     asp_mod.check_sources(graph.n, args.sources)
     digest = graph.digest()
     hs = _load_hopset_for(digest, args.hopset)
+    asp_mod.check_hopset(graph, hs)
     header = {"hopset": os.path.basename(args.hopset), "graph_digest": digest}
     header.update({k: hs.provenance[k] for k in ("seed", "eps", "mode") if k in hs.provenance})
     with open(args.out, "w", encoding="ascii") as fh, (
@@ -151,7 +152,9 @@ def cmd_stats(args) -> int:
     hs = load_hopset(args.hopset)
     kappa = hs.provenance.get("kappa", "2")
     if not (kappa.isdecimal() and int(kappa) >= 2):
-        raise HopsetFormatError(f"provenance kappa {kappa!r} is not an integer >= 2")
+        with open(args.hopset, encoding="ascii") as fh:  # the one `c kappa` line load_hopset read
+            line = next(i for i, raw in enumerate(fh, 1) if raw.split()[:2] == ["c", "kappa"])
+        raise HopsetFormatError(f"provenance kappa {kappa!r} is not an integer >= 2", line)
     stats = size_stats(hs, hs.n, int(kappa))
     if args.format == "json":
         print(json.dumps(stats, sort_keys=True, indent=2, default=str))

@@ -193,7 +193,9 @@ def dump_dimacs(graph: Graph, out: TextIO, comments: dict | None = None) -> None
 
 
 # ---------------------------------------------------------------------------
-# Generators.  All are pure functions of (model parameters, seed).
+# Generators.  All are pure functions of (model parameters, seed).  Each
+# emits its edges unique, sorted, with u < v and integer weights >= 1, the
+# canonical list `Graph` takes as it is.
 
 
 def er_graph(n: int, p: float, wmin: int, wmax: int, seed: int) -> Graph:
@@ -211,7 +213,7 @@ def er_graph(n: int, p: float, wmin: int, wmax: int, seed: int) -> Graph:
         for v in range(u + 1, n):
             if draw() < p:
                 edges.append((u, v, weight(wmin, wmax)))
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def path_graph(n: int, base: float) -> Graph:
@@ -239,7 +241,7 @@ def path_graph(n: int, base: float) -> Graph:
     for i in range(n - 1):
         w = int(base) ** i if integral else math.floor(base**i)
         edges.append((i, i + 1, max(1, w)))
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def grid_graph(rows: int, cols: int, wmin: int, wmax: int, seed: int) -> Graph:
@@ -257,23 +259,5 @@ def grid_graph(rows: int, cols: int, wmin: int, wmax: int, seed: int) -> Graph:
                 edges.append((v, v + 1, weight(wmin, wmax)))
             if r + 1 < rows:
                 edges.append((v, v + cols, weight(wmin, wmax)))
-    return Graph.from_edges(rows * cols, edges)
+    return Graph(rows * cols, edges)
 
-
-def generate(model: str, seed: int = 0, **params) -> Graph:
-    """Dispatch on model name: er(n,p,wmin,wmax), path(n,base), grid(rows,cols,wmin,wmax)."""
-    if model == "er":
-        return er_graph(
-            params["n"], params["p"], params.get("wmin", 1), params.get("wmax", 1), seed
-        )
-    if model == "path":
-        return path_graph(params["n"], params.get("base", 1))
-    if model == "grid":
-        return grid_graph(
-            params["rows"],
-            params["cols"],
-            params.get("wmin", 1),
-            params.get("wmax", 1),
-            seed,
-        )
-    raise GraphError(f"unknown model {model!r}")

@@ -73,16 +73,6 @@ class HopsetParams(_HopsetParamFields):
         """So `_replace` converts rho and eps_target too."""
         return cls(*iterable)
 
-    def validated(self) -> "HopsetParams":
-        """Check mode and eps_target; `phase_counts` checks the rest."""
-        if self.mode not in ("reduced", "direct"):
-            raise HopsetError(f"unknown mode {self.mode!r}")
-        if self.mode == "reduced" and not (0 < self.eps_target < Fraction(1, 2)):
-            raise HopsetError("reduced mode needs 0 < eps_target < 1/2")
-        if self.mode == "direct" and not (0 < self.eps_target <= 1):
-            raise HopsetError("direct mode needs 0 < eps_target <= 1")
-        return self
-
 
 class BuildPlan(NamedTuple):
     """Derived quantities shared by every scale of one build."""
@@ -145,15 +135,21 @@ class BuildPlan(NamedTuple):
 def plan(params: HopsetParams, n: int) -> BuildPlan:
     """Fix eps rescaling, the effective (beta, eps) contract and the schedule.
 
-    ell comes from `phase_counts`, which also rejects bad (kappa, rho,
-    degree_mode) with a `ScheduleError` (a `HopsetError`).  The one
-    `compute_schedule` call of the build evaluates the recurrences at the
-    internal eps and Rhat = 1.  Its thresholds and the contraction pad are
-    converted to scaled integers here, once: D carries 2 * eps_int.den**ell
-    and n * eps_reduction.den, so each conversion is exact (`to_scaled`
-    raises otherwise), and every scale's values are these shifted left.
+    Mode and eps_target are checked first.  ell comes from `phase_counts`,
+    which rejects bad (kappa, rho, degree_mode) with a `ScheduleError` (a
+    `HopsetError`).  The one `compute_schedule` call of the build evaluates
+    the recurrences at the internal eps and Rhat = 1.  Its thresholds and
+    the contraction pad are converted to scaled integers here, once: D
+    carries 2 * eps_int.den**ell and n * eps_reduction.den, so each
+    conversion is exact (`to_scaled` raises otherwise), and every scale's
+    values are these shifted left.
     """
-    params = params.validated()
+    if params.mode not in ("reduced", "direct"):
+        raise HopsetError(f"unknown mode {params.mode!r}")
+    if params.mode == "reduced" and not (0 < params.eps_target < Fraction(1, 2)):
+        raise HopsetError("reduced mode needs 0 < eps_target < 1/2")
+    if params.mode == "direct" and not (0 < params.eps_target <= 1):
+        raise HopsetError("direct mode needs 0 < eps_target <= 1")
     _, _, ell = phase_counts(params.kappa, params.rho, params.degree_mode)
     eps_red = params.eps_target / 6 if params.mode == "reduced" else None
     eps_fed = eps_red or params.eps_target  # band stretch asked of each scale
@@ -231,7 +227,7 @@ class Hopset(_MutableRecord):
     `witnesses` is None unless the build recorded paths; then it holds one
     graph path per edge, as a list (direct mode) or as a `Witnesses` that
     keeps reduced-mode paths as merge-forest anchors and expands each when
-    it is first read.
+    it is read.
     """
 
     __slots__ = (

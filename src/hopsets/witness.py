@@ -2,12 +2,13 @@
 
 A reduced-mode witness is a walk in the laminar family's merge forest
 between a few tree anchors.  `Witnesses` keeps the forest's edges and each
-hopset edge's anchors, and expands a witness only when it is first read;
-`SpanningForest` roots the forest once and walks each forest path by
-parent pointers, so a path costs its own length.  Only full checks such as
-`validate_witnesses` read every witness; a query through a reduced hopset
-with beta >= n - 1 reads none, since a padded edge is strictly longer than
-the distance it spans and no shortest union path takes it.
+hopset edge's anchors, and expands a witness each time it is read, keeping
+no expanded path; `SpanningForest` roots the forest once and walks each
+forest path by parent pointers, so a path costs its own length.  Only full
+checks such as `validate_witnesses` read every witness; a query through a
+reduced hopset with beta >= n - 1 reads none, since a padded edge is
+strictly longer than the distance it spans and no shortest union path
+takes it.
 """
 
 from __future__ import annotations
@@ -19,35 +20,30 @@ from .util import HopsetError
 
 
 class Witnesses(Sequence):
-    """Witness paths kept as merge-forest anchors, each expanded when first read.
+    """Witness paths kept as merge-forest anchors, each expanded when read.
 
     Item i is the graph path behind hopset edge i.  `anchors[i]` holds it as
     (x1, y1, x2, y2, ...): each pair is joined by its unique walk in
     `forest`, a list of (u, v, w) edges, and the walks concatenate into the
     path (see `hopset._tree_anchors`).  The forest is rooted on the first
-    read.  Instances are equal when their forests and anchors
-    are.
+    read.  Instances are equal when their forests and anchors are.
     """
 
     def __init__(self, forest: list[tuple[int, int, int]], anchors: list[tuple[int, ...]]):
         self.forest = forest
         self.anchors = anchors
-        self._paths: list[tuple[int, ...] | None] = [None] * len(anchors)
         self._spanning: SpanningForest | None = None
 
     def __len__(self) -> int:
         return len(self.anchors)
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
-        path = self._paths[i]
-        if path is None:
-            if self._spanning is None:
-                self._spanning = SpanningForest(forest_adjacency(self.forest))
-            anchors, walk = self.anchors[i], []
-            for a, b in zip(anchors[::2], anchors[1::2]):
-                walk.extend(self._spanning.path(a, b))
-            path = self._paths[i] = tuple(walk)
-        return path
+        if self._spanning is None:
+            self._spanning = SpanningForest(forest_adjacency(self.forest))
+        anchors, walk = self.anchors[i], []
+        for a, b in zip(anchors[::2], anchors[1::2]):
+            walk.extend(self._spanning.path(a, b))
+        return tuple(walk)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Witnesses):

@@ -31,8 +31,8 @@ from hopsets import (
     relevant_scales,
     verify_stretch,
 )
-from hopsets.single_scale import ScalePhases
 from hopsets.util import to_scaled
+from test_single_scale import scaled_phases
 
 SEEDS5 = [101, 102, 103, 104, 105]
 KAPPA, RHO = 2, F(1, 2)
@@ -43,15 +43,6 @@ def announce(num, name, ok, detail=""):
     suffix = f"  [{detail}]" if detail else ""
     print(f"ACCEPTANCE {num:>2} {name}: {status}{suffix}")
     return ok
-
-
-def scaled_phases(sched, den):
-    """The schedule's thresholds as the phases read them, over `den`."""
-    return ScalePhases(
-        deg=sched.deg,
-        depth=tuple(to_scaled(d, den) for d in sched.delta),
-        half=tuple(to_scaled(d / 2, den) for d in sched.delta),
-    )
 
 
 def instances():

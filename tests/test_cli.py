@@ -353,6 +353,29 @@ class TestMalformedHopset:
         for path in (built_for, other):
             assert load_dimacs(str(path)).digest() in err
 
+    def test_hopset_for_another_n_leaves_the_outputs_untouched(self, workspace, capsys):
+        # with no `c graph` line (as `hopset_from_single_scale` writes none),
+        # only the n check rejects the hopset; it runs before any output opens
+        path = ("--model", "path", "--base", "2", "--n")
+        graph = gen_graph(workspace, "g.gr", model=(*path, "10"))
+        bigger = gen_graph(workspace, "b.gr", model=(*path, "12"))
+        hopset = workspace / "h.hs"
+        build = ["build", "--graph", str(bigger), "--out", str(hopset), "--path-reporting"]
+        assert run(*build) == EXIT_OK
+        lines = hopset.read_text().splitlines(keepends=True)
+        hopset.write_text("".join(line for line in lines if not line.startswith("c graph ")))
+        csv, paths = workspace / "est.csv", workspace / "p.txt"
+        csv.write_text("kept csv\n")
+        paths.write_text("kept paths\n")
+        capsys.readouterr()
+        code = run(
+            "query", "--graph", str(graph), "--hopset", str(hopset),
+            "--sources", "1", "--out", str(csv), "--paths", str(paths),
+        )
+        assert code == EXIT_PARAM
+        assert "hopset is for n=12, graph has n=10" in capsys.readouterr().err
+        assert (csv.read_text(), paths.read_text()) == ("kept csv\n", "kept paths\n")
+
 
 class TestNonAsciiInput:
     """A byte >= 0x80 in a graph or hopset file is an input error naming its line."""
@@ -448,6 +471,9 @@ class TestStatsProvenance:
         code, _, err = self._stats(workspace, capsys, ("kappa", kappa))
         assert code == EXIT_IO
         assert "kappa" in err and "Traceback" not in err
+        lines = (workspace / "h.hs").read_text().splitlines()
+        at = lines.index(f"c kappa {kappa}") + 1
+        assert err.startswith(f"input error: line {at}: provenance kappa {kappa!r}")
 
     def test_forest_of_a_huge_header_is_read(self, workspace, capsys):
         # n >= 2**63: nothing is sized by the header's n

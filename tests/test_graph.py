@@ -13,7 +13,6 @@ from hopsets import (
     dijkstra_all,
     dump_dimacs,
     er_graph,
-    generate,
     grid_graph,
     load_dimacs,
     path_graph,
@@ -141,22 +140,25 @@ class TestGenerators:
         assert g.m == 3 * 3 + 2 * 4  # horizontal + vertical
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "generator,args",
         [
-            dict(model="er", n=1, p=0.5),
-            dict(model="er", n=5, p=0.0),
-            dict(model="er", n=5, p=0.5, wmin=0, wmax=3),
-            dict(model="er", n=5, p=0.5, wmin=4, wmax=3),
-            dict(model="path", n=1),
-            dict(model="path", n=4, base=0.5),
-            dict(model="path", n=4, base=float("nan")),
-            dict(model="path", n=4, base=float("inf")),
-            dict(model="path", n=2000, base=1.5),  # 1.5**1998 overflows a float
+            (er_graph, (1, 0.5, 1, 1, 0)),
+            (er_graph, (5, 0.0, 1, 1, 0)),
+            (er_graph, (5, 0.5, 0, 3, 0)),
+            (er_graph, (5, 0.5, 4, 3, 0)),
+            (path_graph, (1, 1)),
+            (path_graph, (4, 0.5)),
+            (path_graph, (4, float("nan"))),
+            (path_graph, (4, float("inf"))),
+            (path_graph, (2000, 1.5)),  # 1.5**1998 overflows a float
+            (grid_graph, (1, 1, 1, 1, 0)),
+            (grid_graph, (2, 2, 0, 3, 0)),
+            (grid_graph, (2, 2, 4, 3, 0)),
         ],
     )
-    def test_parameter_rejection(self, kwargs):
+    def test_parameter_rejection(self, generator, args):
         with pytest.raises(GraphError):
-            generate(seed=0, **kwargs)
+            generator(*args)
 
     @pytest.mark.parametrize("n,base", [(1700, 1.5), (2000, 1.25), (1025, 2.0)])
     def test_path_weights_up_to_the_float_limit(self, n, base):
@@ -327,7 +329,7 @@ SEEDS = st.integers(0, 2**64)
 def test_er_matches_the_reference_loop(n, p, weights, seed):
     wmin, wmax = weights
     g, ref = er_graph(n, p, wmin, wmax, seed), reference_er(n, p, wmin, wmax, seed)
-    assert (g.n, g.edges) == (ref.n, ref.edges)
+    assert (g.n, g.edges, g.adj) == (ref.n, ref.edges, ref.adj)
     assert g.digest() == ref.digest()
 
 
@@ -337,5 +339,17 @@ def test_grid_matches_the_reference_loop(rows, cols, weights, seed):
     assume(rows * cols >= 2)
     wmin, wmax = weights
     g, ref = grid_graph(rows, cols, wmin, wmax, seed), reference_grid(rows, cols, wmin, wmax, seed)
-    assert (g.n, g.edges) == (ref.n, ref.edges)
+    assert (g.n, g.edges, g.adj) == (ref.n, ref.edges, ref.adj)
+    assert g.digest() == ref.digest()
+
+
+@given(st.integers(2, 60), st.one_of(st.integers(1, 2**70), st.floats(1, 3)))
+@example(2, 1)
+@example(40, 1.5)
+@settings(deadline=None, max_examples=200)
+def test_path_is_its_checked_edge_list(n, base):
+    # path_graph hands its edges to `Graph` as they are: they must be canonical
+    g = path_graph(n, base)
+    ref = Graph.from_edges(n, g.edges)
+    assert (g.n, g.edges, g.adj) == (ref.n, ref.edges, ref.adj)
     assert g.digest() == ref.digest()
