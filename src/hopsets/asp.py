@@ -72,9 +72,9 @@ def _union_adjacency(graph: Graph, hopset: Hopset):
     for i, (u, v, w) in enumerate(graph.edges):
         adj[u].append((v, w * den, ~i))
         adj[v].append((u, w * den, ~i))
-    for i, e in enumerate(hopset.edges):
-        adj[e.u].append((e.v, e.w, i))
-        adj[e.v].append((e.u, e.w, i))
+    for i, (u, v, w, _, _) in enumerate(hopset.edges):
+        adj[u].append((v, w, i))
+        adj[v].append((u, w, i))
     return adj
 
 
@@ -115,8 +115,8 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
 
     Every path fault is named here: a broken chain nearest v, then (hopset
     steps expanded in path order) a missing witness, a tag past the hopset's
-    edges or a mis-joined witness, then (steps in path order) one that is no
-    graph edge; a step tagged ~i must be edge i.
+    edges, an empty witness or a mis-joined witness, then (steps in path
+    order) one that is no graph edge; a step tagged ~i must be edge i.
     """
     s = result.source
     if result.dist[v] is None:
@@ -146,6 +146,8 @@ def extract_path(graph: Graph, hopset: Hopset, result: AspResult, v: int) -> tup
                 )
             e = hopset.edges[idx]
             wit = hopset.witnesses[idx]
+            if not wit:
+                raise HopsetError(f"edge {idx}: empty witness")
             segment = list(wit) if (e.u, e.v) == (u, x) else list(reversed(wit))
             if segment[0] != u or segment[-1] != x:
                 raise HopsetError(f"witness for edge {idx} does not join {u + 1} and {x + 1}")
@@ -189,7 +191,7 @@ def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict)
         e = hopset.edges[i]
         forward = (e.u, e.v) == (u, x)
         wit = witnesses[i]
-        if (wit[0], wit[-1]) != ((u, x) if forward else (x, u)):
+        if not wit or (wit[0], wit[-1]) != ((u, x) if forward else (x, u)):
             return None
         text = segments.get((i, forward))
         if text is None:

@@ -179,43 +179,17 @@ def plan(params: HopsetParams, n: int) -> BuildPlan:
     )
 
 
-class _MutableRecord:
-    """Equality and repr over `__slots__`, in order, as a dataclass has them.
-
-    Code rescales edge weights and attaches witnesses in place, so these
-    records are plain classes rather than tuples.
-    """
-
-    __slots__ = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class HopsetEdge(_MutableRecord):
+class HopsetEdge(NamedTuple):
     """An edge of weight w / den, `den` being its hopset's denominator."""
 
-    __slots__ = ("u", "v", "w", "scale", "kind")
-
-    def __init__(self, u: int, v: int, w: int, scale: int, kind: str):
-        self.u = u
-        self.v = v
-        self.w = w
-        self.scale = scale
-        self.kind = kind
+    u: int
+    v: int
+    w: int
+    scale: int
+    kind: str
 
 
-class Hopset(_MutableRecord):
+class Hopset(NamedTuple):
     """A built hopset with its guarantee and provenance.
 
     Edge weights are integers over one denominator `den`; built and loaded
@@ -227,39 +201,17 @@ class Hopset(_MutableRecord):
     `witnesses` is None unless the build recorded paths; then it holds one
     graph path per edge, as a list (direct mode) or as a `Witnesses` that
     keeps reduced-mode paths as merge-forest anchors and expands each when
-    it is read.
+    it is read.  Copy one with other fields by `_replace`.
     """
 
-    __slots__ = (
-        "n",
-        "edges",
-        "den",
-        "effective_beta",
-        "effective_eps",
-        "provenance",
-        "witnesses",
-        "build_stats",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        edges: list[HopsetEdge],
-        den: int,
-        effective_beta: int,
-        effective_eps: Fraction,
-        provenance: dict,
-        witnesses: Sequence[tuple[int, ...]] | None = None,
-        build_stats: dict | None = None,
-    ):
-        self.n = n
-        self.edges = edges
-        self.den = den
-        self.effective_beta = effective_beta
-        self.effective_eps = effective_eps
-        self.provenance = provenance
-        self.witnesses = witnesses
-        self.build_stats = build_stats
+    n: int
+    edges: list[HopsetEdge]
+    den: int
+    effective_beta: int
+    effective_eps: Fraction
+    provenance: dict
+    witnesses: Sequence[tuple[int, ...]] | None = None
+    build_stats: dict | None = None
 
     @property
     def size(self) -> int:
@@ -275,18 +227,18 @@ class Hopset(_MutableRecord):
         return sum(1 for e in self.edges if e.kind == "star")
 
 
-def _edge_key(e: HopsetEdge) -> tuple:
-    """The canonical edge order of built hopsets and their files."""
-    return (e.scale, e.u, e.v, KIND_ORDER[e.kind], e.w)
+def _canonical_edges(raw: list[tuple], den: int) -> tuple[list[int], list[HopsetEdge], int]:
+    """(sort order, hopset edges, den / g) of (u, v, w over den, scale, kind) tuples.
 
-
-def _lowest_den(edges: list[HopsetEdge], den: int) -> int:
-    """Divide `den` and every weight over it by their gcd, in place; return the new den."""
-    g = math.gcd(den, *(e.w for e in edges))
-    if g > 1:
-        for e in edges:
-            e.w //= g
-    return den // g
+    Edges are sorted by (scale, u, v, kind, w), the canonical order of built
+    hopsets and their files.  g = gcd(den, weights) comes first, so each
+    edge is made once, over den / g.
+    """
+    key = [(k, u, v, KIND_ORDER[kind], w) for u, v, w, k, kind in raw]
+    order = sorted(range(len(raw)), key=key.__getitem__)
+    g = math.gcd(den, *(r[2] for r in raw))
+    edges = [HopsetEdge(u, v, w // g, k, kind) for u, v, w, k, kind in map(raw.__getitem__, order)]
+    return order, edges, den // g
 
 
 def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
@@ -309,7 +261,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         raise HopsetError(f"invalid graph: {problems[0]}")
     bp = plan(params, graph.n)
     record = params.path_reporting
-    edges: list[HopsetEdge] = []
+    raw: list[tuple] = []  # (u, v, w over bp.den, scale, kind) of each edge
     records: list[tuple] = []  # each edge's recorded path or tree anchors
     stats: dict = {"scales": {}}
     laminar: LaminarFamily | None = None
@@ -323,10 +275,10 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         for ev in laminar.events:
             w = ev.size_after * (bp.pad << ev.scale)
             for z in ev.members_absorbed:
-                edges.append(HopsetEdge(ev.survivor_center, z, w, ev.scale, "star"))
+                raw.append((ev.survivor_center, z, w, ev.scale, "star"))
                 records.append((ev.survivor_center, z))
         # at most n*log2(n) stars: the bound is structural, so asserted, not reported
-        assert len(edges) <= graph.n * math.log2(graph.n) + 1e-9, "star set exceeded n*log2(n)"
+        assert len(raw) <= graph.n * math.log2(graph.n) + 1e-9, "star set exceeded n*log2(n)"
         scales = relevant_scales(graph)
     else:
         weights = sorted((w for _, _, w in graph.edges), reverse=True)
@@ -349,7 +301,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
         )
         stats["scales"][k] = {"edges": len(ss.edges), "phases": [p._asdict() for p in ss.stats]}
         for e in ss.edges:
-            edges.append(HopsetEdge(centers[e.u], centers[e.v], e.w, k, e.kind))
+            raw.append((centers[e.u], centers[e.v], e.w, k, e.kind))
             if not record:
                 records.append(())
             elif laminar is None:
@@ -357,8 +309,7 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
             else:
                 records.append(_tree_anchors(sg, [centers[i] for i in e.path]))
 
-    order = sorted(range(len(edges)), key=lambda i: _edge_key(edges[i]))
-    edges = [edges[i] for i in order]
+    order, edges, den = _canonical_edges(raw, bp.den)
     provenance = {
         "format": "hopset-provenance-1",
         "graph": graph.digest(),
@@ -377,15 +328,13 @@ def build_hopset(graph: Graph, params: HopsetParams) -> Hopset:
     hs = Hopset(
         n=graph.n,
         edges=edges,
-        den=_lowest_den(edges, bp.den),
+        den=den,
         effective_beta=bp.effective_beta,
         effective_eps=bp.effective_eps,
         provenance=provenance,
         build_stats=stats,
     )
-    if record:
-        attach_witness_paths(laminar, hs, [records[i] for i in order])
-    return hs
+    return attach_witness_paths(laminar, hs, [records[i] for i in order]) if record else hs
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +360,7 @@ def _tree_anchors(sg: ScaleGraph, node_path: list[int]) -> tuple[int, ...]:
 def attach_witness_paths(
     laminar: LaminarFamily | None, hopset: Hopset, records: list[tuple]
 ) -> Hopset:
-    """Attach the build's recorded paths, one per edge in edge order, as witnesses.
+    """A copy of `hopset` carrying the build's recorded paths, one per edge in edge order.
 
     Without a laminar family (direct mode), each record is the edge's
     Dijkstra tree path in the graph, used as it is (its weight equals the
@@ -423,11 +372,9 @@ def attach_witness_paths(
     which expand when read.  Spliced paths weigh at most the edge weight
     (the padding terms absorb the detours), never necessarily equal.
     """
-    if laminar is None:
-        hopset.witnesses = records
-    else:
-        hopset.witnesses = Witnesses([ev.edge for ev in laminar.events], records)
-    return hopset
+    if laminar is not None:
+        records = Witnesses([ev.edge for ev in laminar.events], records)
+    return hopset._replace(witnesses=records)
 
 
 def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
@@ -475,13 +422,12 @@ def hopset_from_single_scale(
     guarantee: hop budget 2*h_ell + 1 with stretch slack
     zeta = 32*(ell+1)*eps on pairs at distance in (2**k, 2**(k+1)].
     """
-    edges = sorted(
-        (HopsetEdge(e.u, e.v, e.w, scale_index, e.kind) for e in ss.edges), key=_edge_key
-    )
+    raw = [(e.u, e.v, e.w, scale_index, e.kind) for e in ss.edges]
+    _, edges, den = _canonical_edges(raw, den)
     return Hopset(
         n=graph.n,
         edges=edges,
-        den=_lowest_den(edges, den),
+        den=den,
         effective_beta=sched.beta,
         effective_eps=sched.zeta,
         provenance={"mode": "single-scale", "scale": str(scale_index)},
@@ -513,9 +459,9 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
     )
     ids = _IdStrings()
     den, lines = hopset.den, []
-    for e in hopset.edges:
-        g = math.gcd(e.w, den)
-        lines.append(f"e {ids[e.u]} {ids[e.v]} {e.w // g}/{den // g} {e.scale} {e.kind}\n")
+    for u, v, w, scale, kind in hopset.edges:
+        g = math.gcd(w, den)
+        lines.append(f"e {ids[u]} {ids[v]} {w // g}/{den // g} {scale} {kind}\n")
     out.write("".join(lines))
     wit = hopset.witnesses
     if wit is None:
@@ -550,7 +496,8 @@ def load_hopset(source) -> Hopset:
     that passes every check is read straight from the labels; any other
     line, and any such line that fails a check, takes the general branch,
     which names its fault.  After the last line, each weight is scaled once
-    to the lcm of the denominators, the hopset's `den`.
+    to the lcm of the denominators, the hopset's `den`, remaking only the
+    edges over another one; a witness coverage fault names an edge index.
     """
     with opened(source) as fh:
         provenance: dict = {}
@@ -683,14 +630,19 @@ def load_hopset(source) -> Hopset:
             raise HopsetFormatError("missing header line")
         n, beta, eps = header
         common = math.lcm(*dens)
-        for e, d in zip(edges, dens):
-            if d != common:
-                e.w *= common // d
+        for i, d in enumerate(dens):
+            if d != common:  # rebuilt once, over the lcm
+                u, v, w, scale, kind = edges[i]
+                edges[i] = HopsetEdge(u, v, w * (common // d), scale, kind)
         wit = None
         if witnesses or forest:
-            if sorted(witnesses) != list(range(len(edges))):
-                raise HopsetFormatError("witness lines do not cover all edges")
-            wit = [witnesses[i] for i in range(len(edges))]
+            m = len(edges)
+            for i in witnesses:
+                if not 0 <= i < m:
+                    raise HopsetFormatError(f"witness for edge {i}; the hopset has {m} edges")
+            wit = [witnesses.get(i) for i in range(m)]
+            if len(witnesses) < m:  # every index is in 0..m-1, so some edge has none
+                raise HopsetFormatError(f"witness lines do not cover edge {wit.index(None)}")
             if forest:
                 wit = Witnesses(forest, wit)
         return Hopset(

@@ -109,10 +109,10 @@ def _keyed_adjacency(graph: Graph, hopset: Hopset):
     n = graph.n
     unit = hopset.den * n
     adj = [[(v, w * unit) for v, w in nbrs] for nbrs in graph.adj]
-    for e in hopset.edges:
-        k = e.w * n + 1
-        adj[e.u].append((e.v, k))
-        adj[e.v].append((e.u, k))
+    for u, v, w, _, _ in hopset.edges:
+        k = w * n + 1
+        adj[u].append((v, k))
+        adj[v].append((u, k))
     return adj
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopsets import (
@@ -32,8 +32,7 @@ def empty_hopset(n, beta):
 
 def with_witnesses(hs, witnesses):
     """A copy of `hs` that holds `witnesses`; `hs` itself is left as it is."""
-    return Hopset(hs.n, hs.edges, hs.den, hs.effective_beta, hs.effective_eps, hs.provenance,
-                  witnesses, hs.build_stats)
+    return hs._replace(witnesses=witnesses)
 
 
 def two_edge_hopset():
@@ -380,7 +379,7 @@ def path_reporting_queries(draw):
     )
     hs = build_hopset(graph, params)
     # a budget below n - 1 makes paths take hopset edges even in reduced mode
-    hs.effective_beta = draw(st.sampled_from([hs.effective_beta, 1, 2, 3, 4, 8]))
+    hs = hs._replace(effective_beta=draw(st.sampled_from([hs.effective_beta, 1, 2, 3, 4, 8])))
     sources = draw(st.lists(st.integers(0, graph.n - 1), min_size=1, max_size=4))
     return graph, hs, sources
 
@@ -395,12 +394,13 @@ INJECTED_FAULTS = st.lists(
 
 
 def corrupt_witness(wit, kind):
-    """`wit` reversed, without its last vertex, or with a step that is no graph edge."""
+    """`wit` reversed, without its last vertex (if any), or with a step that is no graph edge."""
     wit = list(wit)
     if kind == "reverse":
         wit.reverse()
     elif kind == "truncate":
-        wit.pop()
+        if wit:  # three truncations can empty a two-vertex witness
+            wit.pop()
     else:  # ends kept, a step from the last vertex to itself
         wit.insert(1, wit[-1])
     return tuple(wit)
@@ -460,7 +460,7 @@ class TestWritePaths:
         assert expected == "HopsetError: hopset is not path-reporting; rebuild with witnesses"
         assert outcome(walked_paths, g, bare, sources) == expected
 
-    @pytest.mark.parametrize("corrupt", ["reverse", "drop_last", "detour", "swap_inner"])
+    @pytest.mark.parametrize("corrupt", ["reverse", "drop_last", "detour", "swap_inner", "empty"])
     def test_corrupted_witness_raises_as_extract_path(self, corrupt):
         g, hs, sources = self._built()
         witnesses = list(hs.witnesses)
@@ -474,12 +474,16 @@ class TestWritePaths:
             wit.pop()
         elif corrupt == "detour":  # ends kept, one step that is no graph edge
             wit.insert(1, wit[-1])
-        else:
+        elif corrupt == "swap_inner":
             wit[1], wit[2] = wit[2], wit[1]
+        else:
+            wit = []
         witnesses[idx] = tuple(wit)
         bad = with_witnesses(hs, witnesses)
         expected = outcome(reference_paths, g, bad, sources)
         assert expected.startswith("HopsetError: ")
+        if corrupt == "empty":  # as `validate_witnesses` words it
+            assert expected == f"HopsetError: edge {idx}: empty witness"
         assert outcome(walked_paths, g, bad, sources) == expected
 
     def test_every_witness_corrupted_raises_as_extract_path(self):
@@ -603,6 +607,11 @@ class TestWritePaths:
         assert outcome(walked_paths, g, hs, [0]) == expected
 
     @given(path_reporting_queries(), INJECTED_FAULTS)
+    # three truncations empty the witness of the first hopset step the paths take
+    @example(
+        query=(path_graph(5, 1), two_edge_hopset()._replace(effective_beta=2), [0]),
+        faults=[("truncate", 0)] * 3,
+    )
     @settings(deadline=None, max_examples=100)
     def test_injected_faults_raise_as_extract_path(self, query, faults):
         graph, hs, sources = query

@@ -378,6 +378,24 @@ class TestDenominator:
         assert (loaded.den, [e.w for e in loaded.edges]) == (den, ws)
 
 
+    @pytest.mark.parametrize("mode", ["reduced", "direct"])
+    def test_built_and_loaded_edges_are_in_lowest_terms(self, mode):
+        g = er_graph(80, 0.08, 1, 10**9, seed=1)
+        hs = build_hopset(g, HopsetParams(mode=mode, eps_target="0.3", seed=2))
+        text = "h 1 3 5 1/10\ne 1 2 1/6 4 star\ne 2 3 14/24 5 supercluster\n"
+        text += "e 3 1 5/1 6 interconnect\n"  # the lcm 12 remakes every edge but the second
+        loaded = load_hopset(io.StringIO(text))
+        assert loaded.den == 12
+        assert loaded.edges == [
+            HopsetEdge(0, 1, 2, 4, "star"),
+            HopsetEdge(1, 2, 7, 5, "supercluster"),
+            HopsetEdge(2, 0, 60, 6, "interconnect"),
+        ]
+        for h in (hs, load_hopset(io.StringIO(_dumps(hs))), loaded):
+            assert h.edges and all(type(e) is HopsetEdge for e in h.edges)
+            assert math.gcd(h.den, *(e.w for e in h.edges)) == 1
+
+
 class TestBuildDirect:
     def test_small_er(self):
         g = er_graph(40, 0.15, 1, 6, seed=7)
@@ -463,6 +481,17 @@ class TestWitnesses:
                 continue
             total = sum(g.weight(a, b) for a, b in zip(path, path[1:]))
             assert total * hs.den <= e.w
+
+    @pytest.mark.parametrize("laminar", [False, True])
+    def test_attaching_witnesses_leaves_the_hopset_as_it_is(self, laminar):
+        g = path_graph(4, 2)
+        hs = Hopset(4, [HopsetEdge(0, 2, 3, 1, "star")], 1, 1, F(1, 10), {})
+        lam = build_laminar(g, F(1, 5)) if laminar else None
+        records = [(0, 2) if laminar else (0, 1, 2)]  # anchors, or the path itself
+        with_paths = hopsets.hopset.attach_witness_paths(lam, hs, records)
+        assert hs.witnesses is None
+        assert with_paths._replace(witnesses=None) == hs
+        assert list(with_paths.witnesses) == [(0, 1, 2)]
 
     def test_empty_witness_is_a_problem(self):
         g = path_graph(4, 2)

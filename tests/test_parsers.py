@@ -224,7 +224,7 @@ def reference_load_hopset(source) -> Hopset:
                     raise HopsetFormatError(f"edge weight {w} is not positive", lineno)
                 if kind not in ("star", "supercluster", "interconnect"):
                     raise HopsetFormatError(f"unknown edge kind {kind!r}", lineno)
-                edges.append(HopsetEdge(u - 1, v - 1, w, scale, kind))
+                edges.append((u - 1, v - 1, w, scale, kind))
             elif tag == "p":
                 if header is None:
                     raise HopsetFormatError("witness before header", lineno)
@@ -274,13 +274,17 @@ def reference_load_hopset(source) -> Hopset:
         if header is None:
             raise HopsetFormatError("missing header line")
         n, beta, eps = header
-        den = math.lcm(*(e.w.denominator for e in edges))
-        for e in edges:
-            e.w = int(e.w * den)
+        den = math.lcm(*(w.denominator for _, _, w, _, _ in edges))
+        edges = [HopsetEdge(u, v, int(w * den), scale, kind) for u, v, w, scale, kind in edges]
         wit = None
         if witnesses or forest:
-            if sorted(witnesses) != list(range(len(edges))):
-                raise HopsetFormatError("witness lines do not cover all edges")
+            m = len(edges)
+            stray = [i for i in witnesses if i not in range(m)]
+            if stray:
+                raise HopsetFormatError(f"witness for edge {stray[0]}; the hopset has {m} edges")
+            missing = [i for i in range(m) if i not in witnesses]
+            if missing:
+                raise HopsetFormatError(f"witness lines do not cover edge {missing[0]}")
             wit = [witnesses[i] for i in range(len(edges))]
             if forest:
                 wit = Witnesses(forest, wit)
@@ -450,6 +454,9 @@ WITNESS_HEAD = "h 1 3 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
         ("p 1.0 2 3", "line 4: malformed record '1.0 2 3'"),
         ("p 0 1 2\np 0 2 3", "line 5: duplicate witness for edge 0"),
         ("p 0 1 2\np 1 2 3", None),
+        ("p 1 2 3", "witness lines do not cover edge 0"),
+        ("p 0 1 2\np -1 2 3", "witness for edge -1; the hopset has 2 edges"),
+        ("p 0 1 2\np 1 2 3\np 2 3", "witness for edge 2; the hopset has 2 edges"),
     ],
 )
 def test_witness_line_matches_reference(line, message):
@@ -491,7 +498,11 @@ FOREST_HEAD = "h 1 4 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
         ("f 1 2 7\na 0 1 2\na 1 0 2", "line 6: vertex id 0 out of range [1,4]"),
         ("f 1 2 7\np 0 1 2", "line 5: path witness after a forest edge"),
         ("f 1 2 7\na 0 1 2\np 1 2 3", "line 6: path witness after a forest edge"),
-        ("f 1 2 7\na 0 1 2", "witness lines do not cover all edges"),
+        ("f 1 2 7\na 0 1 2", "witness lines do not cover edge 1"),
+        ("f 1 2 7\na 1 2 1", "witness lines do not cover edge 0"),
+        ("f 1 2 7\na 0 1 2\na 9 2 1", "witness for edge 9; the hopset has 2 edges"),
+        ("f 1 2 7\na 0 1 2\na -1 2 1", "witness for edge -1; the hopset has 2 edges"),
+        ("f 1 2 7\na 9 2 1\na 0 1 2\na -1 1 1", "witness for edge 9; the hopset has 2 edges"),
         ("e 1 x 4/1 1 star", "line 4: malformed record '1 x 4/1 1 star'"),
         ("e 1 2 3/1/2 1 star", "line 4: malformed record '1 2 3/1/2 1 star'"),
         ("e 1 2 4 1 star", "line 4: malformed record '1 2 4 1 star'"),

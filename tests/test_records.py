@@ -1,8 +1,9 @@
-"""Result records are NamedTuples; `Hopset` and `HopsetEdge` are mutable classes.
+"""Parameter and result records are NamedTuples, `Hopset` and `HopsetEdge` included.
 
-Field order, defaults, equality and repr are the ones these records had as
+Field order, defaults and repr are the ones these records had as
 dataclasses.  Callers read records by name, and a few by position: an
-exploration's first field is its distance map.
+exploration's first field is its distance map.  A record is copied with
+other fields by `_replace`, never changed in place.
 """
 
 import hashlib
@@ -32,6 +33,11 @@ from hopsets.single_scale import PhaseStats, ScaleEdge
 
 FIELDS = {
     ExplorationForest: ("dist", "root", "parent"),
+    HopsetEdge: ("u", "v", "w", "scale", "kind"),
+    Hopset: (
+        "n", "edges", "den", "effective_beta", "effective_eps", "provenance", "witnesses",
+        "build_stats",
+    ),
     HopLimitedTable: ("t", "sources", "dist", "pred"),
     AspResult: ("source", "den", "dist", "pred", "order"),
     BuildPlan: (
@@ -60,7 +66,10 @@ FIELDS = {
         "exploration_load", "wall_time",
     ),
 }
-DEFAULTS = {VerificationReport: {"violation_total": 0, "exploration_load": None, "wall_time": 0.0}}
+DEFAULTS = {
+    Hopset: {"witnesses": None, "build_stats": None},
+    VerificationReport: {"violation_total": 0, "exploration_load": None, "wall_time": 0.0},
+}
 
 
 @pytest.mark.parametrize("record", FIELDS, ids=lambda c: c.__name__)
@@ -127,61 +136,30 @@ def a_hopset():
     )
 
 
-class TestMutableRecords:
-    def test_slots_in_field_order(self):
-        assert HopsetEdge.__slots__ == ("u", "v", "w", "scale", "kind")
-        assert Hopset.__slots__ == (
-            "n", "edges", "den", "effective_beta", "effective_eps", "provenance", "witnesses",
-            "build_stats",
-        )
-
-    def test_built_by_position_or_by_keyword(self):
-        assert HopsetEdge(0, 2, 6, 1, "star") == HopsetEdge(u=0, v=2, w=6, scale=1, kind="star")
-        hs = a_hopset()
-        assert hs == Hopset(
-            n=4,
-            edges=list(hs.edges),
-            den=3,
-            effective_beta=7,
-            effective_eps=F(1, 10),
-            provenance={"mode": "direct"},
-            witnesses=[(0, 1, 2), (1, 2, 3)],
-            build_stats={"scales": {}},
-        )
-
-    def test_hopset_defaults(self):
-        hs = Hopset(4, [], 1, 3, F(1, 10), {})
-        assert (hs.witnesses, hs.build_stats) == (None, None)
-
-    @pytest.mark.parametrize("field", HopsetEdge.__slots__)
+class TestHopsetRecords:
+    @pytest.mark.parametrize("field", HopsetEdge._fields)
     def test_edge_equality_covers_every_field(self, field):
-        e, other = HopsetEdge(0, 2, 6, 1, "star"), HopsetEdge(0, 2, 6, 1, "star")
-        assert e == other
-        setattr(other, field, "changed")
-        assert e != other
-        setattr(other, field, getattr(e, field))
-        assert e == other
-
-    @pytest.mark.parametrize("field", Hopset.__slots__)
-    def test_hopset_equality_covers_every_field(self, field):
-        hs, other = a_hopset(), a_hopset()
-        assert hs == other
-        setattr(other, field, "changed")
-        assert hs != other
-        setattr(other, field, getattr(hs, field))
-        assert hs == other
-
-    def test_an_edited_edge_breaks_equality(self):
-        hs, other = a_hopset(), a_hopset()
-        other.edges[1].w += 3
-        assert hs != other
-
-    def test_unequal_to_tuples_and_unhashable(self):
         e = HopsetEdge(0, 2, 6, 1, "star")
-        assert e != (0, 2, 6, 1, "star")
-        for record in (e, a_hopset()):
-            with pytest.raises(TypeError):
-                hash(record)
+        assert e == HopsetEdge(0, 2, 6, 1, "star")
+        assert e != e._replace(**{field: "changed"})
+
+    @pytest.mark.parametrize("field", Hopset._fields)
+    def test_hopset_equality_covers_every_field(self, field):
+        hs = a_hopset()
+        assert hs == a_hopset()
+        assert hs != hs._replace(**{field: "changed"})
+
+    def test_a_replaced_edge_breaks_equality(self):
+        hs, other = a_hopset(), a_hopset()
+        other.edges[1] = other.edges[1]._replace(w=12)
+        assert hs != other
+
+    def test_edge_equals_its_tuple_and_is_hashable(self):
+        e = HopsetEdge(0, 2, 6, 1, "star")
+        assert e == (0, 2, 6, 1, "star")
+        assert hash(e) == hash((0, 2, 6, 1, "star")) and len({e, HopsetEdge(*e)}) == 1
+        with pytest.raises(TypeError):
+            hash(a_hopset())  # its edges are a list
 
     def test_repr_names_every_field(self):
         assert repr(HopsetEdge(0, 2, 6, 1, "star")) == (
@@ -192,9 +170,11 @@ class TestMutableRecords:
             "provenance={}, witnesses=None, build_stats=None)"
         )
 
-    def test_no_other_attribute(self):
-        with pytest.raises(AttributeError):
-            HopsetEdge(0, 2, 6, 1, "star").weight = 6
+    def test_no_assignment(self):
+        e, hs = HopsetEdge(0, 2, 6, 1, "star"), a_hopset()
+        for record, attr in ((e, "w"), (e, "weight"), (hs, "witnesses"), (hs, "effective_beta")):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, 6)
 
 
 class TestReplace:

@@ -438,7 +438,7 @@ def test_built_hopset_matches_full_table_reference(mode, kw, seed):
     g = er_graph(60, 0.08, 1, 12, seed=seed)
     hs = build_hopset(g, HopsetParams(eps_target="0.3", seed=seed, mode="direct"))
     for beta in (hs.effective_beta, 2):  # as built, and far below n - 1
-        hs.effective_beta = beta
+        hs = hs._replace(effective_beta=beta)
         report = verify_stretch(g, hs, pair_mode=mode, **kw).to_dict()
         del report["wall_time"]
         assert report == reference_verify(g, hs, pair_mode=mode, **kw)
