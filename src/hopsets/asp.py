@@ -190,7 +190,10 @@ def _path_lines(graph: Graph, hopset: Hopset, result: AspResult, segments: dict)
             return None
         e = hopset.edges[i]
         forward = (e.u, e.v) == (u, x)
-        wit = witnesses[i]
+        try:
+            wit = witnesses[i]
+        except HopsetError:  # anchors the forest does not join
+            return None
         if not wit or (wit[0], wit[-1]) != ((u, x) if forward else (x, u)):
             return None
         text = segments.get((i, forward))

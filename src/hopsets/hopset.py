@@ -380,12 +380,18 @@ def attach_witness_paths(
 def validate_witnesses(graph: Graph, hopset: Hopset) -> list[str]:
     """Check every witness is a real path u..v of weight <= the edge weight.
 
-    Problems name vertices by their 1-based ids, as files and the CLI do.
+    Problems name vertices by their 1-based ids, as files and the CLI do;
+    a reduced witness whose anchors the forest does not join is one.
     """
     if hopset.witnesses is None:
         return ["hopset has no witnesses"]
     problems = []
-    for i, (edge, path) in enumerate(zip(hopset.edges, hopset.witnesses)):
+    for i, edge in enumerate(hopset.edges[: len(hopset.witnesses)]):
+        try:
+            path = hopset.witnesses[i]
+        except HopsetError as exc:
+            problems.append(str(exc))
+            continue
         if not path:
             problems.append(f"edge {i}: empty witness")
             continue
@@ -435,20 +441,19 @@ def hopset_from_single_scale(
 
 
 FILE_VERSION = 1
+# the records after the header, by the name their faults give them
+_BODY = {"e": "edge", "f": "forest edge", "p": "witness", "a": "witness"}
 
 
 def dump_hopset(hopset: Hopset, out: TextIO) -> None:
     """Serialize; exact rationals as num/den in lowest terms, vertices 1-based.
 
-    An edge weight w over the hopset's `den` is written as w/den divided by
-    their gcd.  Output is byte-deterministic for a given hopset: provenance
-    keys sorted, edges in stored (already canonical) order, witnesses by
-    edge index.  A
-    `Witnesses` is written as stored, never expanded: its forest as `f`
-    lines, then each edge's anchors as an `a` line; other witnesses are
-    paths, written as `p` lines.  Vertex ids are written from one table of
-    id strings, made on first use for the vertices the lines name, so
-    nothing is sized by n.
+    Output is byte-deterministic, in the record order `load_hopset` reads:
+    `c` lines by sorted key, the header, the edges in stored (canonical)
+    order, each weight w over `den` as w/den divided by their gcd, then the
+    witnesses by edge index.  A `Witnesses` is written as stored, never
+    expanded: its forest as `f` lines, then each edge's anchors as an `a`
+    line; other witnesses are paths, written as `p` lines.
     """
     for key in sorted(hopset.provenance):
         out.write(f"c {key} {hopset.provenance[key]}\n")
@@ -457,55 +462,46 @@ def dump_hopset(hopset: Hopset, out: TextIO) -> None:
         f"h {FILE_VERSION} {hopset.n} {hopset.effective_beta} "
         f"{eps.numerator}/{eps.denominator}\n"
     )
-    ids = _IdStrings()
     den, lines = hopset.den, []
     for u, v, w, scale, kind in hopset.edges:
         g = math.gcd(w, den)
-        lines.append(f"e {ids[u]} {ids[v]} {w // g}/{den // g} {scale} {kind}\n")
-    out.write("".join(lines))
+        lines.append(f"e {u + 1} {v + 1} {w // g}/{den // g} {scale} {kind}\n")
     wit = hopset.witnesses
-    if wit is None:
-        return
-    tag, records = "p", wit
+    tag, records = "p", () if wit is None else wit
     if isinstance(wit, Witnesses):
-        for u, v, w in wit.forest:
-            out.write(f"f {ids[u]} {ids[v]} {w}\n")
+        lines += [f"f {u + 1} {v + 1} {w}\n" for u, v, w in wit.forest]
         tag, records = "a", wit.anchors
     for i, record in enumerate(records):
-        out.write(f"{tag} {i} {' '.join(map(ids.__getitem__, record))}\n")
-
-
-class _IdStrings(dict):
-    """1-based id strings of 0-based vertices, each made on first use."""
-
-    def __missing__(self, v: int) -> str:
-        text = self[v] = str(v + 1)
-        return text
+        lines.append(f"{tag} {i} {' '.join([str(x + 1) for x in record])}\n")
+    out.write("".join(lines))
 
 
 def load_hopset(source) -> Hopset:
     """Parse a hopset file (path or text stream); inverse of dump_hopset.
 
-    A file's witnesses are `p` lines (paths), or `f` lines (a forest)
-    followed by `a` lines (anchors), each of whose pairs the forest must
-    join.  A file with `f` lines loads them as a `Witnesses`, unexpanded.
-    Each record is checked once, in the order of its checks' messages.  The
-    frequent records go first: an `e` line's weight sign is checked on its
-    parsed integers, which are then put in lowest terms, and once the first
-    `a` line has labelled the forest's trees, an `a` line with two anchors
-    that passes every check is read straight from the labels; any other
-    line, and any such line that fails a check, takes the general branch,
-    which names its fault.  After the last line, each weight is scaled once
-    to the lcm of the denominators, the hopset's `den`, remaking only the
-    edges over another one; a witness coverage fault names an edge index.
+    Records come in the order `dump_hopset` writes: `c` lines anywhere, the
+    `h` header, every `e` line, then the witnesses: `p` lines (paths), or
+    `f` lines (a forest, loaded as a `Witnesses`, unexpanded) then `a`
+    lines (anchors), each of whose pairs the forest must join.  Each record
+    is checked once, in the order of its checks' messages, and a fault
+    names its line, a witness index outside 0..m-1 too.  The frequent
+    records go first: an `e` line's weight sign is checked on its parsed
+    integers, then put in lowest terms, and once the first `a` line has
+    labelled the forest's trees, a two-anchor `a` line that passes every
+    check is read straight from the labels; any other line takes the
+    general branch, which names its fault.  After the last line, weights
+    are scaled once to the lcm of the denominators, the hopset's `den`; an
+    edge no witness line covers is named by its index, and a missing
+    header by the last line read, if any.
     """
     with opened(source) as fh:
         provenance: dict = {}
-        header = None
-        n = 0
+        n = lineno = None  # n is the header's, once it is read
+        m = 0
         edges: list[HopsetEdge] = []
         dens: list[int] = []  # each edge's weight is edges[i].w / dens[i], in lowest terms
-        witnesses: dict[int, tuple[int, ...]] = {}
+        wit: list | None = None  # a witness slot per edge, made once the edges are read
+        filled = 0
         forest: list[tuple[int, int, int]] = []
         root: dict[int, int] = {}  # union-find over the vertices `f` lines name, 0-based
         tree = None  # vertex -> its tree's label, once the forest is complete
@@ -526,25 +522,26 @@ def load_hopset(source) -> Hopset:
                     if (
                         0 <= x < n
                         and 0 <= y < n
-                        and idx not in witnesses
+                        and 0 <= idx < m
+                        and wit[idx] is None
                         and tree(x, x) == tree(y, y)
                     ):
-                        witnesses[idx] = (x, y)
+                        wit[idx] = (x, y)
+                        filled += 1
                         continue
             fields = parts[1:]
+            if n is None and tag in _BODY:
+                raise HopsetFormatError(f"{_BODY[tag]} before header", lineno)
             if tag == "e":
-                if header is None:
-                    raise HopsetFormatError("edge before header", lineno)
+                if wit is not None:
+                    raise HopsetFormatError("edge after a forest or witness line", lineno)
                 try:
                     u, v, w, scale, kind = fields
                     num, den = w.split("/")
                     u, v, num, den, scale = int(u), int(v), int(num), int(den), int(scale)
                 except ValueError:
-                    if len(fields) != 5:
-                        raise HopsetFormatError(
-                            f"expected 5 fields, got {len(fields)}", lineno
-                        ) from None
-                    raise _malformed(lineno, fields) from None
+                    _fields(lineno, fields, int, int, _fraction, int, str)  # raises
+                    raise
                 if not den:
                     raise _malformed(lineno, fields)
                 if not (1 <= u <= n and 1 <= v <= n):
@@ -558,9 +555,10 @@ def load_hopset(source) -> Hopset:
                 g = math.gcd(num, den)  # num and den share a sign: keep |num| / |den|
                 edges.append(HopsetEdge(u - 1, v - 1, abs(num) // g, scale, kind))
                 dens.append(abs(den) // g)
-            elif tag == "f":
-                if header is None:
-                    raise HopsetFormatError("forest edge before header", lineno)
+                continue
+            if wit is None and tag in _BODY:  # the first line past the edges
+                wit = [None] * (m := len(edges))
+            if tag == "f":
                 try:
                     u, v, w = map(int, fields)
                 except ValueError:
@@ -569,7 +567,7 @@ def load_hopset(source) -> Hopset:
                 _check_vertices(lineno, n, (u, v))
                 if w <= 0:
                     raise HopsetFormatError(f"forest edge weight {w} is not positive", lineno)
-                if witnesses:
+                if filled:
                     raise HopsetFormatError("forest edge after a witness line", lineno)
                 x, y = u - 1, v - 1  # a vertex first named here is its own root
                 ru = find(root, x) if x in root else root.setdefault(x, x)
@@ -579,8 +577,6 @@ def load_hopset(source) -> Hopset:
                 root[ru] = rv
                 forest.append((x, y, w))
             elif tag in ("p", "a"):
-                if header is None:
-                    raise HopsetFormatError("witness before header", lineno)
                 if tag == "p" and len(fields) < 2:
                     raise HopsetFormatError("witness needs an index and a vertex", lineno)
                 if tag == "a" and (len(fields) < 3 or len(fields) % 2 == 0):
@@ -595,7 +591,11 @@ def load_hopset(source) -> Hopset:
                     raise HopsetFormatError("path witness after a forest edge", lineno)
                 if tag == "a" and not forest:
                     raise HopsetFormatError("anchors before any forest edge", lineno)
-                if idx in witnesses:
+                if not 0 <= idx < m:
+                    raise HopsetFormatError(
+                        f"witness for edge {idx}; the hopset has {m} edges", lineno
+                    )
+                if wit[idx] is not None:
                     raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
                 path = tuple(map((-1).__add__, path))  # 0-based
                 if tag == "a":
@@ -608,7 +608,8 @@ def load_hopset(source) -> Hopset:
                             raise HopsetFormatError(
                                 f"anchors {x + 1} and {y + 1} are not joined by the forest", lineno
                             )
-                witnesses[idx] = path
+                wit[idx] = path
+                filled += 1
             elif tag == "c":
                 if len(fields) < 2:
                     raise HopsetFormatError("provenance needs a key and a value", lineno)
@@ -616,35 +617,24 @@ def load_hopset(source) -> Hopset:
                     raise HopsetFormatError(f"duplicate provenance key {fields[0]!r}", lineno)
                 provenance[fields[0]] = " ".join(fields[1:])
             elif tag == "h":
-                if header is not None:
+                if n is not None:
                     raise HopsetFormatError("duplicate header", lineno)
                 version, n, beta, eps = _fields(lineno, fields, int, int, int, _fraction)
                 if version != FILE_VERSION:
                     raise HopsetFormatError(f"unsupported hopset file version {version}", lineno)
                 if n < 1 or beta < 0 or eps <= 0:
                     raise HopsetFormatError(f"bad header n={n} beta={beta} eps={eps}", lineno)
-                header = (n, beta, eps)
             else:
                 raise HopsetFormatError(f"unknown record {tag!r}", lineno)
-        if header is None:
-            raise HopsetFormatError("missing header line")
-        n, beta, eps = header
+        if n is None:
+            raise HopsetFormatError("missing header line", lineno)
         common = math.lcm(*dens)
         for i, d in enumerate(dens):
             if d != common:  # rebuilt once, over the lcm
                 u, v, w, scale, kind = edges[i]
                 edges[i] = HopsetEdge(u, v, w * (common // d), scale, kind)
-        wit = None
-        if witnesses or forest:
-            m = len(edges)
-            for i in witnesses:
-                if not 0 <= i < m:
-                    raise HopsetFormatError(f"witness for edge {i}; the hopset has {m} edges")
-            wit = [witnesses.get(i) for i in range(m)]
-            if len(witnesses) < m:  # every index is in 0..m-1, so some edge has none
-                raise HopsetFormatError(f"witness lines do not cover edge {wit.index(None)}")
-            if forest:
-                wit = Witnesses(forest, wit)
+        if filled < m:
+            raise HopsetFormatError(f"witness lines do not cover edge {wit.index(None)}")
         return Hopset(
             n=n,
             edges=edges,
@@ -652,7 +642,7 @@ def load_hopset(source) -> Hopset:
             effective_beta=beta,
             effective_eps=eps,
             provenance=provenance,
-            witnesses=wit,
+            witnesses=Witnesses(forest, wit) if forest else wit,
         )
 
 

@@ -26,7 +26,8 @@ class Witnesses(Sequence):
     (x1, y1, x2, y2, ...): each pair is joined by its unique walk in
     `forest`, a list of (u, v, w) edges, and the walks concatenate into the
     path (see `hopset._tree_anchors`).  The forest is rooted on the first
-    read.  Instances are equal when their forests and anchors are.
+    read; a pair it does not join raises a `HopsetError` worded as
+    `load_hopset` words it.  Instances are equal when their forests and anchors are.
     """
 
     def __init__(self, forest: list[tuple[int, int, int]], anchors: list[tuple[int, ...]]):
@@ -42,7 +43,11 @@ class Witnesses(Sequence):
             self._spanning = SpanningForest(forest_adjacency(self.forest))
         anchors, walk = self.anchors[i], []
         for a, b in zip(anchors[::2], anchors[1::2]):
-            walk.extend(self._spanning.path(a, b))
+            try:
+                walk.extend(self._spanning.path(a, b))
+            except HopsetError:
+                fault = f"edge {i}: anchors {a + 1} and {b + 1} are not joined by the forest"
+                raise HopsetError(fault) from None
         return tuple(walk)
 
     def __eq__(self, other) -> bool:

@@ -24,6 +24,7 @@ import hopsets.asp
 from hopsets.asp import format_path, write_estimates_csv
 from hopsets.hopset import HopsetEdge, HopsetFormatError, dump_hopset, load_hopset
 from hopsets.verify import verify_stretch
+from hopsets.witness import Witnesses
 
 
 def empty_hopset(n, beta):
@@ -605,6 +606,27 @@ class TestWritePaths:
         expected = "HopsetError: witness for edge 0 does not join 3 and 5"
         assert outcome(reference_paths, g, hs, [0]) == expected
         assert outcome(walked_paths, g, hs, [0]) == expected
+
+    def test_unjoined_anchors_are_a_faulty_step(self, monkeypatch):
+        # trees 1..6 and 7..12 of path(12, 1); hopset edge 1 (3, 10) has anchors
+        # in both, and with beta 1 vertex 10 is reached from 3 only through it:
+        # its witness cannot be read, so 10 gets no line and extract_path names why
+        g = path_graph(12, 1)
+        forest = [(x, x + 1, 1) for x in range(11) if x != 5]
+        edges = [HopsetEdge(0, 5, 5, 1, "star"), HopsetEdge(2, 9, 7, 1, "star")]
+        witnesses = Witnesses(forest, [(0, 5), (2, 9)])
+        hs = Hopset(12, edges, 1, 1, F(1, 10), {}, witnesses=witnesses)
+        calls = []
+        real = hopsets.asp.extract_path
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(hopsets.asp, "extract_path", counted)
+        expected = "HopsetError: edge 1: anchors 3 and 10 are not joined by the forest"
+        assert outcome(walked_paths, g, hs, [2]) == expected
+        assert calls == [9]
 
     @given(path_reporting_queries(), INJECTED_FAULTS)
     # three truncations empty the witness of the first hopset step the paths take

@@ -242,6 +242,8 @@ class TestMalformedHopset:
             (HEADER + "e 1 2 -3/2 0 star\n", 2),  # negative weight
             (HEADER + "e 1 2 0/1 0 star\n", 2),  # zero weight
             (HEADER + "e 1 2 3/1 0 star\np 0 1 2\np 0 1 3 2\n", 4),  # duplicate witness
+            (HEADER + "e 1 2 3/1 0 star\np 0 1 2\ne 2 3 3/1 0 star\n", 4),  # `e` after `p`
+            (HEADER + "e 1 2 3/1 0 star\np 0 1 2\np 1 2 3\n", 4),  # index past the edges
             ("c graph aaaa\nc graph bbbb\nc seed\n" + HEADER, 2),  # duplicate provenance key
             ("c mode reduced\nc seed\n" + HEADER, 2),  # provenance key without a value
             ("h 1 8 88796495 -3/10\n", 1),  # negative epsilon

@@ -14,6 +14,7 @@ from hopsets import (
     Hopset,
     HopsetEdge,
     HopsetError,
+    HopsetFormatError,
     HopsetParams,
     build_hopset,
     build_laminar,
@@ -505,6 +506,31 @@ class TestWitnesses:
     def test_witness_heavier_than_its_edge_is_a_problem(self, w, problems):
         g = path_graph(4, 2)  # weights 1, 2, 4: the path 1, 2, 3 weighs 3
         hs = Hopset(4, [HopsetEdge(0, 2, w, 1, "star")], 2, 1, F(1, 10), {}, witnesses=[(0, 1, 2)])
+        assert validate_witnesses(g, hs) == problems
+
+    @staticmethod
+    def _unjoined():
+        """path(12, 1) with forest trees 1..6 and 7..12; edge 1's anchors 3 and 10 lie in both."""
+        forest = [(x, x + 1, 1) for x in range(11) if x != 5]
+        witnesses = Witnesses(forest, [(0, 5), (2, 9)])
+        edges = [HopsetEdge(0, 5, 5, 1, "star"), HopsetEdge(2, 9, 7, 1, "star")]
+        return path_graph(12, 1), Hopset(12, edges, 1, 1, F(1, 10), {}, witnesses=witnesses)
+
+    def test_unjoined_anchors_name_their_edge_as_the_loader_does(self):
+        _, hs = self._unjoined()
+        assert hs.witnesses[0] == (0, 1, 2, 3, 4, 5)
+        with pytest.raises(HopsetError) as exc:
+            hs.witnesses[1]
+        assert str(exc.value) == "edge 1: anchors 3 and 10 are not joined by the forest"
+        text = io.StringIO()
+        dump_hopset(hs, text)
+        with pytest.raises(HopsetFormatError) as exc:
+            load_hopset(io.StringIO(text.getvalue()))
+        assert str(exc.value).endswith("anchors 3 and 10 are not joined by the forest")
+
+    def test_unjoined_anchors_are_a_problem(self):
+        g, hs = self._unjoined()
+        problems = ["edge 1: anchors 3 and 10 are not joined by the forest"]
         assert validate_witnesses(g, hs) == problems
 
     def test_forest_step_off_the_graph_is_a_problem(self):

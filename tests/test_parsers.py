@@ -11,6 +11,7 @@ same graph or hopset, or the same message with the same line number.
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -181,7 +182,10 @@ def reference_load_hopset(source) -> Hopset:
     follows an `f` line), whose forest is checked here by relabelling each
     merged tree instead of by union-find, and for the edge weights: each is
     read as a `Fraction`, and all are put over their least common
-    denominator at the end."""
+    denominator at the end.  Three rules of the file's record order are
+    later too: an `e` line after an `f`, `p` or `a` line is a fault at its
+    line, so is a witness index outside the edges' 0..m-1, and a missing
+    header names the last line read."""
     close = False
     if isinstance(source, (str, bytes)):
         fh = open(source, "r", encoding="ascii")
@@ -195,6 +199,7 @@ def reference_load_hopset(source) -> Hopset:
         witnesses: dict[int, tuple[int, ...]] = {}
         forest: list[tuple[int, int, int]] = []
         tree: list[int] = []  # vertex -> label of its forest tree
+        lineno = None
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts:
@@ -218,6 +223,8 @@ def reference_load_hopset(source) -> Hopset:
             elif tag == "e":
                 if header is None:
                     raise HopsetFormatError("edge before header", lineno)
+                if witnesses or forest:
+                    raise HopsetFormatError("edge after a forest or witness line", lineno)
                 u, v, w, scale, kind = _fields(lineno, fields, int, int, _fraction, int, str)
                 _check_vertices(lineno, header[0], (u, v))
                 if w <= 0:
@@ -234,6 +241,7 @@ def reference_load_hopset(source) -> Hopset:
                 _check_vertices(lineno, header[0], path)
                 if forest:
                     raise HopsetFormatError("path witness after a forest edge", lineno)
+                _check_index(lineno, idx, len(edges))
                 if idx in witnesses:
                     raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
                 witnesses[idx] = tuple(x - 1 for x in path)
@@ -261,6 +269,7 @@ def reference_load_hopset(source) -> Hopset:
                 _check_vertices(lineno, header[0], path)
                 if not forest:
                     raise HopsetFormatError("anchors before any forest edge", lineno)
+                _check_index(lineno, idx, len(edges))
                 if idx in witnesses:
                     raise HopsetFormatError(f"duplicate witness for edge {idx}", lineno)
                 for x, y in zip(path[::2], path[1::2]):
@@ -272,17 +281,13 @@ def reference_load_hopset(source) -> Hopset:
             else:
                 raise HopsetFormatError(f"unknown record {tag!r}", lineno)
         if header is None:
-            raise HopsetFormatError("missing header line")
+            raise HopsetFormatError("missing header line", lineno)
         n, beta, eps = header
         den = math.lcm(*(w.denominator for _, _, w, _, _ in edges))
         edges = [HopsetEdge(u, v, int(w * den), scale, kind) for u, v, w, scale, kind in edges]
         wit = None
         if witnesses or forest:
-            m = len(edges)
-            stray = [i for i in witnesses if i not in range(m)]
-            if stray:
-                raise HopsetFormatError(f"witness for edge {stray[0]}; the hopset has {m} edges")
-            missing = [i for i in range(m) if i not in witnesses]
+            missing = [i for i in range(len(edges)) if i not in witnesses]
             if missing:
                 raise HopsetFormatError(f"witness lines do not cover edge {missing[0]}")
             wit = [witnesses[i] for i in range(len(edges))]
@@ -312,6 +317,12 @@ def _fields(lineno: int, fields: list[str], *kinds) -> list:
         raise HopsetFormatError(f"malformed record {' '.join(fields)!r}", lineno) from None
 
 
+def _check_index(lineno: int, idx: int, m: int) -> None:
+    """The reference loader's witness index check, at the index's line."""
+    if idx not in range(m):
+        raise HopsetFormatError(f"witness for edge {idx}; the hopset has {m} edges", lineno)
+
+
 def _load_or_error(load, text):
     """The loaded graph or hopset, or the message of the format error raised."""
     try:
@@ -332,42 +343,42 @@ def _hopset_text(hopset):
     return buf.getvalue()
 
 
-def _mutate(data, text):
+def _mutate(draw, text):
     """Apply one to four random line edits to `text`, then maybe cut it short."""
     lines = text.splitlines()
-    for _ in range(data.draw(st.integers(1, 4))):
-        op = data.draw(st.sampled_from(EDITS))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(EDITS))
         if not lines or op == "new-line":
-            tokens = data.draw(st.lists(st.sampled_from(TOKENS), max_size=6))
-            lines.insert(data.draw(st.integers(0, len(lines))), " ".join(tokens))
+            tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=6))
+            lines.insert(draw(st.integers(0, len(lines))), " ".join(tokens))
             continue
-        i = data.draw(st.integers(0, len(lines) - 1))
+        i = draw(st.integers(0, len(lines) - 1))
         line, toks = lines[i], lines[i].split(" ")
         if op == "drop":
             del lines[i]
         elif op == "dup":
             lines.insert(i, line)
         elif op == "swap":
-            j = data.draw(st.integers(0, len(lines) - 1))
+            j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], line
         elif op == "cut-line":
-            lines[i] = line[: data.draw(st.integers(0, len(line)))]
+            lines[i] = line[: draw(st.integers(0, len(line)))]
         elif op in ("token", "add-token", "drop-token"):
-            j = data.draw(st.integers(0, len(toks) - 1))
+            j = draw(st.integers(0, len(toks) - 1))
             if op == "drop-token":
                 del toks[j]
             else:
-                toks[j : j + (op == "token")] = [data.draw(st.sampled_from(TOKENS))]
+                toks[j : j + (op == "token")] = [draw(st.sampled_from(TOKENS))]
             lines[i] = " ".join(toks)
         elif op == "add-char":
-            k = data.draw(st.integers(0, len(line)))
-            lines[i] = line[:k] + data.draw(st.sampled_from(CHARS)) + line[k:]
+            k = draw(st.integers(0, len(line)))
+            lines[i] = line[:k] + draw(st.sampled_from(CHARS)) + line[k:]
         elif line:  # drop-char
-            k = data.draw(st.integers(0, len(line) - 1))
+            k = draw(st.integers(0, len(line) - 1))
             lines[i] = line[:k] + line[k + 1 :]
     out = "\n".join(lines) + "\n"
-    if data.draw(st.booleans()):
-        out = out[: data.draw(st.integers(0, len(out)))]
+    if draw(st.booleans()):
+        out = out[: draw(st.integers(0, len(out)))]
     return out
 
 
@@ -393,7 +404,7 @@ def test_hopset_round_trip_is_identity(hopset):
 @settings(deadline=None, max_examples=200)
 def test_mutated_dimacs_loads_or_raises_format_error(graph, data):
     # both loaders load equal graphs or raise the same message, line included
-    text = _mutate(data, _dimacs_text(graph))
+    text = _mutate(data.draw, _dimacs_text(graph))
     loaded = _load_or_error(load_dimacs, text)
     expected = _load_or_error(reference_load_dimacs, text)
     assert loaded == expected
@@ -427,14 +438,31 @@ def test_arc_lines_load_as_reference(text):
         assert loaded.adj == expected.adj
 
 
-@given(hopsets(), st.data())
+@st.composite
+def mutated_hopset_texts(draw):
+    return _mutate(draw, _hopset_text(draw(hopsets())))
+
+
+# every fault names its line, but for witness lines that miss an edge and
+# for an empty file, whose faults are found after the last line
+LINE_OR_FILE_FAULT = re.compile(
+    r"HopsetFormatError: (line [1-9][0-9]*: |witness lines do not cover edge [0-9]+$)"
+)
+
+
+@given(mutated_hopset_texts())
+@example("h 1 3 5 1/10\ne 1 2 4/1 1 star\nf 1 2 7\na 0 1 2\ne 2 3 1/1 1 star\n")  # `e` after `a`
+@example("h 1 3 5 1/10\ne 1 2 4/1 1 star\nf 1 2 7\na 0 1 2\na 1 2 1\n")  # index past the edges
 @settings(deadline=None, max_examples=200)
-def test_mutated_hopset_loads_or_raises_format_error(hopset, data):
+def test_mutated_hopset_loads_or_raises_format_error(text):
     # both loaders load equal hopsets or raise the same message, line included
-    text = _mutate(data, _hopset_text(hopset))
     loaded = _load_or_error(load_hopset, text)
     assert loaded == _load_or_error(reference_load_hopset, text)
     if isinstance(loaded, str):
+        if text:
+            assert LINE_OR_FILE_FAULT.match(loaded), loaded
+        else:
+            assert loaded == "HopsetFormatError: missing header line"
         return
     for e in loaded.edges:
         assert 0 <= e.u < loaded.n and 0 <= e.v < loaded.n and e.w > 0
@@ -455,8 +483,9 @@ WITNESS_HEAD = "h 1 3 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
         ("p 0 1 2\np 0 2 3", "line 5: duplicate witness for edge 0"),
         ("p 0 1 2\np 1 2 3", None),
         ("p 1 2 3", "witness lines do not cover edge 0"),
-        ("p 0 1 2\np -1 2 3", "witness for edge -1; the hopset has 2 edges"),
-        ("p 0 1 2\np 1 2 3\np 2 3", "witness for edge 2; the hopset has 2 edges"),
+        ("p 0 1 2\np -1 2 3", "line 5: witness for edge -1; the hopset has 2 edges"),
+        ("p 0 1 2\np 1 2 3\np 2 3", "line 6: witness for edge 2; the hopset has 2 edges"),
+        ("p 0 1 2\ne 1 3 4/1 1 star", "line 5: edge after a forest or witness line"),
     ],
 )
 def test_witness_line_matches_reference(line, message):
@@ -500,9 +529,14 @@ FOREST_HEAD = "h 1 4 5 1/10\ne 1 2 4/1 1 star\ne 2 3 4/1 1 star\n"
         ("f 1 2 7\na 0 1 2\np 1 2 3", "line 6: path witness after a forest edge"),
         ("f 1 2 7\na 0 1 2", "witness lines do not cover edge 1"),
         ("f 1 2 7\na 1 2 1", "witness lines do not cover edge 0"),
-        ("f 1 2 7\na 0 1 2\na 9 2 1", "witness for edge 9; the hopset has 2 edges"),
-        ("f 1 2 7\na 0 1 2\na -1 2 1", "witness for edge -1; the hopset has 2 edges"),
-        ("f 1 2 7\na 9 2 1\na 0 1 2\na -1 1 1", "witness for edge 9; the hopset has 2 edges"),
+        ("f 1 2 7\na 0 1 2\na 9 2 1", "line 6: witness for edge 9; the hopset has 2 edges"),
+        ("f 1 2 7\na 0 1 2\na -1 2 1", "line 6: witness for edge -1; the hopset has 2 edges"),
+        (
+            "f 1 2 7\na 9 2 1\na 0 1 2\na -1 1 1",
+            "line 5: witness for edge 9; the hopset has 2 edges",
+        ),
+        ("f 1 2 7\ne 1 3 4/1 1 star", "line 5: edge after a forest or witness line"),
+        ("f 1 2 7\na 0 1 2\ne 1 3 4/1 1 star", "line 6: edge after a forest or witness line"),
         ("e 1 x 4/1 1 star", "line 4: malformed record '1 x 4/1 1 star'"),
         ("e 1 2 3/1/2 1 star", "line 4: malformed record '1 2 3/1/2 1 star'"),
         ("e 1 2 4 1 star", "line 4: malformed record '1 2 4 1 star'"),
